@@ -15,8 +15,9 @@ exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from . import prefix
 from .groups import FiniteGroup, finite_group_from_json
 from .subsets import GroupSubset, NormalForm
 from .words import (
@@ -111,76 +112,22 @@ def point_from_json(data: dict) -> BoundaryPoint:
     raise ValueError(f"unknown point kind: {kind!r}")
 
 
-def points_agree(p: BoundaryPoint, q: BoundaryPoint, depth: int) -> bool:
-    return p.prefix(depth) == q.prefix(depth)
-
-
 # ---------------------------------------------------------------------------
 # clopen sets of the plain boundary
 
 
-def _canonical_bases(bases: Iterable[str]) -> Tuple[bool, FrozenSet[str]]:
-    """Reduce a cylinder family to the unique minimal antichain.
-
-    Returns (is_full, bases)."""
-    bs = set(bases)
-    if "" in bs:
-        return True, frozenset()
-    changed = True
-    while changed:
-        changed = False
-        drop = {x for x in bs if any(x != y and x.startswith(y) for y in bs)}
-        if drop:
-            bs -= drop
-            changed = True
-        by_parent: Dict[str, List[str]] = {}
-        for x in bs:
-            by_parent.setdefault(x[:-1], []).append(x)
-        for parent, kids in by_parent.items():
-            if len(kids) == len(legal_next_letters(parent)):
-                bs -= set(kids)
-                if parent == "":
-                    return True, frozenset()
-                bs.add(parent)
-                changed = True
-                break
-    return False, frozenset(bs)
-
-
-def _act_cylinder(g: str, w: str) -> FrozenSet[str]:
-    """Image bases of g·[w].  Splits only along the cancellation path."""
-    c = multiply(g, w)
-    cancelled = (len(g) + len(w) - len(c)) // 2
-    if cancelled < len(w):
-        return frozenset([c])
-    out = set()
-    for y in legal_next_letters(w):
-        out |= _act_cylinder(g, w + y)
-    return frozenset(out)
-
-
-def _co_cylinder(w: str) -> FrozenSet[str]:
-    """Bases of the complement of [w]: all branch-offs along w."""
-    out = set()
-    for t in range(len(w)):
-        p = w[:t]
-        for y in legal_next_letters(p):
-            if y != w[t]:
-                out.add(p + y)
-    return frozenset(out)
-
-
 class ClopenSet:
-    """A clopen subset of the boundary in minimal-antichain form."""
+    """A clopen subset of the boundary in the canonical form of
+    ``prefix.canonical``; the whole boundary is ``full`` with no bases."""
 
     __slots__ = ("full", "bases")
 
     def __init__(self, bases: Iterable[str] = (), full: bool = False):
-        if full:
-            self.full = True
-            self.bases: FrozenSet[str] = frozenset()
-        else:
-            self.full, self.bases = _canonical_bases(bases)
+        if not full:
+            _, bases = prefix.canonical(None, bases)
+            full = "" in bases
+        self.full = full
+        self.bases: FrozenSet[str] = frozenset() if full else bases
 
     # -- constructors
 
@@ -219,11 +166,7 @@ class ClopenSet:
             return True
         if self.full:
             return False
-        obases = other.bases
-        for b in self.bases:
-            if not any(b[:t] in obases for t in range(len(b) + 1)):
-                return False
-        return True
+        return all(prefix.under(b, other.bases) for b in self.bases)
 
     def are_disjoint(self, other: "ClopenSet") -> bool:
         return self.inter(other).is_empty()
@@ -250,22 +193,13 @@ class ClopenSet:
             return other
         if other.full:
             return self
-        out = set()
-        for u in self.bases:
-            for v in other.bases:
-                if u.startswith(v):
-                    out.add(u)
-                elif v.startswith(u):
-                    out.add(v)
-        return ClopenSet(out)
+        return ClopenSet(prefix.meet(self.bases, other.bases))
 
     def complement(self) -> "ClopenSet":
         if self.full:
             return ClopenSet.empty()
-        out = ClopenSet.full_set()
-        for b in self.bases:
-            out = out.inter(ClopenSet(_co_cylinder(b)))
-        return out
+        _, bases = prefix.complement(None, self.bases)
+        return ClopenSet(bases)
 
     def minus(self, other: "ClopenSet") -> "ClopenSet":
         return self.inter(other.complement())
@@ -274,10 +208,8 @@ class ClopenSet:
         """Image under the homeomorphism given by left multiplication by g."""
         if self.full:
             return self
-        out = set()
-        for b in self.bases:
-            out |= _act_cylinder(g, b)
-        return ClopenSet(out)
+        _, bases = prefix.translate(g, None, self.bases)
+        return ClopenSet(bases)
 
     def refine(self, d: int) -> List[str]:
         """Depth-d cylinder bases whose union is this set (d ≥ depth)."""
@@ -305,10 +237,6 @@ class ClopenSet:
         if self.full:
             return "Clopen(FULL)"
         return "Clopen{" + ", ".join(f"[{b}]" for b in sorted(self.bases)) + "}"
-
-
-def refine(c: ClopenSet, d: int) -> List[str]:
-    return c.refine(d)
 
 
 def shrink(u: ClopenSet, eps: Fraction) -> ClopenSet:
@@ -575,23 +503,6 @@ class GeodesicMap:
         if relation not in (">", "<"):
             raise ValueError("relation must be '>' or '<'")
         cells = self.step_cells(nfs, weights)
-        keep = [
-            base
-            for base, val in cells
-            if (val > theta if relation == ">" else val < theta)
-        ]
-        if "" in keep:
-            return ClopenSet.full_set()
-        return ClopenSet(keep)
-
-    def threshold_set(
-        self, s: GroupSubset, theta: Fraction, relation: str
-    ) -> ClopenSet:
-        """Exact clopen set {x : mu_N(x)(S) > theta} (or <)."""
-        if relation not in (">", "<"):
-            raise ValueError("relation must be '>' or '<'")
-        nf = s.normal_form()
-        cells = self.step_cells([nf], [Fraction(1)])
         keep = [
             base
             for base, val in cells

@@ -19,6 +19,7 @@ import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import prefix
 from . import subsets as ss
 from . import words as fw
 from .boundary import ClopenSet, GeodesicMap, ProductClopen, clopen_from_json, shrink
@@ -315,23 +316,17 @@ class SubeqWitness:
         )
 
 
-def _overlap_pair_bases(items):
-    """First pair of owners among (owner, [(label, base), ...]) whose cylinder
-    unions overlap, or None.
-
-    Two unions of cylinders meet exactly when some base of one is a prefix of
-    a base of the other (in the same K slice).  Sorting all bases
-    lexicographically per slice puts every prefix pair in adjacent positions,
-    which turns the quadratic pairwise scan into one sort."""
+def _overlap_pair_reps(items):
+    """First pair of owners among (owner, [(label, base), ...]) whose
+    cylinder unions overlap in some K slice, or None."""
     per_label: Dict = {}
     for owner, rep in items:
         for lbl, b in rep:
             per_label.setdefault(lbl, []).append((b, owner))
     for bucket in per_label.values():
-        bucket.sort(key=lambda t: t[0])
-        for (b1, o1), (b2, o2) in zip(bucket, bucket[1:]):
-            if b2.startswith(b1):
-                return (o1, o2)
+        pair = prefix.first_overlap(bucket)
+        if pair is not None:
+            return pair
     return None
 
 
@@ -348,7 +343,7 @@ def _base_rep(space, s) -> List[Tuple[Optional[str], str]]:
 
 def _overlap_pair(space, items):
     """First pair of owners among (owner, set) whose sets overlap, or None."""
-    return _overlap_pair_bases([(o, _base_rep(space, s)) for o, s in items])
+    return _overlap_pair_reps([(o, _base_rep(space, s)) for o, s in items])
 
 
 def verify_witness(w: SubeqWitness) -> dict:
@@ -608,12 +603,10 @@ def petr_assign(space, data: CountingData, n: int) -> SubeqWitness:
         cylinder [g·w], so the containment test is a string prefix check
         and no clopen sets get built."""
         lbl, w = cell
-        gw = space.word_part(g)
-        c = multiply(gw, w)
-        cancelled = (len(gw) + len(w) - len(c)) // 2
+        c = prefix.moved_base(space.word_part(g), w)
         newl = space.act_label(g, lbl)
         tgt = ueff_slices[newl]
-        if cancelled < len(w):
+        if c is not None:
             if tgt.is_full() or any(c.startswith(b) for b in tgt.bases):
                 return (((newl, c),), [(newl, c)])
             if not any(b.startswith(c) for b in tgt.bases):
@@ -689,7 +682,7 @@ def _color_clash(matched, image_of, n):
             if right in seen:
                 return (left, right)
             seen[right] = left
-        pair = _overlap_pair_bases(
+        pair = _overlap_pair_reps(
             [(lr, image_of[lr[1]]) for lr in group]
         )
         if pair is not None:

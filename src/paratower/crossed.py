@@ -12,6 +12,7 @@ clopen set, so v is not a unitary.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
@@ -205,6 +206,21 @@ class IsometryCertificate:
         return self.data
 
 
+class DepthTooSmall(ValueError):
+    """The averaging depth N is too small for the translation defect bound."""
+
+
+def v_thresholds(bases: List[str], depth: int, eps: Fraction) -> List[ClopenSet]:
+    """V_j = {x : mu_N(x)(W(b_j)) > 1/2 + eps} for the tower bases b_j."""
+    gm = GeodesicMap(depth)
+    return [
+        gm.threshold_weighted(
+            [ss.cone(b).normal_form()], [Fraction(1)], Fraction(1, 2) + eps, ">"
+        )
+        for b in bases
+    ]
+
+
 def build_isometry(h: str = "a", depth: int = 200) -> IsometryCertificate:
     """Produce the non-unitary isometry from three strengthened towers.
 
@@ -228,14 +244,17 @@ def build_isometry(h: str = "a", depth: int = 200) -> IsometryCertificate:
     defect_elems = [inverse(h)] + h_elems
     defect_ok = all(gm.defect_bound(g) < eps for g in defect_elems)
     if not defect_ok:
-        raise RuntimeError("depth too small for the defect bound")
+        longest = max(len(g) for g in defect_elems)
+        raise DepthTooSmall(
+            f"depth {depth} fails the defect bound 2*{longest}/N < {eps};"
+            f" the smallest depth that passes is {math.floor(2 * longest / eps) + 1}"
+        )
 
-    v_sets = [
-        gm.threshold_set(a, Fraction(1, 2) + eps, ">") for a in a_sets
-    ]
+    v_sets = v_thresholds(bases, depth, eps)
     w_sets = [
-        gm.threshold_set(
-            ~ss.translate(g, a), Fraction(1, 2) - 2 * eps, "<"
+        gm.threshold_weighted(
+            [(~ss.translate(g, a)).normal_form()], [Fraction(1)],
+            Fraction(1, 2) - 2 * eps, "<",
         )
         for a, g in zip(a_sets, h_elems)
     ]

@@ -1,0 +1,155 @@
+"""Prefix-free antichains of reduced words: the trie algebra behind both
+``subsets.NormalForm`` and ``boundary.ClopenSet``.
+
+A base ``h`` names a node of the 4-ary trie of reduced words over
+{a, A, b, B}.  In the group it stands for the cone W(h) of all reduced words
+starting with h; on the boundary for the cylinder [h] of all infinite
+reduced words starting with h.  The two readings differ only at the nodes
+themselves: every node is a point of the group and none is a point of the
+boundary.  So a group set is a pair ``(words, bases)`` with a finite word
+set beside the antichain, and a boundary set passes ``words=None``.  The
+base "" is the whole space.
+
+A pair is in form when the bases are pairwise prefix-incomparable and no
+word lies under a base.  ``canonical`` returns the unique form with maximal
+bases; the other operations take forms and return pieces in form, which the
+views hand back to ``canonical`` through their constructors.
+"""
+
+from __future__ import annotations
+
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+
+from .words import legal_next_letters, multiply
+
+Words = Optional[AbstractSet[str]]
+
+
+def canonical(
+    words: Optional[Iterable[str]], bases: Iterable[str]
+) -> Tuple[Words, FrozenSet[str]]:
+    """Unique form of a word set plus bases: nested bases and covered words
+    dropped, then complete sibling families merged bottom-up into their
+    parent.  In the group a family merges only when the parent word is in
+    the set; on the boundary (``words=None``) it always does."""
+    bs = set(bases)
+    if "" in bs:
+        return (None if words is None else frozenset()), frozenset([""])
+    kept: list = []
+    # a base sorts directly before every base it covers
+    for b in sorted(bs):
+        if not kept or not b.startswith(kept[-1]):
+            kept.append(b)
+    bs = set(kept)
+    ws = None if words is None else {w for w in words if not under(w, bs)}
+    # a family has at least three members, so smaller sets cannot merge
+    if len(bs) >= 3:
+        _collapse_families(ws, bs)
+    return (None if ws is None else frozenset(ws)), frozenset(bs)
+
+
+def _collapse_families(words: Optional[Set[str]], bases: Set[str]) -> None:
+    by_depth: Dict[int, Dict[str, list]] = {}
+    for b in bases:
+        by_depth.setdefault(len(b) - 1, {}).setdefault(b[:-1], []).append(b)
+    # a merge can only complete the family of the parent one level up
+    for depth in range(max(by_depth), -1, -1):
+        for p, kids in by_depth.get(depth, {}).items():
+            if len(kids) != len(legal_next_letters(p)):
+                continue
+            if words is not None and p not in words:
+                continue
+            bases.difference_update(kids)
+            bases.add(p)
+            if words is not None:
+                words.discard(p)
+            if p:
+                by_depth.setdefault(depth - 1, {}).setdefault(p[:-1], []).append(p)
+
+
+def under(w: str, bases) -> bool:
+    """Whether the word w lies under one of the bases."""
+    return any(w[:t] in bases for t in range(len(w) + 1))
+
+
+def meet(a: Iterable[str], b: Iterable[str]) -> Set[str]:
+    """Bases of the intersection of two antichains: each base that has a
+    prefix on the other side.  In sorted order that prefix is the last
+    base of the other side seen."""
+    last: list = [None, None]
+    out = set()
+    for x, side in sorted([(x, 0) for x in a] + [(x, 1) for x in b]):
+        other = last[1 - side]
+        if other is not None and x.startswith(other):
+            out.add(x)
+        last[side] = x
+    return out
+
+
+def complement(words: Words, bases: AbstractSet[str]) -> Tuple[Words, Set[str]]:
+    """Complement of a form, by one walk over its prefix trie: the
+    branch-off bases at every inner node, plus in the group the inner
+    nodes that are not words."""
+    if "" in bases:
+        return (None if words is None else set()), set()
+    inner = {b[:t] for b in bases for t in range(len(b))}
+    if words is not None:
+        inner.update(w[:t] for w in words for t in range(len(w) + 1))
+    if not inner:
+        return (None if words is None else set()), {""}
+    out = {
+        p + y
+        for p in inner
+        for y in legal_next_letters(p)
+        if p + y not in inner and p + y not in bases
+    }
+    return (None if words is None else inner - words), out
+
+
+def moved_base(g: str, h: str) -> Optional[str]:
+    """The base of g·W(h) when part of h survives the cancellation with g,
+    otherwise None."""
+    c = multiply(g, h)
+    return c if len(c) > len(g) - len(h) else None
+
+
+def translate(g: str, words: Words, bases: Iterable[str]) -> Tuple[Words, list]:
+    """Pieces of g·S.  A base moves to one base unless g cancels all of it;
+    then it splits into its children, and in the group the node itself
+    moves to a word.  Only the cancellation path splits, at most |g| deep."""
+    out_words = None if words is None else {multiply(g, w) for w in words}
+    out = []
+    stack = list(bases)
+    while stack:
+        h = stack.pop()
+        c = moved_base(g, h)
+        if c is not None:
+            out.append(c)
+            continue
+        if out_words is not None:
+            out_words.add(multiply(g, h))
+        stack.extend(h + y for y in legal_next_letters(h))
+    return out_words, out
+
+
+def first_overlap(
+    bases: Iterable[Tuple[str, Hashable]], words: Iterable[Tuple[str, Hashable]] = ()
+) -> Optional[Tuple[Hashable, Hashable]]:
+    """First pair of owners whose pieces meet, from (base, owner) and
+    (word, owner) entries, or None.  Each owner's own entries must be in
+    form.  Sorted, a base comes directly before the entries it covers, so
+    one scan with the last base seen finds a meeting pair; equal words
+    sort next to each other."""
+    entries = [(b, False, o) for b, o in bases] + [(w, True, o) for w, o in words]
+    entries.sort(key=lambda e: e[:2])
+    base = prev_word = None
+    for x, is_word, owner in entries:
+        if base is not None and x.startswith(base[0]):
+            return base[1], owner
+        if not is_word:
+            base = (x, owner)
+        elif prev_word is not None and prev_word[0] == x:
+            return prev_word[1], owner
+        else:
+            prev_word = (x, owner)
+    return None

@@ -11,16 +11,10 @@ decidable on normal forms, which is what makes tower certification exact.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
-from .words import (
-    LETTERS,
-    inverse_letter,
-    is_reduced,
-    legal_next_letters,
-    multiply,
-    reduce_word,
-)
+from . import prefix
+from .words import is_reduced, multiply
 
 
 class NotNormalizable(ValueError):
@@ -32,7 +26,8 @@ class NotNormalizable(ValueError):
 
 
 class NormalForm:
-    """Finite word set ⊔ prefix-free cone antichain, canonically merged.
+    """Finite word set ⊔ prefix-free cone antichain, in the canonical form
+    of ``prefix.canonical``.
 
     ``words`` never meet any cone; ``cones`` are pairwise prefix-incomparable.
     A cone base of "" denotes the whole group.
@@ -41,7 +36,7 @@ class NormalForm:
     __slots__ = ("words", "cones")
 
     def __init__(self, words: Iterable[str] = (), cones: Iterable[str] = ()):
-        w, c = _merge(frozenset(words), frozenset(cones))
+        w, c = prefix.canonical(words, cones)
         self.words: FrozenSet[str] = w
         self.cones: FrozenSet[str] = c
 
@@ -64,46 +59,23 @@ class NormalForm:
         return NormalForm(self.words | other.words, self.cones | other.cones)
 
     def inter(self, other: "NormalForm") -> "NormalForm":
-        words = set()
-        cones = set()
-        for u in self.words:
-            if other.contains(u):
-                words.add(u)
-        for u in other.words:
-            if self.contains(u):
-                words.add(u)
-        for c in self.cones:
-            for d in other.cones:
-                if c.startswith(d):
-                    cones.add(c)
-                elif d.startswith(c):
-                    cones.add(d)
-        return NormalForm(words, cones)
+        words = {u for u in self.words if prefix.under(u, other.cones)}
+        words.update(
+            u for u in other.words if u in self.words or prefix.under(u, self.cones)
+        )
+        return NormalForm(words, prefix.meet(self.cones, other.cones))
 
     def complement(self) -> "NormalForm":
-        out = NormalForm(cones=[""])
-        for u in self.words:
-            out = out.inter(_co_word(u))
-        for c in self.cones:
-            out = out.inter(_co_cone(c))
-        return out
+        return NormalForm(*prefix.complement(self.words, self.cones))
 
     def minus(self, other: "NormalForm") -> "NormalForm":
         return self.inter(other.complement())
 
     def translate(self, g: str) -> "NormalForm":
-        words = {multiply(g, u) for u in self.words}
-        out = NormalForm(words)
-        for c in self.cones:
-            out = out.union(translate_cone(g, c))
-        return out
+        return NormalForm(*prefix.translate(g, self.words, self.cones))
 
     def equals(self, other: "NormalForm") -> bool:
-        # the merged form is canonical, but symmetric difference is the
-        # bullet-proof test and stays cheap at these sizes
-        if self.words == other.words and self.cones == other.cones:
-            return True
-        return self.minus(other).is_empty() and other.minus(self).is_empty()
+        return self.words == other.words and self.cones == other.cones
 
     def key(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         return (tuple(sorted(self.words)), tuple(sorted(self.cones)))
@@ -112,81 +84,6 @@ class NormalForm:
         parts = [repr(w) if w else "ε" for w in sorted(self.words)]
         parts += [f"W({c!r})" if c else "ALL" for c in sorted(self.cones)]
         return "NF{" + ", ".join(parts) + "}"
-
-
-def _merge(
-    words: FrozenSet[str], cones: FrozenSet[str]
-) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    w = set(words)
-    c = set(cones)
-    changed = True
-    while changed:
-        changed = False
-        # absorb nested cones
-        drop = {x for x in c if any(x != y and x.startswith(y) for y in c)}
-        if drop:
-            c -= drop
-            changed = True
-        # drop words swallowed by cones
-        dropw = {x for x in w if any(x.startswith(y) for y in c)}
-        if dropw:
-            w -= dropw
-            changed = True
-        # complete families: a word plus cones at all its legal children is
-        # exactly the cone at the word
-        by_parent: Dict[str, List[str]] = {}
-        for x in c:
-            if x:
-                by_parent.setdefault(x[:-1], []).append(x)
-        for parent, kids in by_parent.items():
-            legal = legal_next_letters(parent)
-            if parent in w and len(kids) == len(legal):
-                w.discard(parent)
-                c -= set(kids)
-                c.add(parent)
-                changed = True
-                break
-    return frozenset(w), frozenset(c)
-
-
-def _co_cone(h: str) -> NormalForm:
-    """Complement of W(h): proper prefixes of h plus all branch-off cones."""
-    if not h:
-        return NormalForm()
-    words = {h[:t] for t in range(len(h))}
-    cones = set()
-    for t in range(len(h)):
-        p = h[:t]
-        for y in legal_next_letters(p):
-            if y != h[t]:
-                cones.add(p + y)
-    return NormalForm(words, cones)
-
-
-def _co_word(u: str) -> NormalForm:
-    """Complement of the singleton {u}."""
-    nf = _co_cone(u) if u else NormalForm()
-    cones = set(nf.cones) | {u + y for y in legal_next_letters(u)}
-    return NormalForm(nf.words, cones)
-
-
-def translate_cone(g: str, h: str) -> NormalForm:
-    """Normal form of g·W(h).
-
-    If the reduction of g·h leaves part of h standing, the image is the
-    single cone at reduce(g·h); otherwise split over the first continuation
-    letter and recurse (at most |g| levels deep).
-    """
-    if not h:
-        return NormalForm(cones=[""])
-    c = multiply(g, h)
-    cancelled = (len(g) + len(h) - len(c)) // 2
-    if cancelled < len(h):
-        return NormalForm(cones=[c])
-    out = NormalForm(words=[c])
-    for y in legal_next_letters(h):
-        out = out.union(translate_cone(g, h + y))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import prefix
 from . import subsets as ss
 from . import words as fw
 from .groups import (
@@ -311,39 +312,6 @@ def _translated(family: TowerFamily, g, a):
     return a.translate(g)
 
 
-def _disjoint_union_check(
-    pieces: List[Tuple[object, NormalForm]]
-) -> Optional[Tuple[object, object]]:
-    """Check that canonical normal forms are pairwise disjoint.
-
-    Returns an offending owner pair, or None.  Linear-ish: cone bases are
-    prefix-free iff no base is a prefix of its lexicographic successor, and
-    a stray word hits a cone iff one of its prefixes is a cone base.
-    """
-    cone_owner: Dict[str, object] = {}
-    cones: List[Tuple[str, object]] = []
-    word_owner: Dict[str, object] = {}
-    for owner, nf in pieces:
-        for c in nf.cones:
-            if c in cone_owner:
-                return cone_owner[c], owner
-            cone_owner[c] = owner
-            cones.append((c, owner))
-        for w in nf.words:
-            if w in word_owner:
-                return word_owner[w], owner
-            word_owner[w] = owner
-    cones.sort()
-    for (c1, o1), (c2, o2) in zip(cones, cones[1:]):
-        if c2.startswith(c1):
-            return o1, o2
-    for w, ow in word_owner.items():
-        for t in range(len(w) + 1):
-            if w[:t] in cone_owner and cone_owner[w[:t]] != ow:
-                return cone_owner[w[:t]], ow
-    return None
-
-
 def _translate_slice_nfs(family: TowerFamily, d, a) -> Optional[Dict[object, NormalForm]]:
     """Per-K-label normal forms of d·a, or None when not cone-expressible."""
     try:
@@ -378,7 +346,10 @@ def _exact_disjoint(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
                 break
         if ok:
             for pieces in by_label.values():
-                bad = _disjoint_union_check(pieces)
+                bad = prefix.first_overlap(
+                    [(c, owner) for owner, nf in pieces for c in nf.cones],
+                    [(w, owner) for owner, nf in pieces for w in nf.words],
+                )
                 if bad is not None:
                     (di, i), (dj, j) = bad
                     return False, {

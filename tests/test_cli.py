@@ -152,6 +152,32 @@ def test_isometry_command(tmp_path):
     assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
+def test_isometry_depth_too_small_is_a_usage_error(capsys):
+    assert main(["isometry", "--h", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "smallest depth that passes is 289" in err
+
+
+@pytest.mark.parametrize(
+    "field, forged",
+    [
+        # a full V makes "range inside V" trivially true
+        ("V", [{"space": "boundary", "kind": "full"}]),
+        # [aaba] is V_1 itself, so it witnesses nothing outside V
+        ("complement_witness", "aaba"),
+    ],
+)
+def test_verify_rejects_forged_isometry(tmp_path, field, forged):
+    from paratower.crossed import build_isometry
+
+    payload = build_isometry().to_json()
+    payload[field] = forged
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(certs.wrap("isometry", payload)))
+    assert main(["verify", str(path)]) == 2
+
+
 def test_report_output(capsys):
     assert main(["f2-towers", "--D", "e,a,A,b,B"]) == 0
     out = capsys.readouterr().out

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from paratower.boundary import ClopenSet
 from paratower.crossed import (
     CrossedElement,
+    DepthTooSmall,
     StepFunction,
     build_isometry,
     cp_add,
@@ -190,5 +191,8 @@ def test_isometry_algebra_recheck():
 def test_build_isometry_rejects_bad_input():
     with pytest.raises(ValueError):
         build_isometry("")
-    with pytest.raises(RuntimeError):
-        build_isometry("a", depth=8)
+    # the longest covering element for h = a has length 4, and 2*4/N < 1/24
+    # first holds at N = 193
+    with pytest.raises(DepthTooSmall, match="smallest depth that passes is 193"):
+        build_isometry("a", depth=192)
+    assert build_isometry("a", depth=193).passed
