@@ -573,10 +573,15 @@ def _kuhn_match(lefts, adjacency, forbidden) -> Optional[Dict]:
     return match_l
 
 
-def petr_assign(space, data: CountingData, n: int) -> SubeqWitness:
+def petr_assign(
+    space, data: CountingData, n: int, counting: Optional[dict] = None
+) -> SubeqWitness:
     """Turn the counting hypothesis into a witness (V_j) below n+1 copies
-    of the target, via bipartite matching on cylinder cells."""
-    counting = check_counting(space, data, n)
+    of the target, via bipartite matching on cylinder cells.  ``counting``
+    is the report of ``check_counting(space, data, n)`` when the caller
+    has it already."""
+    if counting is None:
+        counting = check_counting(space, data, n)
     if not counting["pass"]:
         raise HypothesisViolated(
             f"counting hypothesis fails on cell {counting['witness_cell']}"
@@ -917,7 +922,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     # claim 3: counting hypothesis plus the matching assignment
     data = CountingData(f_elems, eps, v_list, u_target)
     counting = check_counting(space, data, n)
-    claim3_witness = petr_assign(space, data, n)
+    claim3_witness = petr_assign(space, data, n, counting)
     claim3_report = verify_witness(claim3_witness)
     claim3 = {
         "counting": counting,

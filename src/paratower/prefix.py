@@ -18,7 +18,9 @@ views hand back to ``canonical`` through their constructors.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Set, Tuple,
+)
 
 from .words import legal_next_letters, multiply
 
@@ -130,6 +132,48 @@ def translate(g: str, words: Words, bases: Iterable[str]) -> Tuple[Words, list]:
             out_words.add(multiply(g, h))
         stack.extend(h + y for y in legal_next_letters(h))
     return out_words, out
+
+
+def first_by_pattern(
+    forms: Sequence[Tuple[AbstractSet[str], AbstractSet[str]]], radius: int
+) -> Dict[FrozenSet[int], str]:
+    """For every membership pattern met in the radius-r ball of F2, the
+    first word with it in ball order.  ``forms[k]`` is a group set given as
+    (words, bases); a word's pattern is the set of the k whose set holds it.
+    The dict lists the patterns in the ball order of their first words.
+
+    The walk visits the prefix trie of all bases and words, layer by layer,
+    down to length r.  A node inherits its parent's cone pattern and adds
+    the sets with a cone or a word there.  A child that is no trie node
+    starts a subtree in which every word has the parent's cone pattern, and
+    the child comes first in it, so nothing below it is visited and the
+    cost does not grow with r."""
+    cones: Dict[str, list] = {}
+    at: Dict[str, list] = {}
+    for k, (words, bases) in enumerate(forms):
+        for b in bases:
+            cones.setdefault(b, []).append(k)
+        for w in words:
+            at.setdefault(w, []).append(k)
+    nodes = {x[:t] for x in (*cones, *at) for t in range(1, min(len(x), radius) + 1)}
+    above = frozenset(cones.get("", ()))
+    first = {above.union(at.get("", ())): ""}
+    # the children of a layer in order are the next layer of the ball in
+    # order, so the first word noted for a pattern is its first word
+    layer = [("", above)]
+    while layer and len(layer[0][0]) < radius:
+        deeper = []
+        for p, above in layer:
+            for y in legal_next_letters(p):
+                x = p + y
+                if x not in nodes:
+                    first.setdefault(above, x)
+                    continue
+                below = above.union(cones[x]) if x in cones else above
+                first.setdefault(below.union(at[x]) if x in at else below, x)
+                deeper.append((x, below))
+        layer = deeper
+    return first
 
 
 def first_overlap(

@@ -12,9 +12,7 @@ are certified on metric balls.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import prefix
 from . import subsets as ss
@@ -126,7 +124,7 @@ class CosetSliceSubset:
     def translate(self, g: str) -> "CosetSliceSubset":
         # only translations from the a,b subgroup keep the slice form
         if any(x in ("c", "C") for x in g):
-            raise ValueError("coset-slice subsets only translate by a,b words")
+            raise NotNormalizable("coset-slice subsets only translate by a,b words")
         return CosetSliceSubset(ss.translate(g, self.base))
 
     def inter_is_empty(self, other: "CosetSliceSubset") -> bool:
@@ -202,6 +200,18 @@ class _Ops:
         if self.kind == "F2xF2":
             b = list(fw.ball(r))
             return [(u, v) for u in b for v in b]
+        raise ValueError(self.kind)
+
+    def ball_size(self, r: int) -> int:
+        """Number of elements ``ball(r)`` lists."""
+        if self.kind == "F2":
+            return fw.ball_size(r)
+        if self.kind == "F3":
+            return 1 + 3 * (5**r - 1) // 2
+        if self.kind == "F2xK":
+            return len(self.k_group) * fw.ball_size(r)
+        if self.kind == "F2xF2":
+            return fw.ball_size(r) ** 2
         raise ValueError(self.kind)
 
     def elem_json(self, g):
@@ -325,7 +335,7 @@ def _translate_slice_nfs(family: TowerFamily, d, a) -> Optional[Dict[object, Nor
             }
         if family.kind == "F3":
             return {None: a.translate(d).base.normal_form()}
-    except (NotNormalizable, ValueError):
+    except NotNormalizable:
         return None
     return None
 
@@ -439,62 +449,136 @@ def _rectangles_cover(rects: Sequence[ProductF2Subset]) -> bool:
     return True
 
 
-def _nf_mask(nf: NormalForm, arr: np.ndarray) -> np.ndarray:
-    mask = np.zeros(arr.shape[0], dtype=bool)
-    for w in nf.words:
-        mask |= arr == w
-    for c in nf.cones:
-        if c == "":
-            mask[:] = True
-        else:
-            mask |= np.char.startswith(arr, c)
-    return mask
+def _form(s: GroupSubset) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    nf = s.normal_form()
+    return nf.words, nf.cones
 
 
-def _ball_check_f2_vectorized(
-    family: TowerFamily, radius: int
-) -> Optional[Tuple[dict, dict]]:
-    """Fast membership sweep when every translate has a cone normal form."""
-    try:
-        d_masks_nf = [
-            [
-                ss.translate(d, a).normal_form()
-                for d in family.d_set
-            ]
-            for a, _ in family.items
-        ]
-        g_nfs = [ss.translate(g, a).normal_form() for a, g in family.items]
-    except NotNormalizable:
-        return None
-    arr = np.array(list(fw.ball(radius)))
-    masks = []
-    for i, per_d in enumerate(d_masks_nf):
-        for di, nf in enumerate(per_d):
-            masks.append((di, i, _nf_mask(nf, arr)))
+def _keep_first(out: dict, pattern: FrozenSet[int], key, elem) -> None:
+    if pattern not in out or key < out[pattern][0]:
+        out[pattern] = (key, elem)
+
+
+def _first_elements(family: TowerFamily, sets: Sequence, radius: int) -> dict:
+    """For each membership pattern over ``sets`` met in the radius-r ball,
+    (ball-order key, element) of its first element.  Raises NotNormalizable
+    when a set has no normal form."""
+    walk = prefix.first_by_pattern
+    out: dict = {}
+    if family.kind in ("F2", "F3"):
+        # in F3 a word p·s has the membership of its a,b-part p, and p comes
+        # first in the ball
+        forms = [_form(s if family.kind == "F2" else s.base) for s in sets]
+        for pattern, w in walk(forms, radius).items():
+            out[pattern] = (fw.ball_key(w), w)
+    elif family.kind == "F2xK":
+        for li, lbl in enumerate(family.k_group.elements):
+            for pattern, w in walk([_form(s.slices[lbl]) for s in sets], radius).items():
+                _keep_first(out, pattern, (fw.ball_key(w), li), (w, lbl))
+    elif family.kind == "F2xF2":
+        # a pattern of the first factor fixes the rectangles still active
+        for first, u in walk([_form(s.first) for s in sets], radius).items():
+            active = sorted(first)
+            seconds = [_form(sets[k].second) for k in active]
+            for second, v in walk(seconds, radius).items():
+                pattern = frozenset(active[k] for k in second)
+                _keep_first(out, pattern, (fw.ball_key(u), fw.ball_key(v)), (u, v))
+    else:
+        raise ValueError(f"unknown group: {family.kind!r}")
+    return out
+
+
+def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
+    """(D index, tower index) of every translate d·A_i, in the order in
+    which a clash reports its hits."""
+    return [(di, i) for i in range(family.n) for di in range(len(family.d_set))]
+
+
+def _ball_checks(family: TowerFamily, clash, bare) -> dict:
+    """Checks dict from the first clash (element, owner, owner) and the
+    first uncovered (element, cover group), each None when there is none."""
+    ops = family.ops
     disjoint: dict = {"pass": True, "counterexample": None}
-    for (di, i, m1), (dj, j, m2) in itertools.combinations(masks, 2):
-        both = m1 & m2
-        if both.any():
-            w = arr[int(np.argmax(both))]
-            disjoint = {
-                "pass": False,
-                "counterexample": {"word": str(w), "d": family.ops.elem_json(family.d_set[di]), "i": i,
-                                   "d2": family.ops.elem_json(family.d_set[dj]), "i2": j},
-            }
-            break
+    if clash is not None:
+        w, (di, i), (dj, j) = clash
+        disjoint = {
+            "pass": False,
+            "counterexample": {
+                "word": ops.elem_json(w),
+                "d": ops.elem_json(family.d_set[di]), "i": i,
+                "d2": ops.elem_json(family.d_set[dj]), "i2": j,
+            },
+        }
     cover: dict = {"pass": True, "counterexample": None}
+    if bare is not None:
+        w, group_no = bare
+        cover = {
+            "pass": False,
+            "counterexample": {"word": ops.elem_json(w), "cover_group": group_no},
+        }
+    return {"disjoint": disjoint, "cover": cover}
+
+
+def _walk_ball(family: TowerFamily, radius: int) -> dict:
+    """Ball checks read off the prefix trie of the translates' normal forms."""
+    owners = _owners(family)
+    moved = [_translated(family, family.d_set[di], family.items[i][0]) for di, i in owners]
+    clashes = [
+        (key, w, sorted(pattern))
+        for pattern, (key, w) in _first_elements(family, moved, radius).items()
+        if len(pattern) > 1
+    ]
+    clash = None
+    if clashes:
+        _, w, hits = min(clashes)
+        clash = (w, owners[hits[0]], owners[hits[1]])
+    bare = None
     for group_no, idxs in enumerate(family.cover_groups):
-        covered = np.zeros(arr.shape[0], dtype=bool)
-        for i in idxs:
-            covered |= _nf_mask(g_nfs[i], arr)
-        if not covered.all():
-            w = arr[int(np.argmax(~covered))]
-            cover = {
-                "pass": False,
-                "counterexample": {"word": str(w), "cover_group": group_no},
-            }
+        covers = [_translated(family, g, a) for a, g in (family.items[i] for i in idxs)]
+        first = _first_elements(family, covers, radius).get(frozenset())
+        if first is not None:
+            bare = (first[1], group_no)
             break
-    return disjoint, cover
+    return _ball_checks(family, clash, bare)
+
+
+def _sweep_ball(family: TowerFamily, radius: int) -> dict:
+    """Ball checks by enumerating the ball and testing membership with
+    ``contains``; for sets without a normal form, and the reference for the
+    trie walk."""
+    ops = family.ops
+    cap = fw.ball_size(fw.DEFAULT_MAX_RADIUS)
+    # every group's ball is at least as large as F2's, so a radius above the
+    # cap's needs no count
+    if radius > fw.DEFAULT_MAX_RADIUS or ops.ball_size(radius) > cap:
+        raise fw.RadiusTooLarge(
+            f"the radius-{radius} ball of {family.kind} has more than {cap} elements"
+        )
+    ball = ops.ball(radius)
+    inv_d = [ops.inv(d) for d in family.d_set]
+    inv_g = [ops.inv(g) for _, g in family.items]
+    owners = _owners(family)
+    clash = None
+    for w in ball:
+        hits = [
+            (di, i)
+            for di, i in owners
+            if family.items[i][0].contains(ops.mul(inv_d[di], w))
+        ]
+        if len(hits) > 1:
+            clash = (w, hits[0], hits[1])
+            break
+    bare = None
+    for group_no, idxs in enumerate(family.cover_groups):
+        for w in ball:
+            if not any(
+                family.items[i][0].contains(ops.mul(inv_g[i], w)) for i in idxs
+            ):
+                bare = (w, group_no)
+                break
+        if bare is not None:
+            break
+    return _ball_checks(family, clash, bare)
 
 
 def verify_towers(
@@ -519,59 +603,13 @@ def verify_towers(
         raise ValueError(f"unknown mode: {mode!r}")
     if radius is None:
         raise ValueError("ball mode needs a radius")
-
-    if family.kind == "F2":
-        fast = _ball_check_f2_vectorized(family, radius)
-        if fast is not None:
-            disjoint, cover = fast
-            return TowerCertificate(
-                family.to_json(), "ball", radius,
-                {"disjoint": disjoint, "cover": cover},
-            )
-
-    ops = family.ops
-    ball = ops.ball(radius)
-    inv_d = [ops.inv(d) for d in family.d_set]
-    inv_g = [ops.inv(g) for _, g in family.items]
-    disjoint = {"pass": True, "counterexample": None}
-    pairs = [
-        (di, i) for i in range(family.n) for di in range(len(family.d_set))
-    ]
-    for w in ball:
-        hits = [
-            (di, i)
-            for di, i in pairs
-            if family.items[i][0].contains(ops.mul(inv_d[di], w))
-        ]
-        if len(hits) > 1:
-            (di, i), (dj, j) = hits[0], hits[1]
-            disjoint = {
-                "pass": False,
-                "counterexample": {
-                    "word": ops.elem_json(w),
-                    "d": ops.elem_json(family.d_set[di]), "i": i,
-                    "d2": ops.elem_json(family.d_set[dj]), "i2": j,
-                },
-            }
-            break
-    cover = {"pass": True, "counterexample": None}
-    for group_no, idxs in enumerate(family.cover_groups):
-        bad = None
-        for w in ball:
-            if not any(
-                family.items[i][0].contains(ops.mul(inv_g[i], w)) for i in idxs
-            ):
-                bad = w
-                break
-        if bad is not None:
-            cover = {
-                "pass": False,
-                "counterexample": {"word": ops.elem_json(bad), "cover_group": group_no},
-            }
-            break
-    return TowerCertificate(
-        family.to_json(), "ball", radius, {"disjoint": disjoint, "cover": cover}
-    )
+    if isinstance(radius, bool) or not isinstance(radius, int) or radius < 0:
+        raise ValueError(f"ball radius must be a nonnegative integer, not {radius!r}")
+    try:
+        checks = _walk_ball(family, radius)
+    except NotNormalizable:
+        checks = _sweep_ball(family, radius)
+    return TowerCertificate(family.to_json(), "ball", radius, checks)
 
 
 # ---------------------------------------------------------------------------

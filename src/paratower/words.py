@@ -9,11 +9,13 @@ word handed around by this package is kept freely reduced: no ``aA``, ``Aa``,
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Sequence, Tuple
 
 LETTERS = ("a", "A", "b", "B")
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
+
+_BALL_ORDER = str.maketrans("aAbB", "0123")
 
 DEFAULT_MAX_RADIUS = 14
 
@@ -100,6 +102,12 @@ class Ball:
 def ball_size(r: int) -> int:
     # 1 + 4 + 4*3 + ... + 4*3^(r-1)
     return 1 + 2 * (3**r - 1)
+
+
+def ball_key(w: str) -> Tuple[int, str]:
+    """Sort key of the order in which ``ball`` lists words: by length, then
+    letter by letter with a < A < b < B."""
+    return len(w), w.translate(_BALL_ORDER)
 
 
 def ball(r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> Ball:

@@ -67,7 +67,7 @@ def test_01_cone_towers_exact_and_ball_crosscheck():
             assert x.inter(y).is_empty()
         fam = f2_towers(D5)
         assert verify_towers(fam, "exact").passed
-        # independent cross-check by full enumeration out to radius 12
+        # cross-check on the radius-12 ball, read off the prefix trie
         assert verify_towers(fam, "ball", 12).passed
         assert verify_towers(strong.family(), "ball", 12).passed
 

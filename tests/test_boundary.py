@@ -65,12 +65,13 @@ def test_point_json_round_trip():
 @settings(max_examples=60, deadline=None)
 def test_clopen_algebra_pointwise(s, t):
     # ground truth on depth-7 prefixes
+    union, inter, complement = s.union(t), s.inter(t), s.complement()
     for w in words_of_length(7):
         in_s = s.contains_point_prefix(w)
         in_t = t.contains_point_prefix(w)
-        assert s.union(t).contains_point_prefix(w) == (in_s or in_t)
-        assert s.inter(t).contains_point_prefix(w) == (in_s and in_t)
-        assert s.complement().contains_point_prefix(w) == (not in_s)
+        assert union.contains_point_prefix(w) == (in_s or in_t)
+        assert inter.contains_point_prefix(w) == (in_s and in_t)
+        assert complement.contains_point_prefix(w) == (not in_s)
 
 
 @given(clopens)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -176,6 +177,66 @@ def test_verify_rejects_forged_isometry(tmp_path, field, forged):
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(certs.wrap("isometry", payload)))
     assert main(["verify", str(path)]) == 2
+
+
+def _forged_towers(tmp_path, payload) -> str:
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(certs.wrap("towers", payload)))
+    return str(path)
+
+
+@pytest.mark.parametrize("radius", ["12", 12.0, True, -1])
+def test_verify_rejects_forged_ball_radius(tmp_path, radius):
+    from paratower.towers import f2_towers, verify_towers
+
+    payload = verify_towers(f2_towers(["", "a", "A", "b", "B"]), "ball", 12).to_json()
+    payload["radius"] = radius
+    assert main(["verify", _forged_towers(tmp_path, payload)]) == 3
+
+
+def test_verify_ball_certificate_at_radius_one_million(tmp_path):
+    from paratower.towers import f2_towers, verify_towers
+
+    cert = verify_towers(f2_towers(["", "a", "A", "b", "B"]), "ball", 10**6)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(certs.wrap("towers", cert.to_json())))
+    t0 = time.perf_counter()
+    assert main(["verify", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1
+
+
+def _rectangle_with_orbit_factor() -> dict:
+    # an orbit-preimage factor has no normal form, so the check must sweep
+    # the radius-8 ball of F2 x F2: 172,160,642 pairs
+    from paratower.boundary import AperiodicPoint, ClopenSet
+    from paratower.subsets import OrbitPreimage
+    from paratower.towers import extension_towers, verify_towers
+
+    fam = extension_towers([("a", "b"), ("A", "B")])
+    payload = verify_towers(fam, "ball", 2).to_json()
+    orbit = OrbitPreimage(AperiodicPoint(), ClopenSet.cylinder("ab"))
+    payload["towers"][0]["A"]["first"] = orbit.to_json()
+    payload["radius"] = 8
+    return payload
+
+
+def _coset_slices_moved_by_c() -> dict:
+    # translating by c leaves the coset-slice form, so the check must sweep
+    # the radius-11 ball of F3: 73,242,187 words
+    from paratower.towers import union_towers, verify_towers
+
+    payload = verify_towers(union_towers(["", "a", "A", "b", "B"]), "ball", 2).to_json()
+    payload["D"].append("c")
+    payload["radius"] = 11
+    return payload
+
+
+@pytest.mark.parametrize("forge", [_rectangle_with_orbit_factor, _coset_slices_moved_by_c])
+def test_verify_refuses_oversized_ball_sweep(tmp_path, forge):
+    path = _forged_towers(tmp_path, forge())
+    t0 = time.perf_counter()
+    assert main(["verify", path]) == 3
+    assert time.perf_counter() - t0 < 1
 
 
 def test_report_output(capsys):

@@ -9,6 +9,8 @@ from paratower.towers import (
     ProductF2Subset,
     ProductSubset,
     TowerFamily,
+    _Ops,
+    _sweep_ball,
     extension_towers,
     f2_strengthened_towers,
     f2_towers,
@@ -186,3 +188,78 @@ def test_defect_ball_mode_catches_overlap():
     assert not cert.checks["disjoint"]["pass"]
     cex = cert.checks["disjoint"]["counterexample"]
     assert cex is not None and "word" in cex
+
+
+# -- ball mode: the trie walk against the contains sweep
+
+# (family, largest radius, a D element whose translates overlap in that ball)
+WALK_FAMILIES = {
+    "F2": (lambda: f2_towers(D5), 5, "AA"),
+    "F2xZ2": (
+        lambda: finite_normal_ext_towers(
+            [("", "0"), ("a", "1"), ("A", "1")], cyclic_group(2)
+        ),
+        5,
+        ("AB", "1"),
+    ),
+    "F2xF2": (lambda: extension_towers([("a", "b"), ("A", "B")]), 3, ("A", "A")),
+    "F3": (lambda: union_towers(D5), 5, "AA"),
+}
+
+
+def _seeded_defects(fam: TowerFamily, extra_d) -> dict:
+    (a0, g0), (a1, g1) = fam.items[:2]
+    last = fam.n - 1
+
+    def mutated(d_set=fam.d_set, items=fam.items, cover_groups=fam.cover_groups):
+        return TowerFamily(
+            fam.kind, d_set, items, k_group=fam.k_group, cover_groups=cover_groups
+        )
+
+    return {
+        "as built": fam,
+        "duplicated tower": mutated(items=fam.items + [fam.items[0]]),
+        "dropped tower": mutated(
+            items=fam.items[:-1],
+            cover_groups=[[i for i in g if i != last] for g in fam.cover_groups],
+        ),
+        "swapped covering element": mutated(items=[(a0, g1), (a1, g0)] + fam.items[2:]),
+        "extra D element": mutated(d_set=fam.d_set + [extra_d]),
+    }
+
+
+@pytest.mark.parametrize("group", sorted(WALK_FAMILIES))
+def test_ball_walk_matches_sweep(group):
+    build, max_radius, extra_d = WALK_FAMILIES[group]
+    for name, fam in _seeded_defects(build(), extra_d).items():
+        for r in range(max_radius + 1):
+            cert = verify_towers(fam, "ball", r)
+            assert cert.checks == _sweep_ball(fam, r), (name, r)
+        # every seeded defect shows in the largest ball
+        assert cert.passed == (name == "as built"), name
+
+
+def test_ball_walk_cost_does_not_grow_with_radius():
+    fam = more_towers(D5, 2)
+    for r in (12, 1000, 10**6):
+        assert verify_towers(fam, "ball", r).passed
+    items = list(fam.items)
+    items[1] = items[0]
+    cert = verify_towers(_mutate(fam, items=items), "ball", 10**6)
+    assert not cert.checks["disjoint"]["pass"]
+    assert not cert.checks["cover"]["pass"]
+
+
+def test_ball_mode_rejects_bad_radius():
+    fam = f2_towers(D5)
+    for radius in ("12", 12.0, True, -1, None):
+        with pytest.raises(ValueError):
+            verify_towers(fam, "ball", radius)
+
+
+def test_sweep_counts_the_ball_before_enumerating():
+    k2 = cyclic_group(2)
+    for kind, k in (("F2", None), ("F3", None), ("F2xK", k2), ("F2xF2", None)):
+        ops = _Ops(kind, k)
+        for r in range(4):
+            assert ops.ball_size(r) == len(ops.ball(r)), (kind, r)

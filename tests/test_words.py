@@ -5,6 +5,7 @@ from paratower.words import (
     DEFAULT_MAX_RADIUS,
     RadiusTooLarge,
     ball,
+    ball_key,
     ball_size,
     common_prefix_len,
     enumerate_words,
@@ -82,6 +83,7 @@ def test_ball_sizes_and_order():
         assert lens == sorted(lens)
         for n in range(r + 1):
             assert [w for w in ws if len(w) == n] == words_of_length(n)
+        assert sorted(reversed(ws), key=ball_key) == ws
 
 
 def test_ball_membership():
