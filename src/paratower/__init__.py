@@ -34,7 +34,7 @@ from .crossed import (
     cp_scale,
     expectation,
 )
-from .groups import FiniteGroup, ProductGroup, cyclic_group, trivial_group
+from .groups import FiniteGroup, cyclic_group
 from .subsets import GroupSubset, NormalForm, cone, finite
 from .towers import (
     TowerCertificate,

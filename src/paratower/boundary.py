@@ -21,6 +21,7 @@ from . import prefix
 from .groups import FiniteGroup, finite_group_from_json
 from .subsets import GroupSubset, NormalForm
 from .words import (
+    are_reduced,
     inverse_letter,
     legal_next_letters,
     multiply,
@@ -291,10 +292,6 @@ class ProductClopen:
         return ProductClopen(k_group, {})
 
     @staticmethod
-    def cylinder(k_group: FiniteGroup, w: str, label: str) -> "ProductClopen":
-        return ProductClopen(k_group, {label: ClopenSet.cylinder(w)})
-
-    @staticmethod
     def uniform(k_group: FiniteGroup, c: ClopenSet) -> "ProductClopen":
         return ProductClopen(k_group, {e: c for e in k_group.elements})
 
@@ -338,15 +335,6 @@ class ProductClopen:
             {self.k.mul(e, lbl): self.slices[lbl].act(h) for lbl in self.k.elements},
         )
 
-    def cylinders(self) -> List[Tuple[str, str]]:
-        """(K label, base word) pairs; full slices are reported at depth 1."""
-        out = []
-        for e in self.k.elements:
-            s = self.slices[e]
-            bases = s.refine(1) if s.is_full() else s.sorted_bases()
-            out.extend((e, b) for b in bases)
-        return out
-
     def to_json(self) -> dict:
         return {
             "space": "product",
@@ -359,11 +347,20 @@ class ProductClopen:
         return "ProductClopen{" + inner + "}"
 
 
+def check_bases(bases: List[str]) -> List[str]:
+    """Return bases if it is a list of reduced words over a, A, b, B, else
+    raise ValueError.  Bases read from outside the program pass through
+    here; ``ClopenSet`` itself trusts its bases."""
+    if not are_reduced(bases):
+        raise ValueError(f"cylinder bases must be reduced words over a, A, b, B: {bases!r}")
+    return bases
+
+
 def clopen_from_json(data: dict):
     if data["space"] == "boundary":
         if data["kind"] == "full":
             return ClopenSet.full_set()
-        return ClopenSet(data["words"])
+        return ClopenSet(check_bases(data["words"]))
     if data["space"] == "product":
         k = finite_group_from_json(data["k"])
         return ProductClopen(

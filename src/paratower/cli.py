@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from . import certificates as certs
@@ -82,10 +81,6 @@ def emit_report(envelope: dict) -> str:
     return "\n".join(lines)
 
 
-def _tower_payload(cert, args) -> dict:
-    return cert.to_json()
-
-
 def _cmd_f2_towers(args) -> int:
     from .towers import f2_towers, verify_towers
 
@@ -151,22 +146,6 @@ def _cmd_filling_towers(args) -> int:
     return 0 if cert.passed else 2
 
 
-def _cmd_verify_towers(args) -> int:
-    with open(args.input) as fh:
-        data = json.load(fh)
-    try:
-        kind, payload = certs.parse_envelope(data)
-    except certs.MalformedCertificate as e:
-        print(f"malformed: {e}", file=sys.stderr)
-        return 3
-    if kind != "towers":
-        print(f"not a towers certificate: {kind}", file=sys.stderr)
-        return 3
-    code, report = certs.verify_certificate(data)
-    print(json.dumps(report, indent=2, default=str))
-    return code
-
-
 def _cmd_color(args) -> int:
     from .coloring import greedy_color
     from .groups import cyclic_group
@@ -186,26 +165,27 @@ def _cmd_color(args) -> int:
     return 0 if payload["pass"] else 2
 
 
-def _parse_clopen(space_name: str, text: str):
-    from .boundary import ClopenSet, ProductClopen
-    from .groups import cyclic_group
+def _parse_clopen(space, text: str):
+    """A clopen set of ``space``: one cylinder word on the plain boundary,
+    comma-separated ``word:label`` cylinders on boundary x K."""
+    from .boundary import check_bases
 
-    if space_name == "F2":
-        return ClopenSet.cylinder(text)
-    k = cyclic_group(2)
-    slices = {}
+    if space.k_group is None:
+        return space.cylinder((None, check_bases([text])[0]))
+    out = space.empty()
     for tok in text.split(","):
-        w, lbl = tok.strip().split(":")
-        prev = slices.get(lbl, ClopenSet.empty())
-        slices[lbl] = prev.union(ClopenSet.cylinder(w))
-    return ProductClopen(k, slices)
+        w, _, lbl = tok.strip().partition(":")
+        if lbl not in space.k_group.elements:
+            raise ValueError(f"{lbl!r} is not an element of {space.k_group.name}")
+        out = out.union(space.cylinder((lbl, check_bases([w])[0])))
+    return out
 
 
 def _cmd_compare(args) -> int:
     from .comparison import ComparisonInstance, build_comparison
 
     inst = ComparisonInstance(args.instance)
-    u_set = _parse_clopen(args.instance if args.instance == "F2" else "F2xZ2", args.U)
+    u_set = _parse_clopen(inst.space(), args.U)
     cert = build_comparison(inst, u_set)
     env = certs.wrap("comparison", cert.to_json(), args.seed)
     _write_or_print(args, env)
@@ -222,7 +202,10 @@ def _load_witness(path: str):
         if kind != "witness":
             raise certs.MalformedCertificate(f"expected a witness, got {kind}")
         data = payload
-    return SubeqWitness.from_json(data)
+    try:
+        return SubeqWitness.from_json(data)
+    except (KeyError, TypeError, ValueError) as e:
+        raise certs.MalformedCertificate(f"witness does not parse: {e}") from e
 
 
 def _cmd_compose(args) -> int:
@@ -243,7 +226,7 @@ def _cmd_boost(args) -> int:
     from .comparison import boost, verify_witness
 
     w = _load_witness(args.input)
-    v_set = _parse_clopen("F2" if w.space.kind == "F2" else "F2xZ2", args.V)
+    v_set = _parse_clopen(w.space, args.V)
     out = boost(w, v_set)
     report = verify_witness(out)
     payload = out.to_json()
@@ -319,11 +302,6 @@ def build_parser() -> _Parser:
     p.add_argument("--radius", type=int, default=8)
     common(p)
     p.set_defaults(func=_cmd_filling_towers)
-
-    p = sub.add_parser("verify-towers", help="re-verify a towers certificate")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_verify_towers)
 
     p = sub.add_parser("color", help="greedy Cayley coloring")
     p.add_argument("--K", required=True, help="Z or Z/n")

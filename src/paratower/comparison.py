@@ -9,7 +9,8 @@ verification, composition, color boosting, the counting-to-assignment step
 that takes the whole boundary below a chosen clopen set in one color.
 
 Two ambient spaces are supported: the plain boundary with the free group
-acting, and boundary x Z/2 with the product group acting.
+acting, and boundary x K (K finite) with the product group acting.  Each
+takes its group arithmetic from its group class in ``paratower.groups``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import prefix
-from . import subsets as ss
 from . import words as fw
 from .boundary import ClopenSet, GeodesicMap, ProductClopen, clopen_from_json, shrink
 from .coloring import greedy_color
-from .groups import FiniteGroup, cyclic_group, finite_group_from_json
-from .subsets import GroupSubset
+from .groups import F2Group, F2xKGroup, cyclic_group, group_from_json
 from .towers import ProductSubset, SearchExhausted, TowerFamily, more_towers, verify_towers
 from .words import inverse, legal_next_letters, multiply
 
@@ -60,24 +59,8 @@ def _frac_json(x: Fraction) -> str:
 Cell = Tuple[Optional[str], str]  # (K label or None, cylinder base word)
 
 
-class PlainSpace:
+class PlainSpace(F2Group):
     """The boundary of the rank-2 free group with the left action."""
-
-    kind = "F2"
-    k_group: Optional[FiniteGroup] = None
-
-    @property
-    def identity(self) -> str:
-        return ""
-
-    def mul(self, g: str, h: str) -> str:
-        return multiply(g, h)
-
-    def inv(self, g: str) -> str:
-        return inverse(g)
-
-    def word_part(self, g: str) -> str:
-        return g
 
     def act(self, g: str, s: ClopenSet) -> ClopenSet:
         return s.act(g)
@@ -106,39 +89,9 @@ class PlainSpace:
     def shrink(self, s: ClopenSet, eps: Fraction) -> ClopenSet:
         return shrink(s, eps)
 
-    def set_key(self, s: ClopenSet):
-        return (s.full, tuple(sorted(s.bases)))
 
-    def elem_json(self, g: str):
-        return g
-
-    def elem_from_json(self, data) -> str:
-        return data
-
-    def to_json(self) -> dict:
-        return {"kind": "F2"}
-
-
-class ProductSpace:
+class ProductSpace(F2xKGroup):
     """Boundary x K for a finite K, with the product group acting."""
-
-    kind = "F2xK"
-
-    def __init__(self, k_group: FiniteGroup):
-        self.k_group = k_group
-
-    @property
-    def identity(self) -> Tuple[str, str]:
-        return ("", self.k_group.identity)
-
-    def mul(self, g, h):
-        return (multiply(g[0], h[0]), self.k_group.mul(g[1], h[1]))
-
-    def inv(self, g):
-        return (inverse(g[0]), self.k_group.inv(g[1]))
-
-    def word_part(self, g) -> str:
-        return g[0]
 
     def act(self, g, s: ProductClopen) -> ProductClopen:
         return s.act(g)
@@ -178,28 +131,14 @@ class ProductSpace:
             {lbl: shrink(s.slices[lbl], eps) for lbl in self.k_group.elements},
         )
 
-    def set_key(self, s: ProductClopen):
-        return tuple(
-            (lbl, s.slices[lbl].full, tuple(sorted(s.slices[lbl].bases)))
-            for lbl in self.k_group.elements
-        )
-
-    def elem_json(self, g):
-        return list(g)
-
-    def elem_from_json(self, data):
-        return tuple(data)
-
-    def to_json(self) -> dict:
-        return {"kind": "F2xK", "k": self.k_group.to_json()}
-
 
 def space_from_json(data: dict):
-    if data["kind"] == "F2":
+    group = group_from_json(data)
+    if group.kind == "F2":
         return PlainSpace()
-    if data["kind"] == "F2xK":
-        return ProductSpace(finite_group_from_json(data["k"]))
-    raise ValueError(f"unknown space kind: {data['kind']!r}")
+    if group.kind == "F2xK":
+        return ProductSpace(group.k_group)
+    raise ValueError(f"no boundary space for the group {group.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +467,16 @@ class CountingData:
         self.slack = list(slack or [])  # (cell, value) pairs
 
 
+def _elem_order(space):
+    """Sort key of group elements: by word length, then by their JSON."""
+    return lambda e: (len(space.word_part(e)), str(space.elem_json(e)))
+
+
 def check_counting(space, data: CountingData, n: int) -> dict:
     """Exact pointwise verification of the counting hypothesis."""
     u_eff = space.shrink(data.target, data.epsilon)
     d2 = sorted(
-        {space.mul(g, h) for g in data.d_set for h in data.d_set},
-        key=lambda e: (len(space.word_part(e)), str(space.elem_json(e))),
+        {space.mul(g, h) for g in data.d_set for h in data.d_set}, key=_elem_order(space)
     )
     items: List[Tuple[object, Fraction]] = []
     for f in d2:
@@ -595,10 +538,7 @@ def petr_assign(
     )
     depth = max(depth, 1)
     budget = _extra_depth_budget()
-    elem_order = sorted(
-        data.d_set,
-        key=lambda e: (len(space.word_part(e)), str(space.elem_json(e))),
-    )
+    elem_order = sorted(data.d_set, key=_elem_order(space))
     ueff_slices = dict(space.slice_items(u_eff))
 
     def image_rep(g, cell) -> Optional[Tuple]:
@@ -760,7 +700,6 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     if u_set.is_empty():
         raise ValueError("target must be nonempty")
     k_group = inst.k_group
-    k_size = 1 if k_group is None else len(k_group)
 
     # target cylinder and the shrinking margin that leaves it unchanged
     u0_cell = _cylinder_cell_of(space, u_set)
@@ -833,10 +772,6 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
                 a, g = tower_fam.items[i]
                 c_sets.append(a)
                 g_elems.append(g)
-        fam_check = TowerFamily(
-            "F2", d2_words, list(zip(c_sets, g_elems)),
-            cover_groups=[list(range(nm))],
-        )
     else:
         coloring = greedy_color(k_group, e2)
         if coloring.m != m:
@@ -850,24 +785,20 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
                     ProductSubset(k_group, {lbl: a for lbl in classes[j]})
                 )
                 g_elems.append((g, k_group.identity))
-        f2_elems = sorted(
-            {space.mul(u, v) for u in f_elems for v in f_elems},
-            key=lambda e: (len(e[0]), e[0], e[1]),
-        )
-        fam_check = TowerFamily(
-            "F2xK", f2_elems, list(zip(c_sets, g_elems)),
-            k_group=k_group, cover_groups=[list(range(nm))],
-        )
+    fam_check = TowerFamily(
+        space.kind,
+        sorted({space.mul(u, v) for u in f_elems for v in f_elems}, key=_elem_order(space)),
+        list(zip(c_sets, g_elems)),
+        k_group=k_group,
+        cover_groups=[list(range(nm))],
+    )
     tower_cert = verify_towers(fam_check, "exact")
     assert tower_cert.passed, "product tower conditions failed"
 
     # approximation scale: defect bound strictly below delta
     delta = Fraction(1, 4 * nm * (nm + 1))
     assert delta < Fraction(1, 2 * nm * (nm + 1))
-    if k_group is None:
-        all_movers = [space.word_part(g) for g in d2_words] + list(g_elems)
-    else:
-        all_movers = d2_words + [space.word_part(g) for g in g_elems]
+    all_movers = d2_words + [space.word_part(g) for g in g_elems]
     big_m = max(len(w) for w in all_movers)
     n_depth = int(2 * big_m / delta) + 1
     gm = GeodesicMap(n_depth)
@@ -881,16 +812,13 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
             weights = [Fraction(1)]
         else:
             nfs = [subset.slices[lbl].normal_form() for lbl in k_group.elements]
-            weights = [Fraction(1, k_size)] * k_size
+            weights = [Fraction(1, len(k_group))] * len(k_group)
         return space.uniform(gm.threshold_weighted(nfs, weights, theta, ">"))
 
     theta_v = Fraction(1, nm + 1) + delta
     theta_w = Fraction(1, nm + 1) + 2 * delta
     v_list = [measure_threshold(c, theta_v) for c in c_sets]
-    w_list = []
-    for c, g in zip(c_sets, g_elems):
-        moved = ss.translate(g, c) if k_group is None else c.translate(g)
-        w_list.append(measure_threshold(moved, theta_w))
+    w_list = [measure_threshold(c.translate(g), theta_w) for c, g in zip(c_sets, g_elems)]
 
     # claim 2: the W's cover, and each pulls back into its V
     union_w = space.empty()
@@ -941,19 +869,19 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "U": u_set.to_json(),
         "target_cell": list(u0_cell),
         "epsilon": _frac_json(eps),
-        "F0": [space.elem_json(f) if k_group else f for f in f0],
+        "F0": [space.elem_json(f) for f in f0],
         "D0": d0,
         "E": e_set,
         "translates": t_words,
         "D": d_words,
-        "F": [space.elem_json(f) if k_group else f for f in f_elems],
+        "F": [space.elem_json(f) for f in f_elems],
         "n": n,
         "m": m,
         "claim1": claim1,
         "towers": tower_cert.to_json(),
         "coloring": coloring_json,
         "C": [c.to_json() for c in c_sets],
-        "g": [space.elem_json(g) if k_group else g for g in g_elems],
+        "g": [space.elem_json(g) for g in g_elems],
         "delta": _frac_json(delta),
         "delta_bound": _frac_json(Fraction(1, 2 * nm * (nm + 1))),
         "N": n_depth,

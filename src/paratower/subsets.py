@@ -11,7 +11,7 @@ decidable on normal forms, which is what makes tower certification exact.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable, List
 
 from . import prefix
 from .words import is_reduced, multiply
@@ -77,9 +77,6 @@ class NormalForm:
     def equals(self, other: "NormalForm") -> bool:
         return self.words == other.words and self.cones == other.cones
 
-    def key(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        return (tuple(sorted(self.words)), tuple(sorted(self.cones)))
-
     def __repr__(self) -> str:
         parts = [repr(w) if w else "ε" for w in sorted(self.words)]
         parts += [f"W({c!r})" if c else "ALL" for c in sorted(self.cones)]
@@ -101,6 +98,12 @@ class GroupSubset:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+    def translate(self, g: str) -> "GroupSubset":
+        return translate(g, self)
+
+    def inter_is_empty(self, other: "GroupSubset") -> bool:
+        return are_disjoint(self, other)
 
     def __or__(self, other: "GroupSubset") -> "GroupSubset":
         return UnionSet([self, other])
@@ -294,14 +297,6 @@ def full_group() -> NormalizedSet:
 
 def empty_set() -> NormalizedSet:
     return NormalizedSet(NormalForm())
-
-
-def contains(s: GroupSubset, word: str) -> bool:
-    return s.contains(word)
-
-
-def normalize(s: GroupSubset) -> NormalizedSet:
-    return NormalizedSet(s.normal_form())
 
 
 def translate(g: str, s: GroupSubset) -> GroupSubset:

@@ -20,12 +20,10 @@ from . import words as fw
 from .groups import (
     FiniteGroup,
     ProductElem,
-    f3_ball,
     f3_factor,
-    f3_inverse,
-    f3_multiply,
-    f3_transversal,
     finite_group_from_json,
+    group_from_json,
+    make_group,
 )
 from .subsets import GroupSubset, NormalForm, NotNormalizable
 from .words import inverse, multiply
@@ -137,10 +135,6 @@ class CosetSliceSubset:
         return {"kind": "coset-slices", "base": self.base.to_json()}
 
 
-def subset_to_json(s) -> dict:
-    return s.to_json()
-
-
 def _subset_from_json(data: dict):
     kind = data.get("kind")
     if kind == "product-k":
@@ -155,74 +149,6 @@ def _subset_from_json(data: dict):
     if kind == "coset-slices":
         return CosetSliceSubset(ss.subset_from_json(data["base"]))
     return ss.subset_from_json(data)
-
-
-# ---------------------------------------------------------------------------
-# group adapters used by the verifier
-
-
-class _Ops:
-    """Multiplication, inversion and ball enumeration for one ambient group."""
-
-    def __init__(self, kind: str, k_group: Optional[FiniteGroup] = None):
-        self.kind = kind
-        self.k_group = k_group
-
-    def mul(self, g, h):
-        if self.kind == "F2":
-            return multiply(g, h)
-        if self.kind == "F3":
-            return f3_multiply(g, h)
-        if self.kind == "F2xK":
-            return (multiply(g[0], h[0]), self.k_group.mul(g[1], h[1]))
-        if self.kind == "F2xF2":
-            return (multiply(g[0], h[0]), multiply(g[1], h[1]))
-        raise ValueError(self.kind)
-
-    def inv(self, g):
-        if self.kind == "F2":
-            return inverse(g)
-        if self.kind == "F3":
-            return f3_inverse(g)
-        if self.kind == "F2xK":
-            return (inverse(g[0]), self.k_group.inv(g[1]))
-        if self.kind == "F2xF2":
-            return (inverse(g[0]), inverse(g[1]))
-        raise ValueError(self.kind)
-
-    def ball(self, r: int) -> List:
-        if self.kind == "F2":
-            return list(fw.ball(r))
-        if self.kind == "F3":
-            return f3_ball(r)
-        if self.kind == "F2xK":
-            return [(w, e) for w in fw.ball(r) for e in self.k_group.elements]
-        if self.kind == "F2xF2":
-            b = list(fw.ball(r))
-            return [(u, v) for u in b for v in b]
-        raise ValueError(self.kind)
-
-    def ball_size(self, r: int) -> int:
-        """Number of elements ``ball(r)`` lists."""
-        if self.kind == "F2":
-            return fw.ball_size(r)
-        if self.kind == "F3":
-            return 1 + 3 * (5**r - 1) // 2
-        if self.kind == "F2xK":
-            return len(self.k_group) * fw.ball_size(r)
-        if self.kind == "F2xF2":
-            return fw.ball_size(r) ** 2
-        raise ValueError(self.kind)
-
-    def elem_json(self, g):
-        if self.kind in ("F2", "F3"):
-            return g
-        return list(g)
-
-    def elem_from_json(self, data):
-        if self.kind in ("F2", "F3"):
-            return data
-        return tuple(data)
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +167,61 @@ class TowerFamily:
         cover_groups: Optional[List[List[int]]] = None,
         notes: Optional[dict] = None,
     ):
+        self.group = make_group(kind, k_group)
         self.kind = kind
+        self.k_group = self.group.k_group
         self.d_set = list(d_set)
         self.items = list(items)
-        self.k_group = k_group
         self.cover_groups = cover_groups or [list(range(len(self.items)))]
         self.notes = notes or {}
-        self.ops = _Ops(kind, k_group)
 
     @property
     def n(self) -> int:
         return len(self.items)
 
     def to_json(self) -> dict:
-        out = {
-            "group": self.kind,
-            "D": [self.ops.elem_json(d) for d in self.d_set],
-            "towers": [
-                {"A": subset_to_json(a), "g": self.ops.elem_json(g)}
-                for a, g in self.items
-            ],
-            "cover_groups": self.cover_groups,
-        }
-        if self.k_group is not None:
-            out["k"] = self.k_group.to_json()
+        # the group's own encoding, with "group" for its kind
+        out = self.group.to_json()
+        out["group"] = out.pop("kind")
+        out["D"] = [self.group.elem_json(d) for d in self.d_set]
+        out["towers"] = [
+            {"A": a.to_json(), "g": self.group.elem_json(g)} for a, g in self.items
+        ]
+        out["cover_groups"] = self.cover_groups
         if self.notes:
             out["notes"] = self.notes
         return out
 
     @staticmethod
     def from_json(data: dict) -> "TowerFamily":
-        kind = data["group"]
-        k_group = finite_group_from_json(data["k"]) if "k" in data else None
-        ops = _Ops(kind, k_group)
+        group = group_from_json({"kind": data["group"], "k": data.get("k")})
+        towers = data["towers"]
         items = [
-            (_subset_from_json(t["A"]), ops.elem_from_json(t["g"]))
-            for t in data["towers"]
+            (_subset_from_json(t["A"]), group.elem_from_json(t["g"])) for t in towers
         ]
         return TowerFamily(
-            kind,
-            [ops.elem_from_json(d) for d in data["D"]],
+            group.kind,
+            [group.elem_from_json(d) for d in data["D"]],
             items,
-            k_group=k_group,
-            cover_groups=data.get("cover_groups"),
+            k_group=group.k_group,
+            cover_groups=_cover_groups_from_json(data.get("cover_groups"), len(towers)),
             notes=data.get("notes"),
         )
+
+
+def _cover_groups_from_json(groups, n: int) -> List[List[int]]:
+    """A payload's cover groups: a nonempty list of nonempty lists of tower
+    indices in range(n)."""
+    ok = isinstance(groups, list) and groups and all(
+        isinstance(idxs, list) and idxs
+        and all(type(i) is int and 0 <= i < n for i in idxs)
+        for idxs in groups
+    )
+    if not ok:
+        raise ValueError(
+            f"cover_groups must be nonempty lists of tower indices below {n}, not {groups!r}"
+        )
+    return groups
 
 
 class TowerCertificate:
@@ -316,17 +252,11 @@ class TowerCertificate:
         return out
 
 
-def _translated(family: TowerFamily, g, a):
-    if family.kind == "F2":
-        return ss.translate(g, a)
-    return a.translate(g)
-
-
 def _translate_slice_nfs(family: TowerFamily, d, a) -> Optional[Dict[object, NormalForm]]:
     """Per-K-label normal forms of d·a, or None when not cone-expressible."""
     try:
         if family.kind == "F2":
-            return {None: ss.translate(d, a).normal_form()}
+            return {None: a.translate(d).normal_form()}
         if family.kind == "F2xK":
             moved = a.translate(d)
             return {
@@ -363,24 +293,20 @@ def _exact_disjoint(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
                 if bad is not None:
                     (di, i), (dj, j) = bad
                     return False, {
-                        "d": family.ops.elem_json(family.d_set[di]), "i": i,
-                        "d2": family.ops.elem_json(family.d_set[dj]), "i2": j,
+                        "d": family.group.elem_json(family.d_set[di]), "i": i,
+                        "d2": family.group.elem_json(family.d_set[dj]), "i2": j,
                     }
             return True, None
     translated = []
     for i, (a, _) in enumerate(family.items):
         for d in family.d_set:
-            translated.append((d, i, _translated(family, d, a)))
+            translated.append((d, i, a.translate(d)))
     for (d, i, s), (d2, i2, t) in itertools.combinations(translated, 2):
-        if family.kind == "F2":
-            empty = ss.are_disjoint(s, t)
-        else:
-            empty = s.inter_is_empty(t)
-        if not empty:
+        if not s.inter_is_empty(t):
             return False, {
-                "d": family.ops.elem_json(d),
+                "d": family.group.elem_json(d),
                 "i": i,
-                "d2": family.ops.elem_json(d2),
+                "d2": family.group.elem_json(d2),
                 "i2": i2,
             }
     return True, None
@@ -388,9 +314,7 @@ def _exact_disjoint(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
 
 def _exact_cover(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
     for group_no, idxs in enumerate(family.cover_groups):
-        moved = [
-            _translated(family, family.items[i][1], family.items[i][0]) for i in idxs
-        ]
+        moved = [family.items[i][0].translate(family.items[i][1]) for i in idxs]
         if family.kind == "F2":
             total = ss.empty_set()
             for m in moved:
@@ -497,16 +421,16 @@ def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
 def _ball_checks(family: TowerFamily, clash, bare) -> dict:
     """Checks dict from the first clash (element, owner, owner) and the
     first uncovered (element, cover group), each None when there is none."""
-    ops = family.ops
+    group = family.group
     disjoint: dict = {"pass": True, "counterexample": None}
     if clash is not None:
         w, (di, i), (dj, j) = clash
         disjoint = {
             "pass": False,
             "counterexample": {
-                "word": ops.elem_json(w),
-                "d": ops.elem_json(family.d_set[di]), "i": i,
-                "d2": ops.elem_json(family.d_set[dj]), "i2": j,
+                "word": group.elem_json(w),
+                "d": group.elem_json(family.d_set[di]), "i": i,
+                "d2": group.elem_json(family.d_set[dj]), "i2": j,
             },
         }
     cover: dict = {"pass": True, "counterexample": None}
@@ -514,7 +438,7 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
         w, group_no = bare
         cover = {
             "pass": False,
-            "counterexample": {"word": ops.elem_json(w), "cover_group": group_no},
+            "counterexample": {"word": group.elem_json(w), "cover_group": group_no},
         }
     return {"disjoint": disjoint, "cover": cover}
 
@@ -522,7 +446,7 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
 def _walk_ball(family: TowerFamily, radius: int) -> dict:
     """Ball checks read off the prefix trie of the translates' normal forms."""
     owners = _owners(family)
-    moved = [_translated(family, family.d_set[di], family.items[i][0]) for di, i in owners]
+    moved = [family.items[i][0].translate(family.d_set[di]) for di, i in owners]
     clashes = [
         (key, w, sorted(pattern))
         for pattern, (key, w) in _first_elements(family, moved, radius).items()
@@ -534,7 +458,7 @@ def _walk_ball(family: TowerFamily, radius: int) -> dict:
         clash = (w, owners[hits[0]], owners[hits[1]])
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
-        covers = [_translated(family, g, a) for a, g in (family.items[i] for i in idxs)]
+        covers = [a.translate(g) for a, g in (family.items[i] for i in idxs)]
         first = _first_elements(family, covers, radius).get(frozenset())
         if first is not None:
             bare = (first[1], group_no)
@@ -546,24 +470,24 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
     """Ball checks by enumerating the ball and testing membership with
     ``contains``; for sets without a normal form, and the reference for the
     trie walk."""
-    ops = family.ops
+    group = family.group
     cap = fw.ball_size(fw.DEFAULT_MAX_RADIUS)
     # every group's ball is at least as large as F2's, so a radius above the
     # cap's needs no count
-    if radius > fw.DEFAULT_MAX_RADIUS or ops.ball_size(radius) > cap:
+    if radius > fw.DEFAULT_MAX_RADIUS or group.ball_size(radius) > cap:
         raise fw.RadiusTooLarge(
             f"the radius-{radius} ball of {family.kind} has more than {cap} elements"
         )
-    ball = ops.ball(radius)
-    inv_d = [ops.inv(d) for d in family.d_set]
-    inv_g = [ops.inv(g) for _, g in family.items]
+    ball = group.ball(radius)
+    inv_d = [group.inv(d) for d in family.d_set]
+    inv_g = [group.inv(g) for _, g in family.items]
     owners = _owners(family)
     clash = None
     for w in ball:
         hits = [
             (di, i)
             for di, i in owners
-            if family.items[i][0].contains(ops.mul(inv_d[di], w))
+            if family.items[i][0].contains(group.mul(inv_d[di], w))
         ]
         if len(hits) > 1:
             clash = (w, hits[0], hits[1])
@@ -572,7 +496,7 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
     for group_no, idxs in enumerate(family.cover_groups):
         for w in ball:
             if not any(
-                family.items[i][0].contains(ops.mul(inv_g[i], w)) for i in idxs
+                family.items[i][0].contains(group.mul(inv_g[i], w)) for i in idxs
             ):
                 bare = (w, group_no)
                 break

@@ -28,8 +28,27 @@ def inverse_letter(x: str) -> str:
     return _INVERSE[x]
 
 
+def are_reduced(ws: List[str]) -> bool:
+    """True when ws is a list of strings over a, A, b, B with no factor
+    xx⁻¹.  A few C-level scans of the comma-joined list, where a comma
+    inside a word shows as one comma too many."""
+    if not isinstance(ws, list):
+        return False
+    if not ws:
+        return True
+    try:
+        joined = ",".join(ws)
+    except TypeError:
+        return False
+    return not (
+        joined.encode("ascii", "replace").translate(None, b"aAbB,")
+        or "aA" in joined or "Aa" in joined or "bB" in joined or "Bb" in joined
+        or joined.count(",") != len(ws) - 1
+    )
+
+
 def is_reduced(word: str) -> bool:
-    return all(_INVERSE[word[i]] != word[i + 1] for i in range(len(word) - 1))
+    return are_reduced([word])
 
 
 def reduce_word(letters: Sequence[str]) -> str:

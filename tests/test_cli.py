@@ -68,7 +68,6 @@ def test_verify_round_trip(tmp_path):
     code, env = run_json(tmp_path, ["f2-towers", "--D", "e,a,A,b,B"])
     path = tmp_path / "out.json"
     assert main(["verify", str(path)]) == 0
-    assert main(["verify-towers", str(path)]) == 0
 
 
 def test_verify_detects_tampering(tmp_path):
@@ -85,7 +84,6 @@ def test_verify_malformed_input(tmp_path):
     assert main(["verify", str(path)]) == 3
     path.write_text(json.dumps({"payload": {}}))
     assert main(["verify", str(path)]) == 3
-    assert main(["verify-towers", str(path)]) == 3
 
 
 def test_color_commands(tmp_path):
@@ -138,12 +136,46 @@ def test_boost_command(tmp_path):
     entries = [
         (0, "ba", "a", 0),
         (0, "bb", "a", 1),
-        (0, "bB", "a", 1),
+        (0, "bA", "a", 1),
     ]
     p = _write_witness(tmp_path, "w.json", ["b"], ["a", "a"], entries)
     code, env = run_json(tmp_path, ["boost", str(p), "--V", "a"])
     assert code == 0
     assert len(env["payload"]["targets"]) == 1
+
+
+def test_unreduced_cylinder_base_is_rejected(tmp_path):
+    # [bB] is no cylinder: ba, bb and bB do not make up [b]
+    entries = [(0, "ba", "a", 0), (0, "bb", "a", 1), (0, "bB", "a", 1)]
+    p = _write_witness(tmp_path, "w.json", ["b"], ["a", "a"], entries)
+    assert main(["boost", str(p), "--V", "a"]) == 3
+    env = certs.wrap("witness", json.loads(p.read_text()))
+    p.write_text(json.dumps(env))
+    assert main(["verify", str(p)]) == 3
+
+
+@pytest.mark.parametrize("u", ["bB", "ax"])
+def test_compare_rejects_unreduced_target(capsys, u):
+    assert main(["compare", "--instance", "F2", "--U", u]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert repr(u) in err
+
+
+def test_boost_parses_v_in_the_witness_space(tmp_path):
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.comparison import ProductSpace, identity_witness
+    from paratower.groups import cyclic_group
+
+    k3 = cyclic_group(3)
+    w = identity_witness(ProductSpace(k3), ProductClopen(k3, {"0": ClopenSet.cylinder("ab")}))
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(w.to_json()))
+    code, env = run_json(tmp_path, ["boost", str(p), "--V", "a:0"])
+    assert code == 0
+    assert env["payload"]["space"]["k"]["name"] == "Z/3"
+    assert main(["verify", str(tmp_path / "out.json")]) == 0
+    assert main(["boost", str(p), "--V", "a:3"]) == 64
 
 
 def test_isometry_command(tmp_path):
@@ -237,6 +269,50 @@ def test_verify_refuses_oversized_ball_sweep(tmp_path, forge):
     t0 = time.perf_counter()
     assert main(["verify", path]) == 3
     assert time.perf_counter() - t0 < 1
+
+
+def _forged_cover_groups(groups):
+    from paratower.towers import f2_towers, verify_towers
+
+    payload = verify_towers(f2_towers(["", "a", "A", "b", "B"]), "exact").to_json()
+    payload["cover_groups"] = groups
+    return payload
+
+
+def _f2xk_without_k(mode):
+    from paratower.groups import cyclic_group
+    from paratower.towers import finite_normal_ext_towers, verify_towers
+
+    fam = finite_normal_ext_towers([("", "0"), ("a", "1"), ("A", "1")], cyclic_group(2))
+    payload = verify_towers(fam, mode, 2 if mode == "ball" else None).to_json()
+    del payload["k"]
+    return payload
+
+
+def _with_mode(payload, mode):
+    payload["mode"] = mode
+    if mode == "ball":
+        payload["radius"] = 2
+    return payload
+
+
+@pytest.mark.parametrize("mode", ["exact", "ball"])
+@pytest.mark.parametrize(
+    "forge",
+    [
+        # a tower index past the end
+        lambda mode: _with_mode(_forged_cover_groups([[0, 2]]), mode),
+        # a negative index must not name the last tower
+        lambda mode: _with_mode(_forged_cover_groups([[-1]]), mode),
+        # an index that is a bool, and an empty cover group
+        lambda mode: _with_mode(_forged_cover_groups([[True, 1]]), mode),
+        lambda mode: _with_mode(_forged_cover_groups([[0, 1], []]), mode),
+        _f2xk_without_k,
+    ],
+    ids=["index-past-end", "negative-index", "bool-index", "empty-group", "f2xk-without-k"],
+)
+def test_verify_rejects_forged_tower_family(tmp_path, forge, mode):
+    assert main(["verify", _forged_towers(tmp_path, forge(mode))]) == 3
 
 
 def test_report_output(capsys):

@@ -1,15 +1,22 @@
 import itertools
+import json
 
 import pytest
 
 import paratower.subsets as ss
-from paratower.groups import cyclic_group
+from paratower.groups import (
+    F2Group,
+    F2xF2Group,
+    F2xKGroup,
+    F3Group,
+    cyclic_group,
+    group_from_json,
+)
 from paratower.towers import (
     CosetSliceSubset,
     ProductF2Subset,
     ProductSubset,
     TowerFamily,
-    _Ops,
     _sweep_ball,
     extension_towers,
     f2_strengthened_towers,
@@ -258,8 +265,16 @@ def test_ball_mode_rejects_bad_radius():
 
 
 def test_sweep_counts_the_ball_before_enumerating():
-    k2 = cyclic_group(2)
-    for kind, k in (("F2", None), ("F3", None), ("F2xK", k2), ("F2xF2", None)):
-        ops = _Ops(kind, k)
+    groups = (F2Group(), F3Group(), F2xKGroup(cyclic_group(3)), F2xF2Group())
+    for group in groups:
         for r in range(4):
-            assert ops.ball_size(r) == len(ops.ball(r)), (kind, r)
+            assert group.ball_size(r) == len(group.ball(r)), (group.kind, r)
+        e = group.identity
+        for g in group.ball(2):
+            assert group.mul(e, g) == g == group.mul(g, e), (group.kind, g)
+            assert group.mul(g, group.inv(g)) == e, (group.kind, g)
+            assert group.elem_from_json(json.loads(json.dumps(group.elem_json(g)))) == g
+        assert group_from_json(group.to_json()).to_json() == group.to_json()
+    for bad in ({"kind": "F4"}, {"kind": "F2xK"}, {}):
+        with pytest.raises(ValueError):
+            group_from_json(bad)
