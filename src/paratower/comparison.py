@@ -238,21 +238,21 @@ class SubeqWitness:
 
     @staticmethod
     def from_json(data: dict) -> "SubeqWitness":
+        """Decode a witness; every entry must name a source index and a
+        color within range."""
         space = space_from_json(data["space"])
-        return SubeqWitness(
-            space,
-            [clopen_from_json(s) for s in data["sources"]],
-            [clopen_from_json(t) for t in data["targets"]],
-            [
-                (
-                    e["source"],
-                    clopen_from_json(e["piece"]),
-                    space.elem_from_json(e["g"]),
-                    e["color"],
-                )
-                for e in data["entries"]
-            ],
-        )
+        sources = [clopen_from_json(s) for s in data["sources"]]
+        targets = [clopen_from_json(t) for t in data["targets"]]
+        entries = []
+        for e in data["entries"]:
+            for key, n in (("source", len(sources)), ("color", len(targets))):
+                if type(e[key]) is not int or not 0 <= e[key] < n:
+                    raise ValueError(
+                        f"an entry's {key} must be an int below {n}, not {e[key]!r}"
+                    )
+            piece = clopen_from_json(e["piece"])
+            entries.append((e["source"], piece, space.elem_from_json(e["g"]), e["color"]))
+        return SubeqWitness(space, sources, targets, entries)
 
 
 def _overlap_pair_reps(items):

@@ -55,9 +55,15 @@ class FiniteGroup:
         return {"name": self.name, "elements": list(self.elements)}
 
 
+# the multiplication table has order² entries, and a payload names the order
+MAX_CYCLIC_ORDER = 64
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"a cyclic group needs a positive order, not {n}")
+    if n > MAX_CYCLIC_ORDER:
+        raise ValueError(f"cyclic group order {n} is above the cap of {MAX_CYCLIC_ORDER}")
     elems = [str(i) for i in range(n)]
     table = {(str(i), str(j)): str((i + j) % n) for i in range(n) for j in range(n)}
     return FiniteGroup(f"Z/{n}", elems, table)

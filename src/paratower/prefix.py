@@ -22,7 +22,7 @@ from typing import (
     AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Set, Tuple,
 )
 
-from .words import legal_next_letters, multiply
+from .words import ball_key, legal_next_letters, multiply
 
 Words = Optional[AbstractSet[str]]
 
@@ -135,19 +135,23 @@ def translate(g: str, words: Words, bases: Iterable[str]) -> Tuple[Words, list]:
 
 
 def first_by_pattern(
-    forms: Sequence[Tuple[AbstractSet[str], AbstractSet[str]]], radius: int
+    forms: Sequence[Tuple[AbstractSet[str], AbstractSet[str]]],
+    radius: Optional[int] = None,
 ) -> Dict[FrozenSet[int], str]:
-    """For every membership pattern met in the radius-r ball of F2, the
-    first word with it in ball order.  ``forms[k]`` is a group set given as
-    (words, bases); a word's pattern is the set of the k whose set holds it.
-    The dict lists the patterns in the ball order of their first words.
+    """For every membership pattern met in the radius-r ball of F2, or in
+    the whole group when ``radius`` is None, the first word with it in ball
+    order.  ``forms[k]`` is a group set in form, given as (words, bases); a
+    word's pattern is the set of the k whose set holds it.  The dict lists
+    the patterns in the ball order of their first words.
 
-    The walk visits the prefix trie of all bases and words, layer by layer,
-    down to length r.  A node inherits its parent's cone pattern and adds
-    the sets with a cone or a word there.  A child that is no trie node
-    starts a subtree in which every word has the parent's cone pattern, and
-    the child comes first in it, so nothing below it is visited and the
-    cost does not grow with r."""
+    Call the bases and words of the forms, and "", the keys.  A word that
+    is no key has its parent's cone pattern, and a key below a key always
+    adds a set, since a form has no piece below another.  So the first word
+    with a pattern is a key, or the first child that is no key of a key
+    holding a word, the only kind of key whose pattern differs from its
+    cone pattern.  One sorted scan with a stack of ancestors gives the
+    keys' cone patterns, and the candidates are sorted in ball order: the
+    cost is O(keys · log keys) whatever r."""
     cones: Dict[str, list] = {}
     at: Dict[str, list] = {}
     for k, (words, bases) in enumerate(forms):
@@ -155,45 +159,44 @@ def first_by_pattern(
             cones.setdefault(b, []).append(k)
         for w in words:
             at.setdefault(w, []).append(k)
-    nodes = {x[:t] for x in (*cones, *at) for t in range(1, min(len(x), radius) + 1)}
-    above = frozenset(cones.get("", ()))
-    first = {above.union(at.get("", ())): ""}
-    # the children of a layer in order are the next layer of the ball in
-    # order, so the first word noted for a pattern is its first word
-    layer = [("", above)]
-    while layer and len(layer[0][0]) < radius:
-        deeper = []
-        for p, above in layer:
-            for y in legal_next_letters(p):
-                x = p + y
-                if x not in nodes:
-                    first.setdefault(above, x)
-                    continue
-                below = above.union(cones[x]) if x in cones else above
-                first.setdefault(below.union(at[x]) if x in at else below, x)
-                deeper.append((x, below))
-        layer = deeper
+    keys = {x for x in (*cones, *at) if radius is None or len(x) <= radius}
+    keys.add("")
+    candidates = []
+    # (key, cone pattern) of the keys above the current one; in sorted
+    # order the keys below a key follow it directly, so a key not below the
+    # top of the stack is past the top's subtree
+    stack: list = []
+    for x in sorted(keys):
+        while stack and not x.startswith(stack[-1][0]):
+            stack.pop()
+        above = stack[-1][1] if stack else frozenset()
+        below = above.union(cones[x]) if x in cones else above
+        stack.append((x, below))
+        if x not in at:
+            candidates.append((x, below))
+            continue
+        candidates.append((x, below.union(at[x])))
+        if radius is None or len(x) < radius:
+            child = next((x + y for y in legal_next_letters(x) if x + y not in keys), None)
+            if child is not None:
+                candidates.append((child, below))
+    candidates.sort(key=lambda c: ball_key(c[0]))
+    first: Dict[FrozenSet[int], str] = {}
+    for w, pattern in candidates:
+        first.setdefault(pattern, w)
     return first
 
 
 def first_overlap(
-    bases: Iterable[Tuple[str, Hashable]], words: Iterable[Tuple[str, Hashable]] = ()
+    bases: Iterable[Tuple[str, Hashable]]
 ) -> Optional[Tuple[Hashable, Hashable]]:
-    """First pair of owners whose pieces meet, from (base, owner) and
-    (word, owner) entries, or None.  Each owner's own entries must be in
-    form.  Sorted, a base comes directly before the entries it covers, so
-    one scan with the last base seen finds a meeting pair; equal words
-    sort next to each other."""
-    entries = [(b, False, o) for b, o in bases] + [(w, True, o) for w, o in words]
-    entries.sort(key=lambda e: e[:2])
-    base = prev_word = None
-    for x, is_word, owner in entries:
-        if base is not None and x.startswith(base[0]):
-            return base[1], owner
-        if not is_word:
-            base = (x, owner)
-        elif prev_word is not None and prev_word[0] == x:
-            return prev_word[1], owner
-        else:
-            prev_word = (x, owner)
+    """First pair of owners whose cones meet, from (base, owner) entries, or
+    None.  Each owner's bases must be an antichain.  Sorted, a base comes
+    directly before the bases it covers, so one scan with the last base
+    seen finds a meeting pair."""
+    last = None
+    for x, owner in sorted(bases, key=lambda e: e[0]):
+        if last is not None and x.startswith(last[0]):
+            return last[1], owner
+        last = (x, owner)
     return None

@@ -102,9 +102,6 @@ class GroupSubset:
     def translate(self, g: str) -> "GroupSubset":
         return translate(g, self)
 
-    def inter_is_empty(self, other: "GroupSubset") -> bool:
-        return are_disjoint(self, other)
-
     def __or__(self, other: "GroupSubset") -> "GroupSubset":
         return UnionSet([self, other])
 

@@ -3,10 +3,11 @@
 A tower family over a group G is a finite set D together with pairs
 (A_i, g_i) such that the translates d·A_i, for d in D and all i, are
 pairwise disjoint while the g_i·A_i cover G.  The free-group construction
-uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2 and certifies
-both conditions exactly in the cone algebra; families on product groups,
-the rank-3 free group and orbit-preimage families from the boundary action
-are certified on metric balls.
+uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
+F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
+whose sets have cone normal forms is certified exactly, on the whole group,
+by the same prefix-trie walk that certifies it on a metric ball; orbit-
+preimage families from the boundary action are certified on balls only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .groups import (
     FiniteGroup,
     ProductElem,
     f3_factor,
-    finite_group_from_json,
     group_from_json,
     make_group,
 )
@@ -54,19 +54,6 @@ class ProductSubset:
             {self.k.mul(e, lbl): ss.translate(h, s) for lbl, s in self.slices.items()},
         )
 
-    def union(self, other: "ProductSubset") -> "ProductSubset":
-        return ProductSubset(
-            self.k, {e: self.slices[e] | other.slices[e] for e in self.k.elements}
-        )
-
-    def inter_is_empty(self, other: "ProductSubset") -> bool:
-        return all(
-            ss.are_disjoint(self.slices[e], other.slices[e]) for e in self.k.elements
-        )
-
-    def is_all(self) -> bool:
-        return all(ss.is_all(self.slices[e]) for e in self.k.elements)
-
     def to_json(self) -> dict:
         return {
             "kind": "product-k",
@@ -88,11 +75,6 @@ class ProductF2Subset:
     def translate(self, g: Tuple[str, str]) -> "ProductF2Subset":
         return ProductF2Subset(
             ss.translate(g[0], self.first), ss.translate(g[1], self.second)
-        )
-
-    def inter_is_empty(self, other: "ProductF2Subset") -> bool:
-        return ss.are_disjoint(self.first, other.first) or ss.are_disjoint(
-            self.second, other.second
         )
 
     def to_json(self) -> dict:
@@ -125,22 +107,30 @@ class CosetSliceSubset:
             raise NotNormalizable("coset-slice subsets only translate by a,b words")
         return CosetSliceSubset(ss.translate(g, self.base))
 
-    def inter_is_empty(self, other: "CosetSliceSubset") -> bool:
-        return ss.are_disjoint(self.base, other.base)
-
-    def is_all(self) -> bool:
-        return ss.is_all(self.base)
-
     def to_json(self) -> dict:
         return {"kind": "coset-slices", "base": self.base.to_json()}
 
 
-def _subset_from_json(data: dict):
+# the tower-set kind of each ambient group but F2, whose tower sets are
+# the subsets of ``subsets``
+_SET_KINDS = {"F2xK": "product-k", "F2xF2": "product-f2", "F3": "coset-slices"}
+
+
+def _subset_from_json(data: dict, group):
+    """A tower set of a family on ``group``, of that group's kind."""
     kind = data.get("kind")
+    if _SET_KINDS.get(group.kind) != (kind if kind in _SET_KINDS.values() else None):
+        raise ValueError(f"an {group.kind} family cannot hold a {kind!r} set")
+    k_group = group.k_group
     if kind == "product-k":
-        k = finite_group_from_json(data["k"])
+        if data["k"] != k_group.to_json():
+            raise ValueError(
+                f"a product-k set's k must be the family's k, not {data['k']!r}"
+            )
+        if not set(data["slices"]) <= set(k_group.elements):
+            raise ValueError(f"slice labels {sorted(data['slices'])} are not all in K")
         return ProductSubset(
-            k, {e: ss.subset_from_json(v) for e, v in data["slices"].items()}
+            k_group, {e: ss.subset_from_json(v) for e, v in data["slices"].items()}
         )
     if kind == "product-f2":
         return ProductF2Subset(
@@ -197,7 +187,8 @@ class TowerFamily:
         group = group_from_json({"kind": data["group"], "k": data.get("k")})
         towers = data["towers"]
         items = [
-            (_subset_from_json(t["A"]), group.elem_from_json(t["g"])) for t in towers
+            (_subset_from_json(t["A"], group), group.elem_from_json(t["g"]))
+            for t in towers
         ]
         return TowerFamily(
             group.kind,
@@ -252,127 +243,6 @@ class TowerCertificate:
         return out
 
 
-def _translate_slice_nfs(family: TowerFamily, d, a) -> Optional[Dict[object, NormalForm]]:
-    """Per-K-label normal forms of d·a, or None when not cone-expressible."""
-    try:
-        if family.kind == "F2":
-            return {None: a.translate(d).normal_form()}
-        if family.kind == "F2xK":
-            moved = a.translate(d)
-            return {
-                lbl: s.normal_form()
-                for lbl, s in moved.slices.items()
-            }
-        if family.kind == "F3":
-            return {None: a.translate(d).base.normal_form()}
-    except NotNormalizable:
-        return None
-    return None
-
-
-def _exact_disjoint(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
-    if family.kind in ("F2", "F2xK", "F3"):
-        by_label: Dict[object, List[Tuple[Tuple[int, int], NormalForm]]] = {}
-        ok = True
-        for i, (a, _) in enumerate(family.items):
-            for di, d in enumerate(family.d_set):
-                slices = _translate_slice_nfs(family, d, a)
-                if slices is None:
-                    ok = False
-                    break
-                for lbl, nf in slices.items():
-                    by_label.setdefault(lbl, []).append(((di, i), nf))
-            if not ok:
-                break
-        if ok:
-            for pieces in by_label.values():
-                bad = prefix.first_overlap(
-                    [(c, owner) for owner, nf in pieces for c in nf.cones],
-                    [(w, owner) for owner, nf in pieces for w in nf.words],
-                )
-                if bad is not None:
-                    (di, i), (dj, j) = bad
-                    return False, {
-                        "d": family.group.elem_json(family.d_set[di]), "i": i,
-                        "d2": family.group.elem_json(family.d_set[dj]), "i2": j,
-                    }
-            return True, None
-    translated = []
-    for i, (a, _) in enumerate(family.items):
-        for d in family.d_set:
-            translated.append((d, i, a.translate(d)))
-    for (d, i, s), (d2, i2, t) in itertools.combinations(translated, 2):
-        if not s.inter_is_empty(t):
-            return False, {
-                "d": family.group.elem_json(d),
-                "i": i,
-                "d2": family.group.elem_json(d2),
-                "i2": i2,
-            }
-    return True, None
-
-
-def _exact_cover(family: TowerFamily) -> Tuple[bool, Optional[dict]]:
-    for group_no, idxs in enumerate(family.cover_groups):
-        moved = [family.items[i][0].translate(family.items[i][1]) for i in idxs]
-        if family.kind == "F2":
-            total = ss.empty_set()
-            for m in moved:
-                total = total | m
-            ok = ss.is_all(total)
-        elif family.kind == "F2xK":
-            total = moved[0]
-            for m in moved[1:]:
-                total = total.union(m)
-            ok = total.is_all()
-        elif family.kind == "F3":
-            total = CosetSliceSubset(ss.empty_set())
-            for m in moved:
-                total = CosetSliceSubset(total.base | m.base)
-            ok = total.is_all()
-        elif family.kind == "F2xF2":
-            ok = _rectangles_cover(moved)
-        else:
-            raise NotNormalizable(f"no exact covering check for {family.kind}")
-        if not ok:
-            return False, {"cover_group": group_no}
-    return True, None
-
-
-def _rectangles_cover(rects: Sequence[ProductF2Subset]) -> bool:
-    """Exact covering test for a union of rectangles in F2 × F2.
-
-    Partitions the first factor by all sign patterns of the rectangles'
-    first components; on every nonempty cell the second components of the
-    participating rectangles must exhaust the second factor.
-    """
-    if len(rects) > 12:
-        raise NotNormalizable("too many rectangles for the exact covering sweep")
-    firsts = [r.first.normal_form() for r in rects]
-    seconds = [r.second.normal_form() for r in rects]
-    for pattern in itertools.product([True, False], repeat=len(rects)):
-        if not any(pattern):
-            # a point with first coordinate outside every rectangle
-            cell = NormalForm(cones=[""])
-            for nf in firsts:
-                cell = cell.inter(nf.complement())
-            if not cell.is_empty():
-                return False
-            continue
-        cell = NormalForm(cones=[""])
-        for nf, inside in zip(firsts, pattern):
-            cell = cell.inter(nf if inside else nf.complement())
-        if cell.is_empty():
-            continue
-        total = NormalForm()
-        for nf2, inside in zip(seconds, pattern):
-            if inside:
-                total = total.union(nf2)
-        if not total.complement().is_empty():
-            return False
-    return True
-
-
 def _form(s: GroupSubset) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     nf = s.normal_form()
     return nf.words, nf.cones
@@ -383,10 +253,11 @@ def _keep_first(out: dict, pattern: FrozenSet[int], key, elem) -> None:
         out[pattern] = (key, elem)
 
 
-def _first_elements(family: TowerFamily, sets: Sequence, radius: int) -> dict:
-    """For each membership pattern over ``sets`` met in the radius-r ball,
-    (ball-order key, element) of its first element.  Raises NotNormalizable
-    when a set has no normal form."""
+def _first_elements(family: TowerFamily, sets: Sequence, radius: Optional[int]) -> dict:
+    """For each membership pattern over ``sets`` met in the radius-r ball, or
+    in the whole group when ``radius`` is None, (ball-order key, element) of
+    its first element.  Raises NotNormalizable when a set has no normal
+    form."""
     walk = prefix.first_by_pattern
     out: dict = {}
     if family.kind in ("F2", "F3"):
@@ -443,8 +314,9 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
     return {"disjoint": disjoint, "cover": cover}
 
 
-def _walk_ball(family: TowerFamily, radius: int) -> dict:
-    """Ball checks read off the prefix trie of the translates' normal forms."""
+def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
+    """Checks on the radius-r ball, or on the whole group when ``radius`` is
+    None, read off the prefix trie of the translates' normal forms."""
     owners = _owners(family)
     moved = [family.items[i][0].translate(family.d_set[di]) for di, i in owners]
     clashes = [
@@ -508,19 +380,17 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
 def verify_towers(
     family: TowerFamily, mode: str = "exact", radius: Optional[int] = None
 ) -> TowerCertificate:
-    """Certify both tower conditions exactly or on a metric ball."""
+    """Certify both tower conditions on the whole group (exact mode) or on a
+    metric ball.  Both modes walk the prefix trie of the translates' normal
+    forms; past the longest base or word every membership pattern has
+    occurred, so the exact walk needs no depth bound."""
     if mode == "exact":
         try:
-            d_ok, d_cex = _exact_disjoint(family)
-            c_ok, c_cex = _exact_cover(family)
+            checks = _walk_ball(family, None)
         except NotNormalizable as e:
             raise NotNormalizable(
                 f"exact mode unavailable for this family: {e}"
             ) from e
-        checks = {
-            "disjoint": {"pass": d_ok, "counterexample": d_cex},
-            "cover": {"pass": c_ok, "counterexample": c_cex},
-        }
         return TowerCertificate(family.to_json(), "exact", None, checks)
 
     if mode != "ball":
@@ -569,10 +439,12 @@ def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
     bases = [pad + "ba", pad + "bA", pad + "bb"]
     t = StrengthenedF2Towers(d_list, m, bases)
     cert = verify_towers(t.family(), "exact")
-    assert cert.checks["disjoint"]["pass"], "tower disjointness failed"
+    if not cert.checks["disjoint"]["pass"]:
+        raise RuntimeError("tower disjointness failed")
     comps = t.complements()
     for x, y in itertools.combinations(comps, 2):
-        assert x.inter(y).is_empty(), "complement disjointness failed"
+        if not x.inter(y).is_empty():
+            raise RuntimeError("complement disjointness failed")
     return t
 
 
@@ -582,7 +454,8 @@ def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     t = f2_strengthened_towers(d_set)
     fam = TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m})
     cert = verify_towers(fam, "exact")
-    assert cert.passed, "base family failed exact verification"
+    if not cert.passed:
+        raise RuntimeError("base family failed exact verification")
     return fam
 
 
@@ -630,7 +503,8 @@ def more_towers(
         "F2", d_list, items, cover_groups=cover_groups, notes={"shifts": shifts}
     )
     cert = verify_towers(fam, "exact")
-    assert cert.passed, "indexed family failed exact verification"
+    if not cert.passed:
+        raise RuntimeError("indexed family failed exact verification")
     return fam
 
 
@@ -670,7 +544,8 @@ def finite_normal_ext_towers(
         notes={"shifts": shifts},
     )
     cert = verify_towers(fam, "exact")
-    assert cert.passed, "product family failed exact verification"
+    if not cert.passed:
+        raise RuntimeError("product family failed exact verification")
     return fam
 
 
@@ -706,7 +581,8 @@ def extension_towers(
         notes={"first_D": d1, "second_D": e2},
     )
     cert = verify_towers(fam, "exact")
-    assert cert.passed, "rectangle family failed exact verification"
+    if not cert.passed:
+        raise RuntimeError("rectangle family failed exact verification")
     return fam
 
 
@@ -729,7 +605,8 @@ def union_towers(
         },
     )
     cert = verify_towers(fam, "exact")
-    assert cert.passed, "coset-sliced family failed exact verification"
+    if not cert.passed:
+        raise RuntimeError("coset-sliced family failed exact verification")
     return fam
 
 

@@ -289,6 +289,14 @@ def _f2xk_without_k(mode):
     return payload
 
 
+def _f3_sets_in_f2(mode):
+    from paratower.towers import union_towers, verify_towers
+
+    payload = verify_towers(union_towers(["", "a", "A", "b", "B"]), "exact").to_json()
+    payload["group"] = "F2"
+    return _with_mode(payload, mode)
+
+
 def _with_mode(payload, mode):
     payload["mode"] = mode
     if mode == "ball":
@@ -308,11 +316,74 @@ def _with_mode(payload, mode):
         lambda mode: _with_mode(_forged_cover_groups([[True, 1]]), mode),
         lambda mode: _with_mode(_forged_cover_groups([[0, 1], []]), mode),
         _f2xk_without_k,
+        # coset-slice sets have no meaning in F2
+        _f3_sets_in_f2,
     ],
-    ids=["index-past-end", "negative-index", "bool-index", "empty-group", "f2xk-without-k"],
+    ids=[
+        "index-past-end", "negative-index", "bool-index", "empty-group", "f2xk-without-k",
+        "f3-sets-in-f2",
+    ],
 )
 def test_verify_rejects_forged_tower_family(tmp_path, forge, mode):
     assert main(["verify", _forged_towers(tmp_path, forge(mode))]) == 3
+
+
+def _f2xk_exact_payload(tmp_path) -> dict:
+    code, env = run_json(
+        tmp_path, ["ext-towers", "--kind", "f2xk", "--k-order", "2", "--F", "e:0,a:1,A:1"]
+    )
+    assert code == 0
+    return env["payload"]
+
+
+def _cyclic_json(n: int) -> dict:
+    return {"name": f"Z/{n}", "elements": [str(i) for i in range(min(n, 400))]}
+
+
+@pytest.mark.parametrize("order", [3, 400])
+def test_verify_rejects_family_k_unlike_its_sets_k(tmp_path, order):
+    # the sets live in F2 x Z/2 while the family claims F2 x Z/order
+    payload = _f2xk_exact_payload(tmp_path)
+    payload["k"] = _cyclic_json(order)
+    assert main(["verify", _forged_towers(tmp_path, payload)]) == 3
+
+
+def test_verify_rejects_a_slice_outside_k(tmp_path):
+    # a full slice at a label K does not have must not be dropped unread
+    payload = _f2xk_exact_payload(tmp_path)
+    payload["towers"][0]["A"]["slices"]["7"] = {"kind": "cone", "base": ""}
+    assert main(["verify", _forged_towers(tmp_path, payload)]) == 3
+
+
+def test_verify_refuses_a_huge_cyclic_group_at_once(tmp_path):
+    # building Z/100000 would mean a table of 10^10 products
+    payload = _f2xk_exact_payload(tmp_path)
+    payload["k"] = _cyclic_json(100_000)
+    for tower in payload["towers"]:
+        tower["A"]["k"] = _cyclic_json(100_000)
+    path = _forged_towers(tmp_path, payload)
+    t0 = time.perf_counter()
+    assert main(["verify", path]) == 3
+    assert time.perf_counter() - t0 < 1
+
+
+def test_ext_towers_refuses_k_order_above_the_cap(capsys):
+    assert main(["ext-towers", "--kind", "f2xk", "--k-order", "65", "--F", "e:0"]) == 64
+    assert "above the cap of 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(0, "", "", 7), (0, "", "", -1), (0, "", "", True), (1, "", "", 0), (False, "", "", 0)],
+    ids=["color-past-end", "negative-color", "bool-color", "source-past-end", "bool-source"],
+)
+def test_verify_rejects_witness_entry_out_of_range(tmp_path, entry):
+    # the color-7 entry would put the whole boundary into a target that
+    # no check looks at
+    p = _write_witness(tmp_path, "w.json", [""], ["a"], [entry])
+    env = certs.wrap("witness", json.loads(p.read_text()))
+    p.write_text(json.dumps(env))
+    assert main(["verify", str(p)]) == 3
 
 
 def test_report_output(capsys):

@@ -212,14 +212,11 @@ def children(w):
 # -- the disjointness scan
 
 
-@given(st.lists(raw_groups, min_size=2, max_size=4))
+@given(st.lists(st.lists(short_words, max_size=4), min_size=2, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_first_overlap_matches_pairwise_inter(raws):
-    forms = [NormalForm(*r) for r in raws]
-    pair = prefix.first_overlap(
-        [(c, i) for i, nf in enumerate(forms) for c in nf.cones],
-        [(w, i) for i, nf in enumerate(forms) for w in nf.words],
-    )
+    forms = [NormalForm(cones=r) for r in raws]
+    pair = prefix.first_overlap([(c, i) for i, nf in enumerate(forms) for c in nf.cones])
     overlapping = [
         (i, j)
         for i, j in itertools.combinations(range(len(forms)), 2)
@@ -229,6 +226,51 @@ def test_first_overlap_matches_pairwise_inter(raws):
         assert not overlapping
     else:
         assert tuple(sorted(pair)) in overlapping
+
+
+# -- the first word of each membership pattern
+
+
+def random_word(rng, max_len):
+    w = ""
+    for _ in range(rng.randint(0, max_len)):
+        w += rng.choice(legal_next_letters(w))
+    return w
+
+
+def test_first_by_pattern_matches_ball_oracle():
+    rng = random.Random("prefix/first_by_pattern")
+    cases = [[NormalForm(*raw)] for raw in GROUP_EDGES]
+    cases += [[NormalForm(*r), NormalForm(*t)] for r, t in zip(GROUP_EDGES, GROUP_EDGES[1:])]
+    for _ in range(60):
+        nfs = []
+        for _ in range(rng.randint(1, 4)):
+            nf = NormalForm(
+                [random_word(rng, 3) for _ in range(rng.randint(0, 3))],
+                [random_word(rng, 3) for _ in range(rng.randint(0, 4))],
+            )
+            nfs.append(nf.complement() if rng.random() < 0.3 else nf)
+        cases.append(nfs)
+    for nfs in cases:
+        forms = [(nf.words, nf.cones) for nf in nfs]
+        longest = max(nf.depth() for nf in nfs)
+        # each word of a ball with its pattern, in ball order
+        patterns = [
+            (w, frozenset(k for k, nf in enumerate(nfs) if nf.contains(w)))
+            for w in ball(max(6, longest + 2))
+        ]
+
+        def oracle(radius):
+            first = {}
+            for w, pattern in patterns:
+                if len(w) <= radius:
+                    first.setdefault(pattern, w)
+            return list(first.items())
+
+        for r in range(7):
+            assert list(prefix.first_by_pattern(forms, r).items()) == oracle(r), (nfs, r)
+        # past the longest key no new pattern occurs
+        assert list(prefix.first_by_pattern(forms).items()) == oracle(longest + 2), nfs
 
 
 # -- scale

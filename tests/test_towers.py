@@ -4,6 +4,7 @@ import json
 import pytest
 
 import paratower.subsets as ss
+import paratower.towers as towers
 from paratower.groups import (
     F2Group,
     F2xF2Group,
@@ -16,6 +17,7 @@ from paratower.towers import (
     CosetSliceSubset,
     ProductF2Subset,
     ProductSubset,
+    TowerCertificate,
     TowerFamily,
     _sweep_ball,
     extension_towers,
@@ -244,6 +246,68 @@ def test_ball_walk_matches_sweep(group):
             assert cert.checks == _sweep_ball(fam, r), (name, r)
         # every seeded defect shows in the largest ball
         assert cert.passed == (name == "as built"), name
+
+
+def _longest_key(fam: TowerFamily) -> int:
+    """Longest base or word among the normal forms of the translates d·A_i
+    and g_i·A_i."""
+    moved = [a.translate(d) for a, _ in fam.items for d in fam.d_set]
+    moved += [a.translate(g) for a, g in fam.items]
+    pieces = []
+    for s in moved:
+        if isinstance(s, ProductSubset):
+            pieces += s.slices.values()
+        else:
+            pieces.append(s.base if isinstance(s, CosetSliceSubset) else s)
+    return max(p.normal_form().depth() for p in pieces)
+
+
+@pytest.mark.parametrize("group", ["F2", "F2xZ2", "F3"])
+def test_exact_walk_matches_sweep_past_the_longest_key(group):
+    # one ball past the longest key every membership pattern has occurred
+    build, _, extra_d = WALK_FAMILIES[group]
+    for name, fam in _seeded_defects(build(), extra_d).items():
+        cert = verify_towers(fam, "exact")
+        assert cert.checks == _sweep_ball(fam, _longest_key(fam) + 1), name
+        assert cert.passed == (name == "as built"), name
+
+
+def test_exact_mode_takes_many_rectangles():
+    # 6 × 6 rectangles from three copies of the factor towers
+    fam = extension_towers([("a", "b"), ("A", "B")], base=lambda d: more_towers(d, 3))
+    assert fam.n == 36
+    assert verify_towers(fam, "exact").passed
+    cert = verify_towers(_mutate(fam, items=fam.items + [fam.items[5]]), "exact")
+    assert not cert.checks["disjoint"]["pass"]
+    cex = cert.checks["disjoint"]["counterexample"]
+    assert (cex["i"], cex["i2"]) == (5, 36) and cex["d"] == cex["d2"]
+    moved = fam.items[5][0].translate(tuple(cex["d"]))
+    assert moved.contains(tuple(cex["word"]))
+    assert cert.checks["cover"]["pass"]
+
+
+@pytest.mark.parametrize(
+    "kind, builder",
+    [
+        ("F2", lambda: f2_towers(D5)),
+        ("F2xK", lambda: finite_normal_ext_towers([("", "0"), ("a", "1")], cyclic_group(2))),
+        ("F2xF2", lambda: extension_towers([("a", "b")])),
+        ("F3", lambda: union_towers(D5)),
+    ],
+)
+def test_builders_raise_when_their_check_fails(monkeypatch, kind, builder):
+    # the check fails only for the builder's own family, past its base
+    real = towers.verify_towers
+
+    def failing(family, mode="exact", radius=None):
+        if family.kind != kind:
+            return real(family, mode, radius)
+        checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
+        return TowerCertificate(family.to_json(), mode, radius, checks)
+
+    monkeypatch.setattr(towers, "verify_towers", failing)
+    with pytest.raises(RuntimeError, match="failed"):
+        builder()
 
 
 def test_ball_walk_cost_does_not_grow_with_radius():
