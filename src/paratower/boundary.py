@@ -240,6 +240,11 @@ class ClopenSet:
         return "Clopen{" + ", ".join(f"[{b}]" for b in sorted(self.bases)) + "}"
 
 
+# ClopenSet is never changed after construction, so one empty set serves
+# every missing product slice
+_EMPTY = ClopenSet()
+
+
 def shrink(u: ClopenSet, eps: Fraction) -> ClopenSet:
     """Points of u at distance more than eps from the complement.
 
@@ -281,7 +286,7 @@ class ProductClopen:
 
     def __init__(self, k_group: FiniteGroup, slices: Dict[str, ClopenSet]):
         self.k = k_group
-        self.slices = {e: slices.get(e, ClopenSet.empty()) for e in k_group.elements}
+        self.slices = {e: slices.get(e, _EMPTY) for e in k_group.elements}
 
     @staticmethod
     def full_set(k_group: FiniteGroup) -> "ProductClopen":

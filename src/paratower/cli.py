@@ -182,11 +182,15 @@ def _parse_clopen(space, text: str):
 
 
 def _cmd_compare(args) -> int:
-    from .comparison import ComparisonInstance, build_comparison
+    from .comparison import ComparisonInstance, DepthCapExceeded, build_comparison
 
     inst = ComparisonInstance(args.instance)
     u_set = _parse_clopen(inst.space(), args.U)
-    cert = build_comparison(inst, u_set)
+    try:
+        cert = build_comparison(inst, u_set)
+    except DepthCapExceeded as e:
+        print(f"error: {e}; raise PARATOWER_MAX_DEPTH to search deeper", file=sys.stderr)
+        return 64
     env = certs.wrap("comparison", cert.to_json(), args.seed)
     _write_or_print(args, env)
     return 0 if cert.passed else 2
@@ -208,32 +212,26 @@ def _load_witness(path: str):
         raise certs.MalformedCertificate(f"witness does not parse: {e}") from e
 
 
-def _cmd_compose(args) -> int:
-    from .comparison import compose, verify_witness
-
-    w1 = _load_witness(args.first)
-    w2 = _load_witness(args.second)
-    out = compose(w1, w2)
-    report = verify_witness(out)
-    payload = out.to_json()
-    payload["pass"] = report["pass"]
+def _emit_witness(args, w) -> int:
+    """Write a witness that ``compose`` or ``boost`` built and verified."""
+    payload = w.to_json()
+    payload["pass"] = w.report["pass"]
     env = certs.wrap("witness", payload, args.seed)
     _write_or_print(args, env)
-    return 0 if report["pass"] else 2
+    return 0 if w.report["pass"] else 2
+
+
+def _cmd_compose(args) -> int:
+    from .comparison import compose
+
+    return _emit_witness(args, compose(_load_witness(args.first), _load_witness(args.second)))
 
 
 def _cmd_boost(args) -> int:
-    from .comparison import boost, verify_witness
+    from .comparison import boost
 
     w = _load_witness(args.input)
-    v_set = _parse_clopen(w.space, args.V)
-    out = boost(w, v_set)
-    report = verify_witness(out)
-    payload = out.to_json()
-    payload["pass"] = report["pass"]
-    env = certs.wrap("witness", payload, args.seed)
-    _write_or_print(args, env)
-    return 0 if report["pass"] else 2
+    return _emit_witness(args, boost(w, _parse_clopen(w.space, args.V)))
 
 
 def _cmd_isometry(args) -> int:

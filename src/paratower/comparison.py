@@ -7,6 +7,11 @@ are pairwise disjoint inside the color's target.  Everything here is exact:
 verification, composition, color boosting, the counting-to-assignment step
 (reduced to bipartite matching on cylinder cells), and the full builder
 that takes the whole boundary below a chosen clopen set in one color.
+The counting sweep behind claim 1 and the counting hypothesis sums
+integers over the weights' common denominator, so its extremes are exact
+rationals.  ``compose``, ``boost`` and ``petr_assign`` verify the witness
+they return and keep the passing report as its ``report``; the builder
+reuses those reports instead of checking a witness twice.
 
 Two ambient spaces are supported: the plain boundary with the free group
 acting, and boundary x K (K finite) with the product group acting.  Each
@@ -16,6 +21,7 @@ takes its group arithmetic from its group class in ``paratower.groups``.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,8 +51,17 @@ class IncompatibleMiddles(ValueError):
     """Composition requires w1's targets to equal w2's sources."""
 
 
+class ConstructionFailed(RuntimeError):
+    """A construction step failed the exact check that guards it."""
+
+
 def _extra_depth_budget() -> int:
-    return int(os.environ.get("PARATOWER_MAX_DEPTH", "8"))
+    """PARATOWER_MAX_DEPTH: how many levels past the sources' depth the
+    matching step may refine (default 8)."""
+    raw = os.environ.get("PARATOWER_MAX_DEPTH", "8")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"PARATOWER_MAX_DEPTH must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 def _frac_json(x: Fraction) -> str:
@@ -148,58 +163,70 @@ def _extreme_plain(
     items: Sequence[Tuple[ClopenSet, Fraction]], mode: str
 ) -> Tuple[Fraction, str]:
     """Exact min or max over the boundary of sum(w_i * 1_{S_i}), with a
-    witness cylinder on which the extreme is attained."""
-    const = Fraction(0)
-    base_w: Dict[str, Fraction] = {}
+    witness cylinder on which the extreme is attained.
+
+    The sum is a step function constant below every leaf of the bases'
+    prefix trie, so one walk in trie order visits each leaf once; the first
+    leaf attaining the extreme is the witness.  The sweep counts in
+    integers: every weight is scaled by the lcm of the denominators, and
+    a min is the max of the negated sum."""
+    den = math.lcm(*(w.denominator for _, w in items))
+    sign = 1 if mode == "max" else -1
+    const = 0
+    base_w: Dict[str, int] = {}
     for s, w in items:
+        iw = sign * w.numerator * (den // w.denominator)
         if s.full:
-            const += w
+            const += iw
         else:
             for b in s.bases:
-                base_w[b] = base_w.get(b, Fraction(0)) + w
+                base_w[b] = base_w.get(b, 0) + iw
+    if not base_w:
+        return Fraction(sign * const, den), ""
     trie = set()
     for b in base_w:
-        for t in range(len(b) + 1):
+        # a prefix already in the trie brings all of its own prefixes
+        for t in range(len(b), -1, -1):
+            if b[:t] in trie:
+                break
             trie.add(b[:t])
-    better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
-    best: Optional[Fraction] = None
+    best = -math.inf
     best_cell = ""
 
-    def visit(node: str, cum: Fraction) -> None:
+    def visit(node: str, cum: int) -> None:
         nonlocal best, best_cell
-        cum = cum + base_w.get(node, Fraction(0))
+        cum += base_w.get(node, 0)
         for y in legal_next_letters(node):
             child = node + y
             if child in trie:
                 visit(child, cum)
-            elif best is None or better(cum, best):
+            elif cum > best:
                 best, best_cell = cum, child
 
-    if not trie:
-        return const, ""
     visit("", const)
-    assert best is not None
-    return best, best_cell
+    return Fraction(sign * best, den), best_cell
 
 
 def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
-    """Extreme of a weighted sum of clopen indicators over the whole space."""
+    """Extreme of a weighted sum of clopen indicators over the whole space,
+    with a witness cell; exact integer arithmetic over the weights' common
+    denominator in each K slice."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    per: Dict[Optional[str], List[Tuple[ClopenSet, Fraction]]] = {}
+    for s, w in items:
+        w = Fraction(w)
+        for lbl, sl in space.slice_items(s):
+            per.setdefault(lbl, []).append((sl, w))
+    if not per:
+        raise ValueError("the weighted sum needs at least one item")
     better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
     best: Optional[Fraction] = None
     best_cell: Cell = (None, "")
-    labels = {lbl for s, _ in items for lbl, _ in space.slice_items(s)}
-    for lbl in sorted(labels, key=str):
-        per = []
-        for s, w in items:
-            for l2, sl in space.slice_items(s):
-                if l2 == lbl:
-                    per.append((sl, Fraction(w)))
-        val, cell = _extreme_plain(per, mode)
+    for lbl in sorted(per, key=str):
+        val, cell = _extreme_plain(per[lbl], mode)
         if best is None or better(val, best):
             best, best_cell = val, (lbl, cell)
-    assert best is not None
     return best, best_cell
 
 
@@ -215,6 +242,8 @@ class SubeqWitness:
         self.sources = list(sources)
         self.targets = list(targets)
         self.entries = list(entries)
+        # the passing verify_witness report, once a builder has checked it
+        self.report: Optional[dict] = None
 
     @property
     def colors(self) -> int:
@@ -330,6 +359,16 @@ def verify_witness(w: SubeqWitness) -> dict:
     return report
 
 
+def _verified(w: SubeqWitness, what: str) -> SubeqWitness:
+    """w with its passing ``verify_witness`` report as ``w.report``;
+    raises ConstructionFailed if the check fails."""
+    report = verify_witness(w)
+    if not report["pass"]:
+        raise ConstructionFailed(f"{what} witness failed verification: {report['failure']}")
+    w.report = report
+    return w
+
+
 def identity_witness(space, s) -> SubeqWitness:
     return SubeqWitness(space, [s], [s], [(0, s, space.identity, 0)])
 
@@ -350,11 +389,7 @@ def compose(w1: SubeqWitness, w2: SubeqWitness) -> SubeqWitness:
             if z.is_empty():
                 continue
             entries.append((i, z, space.mul(h, g), color))
-    out = SubeqWitness(space, w1.sources, w2.targets, entries)
-    report = verify_witness(out)
-    if not report["pass"]:
-        raise RuntimeError(f"composed witness failed verification: {report['failure']}")
-    return out
+    return _verified(SubeqWitness(space, w1.sources, w2.targets, entries), "composed")
 
 
 def _cylinder_cell_of(space, s) -> Cell:
@@ -417,10 +452,7 @@ def boost(w: SubeqWitness, v_set) -> SubeqWitness:
         raise ValueError("boost needs a common single-cylinder target")
     r_plus_1 = len(w.targets)
     if r_plus_1 == 1 and w.targets[0].is_subset(v_set):
-        out = SubeqWitness(space, w.sources, [v_set], w.entries)
-        report = verify_witness(out)
-        assert report["pass"], "boost identity case failed verification"
-        return out
+        return _verified(SubeqWitness(space, w.sources, [v_set], w.entries), "boosted")
     v_cell = _cylinder_cell_of(space, v_set)
     ends = _extensions_ending_with(v_cell[1], w0_cell[1][-1], r_plus_1)
     k_shift = None
@@ -434,18 +466,16 @@ def boost(w: SubeqWitness, v_set) -> SubeqWitness:
     # each translator carries [w0] exactly onto its own subcylinder of v_set
     images = [space.act(t, w.targets[0]) for t in translators]
     for s1, s2 in itertools.combinations(images, 2):
-        assert s1.are_disjoint(s2), "translator images overlap"
+        if not s1.are_disjoint(s2):
+            raise ConstructionFailed("translator images overlap")
     for img in images:
-        assert img.is_subset(v_set), "translator image escapes the target"
+        if not img.is_subset(v_set):
+            raise ConstructionFailed("translator image escapes the target")
     entries = [
         (i, piece, space.mul(translators[color], g), 0)
         for i, piece, g, color in w.entries
     ]
-    out = SubeqWitness(space, w.sources, [v_set], entries)
-    report = verify_witness(out)
-    if not report["pass"]:
-        raise RuntimeError(f"boosted witness failed verification: {report['failure']}")
-    return out
+    return _verified(SubeqWitness(space, w.sources, [v_set], entries), "boosted")
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +636,10 @@ def petr_assign(
             out = SubeqWitness(
                 space, data.sources, [data.target] * (n + 1), entries
             )
-            report = verify_witness(out)
-            if report["pass"]:
-                return out
+            try:
+                return _verified(out, "assigned")
+            except ConstructionFailed:
+                pass  # refine one level further
     raise DepthCapExceeded(
         f"no per-color disjoint matching up to depth {depth + budget}"
     )
@@ -705,7 +736,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     u0_cell = _cylinder_cell_of(space, u_set)
     u_target = space.cylinder(u0_cell)
     eps = Fraction(1, 2 ** (len(u0_cell[1]) + 1))
-    assert space.shrink(u_target, eps).equals(u_target)
+    if not space.shrink(u_target, eps).equals(u_target):
+        raise ConstructionFailed(f"shrinking by {eps} changes the target cylinder")
 
     # elements moving every depth-1 cylinder into the target cylinder
     letter_movers = _translator_set(u0_cell[1])
@@ -723,7 +755,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     covered = space.empty()
     for f in f0:
         covered = covered.union(space.act(space.inv(f), u_target))
-    assert space.full().is_subset(covered), "depth-1 movers do not reach the whole space"
+    if not space.full().is_subset(covered):
+        raise ConstructionFailed("depth-1 movers do not reach the whole space")
 
     # disjoint translates and the symmetric generating set
     from .towers import _greedy_disjoint_translates
@@ -751,7 +784,10 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "witness_cell": list(c1_cell),
         "pass": c1_val >= m,
     }
-    assert claim1["pass"], "claim 1 counting bound failed"
+    if not claim1["pass"]:
+        raise ConstructionFailed(
+            f"claim 1 counting bound failed: {c1_val} < {m} on cell {list(c1_cell)}"
+        )
 
     # towers indexed by the m copies, jointly D^2-disjoint
     d2_words = sorted(
@@ -775,7 +811,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     else:
         coloring = greedy_color(k_group, e2)
         if coloring.m != m:
-            raise RuntimeError("color budget disagrees with |E^4|")
+            raise ConstructionFailed("color budget disagrees with |E^4|")
         coloring_json = coloring.to_json()
         classes = [coloring.color_class(j + 1) for j in range(m)]
         for j, idxs in enumerate(tower_fam.cover_groups):
@@ -793,16 +829,19 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         cover_groups=[list(range(nm))],
     )
     tower_cert = verify_towers(fam_check, "exact")
-    assert tower_cert.passed, "product tower conditions failed"
+    if not tower_cert.passed:
+        raise ConstructionFailed("product tower conditions failed")
 
     # approximation scale: defect bound strictly below delta
     delta = Fraction(1, 4 * nm * (nm + 1))
-    assert delta < Fraction(1, 2 * nm * (nm + 1))
+    if not delta < Fraction(1, 2 * nm * (nm + 1)):
+        raise ConstructionFailed(f"delta {delta} is not below 1/(2nm(nm+1))")
     all_movers = d2_words + [space.word_part(g) for g in g_elems]
     big_m = max(len(w) for w in all_movers)
     n_depth = int(2 * big_m / delta) + 1
     gm = GeodesicMap(n_depth)
-    assert gm.defect_bound("a" * big_m) < delta
+    if not gm.defect_bound("a" * big_m) < delta:
+        raise ConstructionFailed(f"the defect bound at depth {n_depth} is not below delta")
 
     # threshold sets; the K factor carries the uniform measure, so both
     # families are uniform across labels
@@ -845,24 +884,29 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "report": claim2_report,
         "pass": cover_ok and inclusions_ok and claim2_report["pass"],
     }
-    assert claim2["pass"], "claim 2 failed"
+    if not claim2["pass"]:
+        raise ConstructionFailed(
+            f"claim 2 failed: cover {cover_ok}, inclusions {inclusions_ok},"
+            f" witness failure {claim2_report['failure']}"
+        )
 
     # claim 3: counting hypothesis plus the matching assignment
     data = CountingData(f_elems, eps, v_list, u_target)
     counting = check_counting(space, data, n)
+    # petr_assign hands back a witness it has verified, with the report
     claim3_witness = petr_assign(space, data, n, counting)
-    claim3_report = verify_witness(claim3_witness)
+    claim3_report = claim3_witness.report
     claim3 = {
         "counting": counting,
         "report": claim3_report,
         "pass": counting["pass"] and claim3_report["pass"],
     }
-    assert claim3["pass"], "claim 3 failed"
+    if not claim3["pass"]:
+        raise ConstructionFailed("claim 3 failed")
 
+    # compose and boost verify their witnesses and keep the reports
     composed = compose(claim2_witness, claim3_witness)
-    composed_report = verify_witness(composed)
     boosted = boost(composed, u_set)
-    boosted_report = verify_witness(boosted)
 
     data_json = {
         "instance": inst.to_json(),
@@ -893,11 +937,11 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "claim3_witness": claim3_witness.to_json(),
         "composed": {
             "witness": composed.to_json(),
-            "report": composed_report,
+            "report": composed.report,
         },
         "boosted": {
             "witness": boosted.to_json(),
-            "report": boosted_report,
+            "report": boosted.report,
         },
         "pass": all(
             [
@@ -905,8 +949,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
                 tower_cert.passed,
                 claim2["pass"],
                 claim3["pass"],
-                composed_report["pass"],
-                boosted_report["pass"],
+                composed.report["pass"],
+                boosted.report["pass"],
             ]
         ),
     }

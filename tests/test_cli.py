@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -106,6 +107,44 @@ def test_compare_command(tmp_path):
     assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
+# SHA-256 of the `--json` output; the certificates have been byte-identical
+# since the one group protocol, and a faster build must keep them so
+PINNED_COMPARISONS = [
+    (["--instance", "F2", "--U", "ab"],
+     "9fcbf47dc5f9828ac835cee8d1bb7c0184569dd2aa065923354526f14f86c0db"),
+    (["--instance", "F2xZ2", "--U", "a:0"],
+     "e2294ba645b355e9e7c368368d3ff88df521be8953cf504e03d589c31e619f93"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_COMPARISONS, ids=["F2-ab", "F2xZ2-a0"])
+def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest):
+    code, _ = run_json(tmp_path, ["compare"] + argv)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "", "1.5"])
+def test_compare_rejects_a_bad_max_depth(monkeypatch, capsys, value):
+    monkeypatch.setenv("PARATOWER_MAX_DEPTH", value)
+    assert main(["compare", "--instance", "F2", "--U", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "PARATOWER_MAX_DEPTH" in err and repr(value) in err
+
+
+def test_compare_depth_cap_is_a_usage_error(monkeypatch, capsys):
+    import paratower.comparison as comparison
+
+    # no matching at any depth: the budget runs out after one attempt
+    monkeypatch.setenv("PARATOWER_MAX_DEPTH", "0")
+    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: None)
+    assert main(["compare", "--instance", "F2", "--U", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "no per-color disjoint matching up to depth" in err
+
+
 def _write_witness(tmp_path, name, sources, targets, entries):
     from paratower.boundary import ClopenSet
     from paratower.comparison import PlainSpace, SubeqWitness
@@ -142,6 +181,34 @@ def test_boost_command(tmp_path):
     code, env = run_json(tmp_path, ["boost", str(p), "--V", "a"])
     assert code == 0
     assert len(env["payload"]["targets"]) == 1
+
+
+def test_each_witness_is_verified_once(monkeypatch, tmp_path):
+    import paratower.comparison as comparison
+
+    calls = []
+    real = comparison.verify_witness
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(comparison, "verify_witness", counted)
+    # claim 2, claim 3, composed and boosted
+    code, env = run_json(tmp_path, ["compare", "--instance", "F2xZ2", "--U", "a:0"])
+    assert code == 0 and env["payload"]["pass"]
+    assert len(calls) == 4
+    assert len({id(w) for w in calls}) == 4
+    calls.clear()
+    p1 = _write_witness(tmp_path, "w1.json", ["b"], ["a"], [(0, "b", "a", 0)])
+    p2 = _write_witness(tmp_path, "w2.json", ["a"], ["b"], [(0, "a", "b", 0)])
+    assert run_json(tmp_path, ["compose", str(p1), str(p2)])[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    entries = [(0, "ba", "a", 0), (0, "bb", "a", 1), (0, "bA", "a", 1)]
+    p = _write_witness(tmp_path, "w.json", ["b"], ["a", "a"], entries)
+    assert run_json(tmp_path, ["boost", str(p), "--V", "a"])[0] == 0
+    assert len(calls) == 1
 
 
 def test_unreduced_cylinder_base_is_rejected(tmp_path):

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import paratower.comparison as comparison
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
     ComparisonInstance,
+    ConstructionFailed,
     CountingData,
     HypothesisViolated,
     IncompatibleMiddles,
@@ -21,6 +24,8 @@ from paratower.comparison import (
     verify_witness,
 )
 from paratower.groups import cyclic_group
+from paratower.towers import TowerCertificate
+from paratower.words import legal_next_letters, words_of_length
 
 SPACE = PlainSpace()
 
@@ -196,6 +201,138 @@ def test_extreme_weighted_count():
     assert hi_cell[1].startswith("ab")
 
 
+# -- the counting sweep against an oracle and the Fraction recursion
+
+WEIGHTS = [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-7, 2), Fraction(5, 6), 2]
+
+
+def _extreme_plain_fraction(items, mode):
+    """The counting sweep as it was before it counted in integers: the same
+    trie walk, summing Fractions; the reference for values and cells."""
+    const = Fraction(0)
+    base_w = {}
+    for s, w in items:
+        if s.full:
+            const += w
+        else:
+            for b in s.bases:
+                base_w[b] = base_w.get(b, Fraction(0)) + w
+    trie = set()
+    for b in base_w:
+        for t in range(len(b) + 1):
+            trie.add(b[:t])
+    better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
+    best, best_cell = None, ""
+
+    def visit(node, cum):
+        nonlocal best, best_cell
+        cum = cum + base_w.get(node, Fraction(0))
+        for y in legal_next_letters(node):
+            child = node + y
+            if child in trie:
+                visit(child, cum)
+            elif best is None or better(cum, best):
+                best, best_cell = cum, child
+
+    if not trie:
+        return const, ""
+    visit("", const)
+    return best, best_cell
+
+
+def _extreme_fraction(space, items, mode):
+    better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
+    best, best_cell = None, (None, "")
+    labels = {lbl for s, _ in items for lbl, _ in space.slice_items(s)}
+    for lbl in sorted(labels, key=str):
+        per = [
+            (sl, Fraction(w))
+            for s, w in items
+            for l2, sl in space.slice_items(s)
+            if l2 == lbl
+        ]
+        val, cell = _extreme_plain_fraction(per, mode)
+        if best is None or better(val, best):
+            best, best_cell = val, (lbl, cell)
+    return best, best_cell
+
+
+def _random_clopen(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return ClopenSet.full_set()
+    if roll < 0.15:
+        return ClopenSet.empty()
+    words = []
+    for _ in range(rng.randint(1, 4)):
+        w = rng.choice("aAbB")
+        for _ in range(rng.randint(0, 3)):
+            w += rng.choice(legal_next_letters(w))
+        words.append(w)
+    return ClopenSet(words)
+
+
+def _random_items(rng, space):
+    items = []
+    for _ in range(rng.randint(1, 7)):
+        if isinstance(space, ProductSpace):
+            labels = rng.sample(space.k_group.elements, rng.randint(1, len(space.k_group)))
+            s = ProductClopen(space.k_group, {lbl: _random_clopen(rng) for lbl in labels})
+        else:
+            s = _random_clopen(rng)
+        items.append((s, rng.choice(WEIGHTS)))
+    return items
+
+
+def _value_on(space, items, cell):
+    """The weighted sum on the cylinder of a cell deep enough to settle it."""
+    lbl, w = cell
+    return sum(
+        Fraction(wt) for s, wt in items
+        if dict(space.slice_items(s))[lbl].contains_point_prefix(w)
+    )
+
+
+SPACES = [PlainSpace(), ProductSpace(cyclic_group(3))]
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_extreme_weighted_count_matches_oracles(space, mode):
+    rng = random.Random(f"extreme/{space.kind}/{mode}")
+    pick = min if mode == "min" else max
+    for _ in range(60):
+        items = _random_items(rng, space)
+        val, cell = extreme_weighted_count(space, items, mode)
+        # the Fraction recursion: same value and same cell, ties included
+        assert (val, cell) == _extreme_fraction(space, items, mode)
+        # brute force over every cell one level below the deepest base
+        depth = 1 + max(sl.depth() for s, _ in items for _, sl in space.slice_items(s))
+        labels = [lbl for lbl, _ in space.slice_items(items[0][0])]
+        values = [
+            _value_on(space, items, (lbl, w)) for lbl in labels for w in words_of_length(depth)
+        ]
+        assert val == pick(values)
+        # the weighted sum equals the extreme on all of the witness cell
+        lbl, w = cell
+        below = ClopenSet.cylinder(w).refine(max(depth, len(w)))
+        assert {_value_on(space, items, (lbl, x)) for x in below} == {val}
+
+
+def test_extreme_weighted_count_ties_pick_the_first_cell():
+    # every cell of the boundary has the value 1/3; the first leaf is [a]
+    items = [(ClopenSet.full_set(), Fraction(1, 3)), (cyl("b"), Fraction(0))]
+    assert extreme_weighted_count(SPACE, items, "max") == (Fraction(1, 3), (None, "a"))
+    assert extreme_weighted_count(SPACE, items, "min") == (Fraction(1, 3), (None, "a"))
+
+
+def test_extreme_weighted_count_rejects_no_items_and_bad_mode():
+    with pytest.raises(ValueError):
+        extreme_weighted_count(SPACE, [], "max")
+    with pytest.raises(ValueError):
+        extreme_weighted_count(SPACE, [(cyl("a"), 1)], "mean")
+
+
 # -- the end-to-end builders (full runs live in the acceptance suite)
 
 def test_build_comparison_plain():
@@ -212,3 +349,28 @@ def test_build_comparison_rejects_empty_target():
         build_comparison(ComparisonInstance("F2"), ClopenSet.empty())
     with pytest.raises(ValueError):
         ComparisonInstance("F5")
+
+
+def _failing_towers(family, mode="exact", radius=None):
+    checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
+    return TowerCertificate(family.to_json(), mode, radius, checks)
+
+
+def _failing_witness_check(w):
+    return {"pass": False, "coverage": [], "colors": [], "failure": {"kind": "forced"}}
+
+
+@pytest.mark.parametrize(
+    "attr, fake, message",
+    [
+        # the claim-1 sweep reports a point reached by no element
+        ("extreme_weighted_count", lambda *a: (Fraction(0), (None, "a")), "claim 1"),
+        ("verify_towers", _failing_towers, "product tower"),
+        ("verify_witness", _failing_witness_check, "claim 2"),
+    ],
+)
+def test_build_comparison_raises_when_a_step_fails(monkeypatch, attr, fake, message):
+    monkeypatch.setattr(comparison, attr, fake)
+    with pytest.raises(ConstructionFailed, match=message):
+        build_comparison(ComparisonInstance("F2"), cyl("ab"))
+
