@@ -189,6 +189,16 @@ class ClopenSet:
             return ClopenSet.full_set()
         return ClopenSet(self.bases | other.bases)
 
+    @staticmethod
+    def union_all(sets: Iterable["ClopenSet"]) -> "ClopenSet":
+        """The union of many sets, canonicalised once."""
+        bases: List[str] = []
+        for s in sets:
+            if s.full:
+                return ClopenSet.full_set()
+            bases.extend(s.bases)
+        return ClopenSet(bases)
+
     def inter(self, other: "ClopenSet") -> "ClopenSet":
         if self.full:
             return other
@@ -361,16 +371,38 @@ def check_bases(bases: List[str]) -> List[str]:
     return bases
 
 
+def boundary_from_json(data: dict) -> ClopenSet:
+    """A clopen set of the plain boundary; any other set is a ValueError."""
+    if data["space"] != "boundary":
+        raise ValueError(f"expected a boundary set, not a {data['space']!r} set")
+    if data["kind"] == "full":
+        return ClopenSet.full_set()
+    if data["kind"] != "antichain":
+        raise ValueError(f"unknown boundary set kind: {data['kind']!r}")
+    return ClopenSet(check_bases(data["words"]))
+
+
+def product_from_json(k_group: FiniteGroup, data: dict) -> ProductClopen:
+    """A clopen set of boundary × k_group; a set of another space or over
+    another K, or a slice at a label outside K, is a ValueError."""
+    if data["space"] != "product":
+        raise ValueError(f"expected a product set, not a {data['space']!r} set")
+    if data["k"] != k_group.to_json():
+        raise ValueError(f"a set over {data['k']!r} is not a set over {k_group.name}")
+    slices = data["slices"]
+    if not isinstance(slices, dict):
+        raise ValueError("the slices of a product set must be an object")
+    outside = [e for e in slices if e not in k_group.elements]
+    if outside:
+        raise ValueError(f"slice labels {outside!r} are not elements of {k_group.name}")
+    return ProductClopen(k_group, {e: boundary_from_json(s) for e, s in slices.items()})
+
+
 def clopen_from_json(data: dict):
     if data["space"] == "boundary":
-        if data["kind"] == "full":
-            return ClopenSet.full_set()
-        return ClopenSet(check_bases(data["words"]))
+        return boundary_from_json(data)
     if data["space"] == "product":
-        k = finite_group_from_json(data["k"])
-        return ProductClopen(
-            k, {e: clopen_from_json(s) for e, s in data["slices"].items()}
-        )
+        return product_from_json(finite_group_from_json(data["k"]), data)
     raise ValueError(f"unknown clopen space: {data['space']!r}")
 
 

@@ -13,7 +13,8 @@ import json
 from fractions import Fraction
 from typing import Optional, Tuple
 
-SCHEMA_VERSION = 1
+# 2: comparison certificates keep only the report of the composed witness
+SCHEMA_VERSION = 2
 TOOL_VERSION = "0.1.0"
 KINDS = ("towers", "coloring", "comparison", "isometry", "witness")
 
@@ -113,28 +114,68 @@ def _verify_witness_payload(payload: dict) -> dict:
     return {"pass": report["pass"], "report": report}
 
 
-def _verify_comparison(payload: dict) -> dict:
-    from .comparison import SubeqWitness, verify_witness
+def _same_sets(got, want) -> bool:
+    return want is not None and len(got) == len(want) and all(
+        a.equals(b) for a, b in zip(got, want)
+    )
 
-    names = ["claim2_witness", "claim3_witness"]
+
+def _verify_comparison(payload: dict) -> dict:
+    """Check each stored witness once, and that it proves the claim it is
+    filed under, in the instance's space with V, n and U read from the
+    payload and the target cell worked out from U as the builder does.
+    The final witness alone proves the theorem, full below U."""
+    from .comparison import ComparisonInstance, SubeqWitness, cylinder_cell_of, verify_witness
+
+    space = ComparisonInstance.from_json(payload["instance"]).space()
+    n = payload["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, not {n!r}")
+    full = [space.full()]
+    v_sets = [space.set_from_json(v) for v in payload["V"]]
+    u_set = [space.set_from_json(payload["U"])]
+    cell = space.cylinder(cylinder_cell_of(space, u_set[0]))
+    claim2 = SubeqWitness.from_json(payload["claim2_witness"])
+    claim3 = SubeqWitness.from_json(payload["claim3_witness"])
+    final = SubeqWitness.from_json(payload["boosted"]["witness"])
+    # n + 1 copies of the target cell; other counts of targets fail below
+    cells = [cell] * (n + 1) if len(claim3.targets) == n + 1 else None
+    claims = [
+        ("claim2_witness", "claim 2: [full] below V", claim2, full, v_sets),
+        ("claim3_witness", "claim 3: V below n+1 copies of the target cell", claim3, v_sets, cells),
+        ("boosted", "final: [full] below [U]", final, full, u_set),
+    ]
     reports = {}
-    ok = True
-    for name in names:
-        report = verify_witness(SubeqWitness.from_json(payload[name]))
-        reports[name] = report["pass"]
-        ok = ok and report["pass"]
-    for name in ("composed", "boosted"):
-        report = verify_witness(SubeqWitness.from_json(payload[name]["witness"]))
-        reports[name] = report["pass"]
-        ok = ok and report["pass"]
+    failed = None
+    for name, claim, w, sources, targets in claims:
+        check = verify_witness(w)
+        proves = (
+            w.space.to_json() == space.to_json()
+            and _same_sets(w.sources, sources)
+            and _same_sets(w.targets, targets)
+        )
+        reports[name] = {
+            "claim": claim,
+            "verified": check["pass"],
+            "proves_claim": proves,
+            "failure": check["failure"],
+        }
+        if failed is None and not (check["pass"] and proves):
+            failed = claim
     flags = [
         payload.get("claim1", {}).get("pass"),
         payload.get("claim2", {}).get("pass"),
         payload.get("claim3", {}).get("pass"),
         payload.get("pass"),
     ]
-    ok = ok and all(flags)
-    return {"pass": ok, "witnesses": reports, "recorded_flags": flags}
+    if failed is None and not all(flags):
+        failed = "a recorded claim flag is not pass"
+    return {
+        "pass": failed is None,
+        "failed": failed,
+        "witnesses": reports,
+        "recorded_flags": flags,
+    }
 
 
 def _verify_isometry(payload: dict) -> dict:

@@ -212,26 +212,36 @@ def _load_witness(path: str):
         raise certs.MalformedCertificate(f"witness does not parse: {e}") from e
 
 
-def _emit_witness(args, w) -> int:
-    """Write a witness that ``compose`` or ``boost`` built and verified."""
+def _emit_witness(args, build) -> int:
+    """Write the witness that ``build`` (a ``compose`` or ``boost`` call)
+    returns verified; a failed check exits 2 with one stderr line."""
+    from .comparison import ConstructionFailed
+
+    try:
+        w = build()
+    except ConstructionFailed as e:
+        print(f"failed: {e}", file=sys.stderr)
+        return 2
     payload = w.to_json()
     payload["pass"] = w.report["pass"]
     env = certs.wrap("witness", payload, args.seed)
     _write_or_print(args, env)
-    return 0 if w.report["pass"] else 2
+    return 0
 
 
 def _cmd_compose(args) -> int:
     from .comparison import compose
 
-    return _emit_witness(args, compose(_load_witness(args.first), _load_witness(args.second)))
+    first, second = _load_witness(args.first), _load_witness(args.second)
+    return _emit_witness(args, lambda: compose(first, second))
 
 
 def _cmd_boost(args) -> int:
     from .comparison import boost
 
     w = _load_witness(args.input)
-    return _emit_witness(args, boost(w, _parse_clopen(w.space, args.V)))
+    v_set = _parse_clopen(w.space, args.V)
+    return _emit_witness(args, lambda: boost(w, v_set))
 
 
 def _cmd_isometry(args) -> int:

@@ -24,11 +24,18 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import prefix
 from . import words as fw
-from .boundary import ClopenSet, GeodesicMap, ProductClopen, clopen_from_json, shrink
+from .boundary import (
+    ClopenSet,
+    GeodesicMap,
+    ProductClopen,
+    boundary_from_json,
+    product_from_json,
+    shrink,
+)
 from .coloring import greedy_color
 from .groups import F2Group, F2xKGroup, cyclic_group, group_from_json
 from .towers import ProductSubset, SearchExhausted, TowerFamily, more_towers, verify_towers
@@ -92,6 +99,13 @@ class PlainSpace(F2Group):
     def cylinder(self, cell: Cell) -> ClopenSet:
         return ClopenSet.cylinder(cell[1])
 
+    def union_all(self, sets: Iterable[ClopenSet]) -> ClopenSet:
+        """The union of many sets with one canonicalisation."""
+        return ClopenSet.union_all(sets)
+
+    def set_from_json(self, data: dict) -> ClopenSet:
+        return boundary_from_json(data)
+
     def cells(self, s: ClopenSet, depth: int) -> List[Cell]:
         return [(None, w) for w in s.refine(depth)]
 
@@ -123,6 +137,20 @@ class ProductSpace(F2xKGroup):
     def cylinder(self, cell: Cell) -> ProductClopen:
         lbl, w = cell
         return ProductClopen(self.k_group, {lbl: ClopenSet.cylinder(w)})
+
+    def union_all(self, sets: Iterable[ProductClopen]) -> ProductClopen:
+        """The union of many sets with one canonicalisation per K slice."""
+        sets = list(sets)
+        return ProductClopen(
+            self.k_group,
+            {
+                lbl: ClopenSet.union_all(s.slices[lbl] for s in sets)
+                for lbl in self.k_group.elements
+            },
+        )
+
+    def set_from_json(self, data: dict) -> ProductClopen:
+        return product_from_json(self.k_group, data)
 
     def cells(self, s: ProductClopen, depth: int) -> List[Cell]:
         out: List[Cell] = []
@@ -267,11 +295,12 @@ class SubeqWitness:
 
     @staticmethod
     def from_json(data: dict) -> "SubeqWitness":
-        """Decode a witness; every entry must name a source index and a
-        color within range."""
+        """Decode a witness in its own space; every set must be a set of
+        that space over its K, and every entry must name a source index
+        and a color within range."""
         space = space_from_json(data["space"])
-        sources = [clopen_from_json(s) for s in data["sources"]]
-        targets = [clopen_from_json(t) for t in data["targets"]]
+        sources = [space.set_from_json(s) for s in data["sources"]]
+        targets = [space.set_from_json(t) for t in data["targets"]]
         entries = []
         for e in data["entries"]:
             for key, n in (("source", len(sources)), ("color", len(targets))):
@@ -279,7 +308,7 @@ class SubeqWitness:
                     raise ValueError(
                         f"an entry's {key} must be an int below {n}, not {e[key]!r}"
                     )
-            piece = clopen_from_json(e["piece"])
+            piece = space.set_from_json(e["piece"])
             entries.append((e["source"], piece, space.elem_from_json(e["g"]), e["color"]))
         return SubeqWitness(space, sources, targets, entries)
 
@@ -315,47 +344,49 @@ def _overlap_pair(space, items):
 
 
 def verify_witness(w: SubeqWitness) -> dict:
-    """Exact check of both witness invariants; reports the first failure."""
+    """Exact check of both witness invariants; reports the first failure
+    with a cell where it shows: an uncovered cell of the source, a cell of
+    the escaping image outside the target, or a cell in both images."""
     space = w.space
     report: dict = {"pass": True, "coverage": [], "colors": [], "failure": None}
+    pieces: Dict[int, List] = {}
+    for i, piece, _, _ in w.entries:
+        pieces.setdefault(i, []).append(piece)
     for i, src in enumerate(w.sources):
-        covered = space.empty()
-        for j, piece, _, _ in w.entries:
-            if j == i:
-                covered = covered.union(piece)
-        ok = src.is_subset(covered)
+        cover = space.union_all(pieces.get(i, ()))
+        ok = src.is_subset(cover)
         report["coverage"].append({"source": i, "pass": ok})
         if not ok and report["failure"] is None:
             report["pass"] = False
-            report["failure"] = {"kind": "coverage", "source": i}
+            cell = cylinder_cell_of(space, src.minus(cover))
+            report["failure"] = {"kind": "coverage", "source": i, "cell": list(cell)}
     for color in range(w.colors):
         target = w.targets[color]
-        images = []
-        contained = True
-        bad_entry = None
+        images = {}
+        escaping = None
         for idx, (i, piece, g, c) in enumerate(w.entries):
             if c != color:
                 continue
             img = space.act(g, piece)
             if not img.is_subset(target):
-                contained = False
-                bad_entry = idx
+                escaping = idx
                 break
-            images.append((idx, img))
-        disjoint = True
-        bad_pair = None
-        if contained:
-            bad_pair = _overlap_pair(space, images)
-            disjoint = bad_pair is None
+            images[idx] = img
+        contained = escaping is None
+        bad_pair = _overlap_pair(space, images.items()) if contained else None
+        disjoint = bad_pair is None
         report["colors"].append(
             {"color": color, "contained": contained, "disjoint": disjoint}
         )
         if (not contained or not disjoint) and report["failure"] is None:
             report["pass"] = False
             if not contained:
-                report["failure"] = {"kind": "containment", "entry": bad_entry}
+                cell = cylinder_cell_of(space, img.minus(target))
+                report["failure"] = {"kind": "containment", "entry": escaping, "cell": list(cell)}
             else:
-                report["failure"] = {"kind": "overlap", "entries": list(bad_pair)}
+                a, b = bad_pair
+                cell = cylinder_cell_of(space, images[a].inter(images[b]))
+                report["failure"] = {"kind": "overlap", "entries": [a, b], "cell": list(cell)}
     return report
 
 
@@ -392,7 +423,7 @@ def compose(w1: SubeqWitness, w2: SubeqWitness) -> SubeqWitness:
     return _verified(SubeqWitness(space, w1.sources, w2.targets, entries), "composed")
 
 
-def _cylinder_cell_of(space, s) -> Cell:
+def cylinder_cell_of(space, s) -> Cell:
     """Canonical cylinder cell of a nonempty clopen set (shortest, then lex)."""
     for lbl, sl in space.slice_items(s):
         if sl.is_full():
@@ -453,7 +484,7 @@ def boost(w: SubeqWitness, v_set) -> SubeqWitness:
     r_plus_1 = len(w.targets)
     if r_plus_1 == 1 and w.targets[0].is_subset(v_set):
         return _verified(SubeqWitness(space, w.sources, [v_set], w.entries), "boosted")
-    v_cell = _cylinder_cell_of(space, v_set)
+    v_cell = cylinder_cell_of(space, v_set)
     ends = _extensions_ending_with(v_cell[1], w0_cell[1][-1], r_plus_1)
     k_shift = None
     if space.kind == "F2xK":
@@ -689,6 +720,13 @@ class ComparisonInstance:
             out["k"] = self.k_group.to_json()
         return out
 
+    @staticmethod
+    def from_json(data: dict) -> "ComparisonInstance":
+        inst = ComparisonInstance(data["name"])
+        if inst.to_json() != data:
+            raise ValueError(f"not the {inst.name} instance: {data!r}")
+        return inst
+
 
 class ComparisonCertificate:
     def __init__(self, data: dict):
@@ -733,7 +771,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     k_group = inst.k_group
 
     # target cylinder and the shrinking margin that leaves it unchanged
-    u0_cell = _cylinder_cell_of(space, u_set)
+    u0_cell = cylinder_cell_of(space, u_set)
     u_target = space.cylinder(u0_cell)
     eps = Fraction(1, 2 ** (len(u0_cell[1]) + 1))
     if not space.shrink(u_target, eps).equals(u_target):
@@ -752,9 +790,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         e2 = sorted({k_group.mul(a, b) for a in e_set for b in e_set})
         m = len({k_group.mul(a, b) for a in e2 for b in e2})
 
-    covered = space.empty()
-    for f in f0:
-        covered = covered.union(space.act(space.inv(f), u_target))
+    covered = space.union_all(space.act(space.inv(f), u_target) for f in f0)
     if not space.full().is_subset(covered):
         raise ConstructionFailed("depth-1 movers do not reach the whole space")
 
@@ -860,10 +896,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     w_list = [measure_threshold(c.translate(g), theta_w) for c, g in zip(c_sets, g_elems)]
 
     # claim 2: the W's cover, and each pulls back into its V
-    union_w = space.empty()
-    for w_set in w_list:
-        union_w = union_w.union(w_set)
-    cover_ok = space.full().is_subset(union_w)
+    cover_ok = space.full().is_subset(space.union_all(w_list))
     inclusions_ok = all(
         space.act(space.inv(g), w_set).is_subset(v_set)
         for g, w_set, v_set in zip(g_elems, w_list, v_list)
@@ -935,10 +968,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "claim3": {k: v for k, v in claim3.items()},
         "claim2_witness": claim2_witness.to_json(),
         "claim3_witness": claim3_witness.to_json(),
-        "composed": {
-            "witness": composed.to_json(),
-            "report": composed.report,
-        },
+        "composed": {"report": composed.report},
         "boosted": {
             "witness": boosted.to_json(),
             "report": boosted.report,

@@ -106,6 +106,9 @@ class F2Group:
         return g
 
     def elem_from_json(self, data):
+        """A reduced word; anything else is a ValueError."""
+        if not fw.are_reduced([data]):
+            raise ValueError(f"not a reduced word over a, A, b, B: {data!r}")
         return data
 
     def word_part(self, g) -> str:
@@ -137,6 +140,11 @@ class F3Group(F2Group):
 
     def inv(self, g: str) -> str:
         return "".join(_F3_INV[x] for x in reversed(g))
+
+    def elem_from_json(self, data):
+        if not isinstance(data, str) or self.mul(data, "") != data:
+            raise ValueError(f"not a reduced word over a, A, b, B, c, C: {data!r}")
+        return data
 
     def ball(self, r: int) -> List[str]:
         out = [""]
@@ -175,7 +183,12 @@ class F2xF2Group(F2Group):
         return list(g)
 
     def elem_from_json(self, data):
+        if not (isinstance(data, list) and len(data) == 2 and self._valid(*data)):
+            raise ValueError(f"not an element of {self.kind}: {data!r}")
         return tuple(data)
+
+    def _valid(self, word, second) -> bool:
+        return fw.are_reduced([word, second])
 
     def word_part(self, g) -> str:
         return g[0]
@@ -195,6 +208,9 @@ class F2xKGroup(F2xF2Group):
 
     def inv(self, g: ProductElem) -> ProductElem:
         return (inverse(g[0]), self.k_group.inv(g[1]))
+
+    def _valid(self, word, label) -> bool:
+        return fw.are_reduced([word]) and label in self.k_group.elements
 
     def ball(self, r: int) -> List[ProductElem]:
         return [(w, e) for w in fw.ball(r) for e in self.k_group.elements]

@@ -37,12 +37,17 @@ class SearchExhausted(RuntimeError):
 # subsets of the non-free ambient groups
 
 
+# subsets are never changed after construction, so one empty set serves
+# every missing product slice
+_EMPTY = ss.empty_set()
+
+
 class ProductSubset:
     """Subset of F2 × K, one symbolic F2 slice per K element."""
 
     def __init__(self, k_group: FiniteGroup, slices: Dict[str, GroupSubset]):
         self.k = k_group
-        self.slices = {e: slices.get(e, ss.empty_set()) for e in k_group.elements}
+        self.slices = {e: slices.get(e, _EMPTY) for e in k_group.elements}
 
     def contains(self, g: ProductElem) -> bool:
         return self.slices[g[1]].contains(g[0])

@@ -14,7 +14,9 @@ from paratower.comparison import (
     ComparisonInstance,
     PlainSpace,
     SubeqWitness,
+    boost,
     build_comparison,
+    compose,
     verify_witness,
 )
 from paratower.crossed import build_isometry
@@ -144,10 +146,15 @@ def _check_comparison(cert):
     nm = data["n"] * data["m"]
     assert Fraction(data["delta"]) < Fraction(1, 2 * nm * (nm + 1))
     # independent recheck of every recorded witness
-    for name in ("claim2_witness", "claim3_witness"):
-        assert verify_witness(SubeqWitness.from_json(data[name]))["pass"]
-    for name in ("composed", "boosted"):
-        assert verify_witness(SubeqWitness.from_json(data[name]["witness"]))["pass"]
+    claim2, claim3, final = (
+        SubeqWitness.from_json(w)
+        for w in (data["claim2_witness"], data["claim3_witness"], data["boosted"]["witness"])
+    )
+    for w in (claim2, claim3, final):
+        assert verify_witness(w)["pass"]
+    # the final witness is the one boost and compose make of claims 2 and 3
+    u_set = final.space.set_from_json(data["U"])
+    assert boost(compose(claim2, claim3), u_set).to_json() == data["boosted"]["witness"]
 
 
 def test_07_full_comparison_pipeline():
@@ -225,7 +232,8 @@ def _tampered(env: dict, rng: random.Random) -> dict:
         i = rng.randrange(len(h))
         out["content_hash"] = h[:i] + ("f" if h[i] != "f" else "0") + h[i + 1 :]
     elif move == 1:
-        out["schema_version"] = rng.choice([0, 2, "1"])
+        version = certs.SCHEMA_VERSION
+        out["schema_version"] = rng.choice([0, version + 1, str(version)])
     elif move == 2:
         out["kind"] = rng.choice(["surprise", "", 7])
     elif move == 3:

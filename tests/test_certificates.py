@@ -116,7 +116,8 @@ def _mutate_envelope(env: dict, rng: random.Random) -> dict:
         i = rng.randrange(len(h))
         out["content_hash"] = h[:i] + ("0" if h[i] != "0" else "1") + h[i + 1 :]
     elif move == 1:
-        out["schema_version"] = rng.choice([0, 2, "1", None])
+        version = certs.SCHEMA_VERSION
+        out["schema_version"] = rng.choice([0, version + 1, str(version), None])
     elif move == 2:
         out["kind"] = rng.choice(["surprise", "towers2", "", 7])
     elif move == 3:

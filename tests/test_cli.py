@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import time
@@ -107,21 +108,39 @@ def test_compare_command(tmp_path):
     assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
-# SHA-256 of the `--json` output; the certificates have been byte-identical
-# since the one group protocol, and a faster build must keep them so
+# SHA-256 of the `--json` output.  Schema 2 dropped the composed witness,
+# which changed them; a faster build must keep them as they are.  The
+# third field is the content hash of the schema-1 payload with its composed
+# witness removed: every other payload field stayed byte-identical.
 PINNED_COMPARISONS = [
     (["--instance", "F2", "--U", "ab"],
-     "9fcbf47dc5f9828ac835cee8d1bb7c0184569dd2aa065923354526f14f86c0db"),
+     "5d2c8f9b61f0e12aa80abfa15b18af52806543ac775d500b930c843c040436d6",
+     "1fd0215da26532cd29f07cbbcf140abf5136cb8e2682d4af52fca4499cc96870"),
     (["--instance", "F2xZ2", "--U", "a:0"],
-     "e2294ba645b355e9e7c368368d3ff88df521be8953cf504e03d589c31e619f93"),
+     "114b5533cba04822e46afac14a121537b276dae750dbe3de6b80c70f9734cf6a",
+     "8c37906b2d2986f83ae2aec713ed39ce99a6a289f7b66ab23a8e3d7d4b55e976"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", PINNED_COMPARISONS, ids=["F2-ab", "F2xZ2-a0"])
-def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest):
+PINNED_IDS = ["F2-ab", "F2xZ2-a0"]
+
+
+@pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
+def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest, payload_digest):
     code, _ = run_json(tmp_path, ["compare"] + argv)
     assert code == 0
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
+def test_compare_payload_is_schema_1_without_the_composed_witness(
+    tmp_path, argv, digest, payload_digest
+):
+    code, env = run_json(tmp_path, ["compare"] + argv)
+    assert code == 0
+    assert env["schema_version"] == 2
+    assert list(env["payload"]["composed"]) == ["report"]
+    assert env["content_hash"] == payload_digest
 
 
 @pytest.mark.parametrize("value", ["-1", "x", "", "1.5"])
@@ -181,6 +200,32 @@ def test_boost_command(tmp_path):
     code, env = run_json(tmp_path, ["boost", str(p), "--V", "a"])
     assert code == 0
     assert len(env["payload"]["targets"]) == 1
+
+
+def _write_bad_witnesses(tmp_path):
+    """bad1 claims [a] ∪ [A] below [a], with one entry covering only [a];
+    bad2 is the identity witness on [a]."""
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import PlainSpace, SubeqWitness, identity_witness
+
+    cyl = ClopenSet.cylinder
+    bad1 = SubeqWitness(PlainSpace(), [ClopenSet(["a", "A"])], [cyl("a")], [(0, cyl("a"), "", 0)])
+    p1, p2 = tmp_path / "bad1.json", tmp_path / "bad2.json"
+    p1.write_text(json.dumps(bad1.to_json()))
+    p2.write_text(json.dumps(identity_witness(PlainSpace(), cyl("a")).to_json()))
+    return str(p1), str(p2)
+
+
+@pytest.mark.parametrize("command", ["compose", "boost"])
+def test_compose_and_boost_report_a_failed_witness(tmp_path, capsys, command):
+    bad1, bad2 = _write_bad_witnesses(tmp_path)
+    argv = ["compose", bad1, bad2] if command == "compose" else ["boost", bad1, "--V", "a"]
+    code, env = run_json(tmp_path, argv)
+    assert code == 2 and env is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    # [A] is the cell of the source that no piece covers
+    assert "failed verification" in err and "'coverage'" in err and "'A'" in err
 
 
 def test_each_witness_is_verified_once(monkeypatch, tmp_path):
@@ -484,3 +529,166 @@ def test_determinism_across_runs(tmp_path):
     a_code, a = run_json(tmp_path, ["f2-towers", "--D", "e,a,A,b,B"], "a.json")
     b_code, b = run_json(tmp_path, ["f2-towers", "--D", "e,a,A,b,B"], "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# -- forged comparison certificates, each with its content hash recomputed
+
+@pytest.fixture(scope="module")
+def f2_comparison():
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import ComparisonInstance, build_comparison
+
+    return build_comparison(ComparisonInstance("F2"), ClopenSet.cylinder("ab")).to_json()
+
+
+def _verify_payload(tmp_path, kind, payload, **envelope):
+    """Exit code of `verify` on the payload, and the verifier's report."""
+    env = dict(certs.wrap(kind, payload), **envelope)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(env))
+    return main(["verify", str(path)]), certs.verify_certificate(env)[1]
+
+
+def _forge_as_the_benchmark(p):
+    # every witness is the identity witness on [bb], which proves nothing
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import PlainSpace, identity_witness
+
+    trivial = identity_witness(PlainSpace(), ClopenSet.cylinder("bb")).to_json()
+    p["claim2_witness"] = p["claim3_witness"] = p["boosted"]["witness"] = trivial
+    p["composed"]["witness"] = trivial
+
+
+def _forge_other_u(p):
+    from paratower.boundary import ClopenSet
+
+    p["U"] = ClopenSet.cylinder("ba").to_json()
+
+
+def _forge_full_final_target(p):
+    from paratower.boundary import ClopenSet
+
+    p["boosted"]["witness"]["targets"] = [ClopenSet.full_set().to_json()]
+
+
+def _forge_claim3_without_the_last_v(p):
+    # still a sound witness, but of fewer sources than V
+    w = p["claim3_witness"]
+    last = len(w["sources"]) - 1
+    w["sources"].pop()
+    w["entries"] = [e for e in w["entries"] if e["source"] != last]
+
+
+@pytest.mark.parametrize(
+    "forge, claim",
+    [
+        (_forge_as_the_benchmark, "claim 2"),
+        # the target cell is worked out from U, so claim 3 fails first
+        (_forge_other_u, "claim 3"),
+        (_forge_full_final_target, "final"),
+        (_forge_claim3_without_the_last_v, "claim 3"),
+    ],
+    ids=["benchmark-forgery", "other-U", "full-final-target", "claim3-sources-not-V"],
+)
+def test_verify_rejects_forged_comparison(tmp_path, f2_comparison, forge, claim):
+    payload = copy.deepcopy(f2_comparison)
+    forge(payload)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and not report["pass"]
+    assert report["failed"].startswith(claim)
+    # each forged witness is sound; it fails because it proves another claim
+    name = {"claim 2": "claim2_witness", "claim 3": "claim3_witness", "final": "boosted"}[claim]
+    assert report["witnesses"][name]["verified"]
+    assert not report["witnesses"][name]["proves_claim"]
+
+
+def test_verify_accepts_the_comparison_and_rejects_schema_1(tmp_path, f2_comparison):
+    code, report = _verify_payload(tmp_path, "comparison", copy.deepcopy(f2_comparison))
+    assert code == 0 and report["failed"] is None
+    assert _verify_payload(tmp_path, "comparison", f2_comparison, schema_version=1)[0] == 3
+
+
+def _product_witness():
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.comparison import ProductSpace, identity_witness
+    from paratower.groups import cyclic_group
+
+    k2 = cyclic_group(2)
+    s = ProductClopen(k2, {"0": ClopenSet.cylinder("ab")})
+    return identity_witness(ProductSpace(k2), s).to_json()
+
+
+def _plain_witness():
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import PlainSpace, identity_witness
+
+    return identity_witness(PlainSpace(), ClopenSet.cylinder("ab")).to_json()
+
+
+def _with(w, path, value):
+    node = w
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return w
+
+
+def _z3_set():
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.groups import cyclic_group
+
+    return ProductClopen(cyclic_group(3), {"0": ClopenSet.cylinder("ab")}).to_json()
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda: _with(_product_witness(), ["entries", 0, "piece"], {
+            "space": "boundary", "kind": "antichain", "words": ["ab"]}),
+        lambda: _with(_product_witness(), ["entries", 0, "piece"], _z3_set()),
+        lambda: _with(_plain_witness(), ["sources", 0], _product_witness()["sources"][0]),
+        # a slice at a label outside K
+        lambda: _with(_product_witness(), ["targets", 0, "slices", "2"], {
+            "space": "boundary", "kind": "full"}),
+    ],
+    ids=["boundary-piece-in-F2xZ2", "Z3-piece-in-Z2", "product-source-in-F2", "slice-outside-K"],
+)
+def test_verify_rejects_a_witness_set_of_another_space(tmp_path, forge):
+    assert _verify_payload(tmp_path, "witness", forge())[0] == 3
+
+
+def test_verify_rejects_a_product_piece_in_a_plain_comparison(tmp_path, f2_comparison):
+    payload = copy.deepcopy(f2_comparison)
+    payload["boosted"]["witness"]["entries"][0]["piece"] = _product_witness()["sources"][0]
+    assert _verify_payload(tmp_path, "comparison", payload)[0] == 3
+
+
+
+def _plain_witness_moved_by(g):
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import PlainSpace, SubeqWitness
+
+    b, a = ClopenSet.cylinder("b"), ClopenSet.cylinder("a")
+    return SubeqWitness(PlainSpace(), [b], [a], [(0, b, g, 0)]).to_json()
+
+
+def _f2_towers_with_d(word):
+    from paratower.towers import f2_towers, verify_towers
+
+    payload = verify_towers(f2_towers(["", "a", "A", "b", "B"]), "exact").to_json()
+    payload["D"][1] = word
+    return payload
+
+
+@pytest.mark.parametrize(
+    "kind, forge",
+    [
+        # "aA" is the identity, yet read as a word it carries [b] into [aAb] ⊂ [a]
+        ("witness", lambda: _plain_witness_moved_by("aA")),
+        ("witness", lambda: _with(_product_witness(), ["entries", 0, "g"], ["aA", "0"])),
+        ("towers", lambda: _f2_towers_with_d("bBa")),
+    ],
+    ids=["F2-witness", "F2xZ2-witness", "F2-towers-D"],
+)
+def test_verify_rejects_an_unreduced_group_element(tmp_path, kind, forge):
+    assert _verify_payload(tmp_path, kind, forge())[0] == 3

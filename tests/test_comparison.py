@@ -272,16 +272,15 @@ def _random_clopen(rng):
     return ClopenSet(words)
 
 
+def _random_set(rng, space):
+    if isinstance(space, ProductSpace):
+        labels = rng.sample(space.k_group.elements, rng.randint(1, len(space.k_group)))
+        return ProductClopen(space.k_group, {lbl: _random_clopen(rng) for lbl in labels})
+    return _random_clopen(rng)
+
+
 def _random_items(rng, space):
-    items = []
-    for _ in range(rng.randint(1, 7)):
-        if isinstance(space, ProductSpace):
-            labels = rng.sample(space.k_group.elements, rng.randint(1, len(space.k_group)))
-            s = ProductClopen(space.k_group, {lbl: _random_clopen(rng) for lbl in labels})
-        else:
-            s = _random_clopen(rng)
-        items.append((s, rng.choice(WEIGHTS)))
-    return items
+    return [(_random_set(rng, space), rng.choice(WEIGHTS)) for _ in range(rng.randint(1, 7))]
 
 
 def _value_on(space, items, cell):
@@ -374,3 +373,137 @@ def test_build_comparison_raises_when_a_step_fails(monkeypatch, attr, fake, mess
     with pytest.raises(ConstructionFailed, match=message):
         build_comparison(ComparisonInstance("F2"), cyl("ab"))
 
+
+
+# -- the one-shot cover of verify_witness against the chained union
+
+def _chained_cover(space, w, i):
+    covered = space.empty()
+    for j, piece, _, _ in w.entries:
+        if j == i:
+            covered = covered.union(piece)
+    return covered
+
+
+def _verify_witness_chained(w):
+    """verify_witness as it was with one union per entry, whose failures
+    named no cell: the reference for every other field of the report."""
+    space = w.space
+    report = {"pass": True, "coverage": [], "colors": [], "failure": None}
+    for i, src in enumerate(w.sources):
+        ok = src.is_subset(_chained_cover(space, w, i))
+        report["coverage"].append({"source": i, "pass": ok})
+        if not ok and report["failure"] is None:
+            report["pass"] = False
+            report["failure"] = {"kind": "coverage", "source": i}
+    for color in range(w.colors):
+        target = w.targets[color]
+        images = []
+        contained = True
+        bad_entry = None
+        for idx, (i, piece, g, c) in enumerate(w.entries):
+            if c != color:
+                continue
+            img = space.act(g, piece)
+            if not img.is_subset(target):
+                contained = False
+                bad_entry = idx
+                break
+            images.append((idx, img))
+        disjoint = True
+        bad_pair = None
+        if contained:
+            bad_pair = comparison._overlap_pair(space, images)
+            disjoint = bad_pair is None
+        report["colors"].append({"color": color, "contained": contained, "disjoint": disjoint})
+        if (not contained or not disjoint) and report["failure"] is None:
+            report["pass"] = False
+            if not contained:
+                report["failure"] = {"kind": "containment", "entry": bad_entry}
+            else:
+                report["failure"] = {"kind": "overlap", "entries": list(bad_pair)}
+    return report
+
+
+def _random_element(rng, space):
+    w = ""
+    for _ in range(rng.randint(0, 3)):
+        w += rng.choice(legal_next_letters(w))
+    if isinstance(space, ProductSpace):
+        return (w, rng.choice(space.k_group.elements))
+    return w
+
+
+def _random_witness(rng, space):
+    """Sources cut into cells, a few cells left out; each cell moved by the
+    identity or by random elements; each target the union of its color's
+    images, sometimes with a cell cut out or replaced by a random set."""
+    sources = [_random_set(rng, space) for _ in range(rng.randint(1, 2))]
+    colors = rng.randint(1, 3)
+    moved = rng.random() < 0.5
+    entries = []
+    for i, src in enumerate(sources):
+        depth = max([1] + [sl.depth() for _, sl in space.slice_items(src)])
+        for cell in space.cells(src, depth):
+            if rng.random() < 0.05:
+                continue
+            g = _random_element(rng, space) if moved else space.identity
+            entries.append((i, space.cylinder(cell), g, rng.randrange(colors)))
+    targets = []
+    for color in range(colors):
+        target = space.empty()
+        for _, piece, g, c in entries:
+            if c == color:
+                target = target.union(space.act(g, piece))
+        roll = rng.random()
+        if roll < 0.15 and not target.is_empty():
+            cut = comparison.cylinder_cell_of(space, target)
+            target = target.minus(space.cylinder((cut[0], cut[1] + rng.choice("ab"))))
+        elif roll < 0.25:
+            target = _random_set(rng, space)
+        targets.append(target)
+    return SubeqWitness(space, sources, targets, entries)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_one_shot_cover_matches_the_chained_union(space):
+    rng = random.Random(f"cover/{space.kind}")
+    seen = []
+    for _ in range(150):
+        w = _random_witness(rng, space)
+        report = verify_witness(w)
+        failure = report["failure"]
+        seen.append(failure["kind"] if failure else "pass")
+        cell = None
+        if failure is not None:
+            failure = dict(failure)
+            cell = space.cylinder(tuple(failure.pop("cell")))
+        assert dict(report, failure=failure) == _verify_witness_chained(w)
+        if cell is None:
+            continue
+        # the named cell is a counterexample
+        if failure["kind"] == "coverage":
+            i = failure["source"]
+            assert cell.is_subset(w.sources[i])
+            assert cell.are_disjoint(_chained_cover(space, w, i))
+        elif failure["kind"] == "containment":
+            _, piece, g, color = w.entries[failure["entry"]]
+            assert cell.is_subset(space.act(g, piece))
+            assert cell.are_disjoint(w.targets[color])
+        else:
+            for idx in failure["entries"]:
+                _, piece, g, _ = w.entries[idx]
+                assert cell.is_subset(space.act(g, piece))
+    assert {"pass", "coverage", "containment", "overlap"} <= set(seen)
+
+
+def test_failures_name_a_cell():
+    src = cyl("a").union(cyl("A"))
+    report = verify_witness(make_witness([(0, cyl("a"), "a", 0)], [src], [cyl("a")]))
+    assert report["failure"] == {"kind": "coverage", "source": 0, "cell": [None, "A"]}
+    # the identity keeps [A], whose first cell outside [Ab] is [AA]
+    report = verify_witness(make_witness([(0, cyl("A"), "", 0)], [cyl("A")], [cyl("Ab")]))
+    assert report["failure"] == {"kind": "containment", "entry": 0, "cell": [None, "AA"]}
+    entries = [(0, cyl("ba"), "a", 0), (0, cyl("bab"), "a", 0)]
+    report = verify_witness(make_witness(entries, [cyl("ba")], [cyl("a")]))
+    assert report["failure"] == {"kind": "overlap", "entries": [0, 1], "cell": [None, "abab"]}

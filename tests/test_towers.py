@@ -342,3 +342,16 @@ def test_sweep_counts_the_ball_before_enumerating():
     for bad in ({"kind": "F4"}, {"kind": "F2xK"}, {}):
         with pytest.raises(ValueError):
             group_from_json(bad)
+
+
+def test_product_subset_builds_no_empty_slices(monkeypatch):
+    calls = []
+    real = ss.empty_set
+    monkeypatch.setattr(ss, "empty_set", lambda: calls.append(1) or real())
+    k = cyclic_group(3)
+    ProductSubset(k, {e: ss.cone("a") for e in k.elements})
+    assert calls == []
+    # missing slices share one empty set
+    p = ProductSubset(k, {"0": ss.cone("a")})
+    assert calls == []
+    assert p.slices["1"] is p.slices["2"] and ss.is_empty(p.slices["1"])
