@@ -21,6 +21,7 @@ from . import prefix
 from .groups import FiniteGroup, finite_group_from_json
 from .subsets import GroupSubset, NormalForm
 from .words import (
+    LETTERS,
     are_reduced,
     inverse_letter,
     legal_next_letters,
@@ -102,14 +103,21 @@ class TranslatedPoint(BoundaryPoint):
         return {"kind": "translate", "g": self.g, "base": self.base.to_json()}
 
 
+def _point_words(*ws) -> tuple:
+    if not are_reduced(list(ws)):
+        raise ValueError(f"point words must be reduced words over a, A, b, B: {list(ws)!r}")
+    return ws
+
+
 def point_from_json(data: dict) -> BoundaryPoint:
     kind = data["kind"]
     if kind == "aperiodic":
         return AperiodicPoint()
     if kind == "periodic":
-        return PeriodicPoint(data["head"], data["cycle"])
+        return PeriodicPoint(*_point_words(data["head"], data["cycle"]))
     if kind == "translate":
-        return TranslatedPoint(data["g"], point_from_json(data["base"]))
+        (g,) = _point_words(data["g"])
+        return TranslatedPoint(g, point_from_json(data["base"]))
     raise ValueError(f"unknown point kind: {kind!r}")
 
 
@@ -253,6 +261,30 @@ class ClopenSet:
 # ClopenSet is never changed after construction, so one empty set serves
 # every missing product slice
 _EMPTY = ClopenSet()
+
+
+def first_overlap(sets: Sequence[ClopenSet]) -> Optional[Tuple[int, int]]:
+    """Indices i < j of two of the sets that meet, or None when they are
+    pairwise disjoint; one sorted scan of all their bases."""
+    pair = prefix.first_overlap(
+        (b, k) for k, s in enumerate(sets) for b in ([""] if s.full else s.bases)
+    )
+    return None if pair is None else (min(pair), max(pair))
+
+
+def orbit_word(point: BoundaryPoint, s: ClopenSet) -> str:
+    """A word h with h·point in the nonempty set s, so every orbit meets s.
+
+    With c the first base of s (shortest, then lex) and z₁ the first letter
+    of the point, c·z is c z₁ z₂ … with no cancellation unless c ends in
+    z₁⁻¹; then one letter y outside {z₁, z₁⁻¹} after c keeps c·y·z reduced."""
+    if s.is_empty():
+        raise ValueError("the empty set holds no orbit point")
+    c = "" if s.full else s.sorted_bases()[0]
+    z1 = point.prefix(1)
+    if c and c[-1] == inverse_letter(z1):
+        c += next(y for y in LETTERS if y not in (z1, inverse_letter(z1)))
+    return c
 
 
 def shrink(u: ClopenSet, eps: Fraction) -> ClopenSet:

@@ -29,10 +29,9 @@ def _parse_words(text: str) -> List[str]:
 
 
 def _write_or_print(args, envelope: dict) -> None:
-    blob = json.dumps(envelope, sort_keys=True, indent=2)
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(blob + "\n")
+            fh.write(certs.canonical_json(envelope) + "\n")
     else:
         print(emit_report(envelope))
 
@@ -140,7 +139,7 @@ def _cmd_filling_towers(args) -> int:
     from .towers import towers_from_filling, verify_towers
 
     fam = towers_from_filling(_parse_words(args.D), n=args.n)
-    cert = verify_towers(fam, "ball", args.radius)
+    cert = verify_towers(fam, args.mode, args.radius)
     env = certs.wrap("towers", cert.to_json(), args.seed)
     _write_or_print(args, env)
     return 0 if cert.passed else 2
@@ -307,6 +306,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filling-towers", help="towers from the boundary action")
     p.add_argument("--D", required=True)
     p.add_argument("--n", type=int, default=2)
+    p.add_argument("--mode", choices=["exact", "ball"], default="ball")
     p.add_argument("--radius", type=int, default=8)
     common(p)
     p.set_defaults(func=_cmd_filling_towers)

@@ -335,9 +335,9 @@ def subset_from_json(data: dict) -> GroupSubset:
     if kind == "translate":
         return TranslateSet(data["g"], subset_from_json(data["inner"]))
     if kind == "orbitpre":
-        from .boundary import clopen_from_json, point_from_json
+        from .boundary import boundary_from_json, point_from_json
 
         return OrbitPreimage(
-            point_from_json(data["point"]), clopen_from_json(data["clopen"])
+            point_from_json(data["point"]), boundary_from_json(data["clopen"])
         )
     raise ValueError(f"unknown subset node kind: {kind!r}")

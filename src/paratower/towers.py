@@ -6,8 +6,9 @@ pairwise disjoint while the g_i·A_i cover G.  The free-group construction
 uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
-by the same prefix-trie walk that certifies it on a metric ball; orbit-
-preimage families from the boundary action are certified on balls only.
+by the same prefix-trie walk that certifies it on a metric ball.  Orbit-
+preimage families from the boundary action are certified exactly by
+clopen-set algebra on the boundary.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from . import prefix
 from . import subsets as ss
 from . import words as fw
+from .boundary import AperiodicPoint, ClopenSet, TranslatedPoint, first_overlap, orbit_word
 from .groups import (
     FiniteGroup,
     ProductElem,
@@ -345,8 +347,9 @@ def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
 
 def _sweep_ball(family: TowerFamily, radius: int) -> dict:
     """Ball checks by enumerating the ball and testing membership with
-    ``contains``; for sets without a normal form, and the reference for the
-    trie walk."""
+    ``contains``; for sets without a normal form that fail or escape
+    ``_boundary_checks``, and the reference for the trie walk and the
+    boundary check."""
     group = family.group
     cap = fw.ball_size(fw.DEFAULT_MAX_RADIUS)
     # every group's ball is at least as large as F2's, so a radius above the
@@ -382,20 +385,72 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
     return _ball_checks(family, clash, bare)
 
 
+def _boundary_checks(family: TowerFamily) -> Optional[dict]:
+    """Checks on the whole group of an F2 family whose sets are all orbit
+    preimages A_i = {g : g·z ∈ U_i} over one point z, each U_i a clopen set
+    of the boundary; None for any other family.
+
+    d·A_i = {g : g·z ∈ d·U_i}, and every orbit meets every nonempty clopen
+    set (``boundary.orbit_word``).  So the d·A_i are pairwise disjoint
+    exactly when the d·U_i are, and the g_i·A_i of a cover group cover F2
+    exactly when the g_i·U_i cover the boundary.  A failure reports a word
+    whose orbit point lies in the offending set."""
+    sets = [a for a, _ in family.items]
+    if family.kind != "F2" or not sets or not all(
+        isinstance(a, ss.OrbitPreimage) and isinstance(a.clopen, ClopenSet) for a in sets
+    ):
+        return None
+    z = sets[0].point
+    if any(a.point.to_json() != z.to_json() for a in sets):
+        return None
+    group = family.group
+
+    def inside(w, g, i: int) -> bool:
+        """w ∈ g·A_i by membership; the boundary algebra must agree."""
+        return sets[i].contains(group.mul(group.inv(g), w))
+
+    owners = _owners(family)
+    moved = [sets[i].clopen.act(family.d_set[di]) for di, i in owners]
+    clash = None
+    pair = first_overlap(moved)
+    if pair is not None:
+        w = orbit_word(z, moved[pair[0]].inter(moved[pair[1]]))
+        hits = [owners[k] for k in pair]
+        if not all(inside(w, family.d_set[di], i) for di, i in hits):
+            raise RuntimeError(f"orbit word {w!r} misses a translate of the clash")
+        clash = (w, *hits)
+    bare = None
+    for group_no, idxs in enumerate(family.cover_groups):
+        union = ClopenSet.union_all(sets[i].clopen.act(family.items[i][1]) for i in idxs)
+        if not union.is_full():
+            w = orbit_word(z, union.complement())
+            if any(inside(w, family.items[i][1], i) for i in idxs):
+                raise RuntimeError(f"orbit word {w!r} lies in a covering translate")
+            bare = (w, group_no)
+            break
+    return _ball_checks(family, clash, bare)
+
+
 def verify_towers(
     family: TowerFamily, mode: str = "exact", radius: Optional[int] = None
 ) -> TowerCertificate:
     """Certify both tower conditions on the whole group (exact mode) or on a
     metric ball.  Both modes walk the prefix trie of the translates' normal
     forms; past the longest base or word every membership pattern has
-    occurred, so the exact walk needs no depth bound."""
+    occurred, so the exact walk needs no depth bound.  Orbit-preimage
+    families have no normal forms and take ``_boundary_checks``; in ball
+    mode a pass there is a pass on every ball, and a failure sweeps the ball
+    for its first counterexample."""
+    on_boundary = _boundary_checks(family)
     if mode == "exact":
-        try:
-            checks = _walk_ball(family, None)
-        except NotNormalizable as e:
-            raise NotNormalizable(
-                f"exact mode unavailable for this family: {e}"
-            ) from e
+        checks = on_boundary
+        if checks is None:
+            try:
+                checks = _walk_ball(family, None)
+            except NotNormalizable as e:
+                raise NotNormalizable(
+                    f"exact mode unavailable for this family: {e}"
+                ) from e
         return TowerCertificate(family.to_json(), "exact", None, checks)
 
     if mode != "ball":
@@ -404,10 +459,13 @@ def verify_towers(
         raise ValueError("ball mode needs a radius")
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 0:
         raise ValueError(f"ball radius must be a nonnegative integer, not {radius!r}")
-    try:
-        checks = _walk_ball(family, radius)
-    except NotNormalizable:
-        checks = _sweep_ball(family, radius)
+    if on_boundary is not None and all(c["pass"] for c in on_boundary.values()):
+        checks = on_boundary
+    else:
+        try:
+            checks = _walk_ball(family, radius)
+        except NotNormalizable:
+            checks = _sweep_ball(family, radius)
     return TowerCertificate(family.to_json(), "ball", radius, checks)
 
 
@@ -632,8 +690,6 @@ def towers_from_filling(
     are pairwise disjoint, and the covering elements u_i^{-1} push each
     cylinder onto the complement of a single depth-1 cylinder.
     """
-    from .boundary import AperiodicPoint, ClopenSet, TranslatedPoint
-
     if n < 2:
         raise ValueError("need at least two towers")
     d_list = [fw.reduce_word(d) for d in d_set]
@@ -682,33 +738,18 @@ def towers_from_filling(
             while points[-1].prefix(k)[-1] == bases[0][-1]:
                 k += 1
             bases[-1] = points[-1].prefix(k)
-        cyls = [ClopenSet.cylinder(b) for b in bases]
-        translated = [
-            (d, i, cyls[i].act(d)) for i in range(n) for d in d_list
-        ]
-        ok = True
-        for (d, i, s), (d2, i2, t) in itertools.combinations(translated, 2):
-            if not s.are_disjoint(t):
-                ok = False
-                break
-        if ok:
+        items = [(ss.OrbitPreimage(z, ClopenSet.cylinder(b)), inverse(b)) for b in bases]
+        checks = _boundary_checks(TowerFamily("F2", d_list, items))
+        if checks["disjoint"]["pass"]:
             break
         depth += 1
         if depth > 60:
             raise SearchExhausted("could not separate neighborhoods")
-
     # filling data: u^{-1}·[u] is the complement of one depth-1 cylinder,
     # and the last letters are not all equal, so the images cover
-    g_elems = [inverse(b) for b in bases]
-    total = ClopenSet.empty()
-    for g_elem, cyl in zip(g_elems, cyls):
-        total = total.union(cyl.act(g_elem))
-    if not total.is_full():
+    if not checks["cover"]["pass"]:
         raise RuntimeError("filling data failed to cover the boundary")
 
-    items = []
-    for i in range(n):
-        items.append((ss.OrbitPreimage(z, cyls[i]), g_elems[i]))
     return TowerFamily(
         "F2",
         d_list,

@@ -14,6 +14,8 @@ from paratower.boundary import (
     RationalProbMeasure,
     TranslatedPoint,
     clopen_from_json,
+    first_overlap,
+    orbit_word,
     point_from_json,
     shrink,
 )
@@ -57,6 +59,56 @@ def test_point_json_round_trip():
               TranslatedPoint("b", AperiodicPoint())):
         q = point_from_json(p.to_json())
         assert q.prefix(12) == p.prefix(12)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "translate", "g": "aA", "base": {"kind": "aperiodic"}},
+        {"kind": "translate", "g": ["a"], "base": {"kind": "aperiodic"}},
+        {"kind": "periodic", "head": "", "cycle": "ab,"},
+        {"kind": "periodic", "head": "x", "cycle": "a"},
+        {"kind": "translate", "g": "a", "base": {"kind": "periodic", "head": "bB", "cycle": "a"}},
+    ],
+    ids=["unreduced-g", "list-g", "comma-in-cycle", "non-letter-head", "nested-base"],
+)
+def test_point_words_must_be_reduced(data):
+    with pytest.raises(ValueError, match="reduced words"):
+        point_from_json(data)
+
+
+points = st.sampled_from(
+    [AperiodicPoint(), PeriodicPoint("", "a"), PeriodicPoint("B", "ab"),
+     TranslatedPoint("bA", AperiodicPoint())]
+)
+
+
+@given(points, clopens)
+@settings(max_examples=80, deadline=None)
+def test_orbit_word_moves_the_point_into_the_set(z, s):
+    if s.is_empty():
+        with pytest.raises(ValueError):
+            orbit_word(z, s)
+        return
+    h = orbit_word(z, s)
+    assert s.contains_point_prefix(TranslatedPoint(h, z).prefix(s.depth()))
+    # h is the first base of s, or that base and one letter more
+    c = "" if s.full else s.sorted_bases()[0]
+    assert h[:len(c)] == c and len(h) - len(c) in (0, 1)
+
+
+@given(st.lists(clopens, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_first_overlap_finds_a_meeting_pair(sets):
+    meeting = [
+        (i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))
+        if not sets[i].are_disjoint(sets[j])
+    ]
+    pair = first_overlap(sets)
+    if not meeting:
+        assert pair is None
+    else:
+        assert pair in meeting
 
 
 # -- clopen algebra

@@ -66,6 +66,74 @@ def test_union_and_filling_towers(tmp_path):
     assert env["payload"]["mode"] == "ball"
 
 
+def test_filling_towers_exact_mode(tmp_path):
+    code, env = run_json(tmp_path, ["filling-towers", "--D", "e,a,A", "--mode", "exact"])
+    assert code == 0
+    assert env["payload"]["mode"] == "exact" and "radius" not in env["payload"]
+    assert main(["verify", str(tmp_path / "out.json")]) == 0
+
+
+def _filling_payload(mode) -> dict:
+    from paratower.towers import towers_from_filling, verify_towers
+
+    fam = towers_from_filling(["", "a", "A"])
+    return verify_towers(fam, mode, 8 if mode == "ball" else None).to_json()
+
+
+def _duplicated_filling_tower(mode) -> dict:
+    payload = _filling_payload(mode)
+    payload["towers"].append(payload["towers"][0])
+    return payload
+
+
+def _identity_filling_mover(mode) -> dict:
+    payload = _filling_payload(mode)
+    payload["towers"][1]["g"] = ""
+    return payload
+
+
+@pytest.mark.parametrize("mode", ["exact", "ball"])
+@pytest.mark.parametrize("forge", [_duplicated_filling_tower, _identity_filling_mover])
+def test_verify_rejects_forged_filling_family(tmp_path, forge, mode, capsys):
+    assert main(["verify", _forged_towers(tmp_path, forge(mode))]) == 2
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["recomputed"].values() if not c["pass"]]
+    assert failed and all(c["counterexample"]["word"] is not None for c in failed)
+
+
+def _filling_point(point) -> dict:
+    payload = _filling_payload("ball")
+    for tower in payload["towers"]:
+        tower["A"]["point"] = point
+    return payload
+
+
+def _filling_over_product_clopen() -> dict:
+    # an orbit preimage lives over the plain boundary
+    payload = _filling_payload("ball")
+    for tower in payload["towers"]:
+        tower["A"]["clopen"] = {
+            "space": "product",
+            "k": {"name": "Z/2", "elements": ["0", "1"]},
+            "slices": {"0": tower["A"]["clopen"]},
+        }
+    return payload
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        _filling_over_product_clopen,
+        lambda: _filling_point({"kind": "translate", "g": "aA", "base": {"kind": "aperiodic"}}),
+        lambda: _filling_point({"kind": "periodic", "head": "", "cycle": "ab!"}),
+    ],
+    ids=["product-clopen", "unreduced-translate", "non-letter-cycle"],
+)
+@pytest.mark.parametrize("mode", ["exact", "ball"])
+def test_verify_rejects_malformed_orbit_preimage(tmp_path, forge, mode):
+    assert main(["verify", _forged_towers(tmp_path, _with_mode(forge(), mode))]) == 3
+
+
 def test_verify_round_trip(tmp_path):
     code, env = run_json(tmp_path, ["f2-towers", "--D", "e,a,A,b,B"])
     path = tmp_path / "out.json"
@@ -108,16 +176,16 @@ def test_compare_command(tmp_path):
     assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
-# SHA-256 of the `--json` output.  Schema 2 dropped the composed witness,
-# which changed them; a faster build must keep them as they are.  The
-# third field is the content hash of the schema-1 payload with its composed
-# witness removed: every other payload field stayed byte-identical.
+# SHA-256 of the `--json` output, the envelope's canonical JSON and a
+# newline; a faster build must keep them as they are.  The third field is
+# the content hash of the schema-1 payload with its composed witness
+# removed: every other payload field stayed byte-identical.
 PINNED_COMPARISONS = [
     (["--instance", "F2", "--U", "ab"],
-     "5d2c8f9b61f0e12aa80abfa15b18af52806543ac775d500b930c843c040436d6",
+     "801f3e723f26531f178c9d36f959aeda784e26ebccaafad0d953f6766015dad6",
      "1fd0215da26532cd29f07cbbcf140abf5136cb8e2682d4af52fca4499cc96870"),
     (["--instance", "F2xZ2", "--U", "a:0"],
-     "114b5533cba04822e46afac14a121537b276dae750dbe3de6b80c70f9734cf6a",
+     "872442ea3b745cddd296a9e777aa778d87b0c9f5406845a6fe6b66c12d448610",
      "8c37906b2d2986f83ae2aec713ed39ce99a6a289f7b66ab23a8e3d7d4b55e976"),
 ]
 

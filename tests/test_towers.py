@@ -1,10 +1,12 @@
 import itertools
 import json
+import random
 
 import pytest
 
 import paratower.subsets as ss
 import paratower.towers as towers
+from paratower.boundary import ClopenSet, PeriodicPoint, ProductClopen
 from paratower.groups import (
     F2Group,
     F2xF2Group,
@@ -29,7 +31,7 @@ from paratower.towers import (
     union_towers,
     verify_towers,
 )
-from paratower.words import ball, inverse, multiply
+from paratower.words import LETTERS, ball, inverse, multiply
 
 D5 = ["", "a", "A", "b", "B"]
 
@@ -104,8 +106,7 @@ def test_towers_from_filling():
     fam = towers_from_filling(["", "a", "A"])
     cert = verify_towers(fam, "ball", 6)
     assert cert.passed
-    with pytest.raises(Exception):
-        verify_towers(fam, "exact")
+    assert verify_towers(fam, "exact").passed
 
 
 def test_family_json_round_trip():
@@ -355,3 +356,132 @@ def test_product_subset_builds_no_empty_slices(monkeypatch):
     p = ProductSubset(k, {"0": ss.cone("a")})
     assert calls == []
     assert p.slices["1"] is p.slices["2"] and ss.is_empty(p.slices["1"])
+
+
+# -- orbit-preimage families: the boundary check against the contains sweep
+
+
+def _random_word(rng: random.Random, length: int) -> str:
+    w = ""
+    while len(w) < length:
+        y = rng.choice(LETTERS)
+        if not w or y != inverse(w[-1]):
+            w += y
+    return w
+
+
+def _filling_defects(seed: int) -> dict:
+    """A filling family on a random symmetric D and its seeded defects."""
+    rng = random.Random(seed)
+    x = _random_word(rng, rng.randint(1, 2))
+    d_set = {"", x, inverse(x)}
+    if seed % 2:
+        y = _random_word(rng, 1)
+        d_set |= {y, inverse(y)}
+    fam = towers_from_filling(sorted(d_set, key=lambda w: (len(w), w)), n=2 + seed % 3)
+    z = fam.items[0][0].point
+    k = rng.randrange(fam.n)
+    cylinder = ss.OrbitPreimage(z, ClopenSet.cylinder(_random_word(rng, rng.randint(1, 3))))
+    return {
+        "as built": fam,
+        "duplicated tower": _mutate(fam, items=fam.items + [fam.items[0]]),
+        "random movers": _mutate(
+            fam, items=[(a, _random_word(rng, rng.randint(0, 3))) for a, _ in fam.items]
+        ),
+        "random cylinder": _mutate(
+            fam, items=fam.items[:k] + [(cylinder, fam.items[k][1])] + fam.items[k + 1:]
+        ),
+    }
+
+
+def _assert_exact_counterexamples(fam: TowerFamily, checks: dict) -> None:
+    """A disjointness word lies in both translates it names, a cover word
+    in no covering translate of its cover group."""
+    clash = checks["disjoint"]["counterexample"]
+    if clash is not None:
+        assert (clash["d"], clash["i"]) != (clash["d2"], clash["i2"])
+        for d, i in ((clash["d"], clash["i"]), (clash["d2"], clash["i2"])):
+            assert fam.items[i][0].contains(multiply(inverse(d), clash["word"]))
+    bare = checks["cover"]["counterexample"]
+    if bare is not None:
+        for i in fam.cover_groups[bare["cover_group"]]:
+            a, g = fam.items[i]
+            assert not a.contains(multiply(inverse(g), bare["word"]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_filling_checks_match_sweep(seed):
+    for name, fam in _filling_defects(seed).items():
+        exact = verify_towers(fam, "exact")
+        # a random mover or cylinder may still leave a tower family
+        if name in ("as built", "duplicated tower"):
+            assert exact.passed == (name == "as built"), name
+        _assert_exact_counterexamples(fam, exact.checks)
+        for r in range(7):
+            sweep = _sweep_ball(fam, r)
+            assert verify_towers(fam, "ball", r).checks == sweep, (name, r)
+            # a check that fails on a ball fails on the boundary
+            for check, result in sweep.items():
+                assert result["pass"] or not exact.checks[check]["pass"], (name, r, check)
+
+
+def test_filling_ball_mode_needs_no_sweep(monkeypatch):
+    fam = towers_from_filling(["", "a", "A"])
+
+    def no_sweep(family, radius):
+        raise AssertionError("swept the ball")
+
+    monkeypatch.setattr(towers, "_sweep_ball", no_sweep)
+    for r in (8, 10**6):
+        assert verify_towers(fam, "ball", r).passed
+    broken = _mutate(fam, items=fam.items + [fam.items[0]])
+    with pytest.raises(AssertionError, match="swept"):
+        verify_towers(broken, "ball", 8)
+
+
+def test_exact_counterexample_when_the_first_base_ends_in_the_inverse_of_z1():
+    # z = a^∞ and A·z = z: the word for [A] must leave z's A-orbit line
+    z = PeriodicPoint("", "a")
+    fam = TowerFamily(
+        "F2",
+        [""],
+        [(ss.OrbitPreimage(z, ClopenSet.cylinder("A")), "")] * 2
+        + [(ss.OrbitPreimage(z, ClopenSet.cylinder("A").complement()), "")],
+        cover_groups=[[2]],
+    )
+    checks = verify_towers(fam, "exact").checks
+    assert checks["disjoint"]["counterexample"] == {
+        "word": "Ab", "d": "", "i": 0, "d2": "", "i2": 1,
+    }
+    assert checks["cover"]["counterexample"] == {"word": "Ab", "cover_group": 0}
+    _assert_exact_counterexamples(fam, checks)
+    # the first base alone is no counterexample: A·z = z
+    assert fam.items[2][0].contains("A") and not fam.items[0][0].contains("A")
+
+
+def _mixed_families() -> dict:
+    fam = towers_from_filling(["", "a", "A"])
+    (a0, g0), (a1, g1) = fam.items
+    k2 = ProductClopen.uniform(cyclic_group(2), a1.clopen)
+    rect = extension_towers([("a", "b")])
+    (r0, h0), *rest = rect.items
+    return {
+        "a cone beside an orbit preimage": _mutate(fam, items=[(a0, g0), (ss.cone("b"), g1)]),
+        "two points": _mutate(
+            fam, items=[(a0, g0), (ss.OrbitPreimage(PeriodicPoint("", "ab"), a1.clopen), g1)]
+        ),
+        "a product clopen": _mutate(fam, items=[(a0, g0), (ss.OrbitPreimage(a1.point, k2), g1)]),
+        "an F2 x F2 orbit factor": _mutate(
+            rect, items=[(ProductF2Subset(a0, r0.second), h0)] + rest
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mixed_families()))
+def test_mixed_orbit_families_still_sweep(name):
+    fam = _mixed_families()[name]
+    assert towers._boundary_checks(fam) is None
+    with pytest.raises(ss.NotNormalizable, match="exact mode unavailable"):
+        verify_towers(fam, "exact")
+    if name != "a product clopen":
+        assert verify_towers(fam, "ball", 2).checks == _sweep_ball(fam, 2)
