@@ -8,6 +8,7 @@ import sys
 from typing import List, Optional
 
 from . import certificates as certs
+from .towers import SearchExhausted
 
 
 class _Parser(argparse.ArgumentParser):
@@ -358,7 +359,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except certs.MalformedCertificate as e:
         print(f"malformed: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, SearchExhausted) as e:
+        # a search that hits its cap is refused like any other input
         print(f"error: {e}", file=sys.stderr)
         return 64
 

@@ -112,6 +112,9 @@ class PlainSpace(F2Group):
     def slice_items(self, s: ClopenSet) -> List[Tuple[Optional[str], ClopenSet]]:
         return [(None, s)]
 
+    def from_slices(self, slices: Dict[Optional[str], ClopenSet]) -> ClopenSet:
+        return slices[None]
+
     def uniform(self, c: ClopenSet) -> ClopenSet:
         return c
 
@@ -164,6 +167,9 @@ class ProductSpace(F2xKGroup):
     def slice_items(self, s: ProductClopen) -> List[Tuple[Optional[str], ClopenSet]]:
         return [(lbl, s.slices[lbl]) for lbl in self.k_group.elements]
 
+    def from_slices(self, slices: Dict[str, ClopenSet]) -> ProductClopen:
+        return ProductClopen(self.k_group, slices)
+
     def uniform(self, c: ClopenSet) -> ProductClopen:
         return ProductClopen.uniform(self.k_group, c)
 
@@ -187,19 +193,19 @@ def space_from_json(data: dict):
 # ---------------------------------------------------------------------------
 # exact extremes of weighted indicator sums
 
-def _extreme_plain(
-    items: Sequence[Tuple[ClopenSet, Fraction]], mode: str
-) -> Tuple[Fraction, str]:
-    """Exact min or max over the boundary of sum(w_i * 1_{S_i}), with a
-    witness cylinder on which the extreme is attained.
+# The sweep spells words in ball-order digits (a, A, b, B as 0-3), so that
+# string order is the order of the trie walk; the legal next digits after
+# each last digit, in that order
+_LEGAL_DIGITS = {"": "0123", "0": "023", "1": "123", "2": "012", "3": "013"}
+_FROM_DIGITS = str.maketrans("0123", "aAbB")
 
-    The sum is a step function constant below every leaf of the bases'
-    prefix trie, so one walk in trie order visits each leaf once; the first
-    leaf attaining the extreme is the witness.  The sweep counts in
-    integers: every weight is scaled by the lcm of the denominators, and
-    a min is the max of the negated sum."""
+
+def _integer_weights(
+    items: Sequence[Tuple[ClopenSet, Fraction]], sign: int
+) -> Tuple[int, int, Dict[str, int]]:
+    """(den, const, base weights) of sign · sum(w_i * 1_{S_i}) scaled by the
+    lcm den of the denominators, with the bases in ball-order digits."""
     den = math.lcm(*(w.denominator for _, w in items))
-    sign = 1 if mode == "max" else -1
     const = 0
     base_w: Dict[str, int] = {}
     for s, w in items:
@@ -208,53 +214,106 @@ def _extreme_plain(
             const += iw
         else:
             for b in s.bases:
-                base_w[b] = base_w.get(b, 0) + iw
-    if not base_w:
-        return Fraction(sign * const, den), ""
-    trie = set()
-    for b in base_w:
-        # a prefix already in the trie brings all of its own prefixes
-        for t in range(len(b), -1, -1):
-            if b[:t] in trie:
-                break
-            trie.add(b[:t])
-    best = -math.inf
-    best_cell = ""
+                k = b.translate(fw._BALL_ORDER)
+                base_w[k] = base_w.get(k, 0) + iw
+    return den, const, base_w
 
-    def visit(node: str, cum: int) -> None:
-        nonlocal best, best_cell
-        cum += base_w.get(node, 0)
-        for y in legal_next_letters(node):
-            child = node + y
-            if child in trie:
-                visit(child, cum)
-            elif cum > best:
-                best, best_cell = cum, child
 
-    visit("", const)
-    return Fraction(sign * best, den), best_cell
+def _first_chain_leaf(top: str, key: str) -> str:
+    """First leaf, in walk order, of the chain nodes strictly between the
+    key ``top`` and the key ``key`` below it.  A chain node p has one child
+    on the chain, key[len(p)], and its other children are leaves; a leaf
+    before that child comes before every leaf further down."""
+    for t in range(len(top) + 1, len(key)):
+        p = key[:t]
+        leaf = p + next(y for y in _LEGAL_DIGITS[p[-1]] if y != key[t])
+        if leaf < key:
+            return leaf
+    return leaf
+
+
+def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
+    """Max over the boundary of const plus base_w[b] on each cylinder [b],
+    with the first leaf of the bases' prefix trie, in walk order, on which
+    it is attained; words in ball-order digits.
+
+    A leaf is a child off the trie of a trie node and carries the node's
+    sum.  Only "", the bases and the longest common prefix of each pair of
+    neighbours in sorted order (the keys) carry a weight or branch; every
+    other node lies on a chain between a key and the next key below it,
+    carries the upper key's sum and has leaves.  One sorted scan with a
+    stack of ancestors gives each key its sum and the letters by which the
+    trie goes on below it, so the cost is O(keys · log keys), not the size
+    of the trie."""
+    bases = sorted(base_w)
+    keys = set(bases)
+    keys.add("")
+    keys.update(os.path.commonprefix(pair) for pair in zip(bases, bases[1:]))
+    # key -> [sum, the next digits that stay in the trie]
+    nodes: Dict[str, list] = {}
+    chains: List[Tuple[int, str, str]] = []
+    stack: List[str] = []
+    for x in sorted(keys):
+        while stack and not x.startswith(stack[-1]):
+            stack.pop()
+        total = base_w.get(x, 0)
+        if stack:
+            top = stack[-1]
+            above = nodes[top]
+            total += above[0]
+            above[1].add(x[len(top)])
+            if len(x) > len(top) + 1:
+                chains.append((above[0], top, x))
+        else:
+            total += const
+        nodes[x] = [total, set()]
+        stack.append(x)
+    # keys with a leaf child; every trie leaf's parent is one or a chain node
+    open_keys = [
+        (total, x, below) for x, (total, below) in nodes.items()
+        if len(below) < len(_LEGAL_DIGITS[x[-1:]])
+    ]
+    best = max([t for t, _, _ in open_keys] + [t for t, _, _ in chains])
+    leaves = [
+        x + next(y for y in _LEGAL_DIGITS[x[-1:]] if y not in below)
+        for t, x, below in open_keys
+        if t == best
+    ]
+    leaves += [_first_chain_leaf(top, x) for t, top, x in chains if t == best]
+    return best, min(leaves)
 
 
 def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
     """Extreme of a weighted sum of clopen indicators over the whole space,
-    with a witness cell; exact integer arithmetic over the weights' common
-    denominator in each K slice."""
+    with a witness cell: the first leaf attaining it in the trie walk of
+    the first K slice (in ``str`` order of the labels) that attains it.
+    Exact integer arithmetic over the weights' common denominator in each
+    K slice; a min is the max of the negated sum."""
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
     per: Dict[Optional[str], List[Tuple[ClopenSet, Fraction]]] = {}
     for s, w in items:
-        w = Fraction(w)
+        w = w if isinstance(w, Fraction) else Fraction(w)
         for lbl, sl in space.slice_items(s):
             per.setdefault(lbl, []).append((sl, w))
     if not per:
         raise ValueError("the weighted sum needs at least one item")
-    better = (lambda a, b: a < b) if mode == "min" else (lambda a, b: a > b)
+    sign = 1 if mode == "max" else -1
     best: Optional[Fraction] = None
     best_cell: Cell = (None, "")
+    swept: list = []
     for lbl in sorted(per, key=str):
-        val, cell = _extreme_plain(per[lbl], mode)
-        if best is None or better(val, best):
-            best, best_cell = val, (lbl, cell)
+        weights = _integer_weights(per[lbl], sign)
+        # a slice with an earlier slice's step function ties with it and
+        # loses the tie
+        if weights in swept:
+            continue
+        swept.append(weights)
+        den, const, base_w = weights
+        top, cell = _sweep(const, base_w) if base_w else (const, "")
+        val = Fraction(sign * top, den)
+        if best is None or sign * val > sign * best:
+            best, best_cell = val, (lbl, cell.translate(_FROM_DIGITS))
     return best, best_cell
 
 
@@ -343,11 +402,41 @@ def _overlap_pair(space, items):
     return _overlap_pair_reps([(o, _base_rep(space, s)) for o, s in items])
 
 
+def _image_cells(space, g, piece) -> List[Tuple[Optional[str], str]]:
+    """(label, base) cells whose cylinders tile g·piece: each slice's bases
+    moved by ``prefix.translate``, a full slice as the cell "", relabelled
+    by g.  Not canonical, but g is a bijection, so they are pairwise
+    disjoint and each slice's cells form an antichain."""
+    h = space.word_part(g)
+    cells: List[Tuple[Optional[str], str]] = []
+    for lbl, sl in space.slice_items(piece):
+        if sl.full:
+            bases = [""]
+        elif sl.bases:
+            bases = prefix.translate(h, None, sl.bases)[1]
+        else:
+            continue
+        new_lbl = space.act_label(g, lbl)
+        cells += [(new_lbl, b) for b in bases]
+    return cells
+
+
 def verify_witness(w: SubeqWitness) -> dict:
     """Exact check of both witness invariants; reports the first failure
     with a cell where it shows: an uncovered cell of the source, a cell of
-    the escaping image outside the target, or a cell in both images."""
+    the escaping image outside the target, or a cell in both images.
+
+    The images are checked on their cells (``_image_cells``) without
+    canonical sets: a cell lies in the target exactly when it lies under a
+    base of the target's canonical slice, or that slice is full, and the
+    images are disjoint exactly when their cells are.  The first failure's
+    cell and entries come from the canonical images."""
     space = w.space
+
+    def image(idx: int):
+        _, piece, g, _ = w.entries[idx]
+        return space.act(g, piece)
+
     report: dict = {"pass": True, "coverage": [], "colors": [], "failure": None}
     pieces: Dict[int, List] = {}
     for i, piece, _, _ in w.entries:
@@ -362,30 +451,33 @@ def verify_witness(w: SubeqWitness) -> dict:
             report["failure"] = {"kind": "coverage", "source": i, "cell": list(cell)}
     for color in range(w.colors):
         target = w.targets[color]
-        images = {}
+        inside = dict(space.slice_items(target))
+        images = []
         escaping = None
         for idx, (i, piece, g, c) in enumerate(w.entries):
             if c != color:
                 continue
-            img = space.act(g, piece)
-            if not img.is_subset(target):
+            cells = _image_cells(space, g, piece)
+            if not all(
+                inside[lbl].full or prefix.under(b, inside[lbl].bases) for lbl, b in cells
+            ):
                 escaping = idx
                 break
-            images[idx] = img
+            images.append((idx, cells))
         contained = escaping is None
-        bad_pair = _overlap_pair(space, images.items()) if contained else None
-        disjoint = bad_pair is None
+        disjoint = not contained or _overlap_pair_reps(images) is None
         report["colors"].append(
             {"color": color, "contained": contained, "disjoint": disjoint}
         )
         if (not contained or not disjoint) and report["failure"] is None:
             report["pass"] = False
             if not contained:
-                cell = cylinder_cell_of(space, img.minus(target))
+                cell = cylinder_cell_of(space, image(escaping).minus(target))
                 report["failure"] = {"kind": "containment", "entry": escaping, "cell": list(cell)}
             else:
-                a, b = bad_pair
-                cell = cylinder_cell_of(space, images[a].inter(images[b]))
+                canonical = {idx: image(idx) for idx, _ in images}
+                a, b = _overlap_pair(space, canonical.items())
+                cell = cylinder_cell_of(space, canonical[a].inter(canonical[b]))
                 report["failure"] = {"kind": "overlap", "entries": [a, b], "cell": list(cell)}
     return report
 
@@ -539,12 +631,29 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     d2 = sorted(
         {space.mul(g, h) for g in data.d_set for h in data.d_set}, key=_elem_order(space)
     )
+    moved: Dict[tuple, ClopenSet] = {}
+
+    def pull_back(f, s):
+        """f⁻¹·s, slice by slice.  In F2 × K, D² holds each word with every
+        label, and a label only renames the slices, so each (word, slice)
+        pair is translated once."""
+        g = space.inv(f)
+        h = space.word_part(g)
+        out = {}
+        for lbl, sl in space.slice_items(s):
+            key = (h, sl.full, sl.bases)
+            img = moved.get(key)
+            if img is None:
+                img = moved[key] = sl.act(h)
+            out[space.act_label(g, lbl)] = img
+        return space.from_slices(out)
+
     items: List[Tuple[object, Fraction]] = []
     for f in d2:
         for v in data.sources:
-            items.append((space.act(space.inv(f), v), Fraction(1)))
+            items.append((pull_back(f, v), Fraction(1)))
     for g in data.d_set:
-        items.append((space.act(space.inv(g), u_eff), Fraction(-(n + 1))))
+        items.append((pull_back(g, u_eff), Fraction(-(n + 1))))
     for cell, value in data.slack:
         items.append((space.cylinder(cell), Fraction(value)))
     worst, cell = extreme_weighted_count(space, items, "max")

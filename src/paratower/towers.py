@@ -345,11 +345,9 @@ def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     return _ball_checks(family, clash, bare)
 
 
-def _sweep_ball(family: TowerFamily, radius: int) -> dict:
-    """Ball checks by enumerating the ball and testing membership with
-    ``contains``; for sets without a normal form that fail or escape
-    ``_boundary_checks``, and the reference for the trie walk and the
-    boundary check."""
+def _ball_of(family: TowerFamily, radius: int) -> list:
+    """The radius-r ball of the family's group; RadiusTooLarge when it has
+    more elements than the F2 ball at the enumeration cap."""
     group = family.group
     cap = fw.ball_size(fw.DEFAULT_MAX_RADIUS)
     # every group's ball is at least as large as F2's, so a radius above the
@@ -358,11 +356,15 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
         raise fw.RadiusTooLarge(
             f"the radius-{radius} ball of {family.kind} has more than {cap} elements"
         )
-    ball = group.ball(radius)
+    return group.ball(radius)
+
+
+def _first_clash(family: TowerFamily, ball: list):
+    """(element, owner, owner) of the first element of the ball in two
+    translates d·A_i, by ``contains``, or None."""
+    group = family.group
     inv_d = [group.inv(d) for d in family.d_set]
-    inv_g = [group.inv(g) for _, g in family.items]
     owners = _owners(family)
-    clash = None
     for w in ball:
         hits = [
             (di, i)
@@ -370,18 +372,49 @@ def _sweep_ball(family: TowerFamily, radius: int) -> dict:
             if family.items[i][0].contains(group.mul(inv_d[di], w))
         ]
         if len(hits) > 1:
-            clash = (w, hits[0], hits[1])
-            break
-    bare = None
+            return (w, hits[0], hits[1])
+    return None
+
+
+def _first_bare(family: TowerFamily, ball: list):
+    """(element, cover group) of the first element of the ball outside
+    every translate g_i·A_i of a cover group, by ``contains``, or None."""
+    group = family.group
+    inv_g = [group.inv(g) for _, g in family.items]
     for group_no, idxs in enumerate(family.cover_groups):
         for w in ball:
             if not any(
                 family.items[i][0].contains(group.mul(inv_g[i], w)) for i in idxs
             ):
-                bare = (w, group_no)
-                break
-        if bare is not None:
-            break
+                return (w, group_no)
+    return None
+
+
+def _sweep_ball(family: TowerFamily, radius: int) -> dict:
+    """Ball checks by enumerating the ball and testing membership with
+    ``contains``; for sets without a normal form outside
+    ``_boundary_checks``, and the reference for the trie walk and the
+    boundary check."""
+    ball = _ball_of(family, radius)
+    return _ball_checks(family, _first_clash(family, ball), _first_bare(family, ball))
+
+
+def _boundary_ball_checks(family: TowerFamily, on_boundary: dict, radius: int) -> dict:
+    """Ball checks of a family with boundary checks.  A check that passes
+    on the boundary passes on every ball.  A failing one sweeps alone, over
+    the ball of radius min(r, |w|) with w the boundary's counterexample
+    word: w fails the check and ball order is by length first, so the
+    first counterexample of the radius-r ball is no longer than w."""
+
+    def ball_to(check: str) -> list:
+        word = on_boundary[check]["counterexample"]["word"]
+        return _ball_of(family, min(radius, len(word)))
+
+    clash = bare = None
+    if not on_boundary["disjoint"]["pass"]:
+        clash = _first_clash(family, ball_to("disjoint"))
+    if not on_boundary["cover"]["pass"]:
+        bare = _first_bare(family, ball_to("cover"))
     return _ball_checks(family, clash, bare)
 
 
@@ -440,7 +473,8 @@ def verify_towers(
     occurred, so the exact walk needs no depth bound.  Orbit-preimage
     families have no normal forms and take ``_boundary_checks``; in ball
     mode a pass there is a pass on every ball, and a failure sweeps the ball
-    for its first counterexample."""
+    up to the length of its boundary counterexample
+    (``_boundary_ball_checks``)."""
     on_boundary = _boundary_checks(family)
     if mode == "exact":
         checks = on_boundary
@@ -459,8 +493,8 @@ def verify_towers(
         raise ValueError("ball mode needs a radius")
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 0:
         raise ValueError(f"ball radius must be a nonnegative integer, not {radius!r}")
-    if on_boundary is not None and all(c["pass"] for c in on_boundary.values()):
-        checks = on_boundary
+    if on_boundary is not None:
+        checks = _boundary_ball_checks(family, on_boundary, radius)
     else:
         try:
             checks = _walk_ball(family, radius)
@@ -693,6 +727,11 @@ def towers_from_filling(
     if n < 2:
         raise ValueError("need at least two towers")
     d_list = [fw.reduce_word(d) for d in d_set]
+    # a repeated element never separates from itself, so the search below
+    # would deepen to its cap
+    repeated = sorted({d for d in d_list if d_list.count(d) > 1}, key=fw.ball_key)
+    if repeated:
+        raise ValueError(f"D repeats the reduced element {repeated[0]!r}")
     z = AperiodicPoint()
 
     # no short word fixes a long prefix of z; full triviality is assumed

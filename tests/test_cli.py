@@ -73,6 +73,28 @@ def test_filling_towers_exact_mode(tmp_path):
     assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
+@pytest.mark.parametrize("d_set, named", [("e,e,a", "''"), ("a,A,aAa", "'a'")])
+def test_filling_towers_refuses_a_repeated_element(capsys, d_set, named):
+    start = time.perf_counter()
+    assert main(["filling-towers", "--D", d_set]) == 64
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"D repeats the reduced element {named}" in err
+
+
+def test_an_exhausted_search_is_a_usage_error(monkeypatch, capsys):
+    import paratower.towers as towers
+
+    def exhausted(*args, **kwargs):
+        raise towers.SearchExhausted("could not separate neighborhoods")
+
+    monkeypatch.setattr(towers, "towers_from_filling", exhausted)
+    assert main(["filling-towers", "--D", "e,a,A"]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: could not separate neighborhoods\n"
+
+
 def _filling_payload(mode) -> dict:
     from paratower.towers import towers_from_filling, verify_towers
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import paratower.comparison as comparison
+from paratower import prefix
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
     ComparisonInstance,
@@ -25,7 +26,7 @@ from paratower.comparison import (
 )
 from paratower.groups import cyclic_group
 from paratower.towers import TowerCertificate
-from paratower.words import legal_next_letters, words_of_length
+from paratower.words import inverse, legal_next_letters, multiply, words_of_length
 
 SPACE = PlainSpace()
 
@@ -292,6 +293,49 @@ def _value_on(space, items, cell):
     )
 
 
+def _deep_clopen(rng, stems):
+    """A set of 1-5 bases cut from the stems at random lengths and grown by
+    up to 3 letters: deep bases with long shared prefixes."""
+    if rng.random() < 0.1:
+        return ClopenSet.full_set()
+    words = []
+    for _ in range(rng.randint(1, 5)):
+        stem = rng.choice(stems)
+        w = stem[: rng.randint(1, len(stem))]
+        for _ in range(rng.randint(0, 3)):
+            w += rng.choice(legal_next_letters(w))
+        words.append(w)
+    return ClopenSet(words)
+
+
+def _deep_items(rng, space):
+    """Items over 1-3 shared stems of length 8-27, one of them a^k: its
+    chain's first leaves all come after the chain, so the sweep has to go
+    to the chain's bottom.  Zero weights make ties."""
+    stems = ["a" * rng.randint(8, 27)]
+    for _ in range(rng.randint(0, 2)):
+        w = rng.choice("aAbB")
+        for _ in range(rng.randint(7, 26)):
+            w += rng.choice(legal_next_letters(w))
+        stems.append(w)
+    items = []
+    for _ in range(rng.randint(1, 8)):
+        if isinstance(space, ProductSpace):
+            labels = rng.sample(space.k_group.elements, rng.randint(1, len(space.k_group)))
+            s = ProductClopen(space.k_group, {lbl: _deep_clopen(rng, stems) for lbl in labels})
+        else:
+            s = _deep_clopen(rng, stems)
+        items.append((s, rng.choice(WEIGHTS + [Fraction(0)])))
+    return items
+
+
+def _pad(w, depth):
+    """w extended letter by letter to at least the given length."""
+    while len(w) < depth:
+        w += legal_next_letters(w)[0]
+    return w
+
+
 SPACES = [PlainSpace(), ProductSpace(cyclic_group(3))]
 
 
@@ -316,6 +360,14 @@ def test_extreme_weighted_count_matches_oracles(space, mode):
         lbl, w = cell
         below = ClopenSet.cylinder(w).refine(max(depth, len(w)))
         assert {_value_on(space, items, (lbl, x)) for x in below} == {val}
+    # deep sets: long chains between branch points, bases nested across
+    # items and full sets (the base "")
+    for _ in range(60):
+        items = _deep_items(rng, space)
+        val, cell = extreme_weighted_count(space, items, mode)
+        assert (val, cell) == _extreme_fraction(space, items, mode)
+        depth = max(sl.depth() for s, _ in items for _, sl in space.slice_items(s))
+        assert _value_on(space, items, (cell[0], _pad(cell[1], depth))) == val
 
 
 def test_extreme_weighted_count_ties_pick_the_first_cell():
@@ -323,6 +375,28 @@ def test_extreme_weighted_count_ties_pick_the_first_cell():
     items = [(ClopenSet.full_set(), Fraction(1, 3)), (cyl("b"), Fraction(0))]
     assert extreme_weighted_count(SPACE, items, "max") == (Fraction(1, 3), (None, "a"))
     assert extreme_weighted_count(SPACE, items, "min") == (Fraction(1, 3), (None, "a"))
+
+
+def test_extreme_weighted_count_sweeps_equal_slices_once(monkeypatch):
+    k3 = cyclic_group(3)
+    space = ProductSpace(k3)
+    items = [
+        (ProductClopen.uniform(k3, cyl("ab")), Fraction(2)),
+        (ProductClopen.uniform(k3, ClopenSet(["abA", "B"])), Fraction(-1, 3)),
+        (ProductClopen.full_set(k3), Fraction(1, 2)),
+    ]
+    swept = []
+    sweep = comparison._sweep
+    monkeypatch.setattr(comparison, "_sweep", lambda *a: swept.append(a) or sweep(*a))
+    for mode in ("min", "max"):
+        val, cell = extreme_weighted_count(space, items, mode)
+        assert cell[0] == "0"
+        assert (val, cell) == _extreme_fraction(space, items, mode)
+    assert len(swept) == 2
+    # equal bases with another constant are another step function
+    items.append((ProductClopen(k3, {"2": ClopenSet.full_set()}), Fraction(1)))
+    assert extreme_weighted_count(space, items, "max") == (Fraction(7, 2), ("2", "aba"))
+    assert len(swept) == 4
 
 
 def test_extreme_weighted_count_rejects_no_items_and_bad_mode():
@@ -507,3 +581,136 @@ def test_failures_name_a_cell():
     entries = [(0, cyl("ba"), "a", 0), (0, cyl("bab"), "a", 0)]
     report = verify_witness(make_witness(entries, [cyl("ba")], [cyl("a")]))
     assert report["failure"] == {"kind": "overlap", "entries": [0, 1], "cell": [None, "abab"]}
+
+
+# -- verify_witness on image cells against the set algebra
+
+def _verify_witness_sets(w):
+    """verify_witness as it was with canonical images: the reference for
+    the whole report, cells included."""
+    space = w.space
+    report = {"pass": True, "coverage": [], "colors": [], "failure": None}
+    pieces = {}
+    for i, piece, _, _ in w.entries:
+        pieces.setdefault(i, []).append(piece)
+    for i, src in enumerate(w.sources):
+        cover = space.union_all(pieces.get(i, ()))
+        ok = src.is_subset(cover)
+        report["coverage"].append({"source": i, "pass": ok})
+        if not ok and report["failure"] is None:
+            report["pass"] = False
+            cell = comparison.cylinder_cell_of(space, src.minus(cover))
+            report["failure"] = {"kind": "coverage", "source": i, "cell": list(cell)}
+    for color in range(w.colors):
+        target = w.targets[color]
+        images = {}
+        escaping = None
+        for idx, (i, piece, g, c) in enumerate(w.entries):
+            if c != color:
+                continue
+            img = space.act(g, piece)
+            if not img.is_subset(target):
+                escaping = idx
+                break
+            images[idx] = img
+        contained = escaping is None
+        bad_pair = comparison._overlap_pair(space, images.items()) if contained else None
+        disjoint = bad_pair is None
+        report["colors"].append({"color": color, "contained": contained, "disjoint": disjoint})
+        if (not contained or not disjoint) and report["failure"] is None:
+            report["pass"] = False
+            if not contained:
+                cell = comparison.cylinder_cell_of(space, img.minus(target))
+                report["failure"] = {"kind": "containment", "entry": escaping, "cell": list(cell)}
+            else:
+                a, b = bad_pair
+                cell = comparison.cylinder_cell_of(space, images[a].inter(images[b]))
+                report["failure"] = {"kind": "overlap", "entries": [a, b], "cell": list(cell)}
+    return report
+
+
+def _cancelling_witness(rng, space):
+    """Random pieces (full and empty slices among them), each moved by an
+    element that often cancels one of its bases fully, so the base splits
+    into its children; sources and targets as in _random_witness."""
+    colors = rng.randint(1, 2)
+    entries = []
+    for _ in range(rng.randint(1, 5)):
+        piece = _random_set(rng, space)
+        bases = [b for _, sl in space.slice_items(piece) for b in sl.bases]
+        g = _random_element(rng, space)
+        if bases and rng.random() < 0.6:
+            word = multiply(space.word_part(g), inverse(rng.choice(bases)))
+            g = (word, g[1]) if isinstance(space, ProductSpace) else word
+        entries.append((0, piece, g, rng.randrange(colors)))
+    source = space.union_all(piece for _, piece, _, _ in entries)
+    if rng.random() < 0.15:
+        source = source.union(_random_set(rng, space))
+    targets = []
+    for color in range(colors):
+        target = space.union_all(space.act(g, p) for _, p, g, c in entries if c == color)
+        roll = rng.random()
+        if roll < 0.2 and not target.is_empty():
+            cut = comparison.cylinder_cell_of(space, target)
+            target = target.minus(space.cylinder((cut[0], cut[1] + rng.choice("ab"))))
+        elif roll < 0.3:
+            target = _random_set(rng, space)
+        targets.append(target)
+    return SubeqWitness(space, [source], targets, entries)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_verify_witness_on_cells_matches_the_set_algebra(space):
+    rng = random.Random(f"cells/{space.kind}")
+    seen = set()
+    for _ in range(300):
+        w = _cancelling_witness(rng, space)
+        report = verify_witness(w)
+        assert report == _verify_witness_sets(w)
+        seen.add(report["failure"]["kind"] if report["failure"] else "pass")
+        for _, piece, g, _ in w.entries:
+            for _, sl in space.slice_items(piece):
+                seen.add("full" if sl.is_full() else "empty" if sl.is_empty() else "bases")
+                if any(prefix.moved_base(space.word_part(g), b) is None for b in sl.bases):
+                    seen.add("cancelled")
+    assert {"pass", "containment", "overlap", "full", "cancelled"} <= seen
+    if isinstance(space, ProductSpace):
+        assert "empty" in seen
+
+
+# -- check_counting's translations against the set algebra
+
+def _check_counting_sets(space, data, n):
+    """check_counting as it was, translating every set with space.act:
+    the reference for the report."""
+    u_eff = space.shrink(data.target, data.epsilon)
+    d2 = sorted(
+        {space.mul(g, h) for g in data.d_set for h in data.d_set},
+        key=comparison._elem_order(space),
+    )
+    items = [(space.act(space.inv(f), v), Fraction(1)) for f in d2 for v in data.sources]
+    items += [(space.act(space.inv(g), u_eff), Fraction(-(n + 1))) for g in data.d_set]
+    items += [(space.cylinder(cell), Fraction(value)) for cell, value in data.slack]
+    worst, cell = extreme_weighted_count(space, items, "max")
+    return {
+        "pass": worst < 0,
+        "max_margin": comparison._frac_json(worst),
+        "witness_cell": list(cell),
+        "d2_size": len(d2),
+    }
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_check_counting_matches_the_set_algebra(space):
+    # random sources with full and empty slices, moved by D² where each
+    # word comes with every label
+    rng = random.Random(f"counting/{space.kind}")
+    for _ in range(40):
+        d_set = {space.identity}
+        for _ in range(rng.randint(1, 3)):
+            g = _random_element(rng, space)
+            d_set |= {g, space.inv(g)}
+        sources = [_random_set(rng, space) for _ in range(rng.randint(1, 3))]
+        data = CountingData(sorted(d_set, key=str), Fraction(1, 8), sources, _random_set(rng, space))
+        n = rng.randint(0, 3)
+        assert check_counting(space, data, n) == _check_counting_sets(space, data, n)

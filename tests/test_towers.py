@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -431,12 +432,55 @@ def test_filling_ball_mode_needs_no_sweep(monkeypatch):
     def no_sweep(family, radius):
         raise AssertionError("swept the ball")
 
-    monkeypatch.setattr(towers, "_sweep_ball", no_sweep)
+    monkeypatch.setattr(towers, "_ball_of", no_sweep)
     for r in (8, 10**6):
         assert verify_towers(fam, "ball", r).passed
     broken = _mutate(fam, items=fam.items + [fam.items[0]])
     with pytest.raises(AssertionError, match="swept"):
         verify_towers(broken, "ball", 8)
+
+
+def _identity_mover(fam: TowerFamily) -> TowerFamily:
+    """The filling family with its second covering element set to the
+    identity: the translates stay disjoint, and the cover misses [B]."""
+    items = list(fam.items)
+    items[1] = (items[1][0], "")
+    return _mutate(fam, items=items)
+
+
+def test_ball_mode_sweeps_a_failing_check_only_to_its_boundary_word(monkeypatch):
+    fam = _identity_mover(towers_from_filling(["", "a", "A"]))
+    radii = []
+    ball_of = towers._ball_of
+    monkeypatch.setattr(towers, "_ball_of", lambda f, r: radii.append(r) or ball_of(f, r))
+    start = time.perf_counter()
+    checks = verify_towers(fam, "ball", 14).checks
+    assert time.perf_counter() - start < 1
+    assert checks["disjoint"] == {"pass": True, "counterexample": None}
+    assert checks["cover"]["counterexample"] == {"word": "B", "cover_group": 0}
+    assert radii == [1]
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_ball_mode_on_failing_filling_families_matches_the_full_sweep(seed):
+    defects = _filling_defects(seed)
+    families = {"identity mover": _identity_mover(defects.pop("as built")), **defects}
+    failing = 0
+    for name, fam in families.items():
+        exact = verify_towers(fam, "exact")
+        if exact.passed:
+            continue
+        failing += 1
+        for r in range(9):
+            assert verify_towers(fam, "ball", r).checks == _sweep_ball(fam, r), (name, r)
+    assert failing >= 2
+
+
+def test_towers_from_filling_refuses_a_repeated_element():
+    # a repeated element never separates from itself
+    for d_set, named in ((["", "", "a"], "''"), (["a", "A", "aAa"], "'a'")):
+        with pytest.raises(ValueError, match=f"repeats the reduced element {named}"):
+            towers_from_filling(d_set)
 
 
 def test_exact_counterexample_when_the_first_base_ends_in_the_inverse_of_z1():
