@@ -72,11 +72,9 @@ def _verify_towers(payload: dict) -> dict:
     mode = payload.get("mode", "exact")
     radius = payload.get("radius")
     cert = verify_towers(family, mode, radius)
-    recorded = payload.get("checks", {})
-    consistent = all(
-        recorded.get(name, {}).get("pass") == check["pass"]
-        for name, check in cert.checks.items()
-    )
+    # the recorded checks must be the recomputed ones: the same names, flags
+    # and counterexamples
+    consistent = canonical_json(payload.get("checks")) == canonical_json(cert.checks)
     return {
         "pass": cert.passed and consistent,
         "recomputed": cert.checks,

@@ -38,7 +38,15 @@ from .boundary import (
 )
 from .coloring import greedy_color
 from .groups import F2Group, F2xKGroup, cyclic_group, group_from_json
-from .towers import ProductSubset, SearchExhausted, TowerFamily, more_towers, verify_towers
+from .towers import (
+    ProductSubset,
+    SearchExhausted,
+    TowerFamily,
+    disjoint_translates,
+    more_towers,
+    shared_translates,
+    verify_towers,
+)
 from .words import inverse, legal_next_letters, multiply
 
 
@@ -904,9 +912,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         raise ConstructionFailed("depth-1 movers do not reach the whole space")
 
     # disjoint translates and the symmetric generating set
-    from .towers import _greedy_disjoint_translates
-
-    t_words = _greedy_disjoint_translates(d0, m)
+    t_words = disjoint_translates(d0, m)
     d_words = sorted(
         {multiply(h, t) for h in d0 for t in t_words}
         | {inverse(multiply(h, t)) for h in d0 for t in t_words}
@@ -939,41 +945,44 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         {multiply(u, v) for u in d_words for v in d_words},
         key=lambda w: (len(w), w),
     )
-    tower_fam = more_towers(d2_words, m)
-    n = len(tower_fam.cover_groups[0])
-    nm = n * m
+    # the product check shares more_towers's translates and walks; the memo
+    # goes with the block, before the larger stages below
+    with shared_translates():
+        tower_fam = more_towers(d2_words, m)
+        n = len(tower_fam.cover_groups[0])
+        nm = n * m
 
-    # pair each copy with a color class of K and assemble the product sets
-    coloring_json = None
-    c_sets: List = []
-    g_elems: List = []
-    if k_group is None:
-        for idxs in tower_fam.cover_groups:
-            for i in idxs:
-                a, g = tower_fam.items[i]
-                c_sets.append(a)
-                g_elems.append(g)
-    else:
-        coloring = greedy_color(k_group, e2)
-        if coloring.m != m:
-            raise ConstructionFailed("color budget disagrees with |E^4|")
-        coloring_json = coloring.to_json()
-        classes = [coloring.color_class(j + 1) for j in range(m)]
-        for j, idxs in enumerate(tower_fam.cover_groups):
-            for i in idxs:
-                a, g = tower_fam.items[i]
-                c_sets.append(
-                    ProductSubset(k_group, {lbl: a for lbl in classes[j]})
-                )
-                g_elems.append((g, k_group.identity))
-    fam_check = TowerFamily(
-        space.kind,
-        sorted({space.mul(u, v) for u in f_elems for v in f_elems}, key=_elem_order(space)),
-        list(zip(c_sets, g_elems)),
-        k_group=k_group,
-        cover_groups=[list(range(nm))],
-    )
-    tower_cert = verify_towers(fam_check, "exact")
+        # pair each copy with a color class of K and assemble the product sets
+        coloring_json = None
+        c_sets: List = []
+        g_elems: List = []
+        if k_group is None:
+            for idxs in tower_fam.cover_groups:
+                for i in idxs:
+                    a, g = tower_fam.items[i]
+                    c_sets.append(a)
+                    g_elems.append(g)
+        else:
+            coloring = greedy_color(k_group, e2)
+            if coloring.m != m:
+                raise ConstructionFailed("color budget disagrees with |E^4|")
+            coloring_json = coloring.to_json()
+            classes = [coloring.color_class(j + 1) for j in range(m)]
+            for j, idxs in enumerate(tower_fam.cover_groups):
+                for i in idxs:
+                    a, g = tower_fam.items[i]
+                    c_sets.append(
+                        ProductSubset(k_group, {lbl: a for lbl in classes[j]})
+                    )
+                    g_elems.append((g, k_group.identity))
+        fam_check = TowerFamily(
+            space.kind,
+            sorted({space.mul(u, v) for u in f_elems for v in f_elems}, key=_elem_order(space)),
+            list(zip(c_sets, g_elems)),
+            k_group=k_group,
+            cover_groups=[list(range(nm))],
+        )
+        tower_cert = verify_towers(fam_check, "exact")
     if not tower_cert.passed:
         raise ConstructionFailed("product tower conditions failed")
 

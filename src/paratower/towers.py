@@ -6,13 +6,19 @@ pairwise disjoint while the g_i·A_i cover G.  The free-group construction
 uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
-by the same prefix-trie walk that certifies it on a metric ball.  Orbit-
-preimage families from the boundary action are certified exactly by
-clopen-set algebra on the boundary.
+by the same prefix-trie walk that certifies it on a metric ball.  A family
+on F2 × K is decided by its factors: its sets split into rectangles A × C,
+and since (h, e)·(A × C) = hA × eC, one F2 walk over the forms hA is read
+at each label of K.  Within one builder call, or one ``shared_translates``
+block, the checks share their translates and walks, so each distinct x·A
+is normalised once.  Orbit-preimage families from the boundary action are
+certified exactly by clopen-set algebra on the boundary.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -109,13 +115,17 @@ class CosetSliceSubset:
         return self.base.contains(p)
 
     def translate(self, g: str) -> "CosetSliceSubset":
-        # only translations from the a,b subgroup keep the slice form
-        if any(x in ("c", "C") for x in g):
-            raise NotNormalizable("coset-slice subsets only translate by a,b words")
+        _check_ab(g)
         return CosetSliceSubset(ss.translate(g, self.base))
 
     def to_json(self) -> dict:
         return {"kind": "coset-slices", "base": self.base.to_json()}
+
+
+def _check_ab(g: str) -> None:
+    """Only translations from the a,b subgroup keep the coset-slice form."""
+    if any(x in ("c", "C") for x in g):
+        raise NotNormalizable("coset-slice subsets only translate by a,b words")
 
 
 # the tower-set kind of each ambient group but F2, whose tower sets are
@@ -250,9 +260,132 @@ class TowerCertificate:
         return out
 
 
-def _form(s: GroupSubset) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    nf = s.normal_form()
-    return nf.words, nf.cones
+_Form = Tuple[FrozenSet[str], FrozenSet[str]]
+
+
+class _Translates:
+    """Normal forms of translates x·A of tower sets, and prefix-trie walks
+    over them, each computed once.
+
+    Every distinct form gets an integer id.  A form made as x·A remembers
+    (x, A), so y·(x·A) is made as (yx)·A: a set and all its translates share
+    one entry per element.  A walk over some forms is kept, and a walk over
+    fewer of them at the same radius is read off it: the first word of a
+    pattern over the fewer forms is the ball-order minimum of the first
+    words of the patterns that restrict to it."""
+
+    def __init__(self) -> None:
+        self.forms: List[NormalForm] = []
+        self._ids: Dict[_Form, int] = {}
+        # id(set) -> (set, form id); the set is kept so its id stays its own
+        self._of_set: Dict[int, Tuple[object, int]] = {}
+        self._moved: Dict[Tuple[str, int], int] = {}
+        self._origin: Dict[int, Tuple[str, int]] = {}
+        self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
+
+    def _id(self, nf: NormalForm) -> int:
+        key = (nf.words, nf.cones)
+        fid = self._ids.get(key)
+        if fid is None:
+            fid = self._ids[key] = len(self.forms)
+            self.forms.append(nf)
+        return fid
+
+    def of(self, subset: GroupSubset) -> int:
+        """The id of a set's normal form; NotNormalizable when it has none."""
+        hit = self._of_set.get(id(subset))
+        if hit is None:
+            hit = self._of_set[id(subset)] = (subset, self._id(subset.normal_form()))
+        return hit[1]
+
+    def moved(self, x: str, fid: int) -> int:
+        """The id of x·F, F the form with id ``fid``."""
+        out = self._moved.get((x, fid))
+        if out is None:
+            origin = self._origin.get(fid)
+            if origin is not None:
+                out = self.moved(multiply(x, origin[0]), origin[1])
+            elif x == "":
+                out = fid
+            else:
+                out = self._id(self.forms[fid].translate(x))
+                if out != fid:
+                    self._origin.setdefault(out, (x, fid))
+            self._moved[(x, fid)] = out
+        return out
+
+    def translate(self, x: str, subset: GroupSubset) -> GroupSubset:
+        """x·A as ``subsets.translate`` makes it."""
+        try:
+            return ss.NormalizedSet(self.forms[self.moved(x, self.of(subset))])
+        except NotNormalizable:
+            return ss.TranslateSet(x, subset)
+
+    def walk(self, fids: FrozenSet[int], radius: Optional[int]) -> dict:
+        """For each pattern of form ids met in the radius-r ball, or in the
+        whole group when ``radius`` is None, (ball-order key, first word)."""
+        out = self._walks.get((radius, fids))
+        if out is not None:
+            return out
+        wider = [ids for r, ids in self._walks if r == radius and fids < ids]
+        if wider:
+            out = {}
+            for pattern, first in self._walks[(radius, min(wider, key=len))].items():
+                restricted = pattern & fids
+                if restricted not in out or first < out[restricted]:
+                    out[restricted] = first
+        else:
+            order = sorted(fids)
+            forms = [(self.forms[i].words, self.forms[i].cones) for i in order]
+            out = {
+                frozenset(order[k] for k in pattern): (fw.ball_key(w), w)
+                for pattern, w in prefix.first_by_pattern(forms, radius).items()
+            }
+        self._walks[(radius, fids)] = out
+        return out
+
+    def walk_over(self, ids: Sequence[int], radius: Optional[int]) -> Tuple[dict, dict]:
+        """The walk over the distinct forms of ``ids``, and the positions in
+        ``ids`` of each form, for ``_widen``."""
+        at: Dict[int, List[int]] = {}
+        for k, fid in enumerate(ids):
+            at.setdefault(fid, []).append(k)
+        walk = self.walk(frozenset(at), radius)
+        return walk, {fid: frozenset(ks) for fid, ks in at.items()}
+
+
+def _widen(pattern: FrozenSet[int], at: Dict[int, FrozenSet[int]]) -> FrozenSet[int]:
+    """The positions of the forms of a pattern."""
+    if len(pattern) == 1:
+        (fid,) = pattern
+        return at[fid]
+    return frozenset().union(*(at[fid] for fid in pattern))
+
+
+# the memo of the enclosing `shared_translates` block; set only inside one
+_SHARED: contextvars.ContextVar[Optional[_Translates]] = contextvars.ContextVar(
+    "shared_translates", default=None
+)
+
+
+@contextlib.contextmanager
+def shared_translates():
+    """Let every tower check and builder inside the block share one memo of
+    translates and walks.  Blocks nest: an inner one joins the outer memo,
+    which goes when the outer block ends."""
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set(_Translates())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _translates() -> _Translates:
+    """The memo of the enclosing ``shared_translates`` block, or a new one."""
+    return _SHARED.get() or _Translates()
 
 
 def _keep_first(out: dict, pattern: FrozenSet[int], key, elem) -> None:
@@ -260,31 +393,71 @@ def _keep_first(out: dict, pattern: FrozenSet[int], key, elem) -> None:
         out[pattern] = (key, elem)
 
 
-def _first_elements(family: TowerFamily, sets: Sequence, radius: Optional[int]) -> dict:
-    """For each membership pattern over ``sets`` met in the radius-r ball, or
-    in the whole group when ``radius`` is None, (ball-order key, element) of
-    its first element.  Raises NotNormalizable when a set has no normal
-    form."""
-    walk = prefix.first_by_pattern
+def _pieces(memo: _Translates, s: "ProductSubset") -> List[Tuple[int, FrozenSet[str]]]:
+    """s as a disjoint union of rectangles A × C: (form id of A, labels C)
+    for each distinct nonempty slice A; a rectangle has one piece."""
+    labels: Dict[int, List[str]] = {}
+    for lbl, t in s.slices.items():
+        fid = memo.of(t)
+        if not memo.forms[fid].is_empty():
+            labels.setdefault(fid, []).append(lbl)
+    return [(fid, frozenset(lbls)) for fid, lbls in labels.items()]
+
+
+def _first_elements(
+    family: TowerFamily, placed: Sequence[Tuple[object, int]], radius: Optional[int],
+    memo: _Translates,
+) -> dict:
+    """For each membership pattern over the translates x·A_i, for (x, i) in
+    ``placed``, met in the radius-r ball, or in the whole group when
+    ``radius`` is None, (ball-order key, element) of its first element.
+    Raises NotNormalizable when a set has no normal form."""
+    sets = family.items
     out: dict = {}
     if family.kind in ("F2", "F3"):
         # in F3 a word p·s has the membership of its a,b-part p, and p comes
         # first in the ball
-        forms = [_form(s if family.kind == "F2" else s.base) for s in sets]
-        for pattern, w in walk(forms, radius).items():
-            out[pattern] = (fw.ball_key(w), w)
+        ids = []
+        for x, i in placed:
+            a = sets[i][0]
+            if family.kind == "F3":
+                _check_ab(x)
+                a = a.base
+            ids.append(memo.moved(x, memo.of(a)))
+        walk, at = memo.walk_over(ids, radius)
+        for pattern, first in walk.items():
+            out[_widen(pattern, at)] = first
     elif family.kind == "F2xK":
-        for li, lbl in enumerate(family.k_group.elements):
-            for pattern, w in walk([_form(s.slices[lbl]) for s in sets], radius).items():
-                _keep_first(out, pattern, (fw.ball_key(w), li), (w, lbl))
+        # (h, e)·(A × C) = hA × eC: one walk over the forms hA of every
+        # piece, and the owners of (w, l) are the translates with a piece
+        # whose hA holds w and whose eC holds l
+        k = family.k_group
+        pieces = {i: _pieces(memo, sets[i][0]) for i in {i for _, i in placed}}
+        ids, owners, labels = [], [], []
+        for j, ((h, e), i) in enumerate(placed):
+            for fid, lbls in pieces[i]:
+                ids.append(memo.moved(h, fid))
+                owners.append(j)
+                labels.append({k.mul(e, lbl) for lbl in lbls})
+        walk, at = memo.walk_over(ids, radius)
+        for li, lbl in enumerate(k.elements):
+            held = {
+                fid: frozenset(owners[p] for p in ps if lbl in labels[p])
+                for fid, ps in at.items()
+            }
+            for pattern, (key, w) in walk.items():
+                _keep_first(out, _widen(pattern, held), (key, li), (w, lbl))
     elif family.kind == "F2xF2":
         # a pattern of the first factor fixes the rectangles still active
-        for first, u in walk([_form(s.first) for s in sets], radius).items():
-            active = sorted(first)
-            seconds = [_form(sets[k].second) for k in active]
-            for second, v in walk(seconds, radius).items():
-                pattern = frozenset(active[k] for k in second)
-                _keep_first(out, pattern, (fw.ball_key(u), fw.ball_key(v)), (u, v))
+        firsts = [memo.moved(u, memo.of(sets[i][0].first)) for (u, _), i in placed]
+        seconds = [memo.moved(v, memo.of(sets[i][0].second)) for (_, v), i in placed]
+        walk, at = memo.walk_over(firsts, radius)
+        for first, (ku, u) in walk.items():
+            active = sorted(_widen(first, at))
+            inner, inner_at = memo.walk_over([seconds[j] for j in active], radius)
+            for second, (kv, v) in inner.items():
+                pattern = frozenset(active[j] for j in _widen(second, inner_at))
+                _keep_first(out, pattern, (ku, kv), (u, v))
     else:
         raise ValueError(f"unknown group: {family.kind!r}")
     return out
@@ -324,11 +497,12 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
 def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     """Checks on the radius-r ball, or on the whole group when ``radius`` is
     None, read off the prefix trie of the translates' normal forms."""
+    memo = _translates()
     owners = _owners(family)
-    moved = [family.items[i][0].translate(family.d_set[di]) for di, i in owners]
+    placed = [(family.d_set[di], i) for di, i in owners]
     clashes = [
         (key, w, sorted(pattern))
-        for pattern, (key, w) in _first_elements(family, moved, radius).items()
+        for pattern, (key, w) in _first_elements(family, placed, radius, memo).items()
         if len(pattern) > 1
     ]
     clash = None
@@ -337,8 +511,8 @@ def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
         clash = (w, owners[hits[0]], owners[hits[1]])
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
-        covers = [a.translate(g) for a, g in (family.items[i] for i in idxs)]
-        first = _first_elements(family, covers, radius).get(frozenset())
+        covers = [(family.items[i][1], i) for i in idxs]
+        first = _first_elements(family, covers, radius, memo).get(frozenset())
         if first is not None:
             bare = (first[1], group_no)
             break
@@ -518,15 +692,14 @@ class StrengthenedF2Towers:
 
     def complements(self) -> List[NormalForm]:
         """Normal forms of G ∖ g_j·A_j; single cones at the inverse last letters."""
-        out = []
-        for a, g in self.items:
-            out.append(ss.translate(g, a).normal_form().complement())
-        return out
+        memo = _translates()
+        return [memo.translate(g, a).normal_form().complement() for a, g in self.items]
 
     def family(self) -> TowerFamily:
         return TowerFamily("F2", self.d_set, self.items, notes={"padding": self.m})
 
 
+@shared_translates()
 def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
     d_list = [fw.reduce_word(d) for d in d_set]
     if not d_list:
@@ -545,6 +718,7 @@ def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
     return t
 
 
+@shared_translates()
 def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     """2-tower family: first two strengthened towers; their covering is
     forced by the complements being disjoint."""
@@ -556,7 +730,7 @@ def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     return fam
 
 
-def _greedy_disjoint_translates(
+def disjoint_translates(
     d_words: Sequence[str], count: int, max_radius: int = fw.DEFAULT_MAX_RADIUS
 ) -> List[str]:
     """First `count` words s (canonical order) with the sets D·s pairwise disjoint."""
@@ -564,10 +738,9 @@ def _greedy_disjoint_translates(
     taken: set = set()
     d_list = list(d_words)
     for w in fw.enumerate_words(max_radius):
-        moved = {multiply(d, w) for d in d_list}
-        if taken.isdisjoint(moved):
+        if not any(multiply(d, w) in taken for d in d_list):
             chosen.append(w)
-            taken |= moved
+            taken.update(multiply(d, w) for d in d_list)
             if len(chosen) == count:
                 return chosen
     raise SearchExhausted(
@@ -575,6 +748,7 @@ def _greedy_disjoint_translates(
     )
 
 
+@shared_translates()
 def more_towers(
     d_set: Iterable[str],
     copies: int,
@@ -585,15 +759,16 @@ def more_towers(
     d_list = [fw.reduce_word(d) for d in d_set]
     if copies < 1:
         raise ValueError("copies must be positive")
-    shifts = _greedy_disjoint_translates(d_list, copies)
+    shifts = disjoint_translates(d_list, copies)
     d_big = sorted({multiply(d, s) for d in d_list for s in shifts}, key=lambda w: (len(w), w))
     base_fam = base(d_big)
+    memo = _translates()
     items = []
     cover_groups: List[List[int]] = []
     for j, s in enumerate(shifts):
         group = []
         for a, g in base_fam.items:
-            items.append((ss.translate(s, a), multiply(g, inverse(s))))
+            items.append((memo.translate(s, a), multiply(g, inverse(s))))
             group.append(len(items) - 1)
         cover_groups.append(group)
     fam = TowerFamily(
@@ -609,6 +784,7 @@ def more_towers(
 # product and ambient-group constructions
 
 
+@shared_translates()
 def finite_normal_ext_towers(
     f_set: Sequence[ProductElem],
     k_group: FiniteGroup,
@@ -621,17 +797,16 @@ def finite_normal_ext_towers(
     translate slot with a distinct K coordinate."""
     m = len(k_group)
     d0 = sorted({f[0] for f in f_set} | {""}, key=lambda w: (len(w), w))
-    shifts = _greedy_disjoint_translates(d0, m)
+    shifts = disjoint_translates(d0, m)
     d_big = sorted(
         {multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w)
     )
     quot = base(d_big)
+    memo = _translates()
     items = []
     for j, (t, k_elem) in enumerate(zip(shifts, k_group.elements)):
         for a, g in quot.items:
-            c = ProductSubset(
-                k_group, {k_group.identity: ss.translate(t, a)}
-            )
+            c = ProductSubset(k_group, {k_group.identity: memo.translate(t, a)})
             items.append((c, (multiply(g, inverse(t)), k_elem)))
     fam = TowerFamily(
         "F2xK",
@@ -646,6 +821,7 @@ def finite_normal_ext_towers(
     return fam
 
 
+@shared_translates()
 def extension_towers(
     f_set: Sequence[Tuple[str, str]],
     base: Callable[[Iterable[str]], TowerFamily] = f2_towers,
@@ -683,6 +859,7 @@ def extension_towers(
     return fam
 
 
+@shared_translates()
 def union_towers(
     d_set: Iterable[str],
     base: Callable[[Iterable[str]], TowerFamily] = f2_towers,

@@ -86,6 +86,53 @@ def test_verify_rejects_failing_payload():
     assert not report["pass"]
 
 
+def _clash(checks: dict) -> None:
+    checks["disjoint"]["counterexample"] = {"word": "a", "d": "", "i": 0, "d2": "a", "i2": 1}
+
+
+def _clash_and_bogus(checks: dict) -> None:
+    _clash(checks)
+    checks["bogus"] = {"pass": False}
+
+
+# edits of a passing certificate's recorded checks that keep every recomputed
+# check's pass flag as it is
+FORGED_CHECKS = {
+    "made-up clash and a bogus check": _clash_and_bogus,
+    "wrong counterexample": _clash,
+    "cover counterexample": lambda c: c["cover"].update(
+        counterexample={"word": "b", "cover_group": 0}
+    ),
+    "extra key": lambda c: c.update(extra={"pass": True, "counterexample": None}),
+    "missing key": lambda c: c.pop("cover"),
+    "pass flag as 1": lambda c: c["disjoint"].update({"pass": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGED_CHECKS))
+def test_verify_rejects_towers_whose_recorded_checks_differ(name):
+    payload = verify_towers(f2_towers(["", "a", "A"]), "exact").to_json()
+    FORGED_CHECKS[name](payload["checks"])
+    # the hash is recomputed, so only the recomputed checks can catch it
+    code, report = certs.verify_certificate(certs.wrap("towers", payload))
+    assert code == 2
+    assert not report["consistent_with_recorded"]
+    assert all(c["pass"] for c in report["recomputed"].values())
+
+
+def test_verify_rejects_a_failing_family_with_another_counterexample():
+    from paratower.towers import TowerFamily
+
+    fam = f2_towers(D5)
+    broken = TowerFamily(fam.kind, fam.d_set, [fam.items[0], fam.items[0]])
+    payload = verify_towers(broken, "exact").to_json()
+    assert payload["checks"]["disjoint"]["counterexample"]["word"] != "aaba"
+    payload["checks"]["disjoint"]["counterexample"]["word"] = "aaba"
+    code, report = certs.verify_certificate(certs.wrap("towers", payload))
+    assert code == 2
+    assert not report["consistent_with_recorded"]
+
+
 def test_verify_rejects_hash_mismatch():
     env = towers_envelope()
     env["payload"]["D"] = env["payload"]["D"] + ["ba"]

@@ -233,6 +233,39 @@ def test_compare_payload_is_schema_1_without_the_composed_witness(
     assert env["content_hash"] == payload_digest
 
 
+# SHA-256 of the `--json` output of each tower builder, in exact and ball
+# mode, and of a two-label F2 × Z/2 comparison; deciding product towers by
+# their factors must keep them as they are.
+PINNED_TOWERS = [
+    (["f2-towers", "--D", "e,a,A,b,B"],
+     "a9ef0b669482174ae5da5c134cddab80d98322bbc0a82fb2497b6ebb12db9f56"),
+    (["more-towers", "--D", "e,a,A,b,B", "--copies", "3"],
+     "579e091e605c4a6763d2bc9f175afd19027a6653639f99970ea98a65afa378d6"),
+    (["ext-towers", "--kind", "f2xk", "--k-order", "3", "--F", "e:0,a:1,B:2"],
+     "fe4325f36a258973b0d3900a1c1b0328396bb61854a90889961352353a9ca7da"),
+    (["ext-towers", "--kind", "f2xk", "--k-order", "3", "--F", "e:0,a:1,B:2",
+      "--mode", "ball", "--radius", "4"],
+     "82c1f659434ca7ecb32f9b4f33d103aa85d4198f06027c411a906993639bb7db"),
+    (["ext-towers", "--kind", "f2xf2", "--F", "a:b,A:B"],
+     "b4609093f4f5f303901427cbecded84ddf08e5ea87eefa4c0aaf39bb1c573d34"),
+    (["union-towers", "--D", "e,a,A,b,B"],
+     "359f13ea0d899455d38f1f4afa0dd3f19ee43843cf7e1e89121147f89ba1da77"),
+    (["compare", "--instance", "F2xZ2", "--U", "ab:0,ab:1"],
+     "619dced0e3131a3762759b8c52d331f43ed81224905359c4faafdb8b6e19251e"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    PINNED_TOWERS,
+    ids=["f2", "more-3", "f2xk-exact", "f2xk-ball", "f2xf2", "union", "compare-ab01"],
+)
+def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
+    code, _ = run_json(tmp_path, argv)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("value", ["-1", "x", "", "1.5"])
 def test_compare_rejects_a_bad_max_depth(monkeypatch, capsys, value):
     monkeypatch.setenv("PARATOWER_MAX_DEPTH", value)

@@ -448,6 +448,40 @@ def test_build_comparison_raises_when_a_step_fails(monkeypatch, attr, fake, mess
         build_comparison(ComparisonInstance("F2"), cyl("ab"))
 
 
+def test_tower_stage_translates_each_set_once(monkeypatch):
+    # from the entry into more_towers to the end of the product check, every
+    # (word, words, bases) input of prefix.translate is new
+    inputs = []
+    stage = [False]
+    translate, more, verify = prefix.translate, comparison.more_towers, comparison.verify_towers
+
+    def counted(g, words, bases):
+        if stage[0]:
+            inputs.append((g, None if words is None else frozenset(words), frozenset(bases)))
+        return translate(g, words, bases)
+
+    def entered(*a, **k):
+        stage[0] = True
+        return more(*a, **k)
+
+    def left(*a, **k):
+        try:
+            return verify(*a, **k)
+        finally:
+            stage[0] = False
+
+    monkeypatch.setattr(prefix, "translate", counted)
+    monkeypatch.setattr(comparison, "more_towers", entered)
+    monkeypatch.setattr(comparison, "verify_towers", left)
+    u_set = ProductClopen(cyclic_group(2), {"1": cyl("abABa")})
+    assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
+    assert not stage[0] and inputs
+    assert len(set(inputs)) == len(inputs)
+    # every set of the stage is a translate of one of the three base cones,
+    # and only those are ever translated
+    assert len({(words, bases) for _, words, bases in inputs}) == 3
+
+
 
 # -- the one-shot cover of verify_witness against the chained union
 

@@ -7,6 +7,7 @@ import pytest
 
 import paratower.subsets as ss
 import paratower.towers as towers
+from paratower import prefix
 from paratower.boundary import ClopenSet, PeriodicPoint, ProductClopen
 from paratower.groups import (
     F2Group,
@@ -32,7 +33,8 @@ from paratower.towers import (
     union_towers,
     verify_towers,
 )
-from paratower.words import LETTERS, ball, inverse, multiply
+from paratower.coloring import greedy_color
+from paratower.words import LETTERS, ball, ball_key, inverse, multiply
 
 D5 = ["", "a", "A", "b", "B"]
 
@@ -310,6 +312,191 @@ def test_builders_raise_when_their_check_fails(monkeypatch, kind, builder):
     monkeypatch.setattr(towers, "verify_towers", failing)
     with pytest.raises(RuntimeError, match="failed"):
         builder()
+
+
+# -- F2 x K families: decided by their factors
+
+
+def _label_by_label(family: TowerFamily, radius) -> dict:
+    """The F2 x K checks as they were before families were decided by their
+    factors: each translate built whole, and one walk over its slices at
+    every label."""
+
+    def first_elements(sets) -> dict:
+        out: dict = {}
+        for li, lbl in enumerate(family.k_group.elements):
+            forms = [_nf_pair(s.slices[lbl]) for s in sets]
+            for pattern, w in prefix.first_by_pattern(forms, radius).items():
+                key = (ball_key(w), li)
+                if pattern not in out or key < out[pattern][0]:
+                    out[pattern] = (key, (w, lbl))
+        return out
+
+    owners = towers._owners(family)
+    moved = [family.items[i][0].translate(family.d_set[di]) for di, i in owners]
+    clashes = [
+        (key, w, sorted(pattern))
+        for pattern, (key, w) in first_elements(moved).items()
+        if len(pattern) > 1
+    ]
+    clash = None
+    if clashes:
+        _, w, hits = min(clashes)
+        clash = (w, owners[hits[0]], owners[hits[1]])
+    bare = None
+    for group_no, idxs in enumerate(family.cover_groups):
+        covers = [a.translate(g) for a, g in (family.items[i] for i in idxs)]
+        first = first_elements(covers).get(frozenset())
+        if first is not None:
+            bare = (first[1], group_no)
+            break
+    return towers._ball_checks(family, clash, bare)
+
+
+def _nf_pair(s):
+    nf = s.normal_form()
+    return nf.words, nf.cones
+
+
+def _assembled(k, e_set, d_words) -> TowerFamily:
+    """The product family of ``build_comparison``: copy j of the indexed
+    towers on D^2 placed on colour class j of K, with D = F·F for
+    F = D0 x E."""
+    e2 = sorted({k.mul(a, b) for a in e_set for b in e_set})
+    m = len({k.mul(a, b) for a in e2 for b in e2})
+    coloring = greedy_color(k, e2)
+    assert coloring.m == m
+    classes = [coloring.color_class(j + 1) for j in range(m)]
+    d2 = sorted({multiply(u, v) for u in d_words for v in d_words}, key=lambda w: (len(w), w))
+    base = more_towers(d2, m)
+    items = []
+    for j, idxs in enumerate(base.cover_groups):
+        for i in idxs:
+            a, g = base.items[i]
+            items.append((ProductSubset(k, {lbl: a for lbl in classes[j]}), (g, k.identity)))
+    group = F2xKGroup(k)
+    f = [(h, e) for h in d_words for e in e_set]
+    return TowerFamily(
+        "F2xK",
+        sorted({group.mul(u, v) for u in f for v in f}),
+        items,
+        k_group=k,
+        cover_groups=[list(range(len(items)))],
+    )
+
+
+def _rectangle_families(order: int, seed: int) -> dict:
+    """Seeded F2 x Z/order rectangle families from both builders, each with
+    its seeded defects and with a family whose first set is not a
+    rectangle."""
+    rng = random.Random(f"rectangles/{order}/{seed}")
+    k = cyclic_group(order)
+    x = rng.choice(LETTERS)
+    labels = list(k.elements)
+    f_set = [("", "0")] + [(w, rng.choice(labels)) for w in (x, inverse(x))]
+    e_choices = [labels, ["0"], sorted({"0", "1", str(order - 1)})]
+    built = {
+        "ext": finite_normal_ext_towers(f_set, k),
+        "assembled": _assembled(k, e_choices[seed % 3], ["", x, inverse(x)]),
+    }
+    out = {}
+    for name, fam in built.items():
+        (a0, g0), (a1, _) = fam.items[:2]
+        held = [lbl for lbl, t in a0.slices.items() if not ss.is_empty(t)]
+        sole = a0.slices[held[0]]
+        other = next(t for t in a1.slices.values() if not ss.is_empty(t))
+        out[f"{name} as built"] = fam
+        free = next((lbl for lbl in labels if lbl not in held), None)
+        if free is not None:
+            # the first tower's set also on a label of another colour class
+            out[f"{name}: a label in two classes"] = _mutate(
+                fam,
+                items=[(ProductSubset(k, {**a0.slices, free: sole}), g0)] + fam.items[1:],
+            )
+            # another set on that label: two rectangle pieces
+            out[f"{name}: two slices"] = _mutate(
+                fam,
+                items=[(ProductSubset(k, {**a0.slices, free: other}), g0)] + fam.items[1:],
+            )
+        out[f"{name}: duplicated tower"] = _mutate(fam, items=fam.items + [fam.items[0]])
+        out[f"{name}: cover group missing a tower"] = TowerFamily(
+            "F2xK", fam.d_set, fam.items, k_group=k,
+            cover_groups=[g[1:] for g in fam.cover_groups],
+        )
+    return out
+
+
+# the seeded defects every family must fail; in the translates of the
+# finite_normal_ext_towers family no two D elements share an F2 part, so a
+# second label of one tower meets no other translate there
+MUST_FAIL = (
+    "duplicated tower", "cover group missing a tower", "assembled: a label in two classes",
+)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_rectangles_by_factors_match_the_label_by_label_walk(order, seed):
+    for name, fam in _rectangle_families(order, seed).items():
+        exact = verify_towers(fam, "exact").checks
+        assert exact == _label_by_label(fam, None), name
+        passed = all(c["pass"] for c in exact.values())
+        assert passed or not name.endswith("as built"), name
+        assert not passed or not name.endswith(MUST_FAIL), name
+        for r in range(6):
+            assert verify_towers(fam, "ball", r).checks == _label_by_label(fam, r), (name, r)
+
+
+# one seed per order, so that each choice of E is swept once
+@pytest.mark.parametrize("order, seed", [(2, 0), (3, 2), (4, 1)])
+def test_rectangles_by_factors_match_the_sweep(order, seed):
+    for name, fam in _rectangle_families(order, seed).items():
+        for r in range(6):
+            assert verify_towers(fam, "ball", r).checks == _sweep_ball(fam, r), (name, r)
+
+
+def test_product_families_take_one_walk_per_check(monkeypatch):
+    walks = []
+    real = prefix.first_by_pattern
+    monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+    families = _rectangle_families(4, 0)
+    assert sum(name.endswith("two slices") for name in families) == 2
+    for name, fam in families.items():
+        walks.clear()
+        verify_towers(fam, "exact")
+        # one F2 walk for disjointness and one for the cover, not one per
+        # label, whether or not the sets are rectangles
+        assert len(walks) <= 2, name
+
+
+def _checks(fam: TowerFamily, radius) -> dict:
+    mode = "exact" if radius is None else "ball"
+    return verify_towers(fam, mode, radius).checks
+
+
+@pytest.mark.parametrize("radius", [None, 2, 5])
+def test_shared_checks_match_fresh_ones(monkeypatch, radius):
+    # in one shared block a check reads its walk off a wider one, and a
+    # translate d·(s·A) off (ds)·A; its checks must be the fresh ones
+    walks = []
+    real = prefix.first_by_pattern
+    monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+    s = "bA"
+    for name, fam in _seeded_defects(f2_strengthened_towers(D5).family(), "AA").items():
+        first_two = TowerFamily("F2", fam.d_set, fam.items[:2])
+        with towers.shared_translates():
+            memo = towers._translates()
+            shifted = TowerFamily(
+                "F2",
+                [multiply(d, inverse(s)) for d in fam.d_set],
+                [(memo.translate(s, a), multiply(g, inverse(s))) for a, g in fam.items[:2]],
+            )
+            shared = [_checks(fam, radius)]
+            walks.clear()
+            shared += [_checks(first_two, radius), _checks(shifted, radius)]
+            assert walks == [], name
+        fresh = [_checks(f, radius) for f in (fam, first_two, shifted)]
+        assert shared == fresh, name
 
 
 def test_ball_walk_cost_does_not_grow_with_radius():
