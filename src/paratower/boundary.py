@@ -335,10 +335,6 @@ class ProductClopen:
         return ProductClopen(k_group, {e: ClopenSet.full_set() for e in k_group.elements})
 
     @staticmethod
-    def empty(k_group: FiniteGroup) -> "ProductClopen":
-        return ProductClopen(k_group, {})
-
-    @staticmethod
     def uniform(k_group: FiniteGroup, c: ClopenSet) -> "ProductClopen":
         return ProductClopen(k_group, {e: c for e in k_group.elements})
 

@@ -112,6 +112,13 @@ def _verify_witness_payload(payload: dict) -> dict:
     return {"pass": report["pass"], "report": report}
 
 
+def _object(value, name: str) -> dict:
+    """value if it is a JSON object, else a ValueError naming the field."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, not {value!r}")
+    return value
+
+
 def _same_sets(got, want) -> bool:
     return want is not None and len(got) == len(want) and all(
         a.equals(b) for a, b in zip(got, want)
@@ -160,12 +167,8 @@ def _verify_comparison(payload: dict) -> dict:
         }
         if failed is None and not (check["pass"] and proves):
             failed = claim
-    flags = [
-        payload.get("claim1", {}).get("pass"),
-        payload.get("claim2", {}).get("pass"),
-        payload.get("claim3", {}).get("pass"),
-        payload.get("pass"),
-    ]
+    flags = [_object(payload.get(c, {}), c).get("pass") for c in ("claim1", "claim2", "claim3")]
+    flags.append(payload.get("pass"))
     if failed is None and not all(flags):
         failed = "a recorded claim flag is not pass"
     return {
@@ -209,7 +212,8 @@ def _verify_isometry(payload: dict) -> dict:
         and ClopenSet.cylinder(witness).are_disjoint(v_union)
     )
     not_unitary = not range_exp.equals(StepFunction.one())
-    checks_ok = all(payload.get("checks", {}).values()) and payload.get("pass")
+    checks = _object(payload.get("checks", {}), "checks")
+    checks_ok = all(checks.values()) and payload.get("pass")
     ok = (
         isometry and matches and v_matches and inside and outside
         and not_unitary and bool(checks_ok)

@@ -200,8 +200,12 @@ def _load_witness(path: str):
     from .comparison import SubeqWitness
 
     with open(path) as fh:
-        data = json.load(fh)
-    if "kind" in data and "payload" in data:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise certs.MalformedCertificate(f"witness is not JSON: {e}") from e
+    # anything but an object fails SubeqWitness.from_json with a TypeError
+    if isinstance(data, dict) and "kind" in data and "payload" in data:
         kind, payload = certs.parse_envelope(data)
         if kind != "witness":
             raise certs.MalformedCertificate(f"expected a witness, got {kind}")

@@ -13,9 +13,13 @@ rationals.  ``compose``, ``boost`` and ``petr_assign`` verify the witness
 they return and keep the passing report as its ``report``; the builder
 reuses those reports instead of checking a witness twice.
 
-Two ambient spaces are supported: the plain boundary with the free group
-acting, and boundary x K (K finite) with the product group acting.  Each
-takes its group arithmetic from its group class in ``paratower.groups``.
+The ambient space is boundary x K (K finite) with the product group
+acting; the plain boundary with the free group acting is the case of
+trivial K, whose one label is None.  The set algebra is written once, slice
+by slice over the labels, and each space keeps only what differs: its
+labels, elements, label action, set decoding, slice view, tower lifting
+and colour classes.  Each takes its group arithmetic from its group class
+in ``paratower.groups``.
 """
 
 from __future__ import annotations
@@ -89,104 +93,126 @@ def _frac_json(x: Fraction) -> str:
 Cell = Tuple[Optional[str], str]  # (K label or None, cylinder base word)
 
 
-class PlainSpace(F2Group):
-    """The boundary of the rank-2 free group with the left action."""
+class _BoundarySpace:
+    """The set algebra of boundary x K, slice by slice over ``labels``.
 
-    def act(self, g: str, s: ClopenSet) -> ClopenSet:
+    A space gives its ``labels``, ``slice_items`` (label, boundary slice)
+    pairs of a set in label order and ``from_slices`` (a missing label is
+    an empty slice).  The plain boundary is the case of the one label
+    None, whose slice is the set itself."""
+
+    def act(self, g, s):
         return s.act(g)
+
+    def cylinder(self, cell: Cell):
+        lbl, w = cell
+        return self.from_slices({lbl: ClopenSet.cylinder(w)})
+
+    def uniform(self, c: ClopenSet):
+        """c at every label."""
+        return self.from_slices({lbl: c for lbl in self.labels})
+
+    def full(self):
+        return self.uniform(ClopenSet.full_set())
+
+    def empty(self):
+        return self.from_slices({})
+
+    def union_all(self, sets: Iterable):
+        """The union of many sets with one canonicalisation per slice."""
+        per: Dict[Optional[str], List[ClopenSet]] = {lbl: [] for lbl in self.labels}
+        for s in sets:
+            for lbl, sl in self.slice_items(s):
+                per[lbl].append(sl)
+        return self.from_slices({lbl: ClopenSet.union_all(sls) for lbl, sls in per.items()})
+
+    def cells(self, s, depth: int) -> List[Cell]:
+        return [
+            (lbl, w)
+            for lbl, sl in self.slice_items(s)
+            if not sl.is_empty()
+            for w in sl.refine(depth)
+        ]
+
+    def shrink(self, s, eps: Fraction):
+        # K carries the discrete metric, so only the boundary factor shrinks
+        return self.from_slices({lbl: shrink(sl, eps) for lbl, sl in self.slice_items(s)})
+
+
+class PlainSpace(_BoundarySpace, F2Group):
+    """The boundary of the rank-2 free group with the left action: the
+    one-label case, K trivial."""
+
+    labels = (None,)
+
+    def elem(self, word: str, lbl: Optional[str]) -> str:
+        return word
 
     def act_label(self, g: str, lbl: Optional[str]) -> Optional[str]:
         return lbl
 
-    def full(self) -> ClopenSet:
-        return ClopenSet.full_set()
-
-    def empty(self) -> ClopenSet:
-        return ClopenSet.empty()
-
-    def cylinder(self, cell: Cell) -> ClopenSet:
-        return ClopenSet.cylinder(cell[1])
-
-    def union_all(self, sets: Iterable[ClopenSet]) -> ClopenSet:
-        """The union of many sets with one canonicalisation."""
-        return ClopenSet.union_all(sets)
-
     def set_from_json(self, data: dict) -> ClopenSet:
         return boundary_from_json(data)
-
-    def cells(self, s: ClopenSet, depth: int) -> List[Cell]:
-        return [(None, w) for w in s.refine(depth)]
 
     def slice_items(self, s: ClopenSet) -> List[Tuple[Optional[str], ClopenSet]]:
         return [(None, s)]
 
     def from_slices(self, slices: Dict[Optional[str], ClopenSet]) -> ClopenSet:
-        return slices[None]
+        return slices[None] if slices else ClopenSet.empty()
 
-    def uniform(self, c: ClopenSet) -> ClopenSet:
-        return c
+    def lift(self, a, g: str, labels) -> Tuple[object, str]:
+        """The tower (A, g) itself."""
+        return a, g
 
-    def shrink(self, s: ClopenSet, eps: Fraction) -> ClopenSet:
-        return shrink(s, eps)
+    def tower_slices(self, c) -> list:
+        return [c]
+
+    def coloring(self) -> Tuple[list, list, None]:
+        """No K to colour: (E, the one colour class, no colouring)."""
+        return [], [self.labels], None
 
 
-class ProductSpace(F2xKGroup):
+class ProductSpace(_BoundarySpace, F2xKGroup):
     """Boundary x K for a finite K, with the product group acting."""
 
-    def act(self, g, s: ProductClopen) -> ProductClopen:
-        return s.act(g)
+    def __init__(self, k_group):
+        super().__init__(k_group)
+        self.labels = k_group.elements
+
+    def elem(self, word: str, lbl: str) -> Tuple[str, str]:
+        return (word, lbl)
 
     def act_label(self, g, lbl: str) -> str:
         return self.k_group.mul(g[1], lbl)
 
-    def full(self) -> ProductClopen:
-        return ProductClopen.full_set(self.k_group)
-
-    def empty(self) -> ProductClopen:
-        return ProductClopen.empty(self.k_group)
-
-    def cylinder(self, cell: Cell) -> ProductClopen:
-        lbl, w = cell
-        return ProductClopen(self.k_group, {lbl: ClopenSet.cylinder(w)})
-
-    def union_all(self, sets: Iterable[ProductClopen]) -> ProductClopen:
-        """The union of many sets with one canonicalisation per K slice."""
-        sets = list(sets)
-        return ProductClopen(
-            self.k_group,
-            {
-                lbl: ClopenSet.union_all(s.slices[lbl] for s in sets)
-                for lbl in self.k_group.elements
-            },
-        )
-
     def set_from_json(self, data: dict) -> ProductClopen:
         return product_from_json(self.k_group, data)
 
-    def cells(self, s: ProductClopen, depth: int) -> List[Cell]:
-        out: List[Cell] = []
-        for lbl in self.k_group.elements:
-            sl = s.slices[lbl]
-            if sl.is_empty():
-                continue
-            out.extend((lbl, w) for w in sl.refine(depth))
-        return out
-
     def slice_items(self, s: ProductClopen) -> List[Tuple[Optional[str], ClopenSet]]:
-        return [(lbl, s.slices[lbl]) for lbl in self.k_group.elements]
+        return [(lbl, s.slices[lbl]) for lbl in self.labels]
 
     def from_slices(self, slices: Dict[str, ClopenSet]) -> ProductClopen:
         return ProductClopen(self.k_group, slices)
 
-    def uniform(self, c: ClopenSet) -> ProductClopen:
-        return ProductClopen.uniform(self.k_group, c)
+    def lift(self, a, g: str, labels) -> Tuple[ProductSubset, Tuple[str, str]]:
+        """The tower (A, g) of F2 lifted to (A x labels, (g, identity))."""
+        return ProductSubset(self.k_group, {lbl: a for lbl in labels}), (g, self.k_group.identity)
 
-    def shrink(self, s: ProductClopen, eps: Fraction) -> ProductClopen:
-        # K carries the discrete metric, so only the boundary factor shrinks
-        return ProductClopen(
-            self.k_group,
-            {lbl: shrink(s.slices[lbl], eps) for lbl in self.k_group.elements},
-        )
+    def tower_slices(self, c: ProductSubset) -> list:
+        return [c.slices[lbl] for lbl in self.labels]
+
+    def coloring(self) -> Tuple[list, list, dict]:
+        """(E = K, the colour classes of a proper colouring of K's Cayley
+        graph for E², one per copy, the colouring's JSON); the copies number
+        m = |E⁴|."""
+        k = self.k_group
+        e2 = sorted({k.mul(a, b) for a in k.elements for b in k.elements})
+        m = len({k.mul(a, b) for a in e2 for b in e2})
+        coloring = greedy_color(k, e2)
+        if coloring.m != m:
+            raise ConstructionFailed("color budget disagrees with |E^4|")
+        classes = [coloring.color_class(j + 1) for j in range(m)]
+        return list(k.elements), classes, coloring.to_json()
 
 
 def space_from_json(data: dict):
@@ -586,14 +612,9 @@ def boost(w: SubeqWitness, v_set) -> SubeqWitness:
         return _verified(SubeqWitness(space, w.sources, [v_set], w.entries), "boosted")
     v_cell = cylinder_cell_of(space, v_set)
     ends = _extensions_ending_with(v_cell[1], w0_cell[1][-1], r_plus_1)
-    k_shift = None
-    if space.kind == "F2xK":
-        k_shift = space.k_group.mul(v_cell[0], space.k_group.inv(w0_cell[0]))
-    translators = []
-    for v_k in ends:
-        word = multiply(v_k, inverse(w0_cell[1]))
-        t = word if k_shift is None else (word, k_shift)
-        translators.append(t)
+    # (v_k, v's label) times the inverse of (w0, w0's label)
+    w0_inv = space.inv(space.elem(w0_cell[1], w0_cell[0]))
+    translators = [space.mul(space.elem(v_k, v_cell[0]), w0_inv) for v_k in ends]
     # each translator carries [w0] exactly onto its own subcylinder of v_set
     images = [space.act(t, w.targets[0]) for t in translators]
     for s1, s2 in itertools.combinations(images, 2):
@@ -818,23 +839,23 @@ def _color_clash(matched, image_of, n):
 # the end-to-end builder
 
 class ComparisonInstance:
-    """One of the two supported actions: the plain boundary, or boundary x Z/2."""
+    """One of the two supported actions: F2 × Z/2 on boundary × Z/2, or F2
+    on its boundary, which is the one-label case of the same construction."""
 
     def __init__(self, name: str):
         if name not in ("F2", "F2xZ2"):
             raise ValueError(f"unsupported instance: {name!r}")
         self.name = name
-        self.k_group = cyclic_group(2) if name == "F2xZ2" else None
+        self._space = ProductSpace(cyclic_group(2)) if name == "F2xZ2" else PlainSpace()
 
     def space(self):
-        if self.k_group is None:
-            return PlainSpace()
-        return ProductSpace(self.k_group)
+        return self._space
 
     def to_json(self) -> dict:
-        out = {"name": self.name}
-        if self.k_group is not None:
-            out["k"] = self.k_group.to_json()
+        # the name, and the space's K if it has one
+        out = self._space.to_json()
+        del out["kind"]
+        out["name"] = self.name
         return out
 
     @staticmethod
@@ -885,7 +906,6 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     space = inst.space()
     if u_set.is_empty():
         raise ValueError("target must be nonempty")
-    k_group = inst.k_group
 
     # target cylinder and the shrinking margin that leaves it unchanged
     u0_cell = cylinder_cell_of(space, u_set)
@@ -894,18 +914,13 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     if not space.shrink(u_target, eps).equals(u_target):
         raise ConstructionFailed(f"shrinking by {eps} changes the target cylinder")
 
-    # elements moving every depth-1 cylinder into the target cylinder
+    # elements moving every depth-1 cylinder into the target cylinder, with
+    # every label; one copy of the towers per colour class of K
     letter_movers = _translator_set(u0_cell[1])
     d0 = sorted({""} | set(letter_movers.values()), key=lambda w: (len(w), w))
-    if k_group is None:
-        e_set: List[str] = []
-        f0 = list(d0)
-        m = 1
-    else:
-        e_set = list(k_group.elements)
-        f0 = [(h, e) for h in d0 for e in e_set]
-        e2 = sorted({k_group.mul(a, b) for a in e_set for b in e_set})
-        m = len({k_group.mul(a, b) for a in e2 for b in e2})
+    f0 = [space.elem(h, e) for h in d0 for e in space.labels]
+    e_set, classes, coloring_json = space.coloring()
+    m = len(classes)
 
     covered = space.union_all(space.act(space.inv(f), u_target) for f in f0)
     if not space.full().is_subset(covered):
@@ -919,10 +934,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         | {""},
         key=lambda w: (len(w), w),
     )
-    if k_group is None:
-        f_elems: List = list(d_words)
-    else:
-        f_elems = [(h, e) for h in d_words for e in e_set]
+    f_elems = [space.elem(h, e) for h in d_words for e in space.labels]
 
     # claim 1: every point is moved into the target by at least m elements
     claim1_items = [
@@ -952,34 +964,18 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         n = len(tower_fam.cover_groups[0])
         nm = n * m
 
-        # pair each copy with a color class of K and assemble the product sets
-        coloring_json = None
-        c_sets: List = []
-        g_elems: List = []
-        if k_group is None:
-            for idxs in tower_fam.cover_groups:
-                for i in idxs:
-                    a, g = tower_fam.items[i]
-                    c_sets.append(a)
-                    g_elems.append(g)
-        else:
-            coloring = greedy_color(k_group, e2)
-            if coloring.m != m:
-                raise ConstructionFailed("color budget disagrees with |E^4|")
-            coloring_json = coloring.to_json()
-            classes = [coloring.color_class(j + 1) for j in range(m)]
-            for j, idxs in enumerate(tower_fam.cover_groups):
-                for i in idxs:
-                    a, g = tower_fam.items[i]
-                    c_sets.append(
-                        ProductSubset(k_group, {lbl: a for lbl in classes[j]})
-                    )
-                    g_elems.append((g, k_group.identity))
+        # pair each copy with a color class of K and lift its towers
+        lifted = [
+            space.lift(*tower_fam.items[i], labels)
+            for idxs, labels in zip(tower_fam.cover_groups, classes, strict=True)
+            for i in idxs
+        ]
+        c_sets, g_elems = zip(*lifted)
         fam_check = TowerFamily(
             space.kind,
             sorted({space.mul(u, v) for u in f_elems for v in f_elems}, key=_elem_order(space)),
-            list(zip(c_sets, g_elems)),
-            k_group=k_group,
+            lifted,
+            k_group=space.k_group,
             cover_groups=[list(range(nm))],
         )
         tower_cert = verify_towers(fam_check, "exact")
@@ -1000,12 +996,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     # threshold sets; the K factor carries the uniform measure, so both
     # families are uniform across labels
     def measure_threshold(subset, theta: Fraction) -> object:
-        if k_group is None:
-            nfs = [subset.normal_form()]
-            weights = [Fraction(1)]
-        else:
-            nfs = [subset.slices[lbl].normal_form() for lbl in k_group.elements]
-            weights = [Fraction(1, len(k_group))] * len(k_group)
+        nfs = [sl.normal_form() for sl in space.tower_slices(subset)]
+        weights = [Fraction(1, len(nfs))] * len(nfs)
         return space.uniform(gm.threshold_weighted(nfs, weights, theta, ">"))
 
     theta_v = Fraction(1, nm + 1) + delta

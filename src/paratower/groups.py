@@ -238,6 +238,8 @@ def make_group(kind: str, k_group: Optional[FiniteGroup] = None):
 
 def group_from_json(data: dict):
     """The group of ``{"kind": ..., "k": ...}``, the form ``to_json`` writes."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a group must be an object, not {data!r}")
     k = data.get("k")
     return make_group(data.get("kind"), None if k is None else finite_group_from_json(k))
 

@@ -135,7 +135,7 @@ _SET_KINDS = {"F2xK": "product-k", "F2xF2": "product-f2", "F3": "coset-slices"}
 
 def _subset_from_json(data: dict, group):
     """A tower set of a family on ``group``, of that group's kind."""
-    kind = data.get("kind")
+    kind = data["kind"]
     if _SET_KINDS.get(group.kind) != (kind if kind in _SET_KINDS.values() else None):
         raise ValueError(f"an {group.kind} family cannot hold a {kind!r} set")
     k_group = group.k_group
@@ -144,11 +144,10 @@ def _subset_from_json(data: dict, group):
             raise ValueError(
                 f"a product-k set's k must be the family's k, not {data['k']!r}"
             )
-        if not set(data["slices"]) <= set(k_group.elements):
-            raise ValueError(f"slice labels {sorted(data['slices'])} are not all in K")
-        return ProductSubset(
-            k_group, {e: ss.subset_from_json(v) for e, v in data["slices"].items()}
-        )
+        slices = data["slices"]
+        if not isinstance(slices, dict) or not set(slices) <= set(k_group.elements):
+            raise ValueError(f"slices {slices!r} are not an object keyed by labels of K")
+        return ProductSubset(k_group, {e: ss.subset_from_json(v) for e, v in slices.items()})
     if kind == "product-f2":
         return ProductF2Subset(
             ss.subset_from_json(data["first"]), ss.subset_from_json(data["second"])

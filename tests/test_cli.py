@@ -252,13 +252,33 @@ PINNED_TOWERS = [
      "359f13ea0d899455d38f1f4afa0dd3f19ee43843cf7e1e89121147f89ba1da77"),
     (["compare", "--instance", "F2xZ2", "--U", "ab:0,ab:1"],
      "619dced0e3131a3762759b8c52d331f43ed81224905359c4faafdb8b6e19251e"),
+    # comparisons recorded before F2 became the one-label case of
+    # boundary x K; building both through one path must keep them
+    (["compare", "--instance", "F2", "--U", "Ba"],
+     "f5b56b01e246d957b6e44dc14b0b866ded0bf7f199b0f43d33339fb9fdb132c8"),
+    (["compare", "--instance", "F2", "--U", "aaB"],
+     "d6a39646dab81e0df35f7d47d1eeee9f3fde3f563519d281c742e0fce92e6186"),
+    (["compare", "--instance", "F2", "--U", "abab"],
+     "ae859c1a740f8c0d08a4371f692cbab45945f36012776ab200a3afe88876e23e"),
+    (["compare", "--instance", "F2", "--U", "bbA"],
+     "87e0ffcfa2185455543a6f62dcb632d6f043a70424f06704b2c6a90e22c110bb"),
+    (["compare", "--instance", "F2", "--U", "A"],
+     "94c691515a5c9981777f1a04c4657538f3eb40da37cf67005d13c77d393c730b"),
+    (["compare", "--instance", "F2xZ2", "--U", "b:1"],
+     "e53ddab42367e88172e2492565d65e249850d864851854872d7467e7354c387b"),
+    (["compare", "--instance", "F2xZ2", "--U", "abA:1"],
+     "762f08b4a4f352ccff6e088d743de228dca0a98084d1efa6ec0eeeaebaf09dcb"),
+    (["compare", "--instance", "F2xZ2", "--U", "Ba:1,b:0"],
+     "e71a77fa8d2367f34c32f450019718e024ab2f3a016180947e4f8740050c6c6f"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     PINNED_TOWERS,
-    ids=["f2", "more-3", "f2xk-exact", "f2xk-ball", "f2xf2", "union", "compare-ab01"],
+    ids=["f2", "more-3", "f2xk-exact", "f2xk-ball", "f2xf2", "union", "compare-ab01",
+         "compare-F2-Ba", "compare-F2-aaB", "compare-F2-abab", "compare-F2-bbA",
+         "compare-F2-A", "compare-b1", "compare-abA1", "compare-Ba1-b0"],
 )
 def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, argv)
@@ -815,3 +835,53 @@ def _f2_towers_with_d(word):
 )
 def test_verify_rejects_an_unreduced_group_element(tmp_path, kind, forge):
     assert _verify_payload(tmp_path, kind, forge())[0] == 3
+
+
+def _f2xk_towers():
+    from paratower.groups import cyclic_group
+    from paratower.towers import finite_normal_ext_towers, verify_towers
+
+    fam = finite_normal_ext_towers([("", "0"), ("a", "1")], cyclic_group(2))
+    return verify_towers(fam, "exact").to_json()
+
+
+def _isometry_payload():
+    from paratower.crossed import build_isometry
+
+    return build_isometry().to_json()
+
+
+@pytest.mark.parametrize(
+    "kind, forge",
+    [
+        ("witness", lambda: _with(_plain_witness(), ["space"], "x")),
+        ("witness", lambda: _with(_product_witness(), ["space"], 5)),
+        ("witness", lambda: _with(_plain_witness(), ["space"], [])),
+        ("comparison", lambda p: _with(p, ["claim1"], [True])),
+        ("comparison", lambda p: _with(p, ["claim2"], "pass")),
+        ("comparison", lambda p: _with(p, ["claim3"], [])),
+        ("isometry", lambda: _with(_isometry_payload(), ["checks"], [True])),
+        ("towers", lambda: _with(_f2_towers_with_d("a"), ["towers", 0, "A"], 5)),
+        ("towers", lambda: _with(_f2xk_towers(), ["towers", 0, "A", "slices"], [])),
+    ],
+    ids=["space-string", "space-int", "space-list", "claim1-list", "claim2-string",
+         "claim3-list", "isometry-checks-list", "tower-set-int", "tower-slices-list"],
+)
+def test_verify_rejects_an_object_field_of_another_type(tmp_path, f2_comparison, kind, forge):
+    payload = forge(copy.deepcopy(f2_comparison)) if kind == "comparison" else forge()
+    code, report = _verify_payload(tmp_path, kind, payload)
+    assert code == 3 and "does not parse" in report["error"]
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"w"', "null", "{'space': 1}", ""])
+@pytest.mark.parametrize("command", ["compose", "boost"])
+def test_compose_and_boost_reject_a_malformed_witness_file(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = _write_witness(tmp_path, "w.json", ["b"], ["a"], [(0, "b", "a", 0)])
+    argv = ["compose", str(good), str(bad)] if command == "compose" else ["boost", str(bad)]
+    code, env = run_json(tmp_path, argv + (["--V", "a"] if command == "boost" else []))
+    assert code == 3 and env is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("malformed:")
+    assert main(["verify", str(bad)]) == 3

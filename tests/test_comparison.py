@@ -159,6 +159,40 @@ def test_boost_merges_colors():
     assert out.targets[0].equals(cyl("a"))
 
 
+# sha256 of the canonical JSON of each boosted witness, recorded when boost
+# built its translators' label part in a branch of its own for F2 x K
+LABEL_SHIFT_BOOSTS = [
+    ("b", "2", "d739831f6b2f5111d5627a9dd1cce0b6823b0c00c1c2d7b5c69dded0bde7c25f"),
+    ("Ba", "1", "56eae0bff92760e1dcb108a561e4a100eadaea3f2c4a9d7e08a0323364598a46"),
+    ("ab", "0", "c172da8cf739a34a74220011c70d7e50142906bc601e8809c4ed444efdada6b5"),
+]
+
+
+@pytest.mark.parametrize("v_word, v_label, digest", LABEL_SHIFT_BOOSTS)
+def test_boost_shifts_labels_onto_the_target(v_word, v_label, digest):
+    import hashlib
+
+    from paratower.certificates import canonical_json
+
+    k3 = cyclic_group(3)
+
+    def box(w, lbl):
+        return ProductClopen(k3, {lbl: cyl(w)})
+
+    # [a]x{1} below two copies of [ab]x{0}: every piece lands on label 0
+    w = SubeqWitness(ProductSpace(k3), [box("a", "1")], [box("ab", "0")] * 2, [
+        (0, box("aa", "1"), ("ab", "2"), 0),
+        (0, box("ab", "1"), ("", "2"), 1),
+        (0, box("aB", "1"), ("ab", "2"), 0),
+    ])
+    assert verify_witness(w)["pass"]
+    out = boost(w, box(v_word, v_label))
+    assert verify_witness(out)["pass"]
+    # the translators carry label 0 to v's label
+    assert {g[1] for _, _, g, _ in out.entries} == {k3.mul(v_label, "2")}
+    assert hashlib.sha256(canonical_json(out.to_json()).encode()).hexdigest() == digest
+
+
 # -- counting and the assignment step
 
 def plain_counting_data():
