@@ -45,7 +45,8 @@ def wrap(kind: str, payload: dict, seed: Optional[int] = 0) -> dict:
 
 
 def parse_envelope(data: dict) -> Tuple[str, dict]:
-    """Validate envelope structure and the payload hash; return (kind, payload)."""
+    """Validate envelope structure; return (kind, payload).  The hash is
+    ``hash_matches``'s to check."""
     if not isinstance(data, dict):
         raise MalformedCertificate("certificate must be a JSON object")
     for key in ("schema_version", "kind", "payload", "content_hash"):
@@ -84,14 +85,9 @@ def _verify_towers(payload: dict) -> dict:
 
 def _verify_coloring(payload: dict) -> dict:
     from .coloring import greedy_color
+    from .groups import factor_from_json
 
-    k_desc = payload["K"]
-    group = "Z" if k_desc == "Z" else None
-    if group is None:
-        from .groups import finite_group_from_json
-
-        group = finite_group_from_json(k_desc)
-    coloring = greedy_color(group, payload["E"])
+    coloring = greedy_color(factor_from_json(payload["K"]), payload["E"])
     window = payload["window"]
     proper = coloring.is_proper_on(window)
     same = [coloring.color_of(k) for k in window] == payload["assignment"]

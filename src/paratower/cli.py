@@ -11,6 +11,10 @@ from . import certificates as certs
 from .towers import SearchExhausted
 
 
+class _HashMismatch(Exception):
+    """A certificate whose content hash does not match its payload: exit 2."""
+
+
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 64, not argparse's default 2
     def error(self, message):
@@ -81,29 +85,31 @@ def emit_report(envelope: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_f2_towers(args) -> int:
-    from .towers import f2_towers, verify_towers
+def _emit_towers(args, family) -> int:
+    """Check the family in the command's mode and write its certificate."""
+    from .towers import verify_towers
 
-    fam = f2_towers(_parse_words(args.D))
-    cert = verify_towers(fam, args.mode, args.radius)
+    cert = verify_towers(family, args.mode, args.radius)
     env = certs.wrap("towers", cert.to_json(), args.seed)
     _write_or_print(args, env)
     return 0 if cert.passed else 2
 
 
-def _cmd_more_towers(args) -> int:
-    from .towers import more_towers, verify_towers
+def _f2_towers(args):
+    from .towers import f2_towers
 
-    fam = more_towers(_parse_words(args.D), args.copies)
-    cert = verify_towers(fam, args.mode, args.radius)
-    env = certs.wrap("towers", cert.to_json(), args.seed)
-    _write_or_print(args, env)
-    return 0 if cert.passed else 2
+    return f2_towers(_parse_words(args.D))
 
 
-def _cmd_ext_towers(args) -> int:
+def _more_towers(args):
+    from .towers import more_towers
+
+    return more_towers(_parse_words(args.D), args.copies)
+
+
+def _ext_towers(args):
     from .groups import cyclic_group
-    from .towers import extension_towers, finite_normal_ext_towers, verify_towers
+    from .towers import extension_towers, finite_normal_ext_towers
 
     if args.kind == "f2xk":
         k = cyclic_group(args.k_order)
@@ -111,54 +117,34 @@ def _cmd_ext_towers(args) -> int:
         for tok in args.F.split(","):
             w, lbl = tok.strip().split(":")
             f_set.append(("" if w in ("e", "1") else w, lbl))
-        fam = finite_normal_ext_towers(f_set, k)
-    else:
-        f_set = []
-        for tok in args.F.split(","):
-            u, v = tok.strip().split(":")
-            f_set.append(
-                ("" if u in ("e", "1") else u, "" if v in ("e", "1") else v)
-            )
-        fam = extension_towers(f_set)
-    cert = verify_towers(fam, args.mode, args.radius)
-    env = certs.wrap("towers", cert.to_json(), args.seed)
-    _write_or_print(args, env)
-    return 0 if cert.passed else 2
+        return finite_normal_ext_towers(f_set, k)
+    f_set = []
+    for tok in args.F.split(","):
+        u, v = tok.strip().split(":")
+        f_set.append(("" if u in ("e", "1") else u, "" if v in ("e", "1") else v))
+    return extension_towers(f_set)
 
 
-def _cmd_union_towers(args) -> int:
-    from .towers import union_towers, verify_towers
+def _union_towers(args):
+    from .towers import union_towers
 
-    fam = union_towers(_parse_words(args.D))
-    cert = verify_towers(fam, args.mode, args.radius)
-    env = certs.wrap("towers", cert.to_json(), args.seed)
-    _write_or_print(args, env)
-    return 0 if cert.passed else 2
+    return union_towers(_parse_words(args.D))
 
 
-def _cmd_filling_towers(args) -> int:
-    from .towers import towers_from_filling, verify_towers
+def _filling_towers(args):
+    from .towers import towers_from_filling
 
-    fam = towers_from_filling(_parse_words(args.D), n=args.n)
-    cert = verify_towers(fam, args.mode, args.radius)
-    env = certs.wrap("towers", cert.to_json(), args.seed)
-    _write_or_print(args, env)
-    return 0 if cert.passed else 2
+    return towers_from_filling(_parse_words(args.D), n=args.n)
 
 
 def _cmd_color(args) -> int:
     from .coloring import greedy_color
-    from .groups import cyclic_group
+    from .groups import factor_from_json
 
-    if args.K == "Z":
-        coloring = greedy_color("Z", [int(x) for x in args.E.split(",")])
-        window = list(range(-args.window, args.window + 1))
-        payload = coloring.to_json(window)
-    else:
-        order = int(args.K.split("/")[1])
-        k = cyclic_group(order)
-        coloring = greedy_color(k, [e.strip() for e in args.E.split(",")])
-        payload = coloring.to_json()
+    group = factor_from_json(args.K)
+    coloring = greedy_color(group, [group.from_text(e.strip()) for e in args.E.split(",")])
+    window = None if args.window is None else range(-args.window, args.window + 1)
+    payload = coloring.to_json(window)
     payload["pass"] = coloring.is_proper_on(payload["window"])
     env = certs.wrap("coloring", payload, args.seed)
     _write_or_print(args, env)
@@ -209,6 +195,8 @@ def _load_witness(path: str):
         kind, payload = certs.parse_envelope(data)
         if kind != "witness":
             raise certs.MalformedCertificate(f"expected a witness, got {kind}")
+        if not certs.hash_matches(data):
+            raise _HashMismatch(f"content hash mismatch in {path}")
         data = payload
     try:
         return SubeqWitness.from_json(data)
@@ -266,6 +254,8 @@ def _cmd_verify(args) -> int:
         return 3
     code, report = certs.verify_certificate(data)
     print(json.dumps(report, indent=2, default=str))
+    if code == 3:
+        print(f"malformed: {report['error']}", file=sys.stderr)
     return code
 
 
@@ -277,49 +267,39 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", help="write the certificate to this path")
 
-    p = sub.add_parser("f2-towers", parents=[], help="cone towers on the free group")
-    p.add_argument("--D", required=True, help="comma-separated words; e = identity")
-    p.add_argument("--mode", choices=["exact", "ball"], default="exact")
-    p.add_argument("--radius", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_f2_towers)
+    def towers_command(name, help, build, mode="exact", radius=None):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--mode", choices=["exact", "ball"], default=mode)
+        p.add_argument("--radius", type=int, default=radius)
+        common(p)
+        p.set_defaults(func=lambda args: _emit_towers(args, build(args)))
+        return p
 
-    p = sub.add_parser("more-towers", help="indexed copies of the cone towers")
+    p = towers_command("f2-towers", "cone towers on the free group", _f2_towers)
+    p.add_argument("--D", required=True, help="comma-separated words; e = identity")
+
+    p = towers_command("more-towers", "indexed copies of the cone towers", _more_towers)
     p.add_argument("--D", required=True)
     p.add_argument("--copies", type=int, required=True)
-    p.add_argument("--mode", choices=["exact", "ball"], default="exact")
-    p.add_argument("--radius", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_more_towers)
 
-    p = sub.add_parser("ext-towers", help="towers on product groups")
+    p = towers_command("ext-towers", "towers on product groups", _ext_towers)
     p.add_argument("--kind", choices=["f2xk", "f2xf2"], default="f2xk")
     p.add_argument("--k-order", type=int, default=2, dest="k_order")
     p.add_argument("--F", required=True, help="pairs word:label or word:word")
-    p.add_argument("--mode", choices=["exact", "ball"], default="exact")
-    p.add_argument("--radius", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_ext_towers)
 
-    p = sub.add_parser("union-towers", help="towers on the rank-3 free group")
+    p = towers_command("union-towers", "towers on the rank-3 free group", _union_towers)
     p.add_argument("--D", required=True)
-    p.add_argument("--mode", choices=["exact", "ball"], default="exact")
-    p.add_argument("--radius", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_union_towers)
 
-    p = sub.add_parser("filling-towers", help="towers from the boundary action")
+    p = towers_command(
+        "filling-towers", "towers from the boundary action", _filling_towers, "ball", 8
+    )
     p.add_argument("--D", required=True)
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--mode", choices=["exact", "ball"], default="ball")
-    p.add_argument("--radius", type=int, default=8)
-    common(p)
-    p.set_defaults(func=_cmd_filling_towers)
 
     p = sub.add_parser("color", help="greedy Cayley coloring")
     p.add_argument("--K", required=True, help="Z or Z/n")
     p.add_argument("--E", required=True, help="comma-separated symmetric set")
-    p.add_argument("--window", type=int, default=100)
+    p.add_argument("--window", type=int, help="colour -w..w of Z (default 100); a finite K whole")
     common(p)
     p.set_defaults(func=_cmd_color)
 
@@ -363,6 +343,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except certs.MalformedCertificate as e:
         print(f"malformed: {e}", file=sys.stderr)
         return 3
+    except _HashMismatch as e:
+        print(f"failed: {e}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, SearchExhausted) as e:
         # a search that hits its cap is refused like any other input
         print(f"error: {e}", file=sys.stderr)

@@ -7,92 +7,58 @@ resulting color classes partition K and each class B satisfies
 e·B ∩ e'·B = ∅ for distinct e, e' in E, which is exactly the translation
 freeness the tower constructions need.
 
-Supported groups: any finite group table, and the integers with a fixed
-canonical enumeration 0, 1, -1, 2, -2, ...
+K is any group with an enumeration (``groups.FiniteGroup``, whose elements
+come in table order, or ``groups.IntegerGroup``, enumerated 0, 1, -1, 2,
+-2, ...), so one first-fit greedy along it colours every countable K.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence
 
-from .groups import FiniteGroup
-
-
-def _z_enum_index(k: int) -> int:
-    # position of k in the enumeration 0, 1, -1, 2, -2, ...
-    if k == 0:
-        return 0
-    if k > 0:
-        return 2 * k - 1
-    return -2 * k
-
-
-def _z_enum(i: int) -> int:
-    if i == 0:
-        return 0
-    if i % 2 == 1:
-        return (i + 1) // 2
-    return -(i // 2)
+from .groups import MAX_CYCLIC_ORDER, FiniteGroup, factor_from_json
 
 
 class Coloring:
     """A proper coloring of Cay(K, E^2) with colors 1..m.
 
-    For the integers the assignment is a memoized greedy extended on
-    demand; for a finite K it is computed eagerly.
+    The assignment is first-fit along K's enumeration, memoized and extended
+    on demand up to the element asked for.  K may be given by its JSON name,
+    "Z" or "Z/n".
     """
 
-    def __init__(self, group: Union[FiniteGroup, str], e_set: Sequence):
+    def __init__(self, group, e_set: Sequence):
+        group = factor_from_json(group) if isinstance(group, str) else group
         self.group = group
-        if isinstance(group, FiniteGroup):
-            self.e_set = list(e_set)
-            if group.identity not in self.e_set:
-                raise ValueError("E must contain the identity")
-            if any(group.inv(e) not in self.e_set for e in self.e_set):
-                raise ValueError("E must be symmetric")
-            e2 = sorted({group.mul(e, f) for e in self.e_set for f in self.e_set},
-                        key=group.elements.index)
-            self.e_squared = e2
-            self.m = len(e2)
-            self._assign: Dict = {}
-            for k in group.elements:
-                nbrs = {group.mul(g, k) for g in e2 if g != group.identity}
-                used = {self._assign[x] for x in nbrs if x in self._assign}
-                self._assign[k] = min(c for c in range(1, self.m + 1) if c not in used)
-        elif group == "Z":
-            self.e_set = sorted(int(e) for e in e_set)
-            if 0 not in self.e_set:
-                raise ValueError("E must contain 0")
-            if any(-e not in self.e_set for e in self.e_set):
-                raise ValueError("E must be symmetric")
-            self.e_squared = sorted({e + f for e in self.e_set for f in self.e_set})
-            self.m = len(self.e_squared)
-            self._assign = {}
-            self._next_index = 0
-        else:
-            raise ValueError(f"unsupported group: {group!r}")
-
-    def _extend_z(self, upto_index: int) -> None:
-        offsets = [g for g in self.e_squared if g != 0]
-        while self._next_index <= upto_index:
-            v = _z_enum(self._next_index)
-            used = set()
-            for g in offsets:
-                w = v + g
-                if _z_enum_index(w) < self._next_index:
-                    used.add(self._assign[w])
-            self._assign[v] = min(c for c in range(1, self.m + 1) if c not in used)
-            self._next_index += 1
+        self.e_set = group.ordered(e_set)
+        if len(self.e_set) > MAX_CYCLIC_ORDER:
+            raise ValueError(
+                f"E lists {len(self.e_set)} elements, above the cap of {MAX_CYCLIC_ORDER}"
+            )
+        if len({group.index(e) for e in self.e_set}) != len(self.e_set):
+            raise ValueError("E must list distinct elements")
+        if group.identity not in self.e_set:
+            raise ValueError("E must contain the identity")
+        if any(group.inv(e) not in self.e_set for e in self.e_set):
+            raise ValueError("E must be symmetric")
+        self.e_squared = group.ordered(
+            dict.fromkeys(group.mul(e, f) for e in self.e_set for f in self.e_set)
+        )
+        self.m = len(self.e_squared)
+        self._offsets = [g for g in self.e_squared if g != group.identity]
+        self._assign: Dict = {}
 
     def color_of(self, k) -> int:
-        if isinstance(self.group, FiniteGroup):
-            return self._assign[k]
-        self._extend_z(_z_enum_index(int(k)))
-        return self._assign[int(k)]
+        # k's place first: it rejects what the enumeration never reaches
+        upto = self.group.index(k)
+        while len(self._assign) <= upto:
+            v = self.group.element(len(self._assign))
+            used = {self._assign.get(self.group.mul(g, v)) for g in self._offsets}
+            self._assign[v] = next(c for c in range(1, self.m + 1) if c not in used)
+        return self._assign[k]
 
     def colors_used(self) -> int:
-        if isinstance(self.group, FiniteGroup):
-            return max(self._assign.values())
+        """The most colors the elements colored so far use."""
         return max(self._assign.values(), default=0)
 
     def color_class(self, j: int):
@@ -100,47 +66,34 @@ class Coloring:
         if not 1 <= j <= self.m:
             raise IndexError(f"color index {j} out of range 1..{self.m}")
         if isinstance(self.group, FiniteGroup):
-            return {k for k in self.group.elements if self._assign[k] == j}
+            return {k for k in self.group.elements if self.color_of(k) == j}
         return lambda k: self.color_of(k) == j
 
     def is_proper_on(self, window: Iterable) -> bool:
-        if isinstance(self.group, FiniteGroup):
-            ident = self.group.identity
-            return all(
-                self.color_of(k) != self.color_of(self.group.mul(g, k))
-                for k in window
-                for g in self.e_squared
-                if g != ident
-            )
-        win = [int(k) for k in window]
         return all(
-            self.color_of(k) != self.color_of(k + g)
-            for k in win
-            for g in self.e_squared
-            if g != 0
+            self.color_of(k) != self.color_of(self.group.mul(g, k))
+            for k in window
+            for g in self._offsets
         )
 
     def to_json(self, window: Optional[Sequence] = None) -> dict:
-        if isinstance(self.group, FiniteGroup):
-            win = list(self.group.elements)
-            return {
-                "K": self.group.to_json(),
-                "E": list(self.e_set),
-                "m": self.m,
-                "window": win,
-                "assignment": [self.color_of(k) for k in win],
-            }
-        win = list(window) if window is not None else list(range(-100, 101))
+        """The assignment on the window: all of a finite K, or -100..100 of Z,
+        by default."""
+        if window is None:
+            finite = isinstance(self.group, FiniteGroup)
+            window = self.group.elements if finite else range(-100, 101)
+        # colour first, so a window that reaches too far fails before it is listed
+        assignment = [self.color_of(k) for k in window]
         return {
-            "K": "Z",
+            "K": self.group.to_json(),
             "E": list(self.e_set),
             "m": self.m,
-            "window": win,
-            "assignment": [self.color_of(k) for k in win],
+            "window": list(window),
+            "assignment": assignment,
         }
 
 
-def greedy_color(group: Union[FiniteGroup, str], e_set: Sequence) -> Coloring:
+def greedy_color(group, e_set: Sequence) -> Coloring:
     return Coloring(group, e_set)
 
 

@@ -1,6 +1,9 @@
-"""Finite groups and the four ambient groups of tower families and spaces.
+"""The factors K of products, and the four ambient groups of tower families
+and spaces.
 
-Finite group elements are string labels.  The ambient groups F2, F2 × K (K
+A factor K is a finite group, whose elements are string labels, or the
+integers.  Both enumerate their elements (``element``, ``index``), which is
+the order greedy colourings of K follow.  The ambient groups F2, F2 × K (K
 finite), F2 × F2 and the rank-3 free group F3 share one protocol:
 ``identity``, ``mul``, ``inv``, ``ball``, ``ball_size``, ``elem_json``,
 ``elem_from_json``, ``word_part`` and ``to_json``.  F2 and F3 elements are
@@ -38,12 +41,30 @@ class FiniteGroup:
                     self._inv[e] = f
         if len(self._inv) != len(elements):
             raise ValueError("multiplication table has no inverses")
+        self._index = {e: i for i, e in enumerate(self.elements)}
 
     def mul(self, a: str, b: str) -> str:
         return self.table[(a, b)]
 
     def inv(self, a: str) -> str:
         return self._inv[a]
+
+    def element(self, i: int) -> str:
+        return self.elements[i]
+
+    def index(self, k) -> int:
+        """k's place in the element list; a ValueError if k is no element."""
+        i = self._index.get(k) if isinstance(k, str) else None
+        if i is None:
+            raise ValueError(f"{k!r} is not an element of {self.name}")
+        return i
+
+    def ordered(self, elems) -> list:
+        """A set of elements as it is written: in the order given."""
+        return list(elems)
+
+    def from_text(self, text: str) -> str:
+        return text
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -74,6 +95,52 @@ def finite_group_from_json(data: dict) -> FiniteGroup:
     if isinstance(name, str) and name.startswith("Z/") and name[2:].isdigit():
         return cyclic_group(int(name[2:]))
     raise ValueError(f"unknown finite group: {name!r}")
+
+
+# a greedy colouring of Z colours the 2|k| integers before k, so the integers
+# it is asked about stay within this size
+MAX_INTEGER = 20_000
+
+
+class IntegerGroup:
+    """The integers under addition, enumerated 0, 1, -1, 2, -2, ..."""
+
+    name = "Z"
+    identity = 0
+
+    def mul(self, a: int, b: int) -> int:
+        return a + b
+
+    def inv(self, a: int) -> int:
+        return -a
+
+    def element(self, i: int) -> int:
+        return (i + 1) // 2 if i % 2 else -(i // 2)
+
+    def index(self, k) -> int:
+        """k's place in the enumeration; a ValueError unless k is an int, not
+        a bool, of size at most MAX_INTEGER."""
+        if type(k) is not int or abs(k) > MAX_INTEGER:
+            raise ValueError(f"{k!r} is not an integer of size at most {MAX_INTEGER}")
+        return 2 * k - 1 if k > 0 else -2 * k
+
+    def ordered(self, elems) -> list:
+        """A set of integers as it is written: in increasing order."""
+        return sorted(elems)
+
+    def from_text(self, text: str) -> int:
+        return int(text)
+
+    def to_json(self) -> str:
+        return "Z"
+
+
+def factor_from_json(data):
+    """The factor K written as "Z", as a finite group's object, or by the
+    bare name "Z/n"."""
+    if data == "Z":
+        return IntegerGroup()
+    return finite_group_from_json(data if isinstance(data, dict) else {"name": data})
 
 
 # ---------------------------------------------------------------------------

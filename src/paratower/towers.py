@@ -729,30 +729,25 @@ def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     return fam
 
 
-def disjoint_translates(
-    d_words: Sequence[str], count: int, max_radius: int = fw.DEFAULT_MAX_RADIUS
-) -> List[str]:
+def disjoint_translates(d_words: Sequence[str], count: int) -> List[str]:
     """First `count` words s (canonical order) with the sets D·s pairwise disjoint."""
     chosen: List[str] = []
     taken: set = set()
     d_list = list(d_words)
-    for w in fw.enumerate_words(max_radius):
+    for w in fw.enumerate_words():
         if not any(multiply(d, w) in taken for d in d_list):
             chosen.append(w)
             taken.update(multiply(d, w) for d in d_list)
             if len(chosen) == count:
                 return chosen
     raise SearchExhausted(
-        f"found only {len(chosen)} of {count} disjoint translates within radius {max_radius}"
+        f"found only {len(chosen)} of {count} disjoint translates"
+        f" within radius {fw.DEFAULT_MAX_RADIUS}"
     )
 
 
 @shared_translates()
-def more_towers(
-    d_set: Iterable[str],
-    copies: int,
-    base: Callable[[Iterable[str]], TowerFamily] = f2_towers,
-) -> TowerFamily:
+def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     """copies × n indexed towers that are jointly D-disjoint (one covering
     family per copy index)."""
     d_list = [fw.reduce_word(d) for d in d_set]
@@ -760,7 +755,7 @@ def more_towers(
         raise ValueError("copies must be positive")
     shifts = disjoint_translates(d_list, copies)
     d_big = sorted({multiply(d, s) for d in d_list for s in shifts}, key=lambda w: (len(w), w))
-    base_fam = base(d_big)
+    base_fam = f2_towers(d_big)
     memo = _translates()
     items = []
     cover_groups: List[List[int]] = []
@@ -784,11 +779,7 @@ def more_towers(
 
 
 @shared_translates()
-def finite_normal_ext_towers(
-    f_set: Sequence[ProductElem],
-    k_group: FiniteGroup,
-    base: Callable[[Iterable[str]], TowerFamily] = f2_towers,
-) -> TowerFamily:
+def finite_normal_ext_towers(f_set: Sequence[ProductElem], k_group: FiniteGroup) -> TowerFamily:
     """Towers on F2 × K from quotient towers, |K|·n of them.
 
     The quotient family is built for the union of disjoint translates
@@ -800,7 +791,7 @@ def finite_normal_ext_towers(
     d_big = sorted(
         {multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w)
     )
-    quot = base(d_big)
+    quot = f2_towers(d_big)
     memo = _translates()
     items = []
     for j, (t, k_elem) in enumerate(zip(shifts, k_group.elements)):
@@ -859,14 +850,10 @@ def extension_towers(
 
 
 @shared_translates()
-def union_towers(
-    d_set: Iterable[str],
-    base: Callable[[Iterable[str]], TowerFamily] = f2_towers,
-    transversal_radius: int = 5,
-) -> TowerFamily:
+def union_towers(d_set: Iterable[str]) -> TowerFamily:
     """Towers on the rank-3 free group from coset-sliced rank-2 towers."""
     d_list = [fw.reduce_word(d) for d in d_set]
-    sub_fam = base(d_list)
+    sub_fam = f2_towers(d_list)
     items = [(CosetSliceSubset(a), g) for a, g in sub_fam.items]
     fam = TowerFamily(
         "F3",
@@ -874,7 +861,7 @@ def union_towers(
         items,
         notes={
             "transversal": "identity plus reduced words starting with c or C",
-            "transversal_radius": transversal_radius,
+            "transversal_radius": 5,
         },
     )
     cert = verify_towers(fam, "exact")
@@ -887,12 +874,13 @@ def union_towers(
 # towers from the boundary action
 
 
-def towers_from_filling(
-    d_set: Iterable[str],
-    n: int = 2,
-    check_prefix_len: int = 40,
-    stabilizer_radius: int = 6,
-) -> TowerFamily:
+# the filling towers compare boundary points on prefixes of this length, and
+# check that no word of the ball of STABILIZER_RADIUS fixes that prefix of z
+CHECK_PREFIX_LEN = 40
+STABILIZER_RADIUS = 6
+
+
+def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
     """Orbit-preimage towers A_i = {g : g·z ∈ U_i} on the free group.
 
     z is the aperiodic boundary point a b a b^2 a b^3 ...; the U_i are
@@ -911,11 +899,11 @@ def towers_from_filling(
     z = AperiodicPoint()
 
     # no short word fixes a long prefix of z; full triviality is assumed
-    for g in fw.ball(stabilizer_radius):
+    for g in fw.ball(STABILIZER_RADIUS):
         if g == "":
             continue
-        moved = multiply(g, z.prefix(check_prefix_len + len(g)))
-        if moved[:check_prefix_len] == z.prefix(check_prefix_len):
+        moved = multiply(g, z.prefix(CHECK_PREFIX_LEN + len(g)))
+        if moved[:CHECK_PREFIX_LEN] == z.prefix(CHECK_PREFIX_LEN):
             raise RuntimeError(f"stabilizer check failed at {g!r}")
 
     # orbit points z, c_2·z, ... with pairwise distinct D-orbit translates
@@ -931,8 +919,8 @@ def towers_from_filling(
         for p in points:
             for d in d_list:
                 for d2 in d_list:
-                    a = multiply(d, cand.prefix(check_prefix_len + len(d)))[:check_prefix_len]
-                    b = multiply(d2, p.prefix(check_prefix_len + len(d2)))[:check_prefix_len]
+                    a = multiply(d, cand.prefix(CHECK_PREFIX_LEN + len(d)))[:CHECK_PREFIX_LEN]
+                    b = multiply(d2, p.prefix(CHECK_PREFIX_LEN + len(d2)))[:CHECK_PREFIX_LEN]
                     if a == b:
                         ok = False
         if ok:
@@ -973,10 +961,7 @@ def towers_from_filling(
             "point": z.to_json(),
             "orbit_movers": movers,
             "neighborhoods": bases,
-            "stabilizer": "trivial assumed; checked on ball "
-            + str(stabilizer_radius)
-            + " against a length-"
-            + str(check_prefix_len)
-            + " prefix",
+            "stabilizer": f"trivial assumed; checked on ball {STABILIZER_RADIUS}"
+            f" against a length-{CHECK_PREFIX_LEN} prefix",
         },
     )

@@ -190,6 +190,31 @@ def test_color_commands(tmp_path):
     assert env["payload"]["m"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--K", "foo", "--E", "0"], "'foo'"),
+        (["--K", "Z/2", "--E", "0,1,7"], "'7' is not an element of Z/2"),
+        (["--K", "Z", "--E=-1,0,1", "--window", "1000000"], "-1000000"),
+        (["--K", "Z", "--E=-1,0,1", "--window", "20000"], "-20002"),
+        (["--K", "Z", "--E=" + ",".join(map(str, range(-1000, 1001)))], "above the cap of 64"),
+        (["--K", "Z/2", "--E", ",".join(["0", "1"] * 3000)], "above the cap of 64"),
+        (["--K", "Z/3", "--E", "0,1,2,1"], "distinct"),
+        (["--K", "Z", "--E", "0,x"], "'x'"),
+        (["--K", "Z/5", "--E", "0,1,4", "--window", "2"], "-2 is not an element of Z/5"),
+    ],
+    ids=["unknown-K", "E-outside-K", "window-1e6", "window-past-cap", "E-2001", "E-6000",
+         "E-repeats", "E-not-int", "window-on-finite-K"],
+)
+def test_color_refuses_bad_input_at_once(capsys, argv, named):
+    start = time.perf_counter()
+    assert main(["color"] + argv) == 64
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert named in err
+
+
 def test_compare_command(tmp_path):
     code, env = run_json(tmp_path, ["compare", "--instance", "F2", "--U", "ab"])
     assert code == 0
@@ -270,6 +295,21 @@ PINNED_TOWERS = [
      "762f08b4a4f352ccff6e088d743de228dca0a98084d1efa6ec0eeeaebaf09dcb"),
     (["compare", "--instance", "F2xZ2", "--U", "Ba:1,b:0"],
      "e71a77fa8d2367f34c32f450019718e024ab2f3a016180947e4f8740050c6c6f"),
+    # colourings recorded while finite K and Z had a greedy each; one greedy
+    # along K's enumeration must keep them
+    (["color", "--K", "Z", "--E=-1,0,1", "--window", "50"],
+     "186b43eaf4ec4ef6657218012274dcad897695cb15da3df6ece4aa4cbf66b283"),
+    (["color", "--K", "Z", "--E=-3,-1,0,1,3"],
+     "14591f707edd261d6c2e37fb05954c858b68a49378e8acbe681974c18fd73c3c"),
+    (["color", "--K", "Z/5", "--E", "0,1,4"],
+     "11be9db85e3fb49b09e54319f116f19b9bd478c9dcca406c398fdf5743b521b4"),
+    (["color", "--K", "Z/12", "--E", "0,1,11,5,7"],
+     "e564fc7fba56d8355240b14a8af31308685992839bf14891387cf62931bfa32d"),
+    # tower commands recorded before they shared one body
+    (["filling-towers", "--D", "e,a,A"],
+     "4ac87b59c9bcca4ed199085f979390594caafbc5520c3ceecd8c875e4a693df1"),
+    (["more-towers", "--D", "e,a,A,b,B", "--copies", "2", "--mode", "ball", "--radius", "6"],
+     "849859b0564814361b92ffa317455e5dab8e036f0c924f0489adad19b40cbce1"),
 ]
 
 
@@ -278,7 +318,8 @@ PINNED_TOWERS = [
     PINNED_TOWERS,
     ids=["f2", "more-3", "f2xk-exact", "f2xk-ball", "f2xf2", "union", "compare-ab01",
          "compare-F2-Ba", "compare-F2-aaB", "compare-F2-abab", "compare-F2-bbA",
-         "compare-F2-A", "compare-b1", "compare-abA1", "compare-Ba1-b0"],
+         "compare-F2-A", "compare-b1", "compare-abA1", "compare-Ba1-b0",
+         "color-Z-50", "color-Z-13", "color-Z5", "color-Z12", "filling", "more-2-ball"],
 )
 def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, argv)
@@ -885,3 +926,64 @@ def test_compose_and_boost_reject_a_malformed_witness_file(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("malformed:")
     assert main(["verify", str(bad)]) == 3
+
+
+def _coloring_payload(k, e_set, window=None) -> dict:
+    from paratower.coloring import greedy_color
+
+    payload = greedy_color(k, e_set).to_json(window)
+    payload["pass"] = True
+    return payload
+
+
+# forged colourings, each with its hash recomputed; each used to take seconds
+# to verify, or was accepted
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["window"], [1_000_000]), "1000000"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["window"], [10**9]), "1000000000"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["window"], [20_000]), "20001"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["window"], [True]), "True"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["window"], [1.5]), "1.5"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["E"], list(range(-1000, 1001))),
+         "above the cap of 64"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["E"], list(range(-2000, 2001))),
+         "above the cap of 64"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["E"], [-1, 0, 1, 1]), "distinct"),
+        (lambda: _with(_coloring_payload("Z", [-1, 0, 1]), ["E"], [-1, False, 1]), "False"),
+        (lambda: _with(_coloring_payload("Z/2", ["0", "1"]), ["E"], ["0", "1"] * 3000),
+         "above the cap of 64"),
+        (lambda: _with(_coloring_payload("Z/2", ["0", "1"]), ["E"], ["0", "1", "7"]),
+         "'7' is not an element of Z/2"),
+        (lambda: _with(_coloring_payload("Z/2", ["0", "1"]), ["window"], ["0", 1]),
+         "1 is not an element of Z/2"),
+    ],
+    ids=["window-1e6", "window-1e9", "window-past-cap", "window-bool", "window-float",
+         "E-2001", "E-4001", "E-repeats", "E-bool", "E-6000", "E-outside-K", "window-outside-K"],
+)
+def test_verify_refuses_a_forged_coloring_at_once(tmp_path, capsys, payload, named):
+    p = payload()
+    start = time.perf_counter()
+    code, report = _verify_payload(tmp_path, "coloring", p)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and named in report["error"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("malformed:")
+
+
+@pytest.mark.parametrize("command", ["compose", "boost"])
+def test_compose_and_boost_refuse_a_witness_whose_hash_does_not_match(tmp_path, capsys, command):
+    from paratower.boundary import ClopenSet
+    from paratower.comparison import PlainSpace, identity_witness
+
+    env = certs.wrap("witness", identity_witness(PlainSpace(), ClopenSet.cylinder("a")).to_json())
+    env["content_hash"] = "0" * 64
+    w = tmp_path / "w.json"
+    w.write_text(json.dumps(env))
+    argv = ["compose", str(w), str(w)] if command == "compose" else ["boost", str(w), "--V", "a"]
+    code, out = run_json(tmp_path, argv)
+    assert code == 2 and out is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("failed:") and "hash mismatch" in err
+    assert main(["verify", str(w)]) == 2

@@ -92,3 +92,48 @@ def test_json_contains_assignment():
     assert data["assignment"] == [1, 2]
     data_z = greedy_color("Z", [-1, 0, 1]).to_json(range(-3, 4))
     assert len(data_z["assignment"]) == 7
+
+
+def _eager_finite(k, e_set):
+    """The greedy as a finite K was once coloured: every element in table
+    order, from the neighbours coloured before it."""
+    e2 = {k.mul(e, f) for e in e_set for f in e_set}
+    assign = {}
+    for x in k.elements:
+        used = {assign.get(k.mul(g, x)) for g in e2 if g != k.identity}
+        assign[x] = min(c for c in range(1, len(e2) + 1) if c not in used)
+    return assign
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12])
+def test_finite_colouring_on_demand_matches_the_eager_one(order):
+    k = cyclic_group(order)
+    for e_set in (["0"], ["0", str(1 % order), str(-1 % order)], [str(i) for i in range(order)]):
+        e_set = list(dict.fromkeys(e_set))
+        c = greedy_color(k, e_set)
+        # asked last element first: the greedy still colours in table order
+        got = {x: c.color_of(x) for x in reversed(k.elements)}
+        assert got == _eager_finite(k, e_set)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "1", None, 10**9])
+def test_z_refuses_what_its_enumeration_never_reaches(k):
+    c = greedy_color("Z", [-1, 0, 1])
+    with pytest.raises(ValueError):
+        c.color_of(k)
+    assert c.colors_used() == 0
+
+
+@pytest.mark.parametrize(
+    "group, e_set",
+    [
+        ("Z", [0, 0]),
+        ("Z", [-1, 0, True]),
+        ("Z", list(range(-40, 41))),
+        ("Z/3", ["0", "3"]),
+        ("Z/2", ["0", "1"] * 3),
+    ],
+)
+def test_e_must_list_few_distinct_elements(group, e_set):
+    with pytest.raises(ValueError):
+        greedy_color(group, e_set)

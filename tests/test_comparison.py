@@ -758,7 +758,6 @@ def _check_counting_sets(space, data, n):
     )
     items = [(space.act(space.inv(f), v), Fraction(1)) for f in d2 for v in data.sources]
     items += [(space.act(space.inv(g), u_eff), Fraction(-(n + 1))) for g in data.d_set]
-    items += [(space.cylinder(cell), Fraction(value)) for cell, value in data.slack]
     worst, cell = extreme_weighted_count(space, items, "max")
     return {
         "pass": worst < 0,
