@@ -33,6 +33,7 @@ from .crossed import (
     cp_multiply,
     cp_scale,
     expectation,
+    isometry_checks,
 )
 from .groups import FiniteGroup, cyclic_group
 from .subsets import GroupSubset, NormalForm, cone, finite

@@ -559,17 +559,9 @@ class GeodesicMap:
         nfs: Sequence[NormalForm],
         weights: Sequence[Fraction],
         theta: Fraction,
-        relation: str,
     ) -> ClopenSet:
-        """Exact clopen set {x : Σ weights[i]·mu_N(x)(nfs[i]) > theta} (or <)."""
-        if relation not in (">", "<"):
-            raise ValueError("relation must be '>' or '<'")
-        cells = self.step_cells(nfs, weights)
-        keep = [
-            base
-            for base, val in cells
-            if (val > theta if relation == ">" else val < theta)
-        ]
+        """Exact clopen set {x : Σ weights[i]·mu_N(x)(nfs[i]) > theta}."""
+        keep = [base for base, val in self.step_cells(nfs, weights) if val > theta]
         if "" in keep:
             return ClopenSet.full_set()
         return ClopenSet(keep)

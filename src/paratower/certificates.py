@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from typing import Optional, Tuple
 
 # 2: comparison certificates keep only the report of the composed witness
@@ -176,52 +175,20 @@ def _verify_comparison(payload: dict) -> dict:
 
 
 def _verify_isometry(payload: dict) -> dict:
-    from .boundary import ClopenSet
-    from .crossed import (
-        CrossedElement,
-        StepFunction,
-        cp_adjoint,
-        cp_multiply,
-        expectation,
-        v_thresholds,
-    )
-    from .words import reduce_word
+    """Recompute the three identities from U and v alone; the recorded
+    checks and pass flag must be the recomputed ones."""
+    from .boundary import boundary_from_json
+    from .crossed import CrossedElement, isometry_checks
 
-    v = CrossedElement.from_json(payload["v"])
-    isometry = cp_multiply(cp_adjoint(v), v).equals(CrossedElement.one())
-    range_exp = expectation(cp_multiply(v, cp_adjoint(v)))
-    recorded = StepFunction.from_json(payload["range_expectation"])
-    matches = range_exp.equals(recorded)
-    # V is re-derived from the tower bases; the recorded copy must agree
-    v_sets = v_thresholds(
-        payload["bases"], int(payload["N"]), Fraction(payload["epsilon"])
-    )
-    v_matches = [s.to_json() for s in v_sets] == payload["V"]
-    v_union = ClopenSet.empty()
-    for s in v_sets:
-        v_union = v_union.union(s)
-    inside = range_exp.support().is_subset(v_union)
-    witness = payload["complement_witness"]
-    outside = (
-        bool(witness)
-        and reduce_word(witness) == witness
-        and ClopenSet.cylinder(witness).are_disjoint(v_union)
-    )
-    not_unitary = not range_exp.equals(StepFunction.one())
-    checks = _object(payload.get("checks", {}), "checks")
-    checks_ok = all(checks.values()) and payload.get("pass")
-    ok = (
-        isometry and matches and v_matches and inside and outside
-        and not_unitary and bool(checks_ok)
-    )
+    u_set = boundary_from_json(payload["U"])
+    checks = isometry_checks(u_set, CrossedElement.from_json(payload["v"]))
+    recomputed = {"checks": checks, "pass": all(checks.values())}
+    recorded = {"checks": _object(payload["checks"], "checks"), "pass": payload["pass"]}
+    consistent = canonical_json(recorded) == canonical_json(recomputed)
     return {
-        "pass": ok,
-        "isometry": isometry,
-        "expectation_matches": matches,
-        "v_matches_bases": v_matches,
-        "range_inside_v": inside,
-        "witness_outside_v": outside,
-        "not_unitary": not_unitary,
+        "pass": recomputed["pass"] and consistent,
+        "recomputed": checks,
+        "consistent_with_recorded": consistent,
     }
 
 

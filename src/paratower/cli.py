@@ -8,6 +8,7 @@ import sys
 from typing import List, Optional
 
 from . import certificates as certs
+from .comparison import DepthCapExceeded
 from .towers import SearchExhausted
 
 
@@ -75,7 +76,6 @@ def emit_report(envelope: dict) -> str:
     elif kind == "isometry":
         for name, ok in payload.get("checks", {}).items():
             lines.append(f"  {name}: {'pass' if ok else 'FAIL'}")
-        lines.append(f"  missing cylinder: [{payload['complement_witness']}]")
     elif kind == "witness":
         lines.append(
             f"sources={len(payload['sources'])} targets={len(payload['targets'])} "
@@ -152,31 +152,28 @@ def _cmd_color(args) -> int:
 
 
 def _parse_clopen(space, text: str):
-    """A clopen set of ``space``: one cylinder word on the plain boundary,
-    comma-separated ``word:label`` cylinders on boundary x K."""
+    """The union of the comma-separated cylinders ``word:label`` of
+    ``space``; a bare ``word`` has the label None, the one label of the
+    plain boundary."""
     from .boundary import check_bases
 
-    if space.k_group is None:
-        return space.cylinder((None, check_bases([text])[0]))
     out = space.empty()
     for tok in text.split(","):
-        w, _, lbl = tok.strip().partition(":")
-        if lbl not in space.k_group.elements:
-            raise ValueError(f"{lbl!r} is not an element of {space.k_group.name}")
+        w, colon, lbl = tok.strip().partition(":")
+        lbl = lbl if colon else None
+        if lbl not in space.labels:
+            raise ValueError(
+                f"the cylinder {tok!r} has label {lbl!r}, not one of {list(space.labels)}"
+            )
         out = out.union(space.cylinder((lbl, check_bases([w])[0])))
     return out
 
 
 def _cmd_compare(args) -> int:
-    from .comparison import ComparisonInstance, DepthCapExceeded, build_comparison
+    from .comparison import ComparisonInstance, build_comparison
 
     inst = ComparisonInstance(args.instance)
-    u_set = _parse_clopen(inst.space(), args.U)
-    try:
-        cert = build_comparison(inst, u_set)
-    except DepthCapExceeded as e:
-        print(f"error: {e}; raise PARATOWER_MAX_DEPTH to search deeper", file=sys.stderr)
-        return 64
+    cert = build_comparison(inst, _parse_clopen(inst.space(), args.U))
     env = certs.wrap("comparison", cert.to_json(), args.seed)
     _write_or_print(args, env)
     return 0 if cert.passed else 2
@@ -237,9 +234,10 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
+    from .comparison import PlainSpace
     from .crossed import build_isometry
 
-    cert = build_isometry(args.h, args.depth)
+    cert = build_isometry(_parse_clopen(PlainSpace(), args.U))
     env = certs.wrap("isometry", cert.to_json(), args.seed)
     _write_or_print(args, env)
     return 0 if cert.passed else 2
@@ -305,7 +303,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", help="full space-below-target certificate")
     p.add_argument("--instance", choices=["F2", "F2xZ2"], required=True)
-    p.add_argument("--U", required=True, help="cylinder word, or word:label pairs")
+    p.add_argument("--U", required=True, help="comma-separated words, or word:label pairs")
     common(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -322,8 +320,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_boost)
 
     p = sub.add_parser("isometry", help="non-unitary isometry certificate")
-    p.add_argument("--h", default="a")
-    p.add_argument("--depth", type=int, default=200)
+    p.add_argument("--U", default="a", help="comma-separated words; U must be proper")
     common(p)
     p.set_defaults(func=_cmd_isometry)
 
@@ -346,7 +343,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _HashMismatch as e:
         print(f"failed: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, SearchExhausted) as e:
+    except (ValueError, OSError, SearchExhausted, DepthCapExceeded) as e:
         # a search that hits its cap is refused like any other input
         print(f"error: {e}", file=sys.stderr)
         return 64

@@ -18,6 +18,12 @@ from typing import Dict, Iterable, Optional, Sequence
 
 from .groups import MAX_CYCLIC_ORDER, FiniteGroup, factor_from_json
 
+# first-fit colours every element enumerated before k, and looks up the
+# colours of each one's |E^2| - 1 neighbours; this many lookups take well
+# under a second, and colouring -10,000..10,000 of Z with E = {-1, 0, 1}
+# takes about 8 * 10^4
+WORK_BUDGET = 10**6
+
 
 class Coloring:
     """A proper coloring of Cay(K, E^2) with colors 1..m.
@@ -51,6 +57,11 @@ class Coloring:
     def color_of(self, k) -> int:
         # k's place first: it rejects what the enumeration never reaches
         upto = self.group.index(k)
+        if upto * len(self._offsets) > WORK_BUDGET:
+            raise ValueError(
+                f"colouring up to {k!r} takes {upto} x {len(self._offsets)} neighbour"
+                f" lookups, above the budget of {WORK_BUDGET}"
+            )
         while len(self._assign) <= upto:
             v = self.group.element(len(self._assign))
             used = {self._assign.get(self.group.mul(g, v)) for g in self._offsets}

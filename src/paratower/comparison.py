@@ -712,6 +712,32 @@ def _kuhn_match(lefts, adjacency, forbidden) -> Optional[Dict]:
     return match_l
 
 
+def _image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
+    """(key, base rep) of g·cell if it lies inside the shrunk target whose
+    slices by label are ``ueff_slices``, else None.
+
+    For cells deeper than the cancellation the image is the single
+    cylinder [g·w], so the containment test is a string prefix check.
+    Otherwise it is decided on the cell's moved bases, which are the
+    image's canonical bases, as ``_image_cells`` does; no clopen sets
+    get built."""
+    lbl, w = cell
+    h = space.word_part(g)
+    c = prefix.moved_base(h, w)
+    newl = space.act_label(g, lbl)
+    tgt = ueff_slices[newl]
+    if c is not None:
+        if tgt.full or any(c.startswith(b) for b in tgt.bases):
+            return (((newl, c),), [(newl, c)])
+        if not any(b.startswith(c) for b in tgt.bases):
+            return None
+    bases = sorted(prefix.translate(h, None, (w,))[1])
+    if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
+        return None
+    rep = [(newl, b) for b in bases]
+    return (tuple(rep), rep)
+
+
 def petr_assign(
     space, data: CountingData, n: int, counting: Optional[dict] = None
 ) -> SubeqWitness:
@@ -737,27 +763,6 @@ def petr_assign(
     elem_order = sorted(data.d_set, key=_elem_order(space))
     ueff_slices = dict(space.slice_items(u_eff))
 
-    def image_rep(g, cell) -> Optional[Tuple]:
-        """(key, base rep) of g·cell if it lies inside the shrunk target.
-
-        For cells deeper than the cancellation the image is the single
-        cylinder [g·w], so the containment test is a string prefix check
-        and no clopen sets get built."""
-        lbl, w = cell
-        c = prefix.moved_base(space.word_part(g), w)
-        newl = space.act_label(g, lbl)
-        tgt = ueff_slices[newl]
-        if c is not None:
-            if tgt.is_full() or any(c.startswith(b) for b in tgt.bases):
-                return (((newl, c),), [(newl, c)])
-            if not any(b.startswith(c) for b in tgt.bases):
-                return None
-        img = space.act(g, space.cylinder(cell))
-        if not img.is_subset(u_eff):
-            return None
-        rep = _base_rep(space, img)
-        return (tuple(sorted(rep, key=lambda t: (str(t[0]), t[1]))), rep)
-
     for attempt in range(budget + 1):
         d = depth + attempt
         lefts = []
@@ -770,7 +775,7 @@ def petr_assign(
                 lefts.append(left)
                 adj = []
                 for g in elem_order:
-                    found = image_rep(g, cell)
+                    found = _image_key(space, ueff_slices, g, cell)
                     if found is None:
                         continue
                     key, rep = found
@@ -807,7 +812,8 @@ def petr_assign(
             except ConstructionFailed:
                 pass  # refine one level further
     raise DepthCapExceeded(
-        f"no per-color disjoint matching up to depth {depth + budget}"
+        f"no per-color disjoint matching up to depth {depth + budget};"
+        " raise PARATOWER_MAX_DEPTH to search deeper"
     )
 
 
@@ -995,7 +1001,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     def measure_threshold(subset, theta: Fraction) -> object:
         nfs = [sl.normal_form() for sl in space.tower_slices(subset)]
         weights = [Fraction(1, len(nfs))] * len(nfs)
-        return space.uniform(gm.threshold_weighted(nfs, weights, theta, ">"))
+        return space.uniform(gm.threshold_weighted(nfs, weights, theta))
 
     theta_v = Fraction(1, nm + 1) + delta
     theta_w = Fraction(1, nm + 1) + 2 * delta

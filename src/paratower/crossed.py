@@ -4,21 +4,20 @@ Elements are finite sums sum_g f_g u_g where each coefficient f_g is an
 exact step function (clopen pieces, rational values) and u_g implements
 the boundary action.  Multiplication uses the covariance relation
 u_g f = (g.f) u_g; the conditional expectation keeps the coefficient at
-the identity.  The main construction produces an isometry v with
-v* v = 1 whose range projection has expectation supported in a proper
-clopen set, so v is not a unitary.
+the identity.  The isometry is read off a comparison witness for the
+whole boundary below a proper clopen set U: s = sum 1_{g_i.Q_i} u_{g_i}
+has s* s = 1 and range projection s s* <= 1_U, so s is not a unitary.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
-from . import subsets as ss
-from .boundary import ClopenSet, GeodesicMap, clopen_from_json
-from .towers import f2_strengthened_towers
+from .boundary import ClopenSet, boundary_from_json
+from .comparison import ComparisonInstance, SubeqWitness, build_comparison
+from .groups import F2Group
 from .words import inverse, multiply
 
 
@@ -106,7 +105,7 @@ class StepFunction:
     @staticmethod
     def from_json(data: list) -> "StepFunction":
         return StepFunction(
-            [(clopen_from_json(p["set"]), Fraction(p["value"])) for p in data]
+            [(boundary_from_json(p["set"]), Fraction(p["value"])) for p in data]
         )
 
     def __repr__(self) -> str:
@@ -152,9 +151,15 @@ class CrossedElement:
 
     @staticmethod
     def from_json(data: dict) -> "CrossedElement":
-        return CrossedElement(
-            {t["g"]: StepFunction.from_json(t["step"]) for t in data["terms"]}
-        )
+        """Terms over reduced words of F2; an unreduced word, or a word with
+        two terms, is a ValueError."""
+        terms: Dict[str, StepFunction] = {}
+        for t in data["terms"]:
+            g = F2Group().elem_from_json(t["g"])
+            if g in terms:
+                raise ValueError(f"the element {g!r} has two terms")
+            terms[g] = StepFunction.from_json(t["step"])
+        return CrossedElement(terms)
 
     def __repr__(self) -> str:
         return " + ".join(f"({self.terms[g]!r})u[{g}]" for g in self.support()) or "0"
@@ -206,141 +211,40 @@ class IsometryCertificate:
         return self.data
 
 
-class DepthTooSmall(ValueError):
-    """The averaging depth N is too small for the translation defect bound."""
 
 
-def v_thresholds(bases: List[str], depth: int, eps: Fraction) -> List[ClopenSet]:
-    """V_j = {x : mu_N(x)(W(b_j)) > 1/2 + eps} for the tower bases b_j."""
-    gm = GeodesicMap(depth)
-    return [
-        gm.threshold_weighted(
-            [ss.cone(b).normal_form()], [Fraction(1)], Fraction(1, 2) + eps, ">"
-        )
-        for b in bases
-    ]
-
-
-def build_isometry(h: str = "a", depth: int = 200) -> IsometryCertificate:
-    """Produce the non-unitary isometry from three strengthened towers.
-
-    The covering translates of the towers give thresholds V_j (deep
-    cylinders) and W_j (co-cylinders); indicators of the disjointified W_j
-    form a partition of unity, and pushing them through the inverses of
-    the covering elements yields v with v*v = 1 while the expectation of
-    vv* lives inside the union V, which misses a cylinder.
-    """
-    if not h:
-        raise ValueError("h must be nontrivial")
-    towers = f2_strengthened_towers(["", h])
-    bases = towers.bases
-    a_sets = [ss.cone(b) for b in bases]
-    h_elems = [inverse(b) for b in bases]
-    if len(set(h_elems)) != len(h_elems):
-        raise RuntimeError("covering elements are not pairwise distinct")
-
-    eps = Fraction(1, 24)
-    gm = GeodesicMap(depth)
-    defect_elems = [inverse(h)] + h_elems
-    defect_ok = all(gm.defect_bound(g) < eps for g in defect_elems)
-    if not defect_ok:
-        longest = max(len(g) for g in defect_elems)
-        raise DepthTooSmall(
-            f"depth {depth} fails the defect bound 2*{longest}/N < {eps};"
-            f" the smallest depth that passes is {math.floor(2 * longest / eps) + 1}"
-        )
-
-    v_sets = v_thresholds(bases, depth, eps)
-    w_sets = [
-        gm.threshold_weighted(
-            [(~ss.translate(g, a)).normal_form()], [Fraction(1)],
-            Fraction(1, 2) - 2 * eps, "<",
-        )
-        for a, g in zip(a_sets, h_elems)
-    ]
-
-    # (i) the V_j are pairwise disjoint
-    cond_i = all(
-        s.are_disjoint(t) for s, t in itertools.combinations(v_sets, 2)
-    )
-    v_union = ClopenSet.empty()
-    for s in v_sets:
-        v_union = v_union.union(s)
-    # (ii) h moves V off itself, so V is proper
-    cond_ii = v_union.act(h).are_disjoint(v_union)
-    complement_witness = v_union.complement().sorted_bases()[0]
-    # (iii) the W_j cover the boundary
-    w_union = ClopenSet.empty()
-    for s in w_sets:
-        w_union = w_union.union(s)
-    cond_iii = w_union.is_full()
-    # (iv) each W_j pulls back into its V_j under the covering element
-    cond_iv = all(
-        w.act(inverse(g)).is_subset(v)
-        for w, g, v in zip(w_sets, h_elems, v_sets)
-    )
-
-    # partition of unity subordinate to the W_j, by disjointification
-    f1 = StepFunction.indicator(w_sets[0])
-    f2 = StepFunction.indicator(w_sets[1].minus(w_sets[0]))
-    f3 = StepFunction.indicator(
-        w_sets[2].minus(w_sets[0].union(w_sets[1]))
-    )
-    funcs = [f1, f2, f3]
-    partition_ok = f1.add(f2).add(f3).equals(StepFunction.one())
-
-    g_elems = [inverse(g) for g in h_elems]
-    coeffs = [f.act(g) for f, g in zip(funcs, g_elems)]
-    # orthogonality of the pushed coefficients
-    orthogonal = all(
-        c1.mul(c2).is_zero() for c1, c2 in itertools.combinations(coeffs, 2)
-    )
-
-    v = CrossedElement.zero()
-    for c, g in zip(coeffs, g_elems):
-        v = cp_add(v, CrossedElement({g: c}))
-
-    vstar_v = cp_multiply(cp_adjoint(v), v)
-    isometry_ok = vstar_v.equals(CrossedElement.one())
-    range_exp = expectation(cp_multiply(v, cp_adjoint(v)))
-    exp_sum = coeffs[0].add(coeffs[1]).add(coeffs[2])
-    exp_matches = range_exp.equals(exp_sum)
-    exp_in_v = range_exp.support().is_subset(v_union)
-    not_unitary = not range_exp.equals(StepFunction.one())
-
-    verdicts = {
-        "distinct_elements": len(set(h_elems)) == len(h_elems),
-        "defect_bound": defect_ok,
-        "i_disjoint": cond_i,
-        "ii_moved_off": cond_ii,
-        "iii_cover": cond_iii,
-        "iv_pullback": cond_iv,
-        "partition_of_unity": partition_ok,
-        "orthogonality": orthogonal,
-        "isometry": isometry_ok,
-        "expectation_matches": exp_matches,
-        "range_inside_v": exp_in_v,
-        "not_unitary": not_unitary,
+def isometry_checks(u_set: ClopenSet, s: CrossedElement) -> Dict[str, bool]:
+    """The three identities that make s a non-unitary isometry whose range
+    projection lies below 1_U: s*s = 1, ss*·1_U = ss* and ss* != 1."""
+    range_proj = cp_multiply(s, cp_adjoint(s))
+    u_proj = CrossedElement.from_function(StepFunction.indicator(u_set))
+    return {
+        "isometry": cp_multiply(cp_adjoint(s), s).equals(CrossedElement.one()),
+        "range_inside_u": cp_multiply(range_proj, u_proj).equals(range_proj),
+        "not_unitary": not range_proj.equals(CrossedElement.one()),
     }
-    data = {
-        "h": h,
-        "D": ["", h],
-        "bases": bases,
-        "covering": h_elems,
-        "epsilon": str(eps),
-        "N": depth,
-        "V": [s.to_json() for s in v_sets],
-        "W": [s.to_json() for s in w_sets],
-        "f": [f.to_json() for f in funcs],
-        "g": g_elems,
-        "v": v.to_json(),
-        "vstar_v": vstar_v.to_json(),
-        "range_expectation": range_exp.to_json(),
-        "complement_witness": complement_witness,
-        "checks": verdicts,
-        "pass": all(verdicts.values()),
-    }
-    if not data["pass"]:
-        failing = [k for k, ok in verdicts.items() if not ok]
-        raise RuntimeError(f"isometry conditions failed: {failing}")
-    return IsometryCertificate(data)
+
+
+def build_isometry(u_set: ClopenSet) -> IsometryCertificate:
+    """The isometry s = sum 1_{g_i.Q_i} u_{g_i} of the F2 comparison witness
+    for the whole boundary below U.
+
+    A witness only promises that its pieces P_i cover, so they are made
+    disjoint in entry order, Q_i = P_i minus P_1, ..., P_{i-1}.  The Q_i
+    partition the boundary and their images g_i.Q_i are disjoint inside U,
+    so s*s = 1 and ss* is the indicator of the images' union, which lies
+    in U and so is not 1 for a proper U."""
+    if u_set.is_empty() or u_set.is_full():
+        raise ValueError("U must be a nonempty proper clopen set of the boundary")
+    cert = build_comparison(ComparisonInstance("F2"), u_set)
+    witness = SubeqWitness.from_json(cert.data["boosted"]["witness"])
+    s = CrossedElement.zero()
+    covered = ClopenSet.empty()
+    for _, piece, g, _ in witness.entries:
+        q = piece.minus(covered)
+        covered = covered.union(piece)
+        s = cp_add(s, CrossedElement({g: StepFunction.indicator(q.act(g))}))
+    checks = isometry_checks(u_set, s)
+    return IsometryCertificate(
+        {"U": u_set.to_json(), "v": s.to_json(), "checks": checks, "pass": all(checks.values())}
+    )

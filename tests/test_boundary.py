@@ -253,7 +253,7 @@ def test_threshold_set_is_exact(h):
     gm = GeodesicMap(16)
     s = ss.cone(h)
     theta = Fraction(1, 3)
-    thr = gm.threshold_weighted([s.normal_form()], [Fraction(1)], theta, ">")
+    thr = gm.threshold_weighted([s.normal_form()], [Fraction(1)], theta)
     # spot check on depth-17 points
     for w in words_of_length(6)[:60]:
         deep = w + "a" * 0

@@ -190,6 +190,19 @@ def test_color_commands(tmp_path):
     assert env["payload"]["m"] == 2
 
 
+def _sidon_e() -> list:
+    """0 and ± the first 31 Mian-Chowla numbers: 63 elements whose E² has
+    1,675 elements, so first-fit looks up 1,674 neighbours per integer."""
+    seq, sums, x = [], set(), 0
+    while len(seq) < 31:
+        x += 1
+        new = {x + y for y in seq} | {2 * x}
+        if not new & sums:
+            seq.append(x)
+            sums |= new
+    return sorted({0} | set(seq) | {-v for v in seq})
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -202,9 +215,11 @@ def test_color_commands(tmp_path):
         (["--K", "Z/3", "--E", "0,1,2,1"], "distinct"),
         (["--K", "Z", "--E", "0,x"], "'x'"),
         (["--K", "Z/5", "--E", "0,1,4", "--window", "2"], "-2 is not an element of Z/5"),
+        (["--K", "Z", "--E=" + ",".join(map(str, _sidon_e())), "--window", "7400"],
+         "above the budget"),
     ],
     ids=["unknown-K", "E-outside-K", "window-1e6", "window-past-cap", "E-2001", "E-6000",
-         "E-repeats", "E-not-int", "window-on-finite-K"],
+         "E-repeats", "E-not-int", "window-on-finite-K", "work-past-budget"],
 )
 def test_color_refuses_bad_input_at_once(capsys, argv, named):
     start = time.perf_counter()
@@ -474,37 +489,124 @@ def test_boost_parses_v_in_the_witness_space(tmp_path):
     assert main(["boost", str(p), "--V", "a:3"]) == 64
 
 
+ISOMETRY_TARGETS = ["a", "ab", "Ba", "abABabAB", "ab,ba", "a,b,B", "AbaBBa,bb"]
+
+
 def test_isometry_command(tmp_path):
     code, env = run_json(tmp_path, ["isometry"])
     assert code == 0
-    assert env["payload"]["complement_witness"] == "A"
+    # U defaults to the cylinder [a]
+    assert env["payload"]["U"] == {"space": "boundary", "kind": "antichain", "words": ["a"]}
     assert main(["verify", str(tmp_path / "out.json")]) == 0
+    assert "range_inside_u: pass" in emit_report(env)
 
 
-def test_isometry_depth_too_small_is_a_usage_error(capsys):
-    assert main(["isometry", "--h", "ab"]) == 64
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "smallest depth that passes is 289" in err
+@pytest.mark.parametrize("u", ISOMETRY_TARGETS)
+def test_isometry_then_verify_for_each_target(tmp_path, u):
+    code, env = run_json(tmp_path, ["isometry", "--U", u])
+    assert code == 0
+    assert sorted(env["payload"]) == ["U", "checks", "pass", "v"]
+    assert env["payload"]["checks"] == {
+        "isometry": True, "range_inside_u": True, "not_unitary": True
+    }
+    assert main(["verify", str(tmp_path / "out.json")]) == 0
+    first = (tmp_path / "out.json").read_bytes()
+    assert run_json(tmp_path, ["isometry", "--U", u])[0] == 0
+    assert (tmp_path / "out.json").read_bytes() == first
 
 
 @pytest.mark.parametrize(
-    "field, forged",
-    [
-        # a full V makes "range inside V" trivially true
-        ("V", [{"space": "boundary", "kind": "full"}]),
-        # [aaba] is V_1 itself, so it witnesses nothing outside V
-        ("complement_witness", "aaba"),
-    ],
+    "u, named",
+    [("", "proper"), ("a,A,b,B", "proper"), ("a:3", "'a:3'"), ("bB", "'bB'"), ("ax", "'ax'")],
+    ids=["full", "full-union", "label", "unreduced", "not-a-word"],
 )
-def test_verify_rejects_forged_isometry(tmp_path, field, forged):
+def test_isometry_refuses_a_bad_u(capsys, u, named):
+    start = time.perf_counter()
+    assert main(["isometry", "--U", u]) == 64
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and named in err
+
+
+def test_isometry_depth_cap_is_a_usage_error(monkeypatch, capsys):
+    import paratower.comparison as comparison
+
+    monkeypatch.setenv("PARATOWER_MAX_DEPTH", "0")
+    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: None)
+    assert main(["isometry", "--U", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "no per-color disjoint matching up to depth" in err
+
+
+def test_f2_targets_are_comma_lists_of_cylinders():
+    from paratower.boundary import ClopenSet
+    from paratower.cli import _parse_clopen
+    from paratower.comparison import PlainSpace
+
+    assert _parse_clopen(PlainSpace(), "ab, ba,abA").equals(ClopenSet(["ab", "ba"]))
+    assert _parse_clopen(PlainSpace(), "a,A,b,B").is_full()
+
+
+def _isometry_payload():
+    from paratower.boundary import ClopenSet
     from paratower.crossed import build_isometry
 
-    payload = build_isometry().to_json()
-    payload[field] = forged
-    path = tmp_path / "forged.json"
-    path.write_text(json.dumps(certs.wrap("isometry", payload)))
-    assert main(["verify", str(path)]) == 2
+    return build_isometry(ClopenSet.cylinder("a")).to_json()
+
+
+def _widen_first_term(p):
+    # the parent cylinder of the first term's range: still inside U, but
+    # the first term's domain now meets the second's
+    words = p["v"]["terms"][0]["step"][0]["set"]["words"]
+    words[0] = words[0][:-1]
+    return p
+
+
+def _shrink_u_to_the_last_term(p):
+    # U keeps only the last term's range, so the first term's range is outside
+    p["U"] = p["v"]["terms"][-1]["step"][0]["set"]
+    return p
+
+
+@pytest.mark.parametrize(
+    "forge, failing",
+    [
+        (_widen_first_term, "isometry"),
+        (_shrink_u_to_the_last_term, "range_inside_u"),
+        (lambda p: _with(p, ["checks", "not_unitary"], False), None),
+        (lambda p: _with(p, ["checks", "extra"], True), None),
+        (lambda p: _with(p, ["pass"], False), None),
+    ],
+    ids=["term-widened", "U-shrunk", "check-flipped", "check-extra", "pass-flipped"],
+)
+def test_verify_rejects_forged_isometry(tmp_path, forge, failing):
+    code, report = _verify_payload(tmp_path, "isometry", forge(_isometry_payload()))
+    assert code == 2 and not report["consistent_with_recorded"]
+    recomputed_failing = [name for name, ok in report["recomputed"].items() if not ok]
+    assert recomputed_failing == ([failing] if failing else [])
+
+
+_PRODUCT_SET = {"space": "product", "k": {"name": "Z/2"}, "slices": {}}
+
+
+@pytest.mark.parametrize(
+    "forge, named",
+    [
+        (lambda p: _with(p, ["v", "terms", 0, "step", 0, "set"], _PRODUCT_SET), "product"),
+        (lambda p: _with(p, ["v", "terms", 0, "g"], "aA"), "'aA'"),
+        (lambda p: _with(p, ["U"], _PRODUCT_SET), "product"),
+        (lambda p: {k: v for k, v in p.items() if k != "U"}, "'U'"),
+    ],
+    ids=["step-product-set", "term-unreduced", "U-product-set", "old-shape"],
+)
+def test_verify_refuses_a_malformed_isometry(tmp_path, capsys, forge, named):
+    start = time.perf_counter()
+    code, report = _verify_payload(tmp_path, "isometry", forge(_isometry_payload()))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and named in report["error"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("malformed:")
 
 
 def _forged_towers(tmp_path, payload) -> str:
@@ -886,12 +988,6 @@ def _f2xk_towers():
     return verify_towers(fam, "exact").to_json()
 
 
-def _isometry_payload():
-    from paratower.crossed import build_isometry
-
-    return build_isometry().to_json()
-
-
 @pytest.mark.parametrize(
     "kind, forge",
     [
@@ -958,9 +1054,12 @@ def _coloring_payload(k, e_set, window=None) -> dict:
          "'7' is not an element of Z/2"),
         (lambda: _with(_coloring_payload("Z/2", ["0", "1"]), ["window"], ["0", 1]),
          "1 is not an element of Z/2"),
+        (lambda: _with(_coloring_payload("Z", _sidon_e()), ["window"], [14774]),
+         "above the budget"),
     ],
     ids=["window-1e6", "window-1e9", "window-past-cap", "window-bool", "window-float",
-         "E-2001", "E-4001", "E-repeats", "E-bool", "E-6000", "E-outside-K", "window-outside-K"],
+         "E-2001", "E-4001", "E-repeats", "E-bool", "E-6000", "E-outside-K", "window-outside-K",
+         "work-past-budget"],
 )
 def test_verify_refuses_a_forged_coloring_at_once(tmp_path, capsys, payload, named):
     p = payload()

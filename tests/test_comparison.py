@@ -781,3 +781,61 @@ def test_check_counting_matches_the_set_algebra(space):
         data = CountingData(sorted(d_set, key=str), Fraction(1, 8), sources, _random_set(rng, space))
         n = rng.randint(0, 3)
         assert check_counting(space, data, n) == _check_counting_sets(space, data, n)
+
+
+def _canonical_image_key(space, ueff_slices, g, cell):
+    """The matching key of g·cell from canonical clopen sets, or None when
+    the image leaves the shrunk target."""
+    img = space.act(g, space.cylinder(cell))
+    if not img.is_subset(space.from_slices(ueff_slices)):
+        return None
+    rep = comparison._base_rep(space, img)
+    return tuple(sorted(rep, key=lambda t: (str(t[0]), t[1])))
+
+
+@pytest.mark.parametrize(
+    "inst, u_set",
+    [
+        (ComparisonInstance("F2"), cyl("ab")),
+        (ComparisonInstance("F2xZ2"), ProductClopen(cyclic_group(2), {"0": cyl("a")})),
+    ],
+    ids=["F2-ab", "F2xZ2-a0"],
+)
+def test_image_keys_are_the_canonical_ones(monkeypatch, inst, u_set):
+    # every (cell, mover) the matching asks about in one build, keyed off the
+    # cell's moved bases, against the key of its canonical image
+    calls = []
+    image_key = comparison._image_key
+
+    def recorded(space, ueff_slices, g, cell):
+        found = image_key(space, ueff_slices, g, cell)
+        calls.append((space, ueff_slices, g, cell, found))
+        return found
+
+    monkeypatch.setattr(comparison, "_image_key", recorded)
+    assert build_comparison(inst, u_set).passed
+    assert calls
+    for space, ueff_slices, g, cell, found in calls:
+        want = _canonical_image_key(space, ueff_slices, g, cell)
+        assert (None if found is None else found[0]) == want, (g, cell)
+        if found is not None:
+            assert sorted(found[1]) == sorted(want)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_image_keys_of_cancelled_cells_are_the_canonical_ones(space):
+    # the builds above move deep cells by short words, so no mover cancels a
+    # whole cell there; shallow cells and random targets reach that path
+    rng = random.Random(f"image-key/{space.kind}")
+    cancelled_inside = 0
+    for _ in range(300):
+        ueff_slices = dict(space.slice_items(_random_set(rng, space)))
+        cell = rng.choice(space.cells(space.full(), rng.randint(1, 3)))
+        for _ in range(10):
+            g = _random_element(rng, space)
+            found = comparison._image_key(space, ueff_slices, g, cell)
+            want = _canonical_image_key(space, ueff_slices, g, cell)
+            assert (None if found is None else found[0]) == want, (g, cell)
+            if found is not None:
+                cancelled_inside += prefix.moved_base(space.word_part(g), cell[1]) is None
+    assert cancelled_inside >= 5

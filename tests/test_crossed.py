@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from paratower.boundary import ClopenSet
 from paratower.crossed import (
     CrossedElement,
-    DepthTooSmall,
     StepFunction,
     build_isometry,
     cp_add,
@@ -14,6 +13,7 @@ from paratower.crossed import (
     cp_multiply,
     cp_scale,
     expectation,
+    isometry_checks,
 )
 from paratower.words import inverse, multiply, reduce_word
 
@@ -167,32 +167,61 @@ def test_crossed_json_round_trip():
     assert CrossedElement.from_json(x.to_json()).equals(x)
 
 
+def test_json_decoding_refuses_what_is_not_an_f2_step_or_word():
+    product_set = {"space": "product", "k": {"name": "Z/2"}, "slices": {}}
+    with pytest.raises(ValueError, match="expected a boundary set"):
+        StepFunction.from_json([{"set": product_set, "value": "1"}])
+    one = StepFunction.one().to_json()
+    with pytest.raises(ValueError, match="'aA'"):
+        CrossedElement.from_json({"terms": [{"g": "aA", "step": one}]})
+    with pytest.raises(ValueError, match="two terms"):
+        CrossedElement.from_json({"terms": [{"g": "a", "step": one}] * 2})
+
+
 # -- the isometry
 
+CYL_A = ClopenSet.cylinder("a")
+
+
 def test_build_isometry_certificate():
-    cert = build_isometry()
+    cert = build_isometry(CYL_A)
     assert cert.passed
-    checks = cert.data["checks"]
-    assert checks["isometry"]
-    assert checks["not_unitary"]
-    assert cert.data["complement_witness"] == "A"
+    assert sorted(cert.data) == ["U", "checks", "pass", "v"]
+    assert cert.data["checks"] == {"isometry": True, "range_inside_u": True, "not_unitary": True}
+    assert cert.data["U"] == CYL_A.to_json()
 
 
 def test_isometry_algebra_recheck():
-    # recompute v*v and the range expectation from the serialized element
-    cert = build_isometry()
-    v = CrossedElement.from_json(cert.data["v"])
-    assert cp_multiply(cp_adjoint(v), v).equals(CrossedElement.one())
-    rng = expectation(cp_multiply(v, cp_adjoint(v)))
-    assert not rng.equals(StepFunction.one())
-    assert rng.equals(StepFunction.from_json(cert.data["range_expectation"]))
+    # recompute s*s and the range projection from the serialized element
+    cert = build_isometry(CYL_A)
+    s = CrossedElement.from_json(cert.data["v"])
+    assert cp_multiply(cp_adjoint(s), s).equals(CrossedElement.one())
+    rng = cp_multiply(s, cp_adjoint(s))
+    # the range projection is the indicator of a set inside U
+    assert list(rng.terms) == [""]
+    (support, value), = expectation(rng).pieces
+    assert value == 1 and support.is_subset(CYL_A) and not support.is_full()
+
+
+@pytest.mark.parametrize(
+    "s, failing",
+    [
+        # a unitary: s*s = 1, but its range is everything
+        (CrossedElement.unitary("b"), ["not_unitary", "range_inside_u"]),
+        # a projection onto U: its range is inside U, but s*s != 1
+        (CrossedElement.from_function(StepFunction.indicator(CYL_A)), ["isometry"]),
+        # one term of a partial isometry moved off U
+        (CrossedElement({"A": StepFunction.indicator(ClopenSet.cylinder("A"))}),
+         ["isometry", "range_inside_u"]),
+    ],
+    ids=["unitary", "projection", "off-U"],
+)
+def test_isometry_checks_decide_each_identity(s, failing):
+    checks = isometry_checks(CYL_A, s)
+    assert sorted(name for name, ok in checks.items() if not ok) == failing
 
 
 def test_build_isometry_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_isometry("")
-    # the longest covering element for h = a has length 4, and 2*4/N < 1/24
-    # first holds at N = 193
-    with pytest.raises(DepthTooSmall, match="smallest depth that passes is 193"):
-        build_isometry("a", depth=192)
-    assert build_isometry("a", depth=193).passed
+    for u_set in (ClopenSet.empty(), ClopenSet.full_set(), ClopenSet(["a", "A", "b", "B"])):
+        with pytest.raises(ValueError, match="nonempty proper"):
+            build_isometry(u_set)
