@@ -120,11 +120,25 @@ def _same_sets(got, want) -> bool:
     )
 
 
+def _is_cell(space, value) -> bool:
+    """True when value is [label, reduced word] of the space's labels."""
+    from .words import are_reduced
+
+    return (
+        isinstance(value, list) and len(value) == 2
+        and value[0] in space.labels and are_reduced([value[1]])
+    )
+
+
 def _verify_comparison(payload: dict) -> dict:
     """Check each stored witness once, and that it proves the claim it is
     filed under, in the instance's space with V, n and U read from the
     payload and the target cell worked out from U as the builder does.
-    The final witness alone proves the theorem, full below U."""
+    The final witness alone proves the theorem, full below U.
+
+    The recorded witness reports must be the recomputed ones, and claim
+    2's cover and inclusions the verdicts read off its report; the
+    counting sweep's witness cell must be a cell of the space."""
     from .comparison import ComparisonInstance, SubeqWitness, cylinder_cell_of, verify_witness
 
     space = ComparisonInstance.from_json(payload["instance"]).space()
@@ -146,9 +160,10 @@ def _verify_comparison(payload: dict) -> dict:
         ("boosted", "final: [full] below [U]", final, full, u_set),
     ]
     reports = {}
+    recomputed = {}
     failed = None
     for name, claim, w, sources, targets in claims:
-        check = verify_witness(w)
+        check = recomputed[name] = verify_witness(w)
         proves = (
             w.space.to_json() == space.to_json()
             and _same_sets(w.sources, sources)
@@ -162,7 +177,25 @@ def _verify_comparison(payload: dict) -> dict:
         }
         if failed is None and not (check["pass"] and proves):
             failed = claim
-    flags = [_object(payload.get(c, {}), c).get("pass") for c in ("claim1", "claim2", "claim3")]
+    claim1_rec, claim2_rec, claim3_rec, boosted_rec = (
+        _object(payload.get(c, {}), c) for c in ("claim1", "claim2", "claim3", "boosted")
+    )
+    report2 = recomputed["claim2_witness"]
+    fields = [
+        ("claim2.report", claim2_rec.get("report"), report2),
+        ("claim2.cover", claim2_rec.get("cover"), all(c["pass"] for c in report2["coverage"])),
+        ("claim2.inclusions", claim2_rec.get("inclusions"),
+         all(c["contained"] for c in report2["colors"])),
+        ("claim3.report", claim3_rec.get("report"), recomputed["claim3_witness"]),
+        ("boosted.report", boosted_rec.get("report"), recomputed["boosted"]),
+    ]
+    mismatched = [f for f, got, want in fields if canonical_json(got) != canonical_json(want)]
+    if failed is None and mismatched:
+        failed = f"recorded {mismatched[0]} is not the recomputed one"
+    counting = _object(claim3_rec.get("counting", {}), "claim3.counting")
+    if failed is None and not _is_cell(space, counting.get("witness_cell")):
+        failed = f"claim 3: the counting witness cell {counting.get('witness_cell')!r} is no cell"
+    flags = [rec.get("pass") for rec in (claim1_rec, claim2_rec, claim3_rec)]
     flags.append(payload.get("pass"))
     if failed is None and not all(flags):
         failed = "a recorded claim flag is not pass"
@@ -170,6 +203,7 @@ def _verify_comparison(payload: dict) -> dict:
         "pass": failed is None,
         "failed": failed,
         "witnesses": reports,
+        "mismatched_records": mismatched,
         "recorded_flags": flags,
     }
 

@@ -154,11 +154,17 @@ def _cmd_color(args) -> int:
 def _parse_clopen(space, text: str):
     """The union of the comma-separated cylinders ``word:label`` of
     ``space``; a bare ``word`` has the label None, the one label of the
-    plain boundary."""
+    plain boundary.  An empty token is refused, since the empty word would
+    read as the whole space; ``:label`` names a whole K slice."""
     from .boundary import check_bases
 
     out = space.empty()
     for tok in text.split(","):
+        if not tok.strip():
+            raise ValueError(
+                f"empty cylinder token in {text!r}: a token names a proper cylinder"
+                " by a nonempty word, or a whole K slice by ':label'"
+            )
         w, colon, lbl = tok.strip().partition(":")
         lbl = lbl if colon else None
         if lbl not in space.labels:

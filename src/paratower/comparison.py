@@ -13,6 +13,13 @@ rationals.  ``compose``, ``boost`` and ``petr_assign`` verify the witness
 they return and keep the passing report as its ``report``; the builder
 reuses those reports instead of checking a witness twice.
 
+The matching pairs cylinder cells with movers and colours one cell at a
+time, but ``petr_assign`` and ``compose`` write one entry per (source,
+mover, colour), whose piece is the union of that group's pieces; ``boost``
+maps entries one to one.  Grouping keeps every verdict of
+``verify_witness`` (``_grouped``), and it is what keeps witnesses, and the
+work of every step that reads them, small.
+
 The ambient space is boundary x K (K finite) with the product group
 acting; the plain boundary with the free group acting is the case of
 trivial K, whose one label is None.  The set algebra is written once, slice
@@ -526,6 +533,23 @@ def _verified(w: SubeqWitness, what: str) -> SubeqWitness:
     return w
 
 
+def _grouped(space, entries) -> list:
+    """One entry per (source, mover, colour), in the order of their first
+    appearance, whose piece is the union of that group's pieces.
+
+    g is a bijection, so g·(P ∪ P') = g·P ∪ g·P': the union covers what
+    its pieces cover, lies in a target exactly when each image does, and
+    meets another entry's image exactly when one of its pieces' images
+    does.  So the grouped witness passes whenever the ungrouped one does."""
+    groups: Dict[tuple, list] = {}
+    for i, piece, g, color in entries:
+        groups.setdefault((i, g, color), []).append(piece)
+    return [
+        (i, pieces[0] if len(pieces) == 1 else space.union_all(pieces), g, color)
+        for (i, g, color), pieces in groups.items()
+    ]
+
+
 def identity_witness(space, s) -> SubeqWitness:
     return SubeqWitness(space, [s], [s], [(0, s, space.identity, 0)])
 
@@ -546,7 +570,9 @@ def compose(w1: SubeqWitness, w2: SubeqWitness) -> SubeqWitness:
             if z.is_empty():
                 continue
             entries.append((i, z, space.mul(h, g), color))
-    return _verified(SubeqWitness(space, w1.sources, w2.targets, entries), "composed")
+    return _verified(
+        SubeqWitness(space, w1.sources, w2.targets, _grouped(space, entries)), "composed"
+    )
 
 
 def cylinder_cell_of(space, s) -> Cell:
@@ -744,7 +770,13 @@ def petr_assign(
     """Turn the counting hypothesis into a witness (V_j) below n+1 copies
     of the target, via bipartite matching on cylinder cells.  ``counting``
     is the report of ``check_counting(space, data, n)`` when the caller
-    has it already."""
+    has it already.
+
+    The matching is cell by cell: each depth-d cell of each V_j gets a
+    mover and a colour.  The witness has one entry per (source, mover,
+    colour), whose piece is the union of the cells matched to it; a cell
+    set of one V_j is disjoint, so this passes exactly when the per-cell
+    witness does, and the search settles on the same depth and matching."""
     if counting is None:
         counting = check_counting(space, data, n)
     if not counting["pass"]:
@@ -804,8 +836,10 @@ def petr_assign(
                 right = matched[left]
                 g = edge_elem[(left, right)]
                 entries.append((left[0], space.cylinder(left[1]), g, right[0]))
+            # one entry per (source, mover, colour): the matched cells of
+            # one source are disjoint, so grouping them keeps the verdict
             out = SubeqWitness(
-                space, data.sources, [data.target] * (n + 1), entries
+                space, data.sources, [data.target] * (n + 1), _grouped(space, entries)
             )
             try:
                 return _verified(out, "assigned")

@@ -239,16 +239,19 @@ def test_compare_command(tmp_path):
 
 
 # SHA-256 of the `--json` output, the envelope's canonical JSON and a
-# newline; a faster build must keep them as they are.  The third field is
-# the content hash of the schema-1 payload with its composed witness
-# removed: every other payload field stayed byte-identical.
+# newline, and the payload's content hash.  The F2 pin is the content hash
+# of the schema-1 payload with its composed witness removed: every other
+# payload field stayed byte-identical, and a faster build must keep it.
+# The F2xZ2 pins were recorded when the witnesses got one entry per
+# (source, mover, colour) instead of one per matched cell; the cells and
+# their movers stayed the same (test_claim3_cells_are_the_per_cell_matching).
 PINNED_COMPARISONS = [
     (["--instance", "F2", "--U", "ab"],
      "801f3e723f26531f178c9d36f959aeda784e26ebccaafad0d953f6766015dad6",
      "1fd0215da26532cd29f07cbbcf140abf5136cb8e2682d4af52fca4499cc96870"),
     (["--instance", "F2xZ2", "--U", "a:0"],
-     "872442ea3b745cddd296a9e777aa778d87b0c9f5406845a6fe6b66c12d448610",
-     "8c37906b2d2986f83ae2aec713ed39ce99a6a289f7b66ab23a8e3d7d4b55e976"),
+     "16c10e0ed4e8e4c38192fde17fd0afca54d24b8496c456a3779756cefc67aacd",
+     "734093ce8ef29b02cf14b9a86a722f7e28502e6d7ab5537414a0cf6c0b00d39a"),
 ]
 
 
@@ -274,8 +277,10 @@ def test_compare_payload_is_schema_1_without_the_composed_witness(
 
 
 # SHA-256 of the `--json` output of each tower builder, in exact and ball
-# mode, and of a two-label F2 × Z/2 comparison; deciding product towers by
-# their factors must keep them as they are.
+# mode, and of comparisons; deciding product towers by their factors must
+# keep them as they are.  The F2 × Z/2 comparisons were re-pinned when the
+# witnesses got one entry per (source, mover, colour); their claim-3 cells
+# and movers are pinned by CLAIM3_CELLS.
 PINNED_TOWERS = [
     (["f2-towers", "--D", "e,a,A,b,B"],
      "a9ef0b669482174ae5da5c134cddab80d98322bbc0a82fb2497b6ebb12db9f56"),
@@ -291,7 +296,7 @@ PINNED_TOWERS = [
     (["union-towers", "--D", "e,a,A,b,B"],
      "359f13ea0d899455d38f1f4afa0dd3f19ee43843cf7e1e89121147f89ba1da77"),
     (["compare", "--instance", "F2xZ2", "--U", "ab:0,ab:1"],
-     "619dced0e3131a3762759b8c52d331f43ed81224905359c4faafdb8b6e19251e"),
+     "6668b433a4f716bb924a2e41eabbe019bbe2c4564021a68c5e2c21a6334e4e32"),
     # comparisons recorded before F2 became the one-label case of
     # boundary x K; building both through one path must keep them
     (["compare", "--instance", "F2", "--U", "Ba"],
@@ -305,11 +310,11 @@ PINNED_TOWERS = [
     (["compare", "--instance", "F2", "--U", "A"],
      "94c691515a5c9981777f1a04c4657538f3eb40da37cf67005d13c77d393c730b"),
     (["compare", "--instance", "F2xZ2", "--U", "b:1"],
-     "e53ddab42367e88172e2492565d65e249850d864851854872d7467e7354c387b"),
+     "32a1b01056618bc16e9dd050be04736b70d00fbd8b231bb09a5d34ef3dfe1136"),
     (["compare", "--instance", "F2xZ2", "--U", "abA:1"],
-     "762f08b4a4f352ccff6e088d743de228dca0a98084d1efa6ec0eeeaebaf09dcb"),
+     "6b6bec329c6f83a974822aceba0562db5e755407e4fc4f57aeefedac7346bc1b"),
     (["compare", "--instance", "F2xZ2", "--U", "Ba:1,b:0"],
-     "e71a77fa8d2367f34c32f450019718e024ab2f3a016180947e4f8740050c6c6f"),
+     "2f01af3842d2b684dc5c8d9432b38f33e697db18eeee30ad19a6191e3336ea64"),
     # colourings recorded while finite K and Z had a greedy each; one greedy
     # along K's enumeration must keep them
     (["color", "--K", "Z", "--E=-1,0,1", "--window", "50"],
@@ -340,6 +345,91 @@ def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, argv)
     assert code == 0
     assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of the sorted rows [source, cell, mover, colour] of each F2 × Z/2
+# claim-3 witness at the depth of its matching, and the number of rows,
+# recorded when the witness had one entry per matched cell: grouping the
+# cells by (source, mover, colour) must keep the matching itself.
+CLAIM3_CELLS = [
+    ("a:0", 27, 112, "4a948b1f91b8b9b5ed5808a7d360d94fe0a13a1d915041a5b123b7bd136ae127"),
+    ("ab:0,ab:1", 30, 328, "9647164cbc62139d09063ac1102a08b74f821c872df0b23279363b78c0f616bc"),
+    ("b:1", 26, 328, "462f209229a3de46deff3ffb66b5eeb1205cbc1a1365b05f30fbdfedff6ee42c"),
+    ("abA:1", 35, 112, "57b9e1fc8bfe6c4c9ed7117d468ad4804ad5a989fcce6cd134a823b469ffd555"),
+    ("Ba:1,b:0", 26, 328, "badb6129ab3c1f29dd2b5c0d95df07caeebe7c50b17e120ef5a5644d3a501f7c"),
+]
+
+
+@pytest.mark.parametrize("u, depth, count, digest", CLAIM3_CELLS, ids=[c[0] for c in CLAIM3_CELLS])
+def test_claim3_cells_are_the_per_cell_matching(tmp_path, u, depth, count, digest):
+    from paratower.comparison import SubeqWitness
+
+    code, env = run_json(tmp_path, ["compare", "--instance", "F2xZ2", "--U", u])
+    assert code == 0
+    w = SubeqWitness.from_json(env["payload"]["claim3_witness"])
+    rows = sorted(
+        certs.canonical_json([i, list(cell), w.space.elem_json(g), color])
+        for i, piece, g, color in w.entries
+        for cell in w.space.cells(piece, depth)
+    )
+    assert len(rows) == count and len(w.entries) == 8
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
+
+
+def test_a_per_cell_certificate_still_verifies(tmp_path):
+    import gzip
+    import pathlib
+
+    # `compare --instance F2xZ2 --U a:0` as written when the claim-3 witness
+    # had one entry per matched cell: the F2xZ2-a0 pin of that time
+    raw = gzip.decompress(
+        (pathlib.Path(__file__).parent / "data" / "compare_F2xZ2_a0_per_cell.json.gz").read_bytes()
+    )
+    assert hashlib.sha256(raw).hexdigest() == (
+        "872442ea3b745cddd296a9e777aa778d87b0c9f5406845a6fe6b66c12d448610"
+    )
+    assert len(json.loads(raw)["payload"]["claim3_witness"]["entries"]) == 112
+    path = tmp_path / "per_cell.json"
+    path.write_bytes(raw)
+    assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--instance", "F2", "--U", "ab,,ba"],
+        ["compare", "--instance", "F2", "--U", "ab,"],
+        ["compare", "--instance", "F2", "--U", ","],
+        ["compare", "--instance", "F2xZ2", "--U", "a:0, ,b:1"],
+        ["isometry", "--U", "ab,"],
+        ["isometry", "--U", ",ba"],
+    ],
+    ids=["compare-inner", "compare-trailing", "compare-comma", "compare-blank",
+         "isometry-trailing", "isometry-leading"],
+)
+def test_an_empty_cylinder_token_is_refused(capsys, argv):
+    # the empty word would read as the whole space: full below full
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: empty cylinder token")
+
+
+def test_boost_refuses_an_empty_cylinder_token(tmp_path, capsys):
+    p = _write_witness(tmp_path, "w.json", ["b"], ["a"], [(0, "b", "a", 0)])
+    assert main(["boost", str(p), "--V", "a,"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: empty cylinder token")
+
+
+def test_a_whole_k_slice_is_still_a_cylinder_token():
+    from paratower.boundary import ClopenSet
+    from paratower.cli import _parse_clopen
+    from paratower.comparison import ProductSpace
+    from paratower.groups import cyclic_group
+
+    space = ProductSpace(cyclic_group(2))
+    s = _parse_clopen(space, ":0,ab:1")
+    assert s.slices["0"].is_full() and s.slices["1"].equals(ClopenSet.cylinder("ab"))
 
 
 @pytest.mark.parametrize("value", ["-1", "x", "", "1.5"])
@@ -886,6 +976,30 @@ def test_verify_rejects_forged_comparison(tmp_path, f2_comparison, forge, claim)
     name = {"claim 2": "claim2_witness", "claim 3": "claim3_witness", "final": "boosted"}[claim]
     assert report["witnesses"][name]["verified"]
     assert not report["witnesses"][name]["proves_claim"]
+
+
+# recorded fields that verify recomputes; each forgery used to verify
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (["claim3", "report", "colors", 0, "disjoint"], False, "claim3.report"),
+        (["claim2", "report", "failure"], {"kind": "made-up"}, "claim2.report"),
+        (["boosted", "report", "coverage"], [], "boosted.report"),
+        (["claim2", "cover"], False, "claim2.cover"),
+        (["claim2", "inclusions"], 1, "claim2.inclusions"),
+        (["claim3", "counting", "witness_cell"], [None, "zzz"], "counting witness cell"),
+        (["claim3", "counting", "witness_cell"], ["0", "ab"], "counting witness cell"),
+    ],
+    ids=["claim3-disjoint", "claim2-failure", "boosted-coverage", "claim2-cover",
+         "claim2-inclusions", "counting-cell-word", "counting-cell-label"],
+)
+def test_verify_recomputes_the_recorded_reports(tmp_path, f2_comparison, path, value, named):
+    payload = _with(copy.deepcopy(f2_comparison), path, value)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and not report["pass"]
+    assert named in report["failed"]
+    # the witnesses themselves still prove their claims
+    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
 
 
 def test_verify_accepts_the_comparison_and_rejects_schema_1(tmp_path, f2_comparison):

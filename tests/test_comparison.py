@@ -517,6 +517,28 @@ def test_tower_stage_translates_each_set_once(monkeypatch):
 
 
 
+@pytest.mark.parametrize(
+    "inst, u_set",
+    [("F2", cyl("ab")), ("F2xZ2", ProductClopen(cyclic_group(2), {"0": cyl("a")}))],
+    ids=["F2", "F2xZ2"],
+)
+def test_built_witnesses_have_one_entry_per_source_mover_colour(monkeypatch, inst, u_set):
+    witnesses = []
+    real = comparison.verify_witness
+
+    def recorded(w):
+        witnesses.append(w)
+        return real(w)
+
+    monkeypatch.setattr(comparison, "verify_witness", recorded)
+    assert build_comparison(ComparisonInstance(inst), u_set).passed
+    # claim 2, claim 3, composed and boosted
+    assert len(witnesses) == 4
+    for w in witnesses:
+        keys = [(i, g, color) for i, _, g, color in w.entries]
+        assert len(set(keys)) == len(keys)
+
+
 # -- the one-shot cover of verify_witness against the chained union
 
 def _chained_cover(space, w, i):
@@ -652,6 +674,35 @@ def test_failures_name_a_cell():
 
 
 # -- verify_witness on image cells against the set algebra
+
+def _verdicts(report):
+    failure = report["failure"]
+    return (
+        report["pass"],
+        [c["pass"] for c in report["coverage"]],
+        [(c["contained"], c["disjoint"]) for c in report["colors"]],
+        failure and failure["kind"],
+    )
+
+
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_grouping_by_source_mover_colour_keeps_the_verdict(space):
+    # per-cell witnesses whose cells partition their sources, a few left out
+    rng = random.Random(f"grouped/{space.kind}")
+    seen = []
+    merged = 0
+    for _ in range(150):
+        w = _random_witness(rng, space)
+        grouped = SubeqWitness(space, w.sources, w.targets, comparison._grouped(space, w.entries))
+        keys = [(i, g, c) for i, _, g, c in grouped.entries]
+        assert len(set(keys)) == len(keys)
+        merged += len(grouped.entries) < len(w.entries)
+        report = verify_witness(w)
+        seen.append(_verdicts(report)[3] or "pass")
+        assert _verdicts(verify_witness(grouped)) == _verdicts(report)
+    assert {"pass", "coverage", "containment", "overlap"} <= set(seen)
+    assert merged > 50
+
 
 def _verify_witness_sets(w):
     """verify_witness as it was with canonical images: the reference for
