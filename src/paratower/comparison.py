@@ -81,6 +81,13 @@ class ConstructionFailed(RuntimeError):
     """A construction step failed the exact check that guards it."""
 
 
+# The most (cell, mover) lookups one depth attempt of the matching may
+# make; a larger attempt is refused before it lists its cells.  With
+# U = [ab]×{0}, F2 × Z/5 matches at 251,790 lookups and F2 × Z/6 at
+# 1,078,464; each deeper level has about three times the cells.
+MATCH_BUDGET = 2 * 10**6
+
+
 def _extra_depth_budget() -> int:
     """PARATOWER_MAX_DEPTH: how many levels past the sources' depth the
     matching step may refine (default 8)."""
@@ -687,25 +694,37 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     )
     moved: Dict[tuple, ClopenSet] = {}
 
+    def act(h: str, sl: ClopenSet) -> ClopenSet:
+        """h·sl, each (word, slice) pair translated once."""
+        key = (h, sl.full, sl.bases)
+        img = moved.get(key)
+        if img is None:
+            img = moved[key] = sl.act(h)
+        return img
+
     def pull_back(f, s):
-        """f⁻¹·s, slice by slice.  In F2 × K, D² holds each word with every
-        label, and a label only renames the slices, so each (word, slice)
-        pair is translated once."""
+        """f⁻¹·s, slice by slice: a label only renames the slices."""
         g = space.inv(f)
         h = space.word_part(g)
-        out = {}
-        for lbl, sl in space.slice_items(s):
-            key = (h, sl.full, sl.bases)
-            img = moved.get(key)
-            if img is None:
-                img = moved[key] = sl.act(h)
-            out[space.act_label(g, lbl)] = img
-        return space.from_slices(out)
+        return space.from_slices(
+            {space.act_label(g, lbl): act(h, sl) for lbl, sl in space.slice_items(s)}
+        )
 
-    items: List[Tuple[object, Fraction]] = []
+    # f⁻¹·V for V the same slice S at every label is h·S at every label, h
+    # the F2 word of f⁻¹: such a V gives one item per word, weighted by how
+    # often the word occurs in D².  The sweep reads only the summed step
+    # function, so its extreme and witness cell stay those of one item per f.
+    words: Dict[str, int] = {}
     for f in d2:
-        for v in data.sources:
-            items.append((pull_back(f, v), Fraction(1)))
+        h = space.word_part(space.inv(f))
+        words[h] = words.get(h, 0) + 1
+    items: List[Tuple[object, Fraction]] = []
+    for v in data.sources:
+        sls = [sl for _, sl in space.slice_items(v)]
+        if all(sl.equals(sls[0]) for sl in sls):
+            items += [(space.uniform(act(h, sls[0])), Fraction(c)) for h, c in words.items()]
+        else:
+            items += [(pull_back(f, v), Fraction(1)) for f in d2]
     for g in data.d_set:
         items.append((pull_back(g, u_eff), Fraction(-(n + 1))))
     worst, cell = extreme_weighted_count(space, items, "max")
@@ -717,19 +736,24 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     }
 
 
-def _kuhn_match(lefts, adjacency, forbidden) -> Optional[Dict]:
+def _kuhn_match(lefts, adjacency, forbidden, colors: int) -> Optional[Dict]:
+    """A matching of every left to a (colour, key) right, or None.  The
+    adjacency of a left lists its image keys, and each key stands for its
+    ``colors`` copies, tried in colour order as they are met."""
     match_r: Dict = {}
     match_l: Dict = {}
 
     def try_augment(l, visited) -> bool:
-        for r in adjacency[l]:
-            if (l, r) in forbidden or r in visited:
-                continue
-            visited.add(r)
-            if r not in match_r or try_augment(match_r[r], visited):
-                match_r[r] = l
-                match_l[l] = r
-                return True
+        for key in adjacency[l]:
+            for color in range(colors):
+                r = (color, key)
+                if (l, r) in forbidden or r in visited:
+                    continue
+                visited.add(r)
+                if r not in match_r or try_augment(match_r[r], visited):
+                    match_r[r] = l
+                    match_l[l] = r
+                    return True
         return False
 
     for l in lefts:
@@ -739,8 +763,9 @@ def _kuhn_match(lefts, adjacency, forbidden) -> Optional[Dict]:
 
 
 def _image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
-    """(key, base rep) of g·cell if it lies inside the shrunk target whose
-    slices by label are ``ueff_slices``, else None.
+    """The (label, base) pairs of g·cell's canonical bases, in order, if
+    g·cell lies inside the shrunk target whose slices by label are
+    ``ueff_slices``, else None.
 
     For cells deeper than the cancellation the image is the single
     cylinder [g·w], so the containment test is a string prefix check.
@@ -754,14 +779,13 @@ def _image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
     tgt = ueff_slices[newl]
     if c is not None:
         if tgt.full or any(c.startswith(b) for b in tgt.bases):
-            return (((newl, c),), [(newl, c)])
+            return ((newl, c),)
         if not any(b.startswith(c) for b in tgt.bases):
             return None
     bases = sorted(prefix.translate(h, None, (w,))[1])
     if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
         return None
-    rep = [(newl, b) for b in bases]
-    return (tuple(rep), rep)
+    return tuple((newl, b) for b in bases)
 
 
 def petr_assign(
@@ -776,7 +800,15 @@ def petr_assign(
     mover and a colour.  The witness has one entry per (source, mover,
     colour), whose piece is the union of the cells matched to it; a cell
     set of one V_j is disjoint, so this passes exactly when the per-cell
-    witness does, and the search settles on the same depth and matching."""
+    witness does, and the search settles on the same depth and matching.
+
+    The F2 work is done once per F2 word, not once per K label: a cell is
+    asked only about the movers whose label sends its label onto a nonempty
+    slice of U^{-eps}, an image key is worked out once per (mover's word,
+    cell word, image label), and the graph holds one edge per key, whose
+    n+1 colours the search expands in colour order.  Before each depth the
+    (cell, mover) lookups are counted, and a depth needing more than
+    ``MATCH_BUDGET`` is refused with DepthCapExceeded."""
     if counting is None:
         counting = check_counting(space, data, n)
     if not counting["pass"]:
@@ -794,66 +826,98 @@ def petr_assign(
     budget = _extra_depth_budget()
     elem_order = sorted(data.d_set, key=_elem_order(space))
     ueff_slices = dict(space.slice_items(u_eff))
+    # per cell label, the movers (in elem_order) that send it onto a
+    # nonempty slice of U^{-eps}, as (mover, F2 word, image label); every
+    # other mover's image key is None
+    movers = {
+        lbl: [
+            (g, space.word_part(g), space.act_label(g, lbl))
+            for g in elem_order
+            if not ueff_slices[space.act_label(g, lbl)].is_empty()
+        ]
+        for lbl in space.labels
+    }
 
+    tried = "no depth tried"
     for attempt in range(budget + 1):
         d = depth + attempt
-        lefts = []
+        # the gate counts the cells by label before they are listed: a
+        # slice has 3^(d-|b|) depth-d cells below each base b, 4·3^(d-1) if full
+        per_label: Dict = {}
+        for v in data.sources:
+            for lbl, sl in space.slice_items(v):
+                count = 4 * 3 ** (d - 1) if sl.full else sum(3 ** (d - len(b)) for b in sl.bases)
+                per_label[lbl] = per_label.get(lbl, 0) + count
+        cells = sum(per_label.values())
+        lookups = sum(count * len(movers[lbl]) for lbl, count in per_label.items())
+        if lookups > MATCH_BUDGET:
+            raise DepthCapExceeded(
+                f"the matching at depth {d} needs {lookups} (cell, mover) lookups"
+                f" over {cells} cells, above the budget of {MATCH_BUDGET}; {tried}"
+            )
+        tried = f"deepest depth tried {d}: {cells} cells, {lookups} lookups"
+        lefts = [(j, cell) for j, v in enumerate(data.sources) for cell in space.cells(v, d)]
+        # per left, its image keys in the order found, each with the first
+        # mover found for it: distinct cells can share an image key through
+        # different movers, so the mover is per edge, and every colour of
+        # a key takes the same one
         edges: Dict = {}
-        image_of: Dict = {}
-        edge_elem: Dict = {}
-        for j, v in enumerate(data.sources):
-            for cell in space.cells(v, d):
-                left = (j, cell)
-                lefts.append(left)
-                adj = []
-                for g in elem_order:
-                    found = _image_key(space, ueff_slices, g, cell)
-                    if found is None:
-                        continue
-                    key, rep = found
-                    for color in range(n + 1):
-                        right = (color, key)
-                        image_of.setdefault(right, rep)
-                        # distinct cells can share an image key through
-                        # different elements, so the mover is per edge
-                        edge_elem.setdefault((left, right), g)
-                        adj.append(right)
-                edges[left] = adj
+        by_word: Dict[str, list] = {}
+        for left in lefts:
+            by_word.setdefault(left[1][1], []).append(left)
+        for same_word in by_word.values():
+            # _image_key reads a mover only through its F2 word and the
+            # image label, so the cells of one word share the work
+            memo: Dict = {}
+            for left in same_word:
+                adj = edges[left] = {}
+                for g, h, newl in movers[left[1][0]]:
+                    try:
+                        key = memo[h, newl]
+                    except KeyError:
+                        key = memo[h, newl] = _image_key(space, ueff_slices, g, left[1])
+                    if key is not None:
+                        adj.setdefault(key, g)
         forbidden: set = set()
         matched = None
         for _ in range(100):
-            matched = _kuhn_match(lefts, edges, forbidden)
+            matched = _kuhn_match(lefts, edges, forbidden, n + 1)
             if matched is None:
                 break
-            clash = _color_clash(matched, image_of, n)
+            clash = _color_clash(matched, n)
             if clash is None:
                 break
             forbidden.add(clash)
             matched = None
         if matched is not None:
-            entries = []
+            # one entry per (source, mover, colour), in the order of first
+            # appearance, whose piece is the union of its matched cells: the
+            # cells of one source are disjoint, so this keeps the verdict of
+            # one entry per cell (as in _grouped)
+            groups: Dict[tuple, Dict] = {}
             for left in lefts:
-                right = matched[left]
-                g = edge_elem[(left, right)]
-                entries.append((left[0], space.cylinder(left[1]), g, right[0]))
-            # one entry per (source, mover, colour): the matched cells of
-            # one source are disjoint, so grouping them keeps the verdict
-            out = SubeqWitness(
-                space, data.sources, [data.target] * (n + 1), _grouped(space, entries)
-            )
+                color, key = matched[left]
+                lbl, w = left[1]
+                piece = groups.setdefault((left[0], edges[left][key], color), {})
+                piece.setdefault(lbl, []).append(w)
+            entries = [
+                (j, space.from_slices({lbl: ClopenSet(ws) for lbl, ws in piece.items()}), g, color)
+                for (j, g, color), piece in groups.items()
+            ]
+            out = SubeqWitness(space, data.sources, [data.target] * (n + 1), entries)
             try:
                 return _verified(out, "assigned")
             except ConstructionFailed:
                 pass  # refine one level further
     raise DepthCapExceeded(
-        f"no per-color disjoint matching up to depth {depth + budget};"
+        f"no per-color disjoint matching up to depth {depth + budget} ({tried});"
         " raise PARATOWER_MAX_DEPTH to search deeper"
     )
 
 
-def _color_clash(matched, image_of, n):
+def _color_clash(matched, n):
     """First overlapping pair of matched images sharing a color, as the
-    (left, right) edge to forbid."""
+    (left, right) edge to forbid; a right's key lists its image's bases."""
     by_color: Dict[int, List] = {k: [] for k in range(n + 1)}
     for left, right in sorted(matched.items(), key=lambda kv: str(kv[0])):
         by_color[right[0]].append((left, right))
@@ -864,9 +928,7 @@ def _color_clash(matched, image_of, n):
             if right in seen:
                 return (left, right)
             seen[right] = left
-        pair = _overlap_pair_reps(
-            [(lr, image_of[lr[1]]) for lr in group]
-        )
+        pair = _overlap_pair_reps([(lr, lr[1][1]) for lr in group])
         if pair is not None:
             return pair[1]
     return None

@@ -1,10 +1,15 @@
 import copy
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
 
+import paratower
 import paratower.certificates as certs
 from paratower.cli import emit_report, main
 
@@ -451,6 +456,49 @@ def test_compare_depth_cap_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "no per-color disjoint matching up to depth" in err
+    # how far the search got: the one depth tried, its cells and lookups
+    assert "up to depth 12 (deepest depth tried 12: 2 cells, 14 lookups)" in err
+
+
+# every matched claim-3 witness refused, so the matching refines level after
+# level, with about three times the cells each, until the gate refuses one
+REFUSE_EVERY_DEPTH = """
+import sys
+import paratower.comparison as comparison
+from paratower.cli import main
+
+real = comparison._verified
+
+def refused(w, what):
+    if what == "assigned":
+        raise comparison.ConstructionFailed("refused")
+    return real(w, what)
+
+comparison._verified = refused
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_matching_past_the_gate_exits_64_within_seconds(monkeypatch):
+    src = os.path.dirname(os.path.dirname(paratower.__file__))
+    monkeypatch.setenv("PYTHONPATH", src)
+    monkeypatch.delenv("PARATOWER_MAX_DEPTH", raising=False)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSE_EVERY_DEPTH, "compare", "--instance", "F2xZ2", "--U", "a:0"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 64, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: the matching at depth 34 needs 2694384")
+    assert "above the budget of 2000000" in proc.stderr
+    assert "deepest depth tried 33: 81648 cells, 898128 lookups" in proc.stderr
+    assert elapsed < 30
+    # the peak of every child so far, this one included
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
 def _write_witness(tmp_path, name, sources, targets, entries):
@@ -627,6 +675,7 @@ def test_isometry_depth_cap_is_a_usage_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "no per-color disjoint matching up to depth" in err
+    assert "deepest depth tried" in err and "cells" in err and "lookups" in err
 
 
 def test_f2_targets_are_comma_lists_of_cylinders():

@@ -834,6 +834,42 @@ def test_check_counting_matches_the_set_algebra(space):
         assert check_counting(space, data, n) == _check_counting_sets(space, data, n)
 
 
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space):
+    # D holds each word with every label, as the builder's does; sources the
+    # same at every label take one item per F2 word of D², and on F2 × Z/3
+    # one more source, on one label only, keeps one item per element
+    swept = []
+    real = comparison.extreme_weighted_count
+
+    def recorded(space, items, mode):
+        swept.append(len(items))
+        return real(space, items, mode)
+
+    monkeypatch.setattr(comparison, "extreme_weighted_count", recorded)
+    rng = random.Random(f"counting-words/{space.kind}")
+    for _ in range(40):
+        words = {""}
+        for _ in range(rng.randint(1, 3)):
+            w = _random_element(rng, SPACE)
+            words |= {w, inverse(w)}
+        d_set = [space.elem(w, k) for w in sorted(words) for k in space.labels]
+        uniform = [space.uniform(_random_clopen(rng)) for _ in range(rng.randint(1, 2))]
+        other = []
+        if isinstance(space, ProductSpace):
+            word = rng.choice(words_of_length(rng.randint(1, 3)))
+            other = [space.from_slices({rng.choice(space.labels): cyl(word)})]
+        data = CountingData(d_set, Fraction(1, 8), uniform + other, _random_set(rng, space))
+        n = rng.randint(0, 3)
+        got = check_counting(space, data, n)
+        want = _check_counting_sets(space, data, n)
+        assert (got["max_margin"], got["witness_cell"]) == (want["max_margin"], want["witness_cell"])
+        assert got == want
+        d2 = {space.mul(f, g) for f in d_set for g in d_set}
+        d2_words = {space.word_part(f) for f in d2}
+        assert swept[-1] == len(d2_words) * len(uniform) + len(d2) * len(other) + len(d_set)
+
+
 def _canonical_image_key(space, ueff_slices, g, cell):
     """The matching key of g·cell from canonical clopen sets, or None when
     the image leaves the shrunk target."""
@@ -868,9 +904,7 @@ def test_image_keys_are_the_canonical_ones(monkeypatch, inst, u_set):
     assert calls
     for space, ueff_slices, g, cell, found in calls:
         want = _canonical_image_key(space, ueff_slices, g, cell)
-        assert (None if found is None else found[0]) == want, (g, cell)
-        if found is not None:
-            assert sorted(found[1]) == sorted(want)
+        assert found == want, (g, cell)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
@@ -886,7 +920,242 @@ def test_image_keys_of_cancelled_cells_are_the_canonical_ones(space):
             g = _random_element(rng, space)
             found = comparison._image_key(space, ueff_slices, g, cell)
             want = _canonical_image_key(space, ueff_slices, g, cell)
-            assert (None if found is None else found[0]) == want, (g, cell)
+            assert found == want, (g, cell)
             if found is not None:
                 cancelled_inside += prefix.moved_base(space.word_part(g), cell[1]) is None
     assert cancelled_inside >= 5
+
+
+# -- the matching against the per-element loop it replaced
+
+def _kuhn_match_reference(lefts, adjacency, forbidden):
+    """Kuhn's search over adjacency lists of explicit (colour, key) rights."""
+    match_r, match_l = {}, {}
+
+    def try_augment(l, visited):
+        for r in adjacency[l]:
+            if (l, r) in forbidden or r in visited:
+                continue
+            visited.add(r)
+            if r not in match_r or try_augment(match_r[r], visited):
+                match_r[r] = l
+                match_l[l] = r
+                return True
+        return False
+
+    for l in lefts:
+        if not try_augment(l, set()):
+            return None
+    return match_l
+
+
+def _petr_assign_reference(space, data, n):
+    """petr_assign as it was: every mover of D asked about every cell with
+    no memo, one edge per colour, one entry per cell grouped by _grouped.
+    Returns the verified witness and its depth, or (None, None)."""
+    u_eff = space.shrink(data.target, data.epsilon)
+    depth = max(
+        [1] + [sl.depth() for v in data.sources for _, sl in space.slice_items(v)]
+    )
+    elem_order = sorted(data.d_set, key=comparison._elem_order(space))
+    ueff_slices = dict(space.slice_items(u_eff))
+    for d in range(depth, depth + comparison._extra_depth_budget() + 1):
+        lefts, edges, edge_elem = [], {}, {}
+        for j, v in enumerate(data.sources):
+            for cell in space.cells(v, d):
+                left = (j, cell)
+                lefts.append(left)
+                edges[left] = []
+                for g in elem_order:
+                    key = comparison._image_key(space, ueff_slices, g, cell)
+                    if key is None:
+                        continue
+                    for color in range(n + 1):
+                        edge_elem.setdefault((left, (color, key)), g)
+                        edges[left].append((color, key))
+        forbidden = set()
+        matched = None
+        for _ in range(100):
+            matched = _kuhn_match_reference(lefts, edges, forbidden)
+            if matched is None:
+                break
+            clash = comparison._color_clash(matched, n)
+            if clash is None:
+                break
+            forbidden.add(clash)
+            matched = None
+        if matched is None:
+            continue
+        entries = [
+            (j, space.cylinder(cell), edge_elem[(j, cell), matched[j, cell]], matched[j, cell][0])
+            for j, cell in lefts
+        ]
+        w = SubeqWitness(
+            space, data.sources, [data.target] * (n + 1), comparison._grouped(space, entries)
+        )
+        report = comparison.verify_witness(w)
+        if report["pass"]:
+            w.report = report
+            return w, d
+    return None, None
+
+
+def _assigned_with_depth(space, data, n):
+    """petr_assign's witness (or None) and the depth of its last attempt."""
+    depths = []
+    cells = space.cells
+    space.cells = lambda s, d: depths.append(d) or cells(s, d)
+    try:
+        return petr_assign(space, data, n), depths[-1]
+    except comparison.DepthCapExceeded:
+        return None, None
+    finally:
+        del space.cells
+
+
+def _claim3_data(monkeypatch, inst, u_set):
+    """(space, counting data, n) that build_comparison hands to petr_assign."""
+    seen = []
+    real = comparison.petr_assign
+
+    def recorded(space, data, n, counting=None):
+        seen.append((space, data, n))
+        return real(space, data, n, counting)
+
+    monkeypatch.setattr(comparison, "petr_assign", recorded)
+    assert build_comparison(inst, u_set).passed
+    monkeypatch.setattr(comparison, "petr_assign", real)
+    return seen[0]
+
+
+def _z3_counting_data(source: str):
+    """Counting data on boundary × Z/3 built directly: D is five words with
+    every label, V_j a cylinder at every label, U^{-eps} one cylinder."""
+    space = ProductSpace(cyclic_group(3))
+    d_set = [(w, k) for w in ["", "a", "A", "aB", "bA"] for k in space.labels]
+    return space, CountingData(
+        d_set, Fraction(1, 4), [space.uniform(cyl(source))], space.cylinder(("0", "a"))
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["F2-ab", "F2-Ba,aab", "F2xZ2-a0", "F2xZ2-ab0-ab1", "F2xZ3-aabb-3", "F2xZ3-aab-6"],
+)
+def test_matching_equals_the_per_element_loop(monkeypatch, case):
+    k2 = cyclic_group(2)
+    if case == "F2-ab":
+        space, data, n = _claim3_data(monkeypatch, ComparisonInstance("F2"), cyl("ab"))
+    elif case == "F2-Ba,aab":
+        u_set = ClopenSet(["Ba", "aab"])
+        space, data, n = _claim3_data(monkeypatch, ComparisonInstance("F2"), u_set)
+    elif case == "F2xZ2-a0":
+        u_set = ProductClopen(k2, {"0": cyl("a")})
+        space, data, n = _claim3_data(monkeypatch, ComparisonInstance("F2xZ2"), u_set)
+    elif case == "F2xZ2-ab0-ab1":
+        u_set = ProductClopen(k2, {"0": cyl("ab"), "1": cyl("ab")})
+        space, data, n = _claim3_data(monkeypatch, ComparisonInstance("F2xZ2"), u_set)
+    else:
+        _, source, n = case.split("-")
+        space, data = _z3_counting_data(source)
+        n = int(n)
+    w, depth = _assigned_with_depth(space, data, n)
+    ref, ref_depth = _petr_assign_reference(space, data, n)
+    assert depth == ref_depth
+    assert w.to_json() == ref.to_json()
+    assert w.report == ref.report
+
+
+@pytest.mark.parametrize("refuse_first", [False, True], ids=["first-depth", "one-deeper"])
+@pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
+def test_matching_equals_the_per_element_loop_on_random_data(monkeypatch, space, refuse_first):
+    # random D, sources made of cylinders (uniform or not) and a target
+    # cylinder; with refuse_first the first matched witness of each run is
+    # refused, so both loops refine one level further
+    refused = []
+    real = comparison.verify_witness
+
+    def check(w):
+        if refuse_first and not refused:
+            refused.append(w)
+            return _failing_witness_check(w)
+        return real(w)
+
+    monkeypatch.setattr(comparison, "verify_witness", check)
+    rng = random.Random(f"matching/{space.kind}")
+    matched = 0
+    for _ in range(150):
+        words = {""}
+        for _ in range(rng.randint(3, 8)):
+            w = _random_element(rng, SPACE)
+            words |= {w, inverse(w)}
+        d_set = [space.elem(w, k) for w in sorted(words) for k in space.labels]
+        sources = []
+        for _ in range(rng.randint(1, 2)):
+            c = ClopenSet.union_all(
+                cyl(rng.choice(words_of_length(rng.randint(3, 5))))
+                for _ in range(rng.randint(1, 3))
+            )
+            labels = rng.sample(space.labels, max(1, len(space.labels) - rng.randint(0, 1)))
+            sources.append(space.from_slices({k: c for k in labels}))
+        target = space.cylinder(rng.choice(space.cells(space.full(), 1)))
+        data = CountingData(d_set, Fraction(1, 8), sources, target)
+        n = rng.randint(1, 8)
+        if not check_counting(space, data, n)["pass"]:
+            continue
+        refused.clear()
+        w, depth = _assigned_with_depth(space, data, n)
+        refused.clear()
+        ref, ref_depth = _petr_assign_reference(space, data, n)
+        assert depth == ref_depth
+        assert w.to_json() == ref.to_json() and w.report == ref.report
+        matched += 1
+    assert matched >= 5
+
+
+def test_the_gate_counts_the_lookups_it_would_make(monkeypatch):
+    u_set = ProductClopen(cyclic_group(2), {"0": cyl("a")})
+    space, data, n = _claim3_data(monkeypatch, ComparisonInstance("F2xZ2"), u_set)
+    lookups = _refused_at_the_gate(monkeypatch, space, data, n, None)
+    # at the budget the builder's depth runs and matches
+    monkeypatch.undo()
+    monkeypatch.setattr(comparison, "MATCH_BUDGET", lookups)
+    assert petr_assign(space, data, n).report["pass"]
+
+
+def test_the_gate_counts_the_cells_of_full_and_empty_slices(monkeypatch):
+    # a full source and one with empty slices, past a counting report that
+    # is taken as given
+    space, data = _z3_counting_data("ab")
+    data.sources = [space.full(), space.from_slices({"1": ClopenSet(["ab", "Ba"])})]
+    _refused_at_the_gate(monkeypatch, space, data, 3, {"pass": True})
+
+
+def _refused_at_the_gate(monkeypatch, space, data, n, counting) -> int:
+    """Check the gate's refusal at the first depth, and at the next one once
+    the first is let through and its witness refused; returns the lookups
+    of the first depth."""
+    depth = max(sl.depth() for v in data.sources for _, sl in space.slice_items(v))
+    cells = [cell for v in data.sources for cell in space.cells(v, depth)]
+    # a lookup is a cell with a mover that sends its label onto U^{-eps}
+    ueff = dict(space.slice_items(space.shrink(data.target, data.epsilon)))
+    lookups = sum(
+        not ueff[space.act_label(g, lbl)].is_empty() for lbl, _ in cells for g in data.d_set
+    )
+    assert lookups < len(cells) * len(data.d_set)
+    monkeypatch.setattr(comparison, "MATCH_BUDGET", lookups - 1)
+    with pytest.raises(comparison.DepthCapExceeded) as refused:
+        petr_assign(space, data, n, counting)
+    assert str(refused.value) == (
+        f"the matching at depth {depth} needs {lookups} (cell, mover) lookups over"
+        f" {len(cells)} cells, above the budget of {lookups - 1}; no depth tried"
+    )
+    monkeypatch.setattr(comparison, "MATCH_BUDGET", lookups)
+    monkeypatch.setattr(comparison, "verify_witness", _failing_witness_check)
+    with pytest.raises(comparison.DepthCapExceeded) as refused:
+        petr_assign(space, data, n, counting)
+    assert str(refused.value).startswith(f"the matching at depth {depth + 1} needs")
+    assert str(refused.value).endswith(
+        f"; deepest depth tried {depth}: {len(cells)} cells, {lookups} lookups"
+    )
+    return lookups
