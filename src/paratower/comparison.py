@@ -35,7 +35,7 @@ import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from . import prefix
 from . import words as fw
@@ -84,7 +84,13 @@ class ConstructionFailed(RuntimeError):
 # The most (cell, mover) lookups one depth attempt of the matching may
 # make; a larger attempt is refused before it lists its cells.  With
 # U = [ab]×{0}, F2 × Z/5 matches at 251,790 lookups and F2 × Z/6 at
-# 1,078,464; each deeper level has about three times the cells.
+# 1,078,464; each deeper level has about three times the cells.  The
+# budget bounds lookups, not memory, and the bytes per lookup differ by
+# instance: the F2 × Z/6 build peaks at 128 MB at 1,078,464 lookups, the
+# forced-failure F2 × Z/2 U = [a]×{0} search (every witness refused) at
+# 175 MB at 898,128 (depth 33, deep cells with many new image keys), so
+# an attempt there just under the budget would take about 400 MB
+# (extrapolated, not run).
 MATCH_BUDGET = 2 * 10**6
 
 
@@ -248,23 +254,25 @@ _LEGAL_DIGITS = {"": "0123", "0": "023", "1": "123", "2": "012", "3": "013"}
 _FROM_DIGITS = str.maketrans("0123", "aAbB")
 
 
-def _integer_weights(
-    items: Sequence[Tuple[ClopenSet, Fraction]], sign: int
-) -> Tuple[int, int, Dict[str, int]]:
-    """(den, const, base weights) of sign · sum(w_i * 1_{S_i}) scaled by the
-    lcm den of the denominators, with the bases in ball-order digits."""
-    den = math.lcm(*(w.denominator for _, w in items))
-    const = 0
-    base_w: Dict[str, int] = {}
-    for s, w in items:
-        iw = sign * w.numerator * (den // w.denominator)
-        if s.full:
-            const += iw
-        else:
-            for b in s.bases:
-                k = b.translate(fw._BALL_ORDER)
-                base_w[k] = base_w.get(k, 0) + iw
-    return den, const, base_w
+def _digit_bases(sl: ClopenSet) -> Optional[List[str]]:
+    """The bases of a slice in ball-order digits, or None when it is full."""
+    return None if sl.full else [b.translate(fw._BALL_ORDER) for b in sl.bases]
+
+
+def _add_weights(
+    steps: Dict, slices: Iterable[Tuple[object, Optional[List[str]]]], iw: int
+) -> None:
+    """Add iw times one item's indicator to the step functions ``steps``,
+    one [constant, base weights] per key, from the item's (key, digit
+    bases) slices; a full slice (None) adds to the constant."""
+    for key, digits in slices:
+        step = steps[key]
+        if digits is None:
+            step[0] += iw
+            continue
+        base_w = step[1]
+        for k in digits:
+            base_w[k] = base_w.get(k, 0) + iw
 
 
 def _first_chain_leaf(top: str, key: str) -> str:
@@ -296,7 +304,7 @@ def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     bases = sorted(base_w)
     keys = set(bases)
     keys.add("")
-    keys.update(os.path.commonprefix(pair) for pair in zip(bases, bases[1:]))
+    keys.update(u[:fw.common_prefix_len(u, v)] for u, v in zip(bases, bases[1:]))
     # key -> [sum, the next digits that stay in the trie]
     nodes: Dict[str, list] = {}
     chains: List[Tuple[int, str, str]] = []
@@ -331,38 +339,47 @@ def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     return best, min(leaves)
 
 
-def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
-    """Extreme of a weighted sum of clopen indicators over the whole space,
-    with a witness cell: the first leaf attaining it in the trie walk of
-    the first K slice (in ``str`` order of the labels) that attains it.
-    Exact integer arithmetic over the weights' common denominator in each
-    K slice; a min is the max of the negated sum."""
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
-    per: Dict[Optional[str], List[Tuple[ClopenSet, Fraction]]] = {}
-    for s, w in items:
-        w = w if isinstance(w, Fraction) else Fraction(w)
-        for lbl, sl in space.slice_items(s):
-            per.setdefault(lbl, []).append((sl, w))
-    if not per:
-        raise ValueError("the weighted sum needs at least one item")
-    sign = 1 if mode == "max" else -1
+def _extreme(steps: Dict, den: int, sign: int) -> Tuple[Fraction, Cell]:
+    """Extreme of the step functions ``steps`` (label -> [constant, base
+    weights], scaled by den and by sign) and its witness cell: the first
+    leaf attaining it in the trie walk of the first label (in ``str``
+    order) that attains it."""
     best: Optional[Fraction] = None
     best_cell: Cell = (None, "")
     swept: list = []
-    for lbl in sorted(per, key=str):
-        weights = _integer_weights(per[lbl], sign)
-        # a slice with an earlier slice's step function ties with it and
+    for lbl in sorted(steps, key=str):
+        const, base_w = steps[lbl]
+        # a label with an earlier label's step function ties with it and
         # loses the tie
-        if weights in swept:
+        if steps[lbl] in swept:
             continue
-        swept.append(weights)
-        den, const, base_w = weights
+        swept.append(steps[lbl])
         top, cell = _sweep(const, base_w) if base_w else (const, "")
         val = Fraction(sign * top, den)
         if best is None or sign * val > sign * best:
             best, best_cell = val, (lbl, cell.translate(_FROM_DIGITS))
     return best, best_cell
+
+
+def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
+    """Extreme of a weighted sum of clopen indicators over the whole space,
+    with a witness cell: the first leaf attaining it in the trie walk of
+    the first K slice (in ``str`` order of the labels) that attains it.
+    Exact integer arithmetic over the weights' common denominator; a min
+    is the max of the negated sum."""
+    if mode not in ("min", "max"):
+        raise ValueError("mode must be 'min' or 'max'")
+    items = [(s, w if isinstance(w, Fraction) else Fraction(w)) for s, w in items]
+    if not items:
+        raise ValueError("the weighted sum needs at least one item")
+    sign = 1 if mode == "max" else -1
+    # every item has a slice at every label, so one denominator serves all
+    den = math.lcm(*(w.denominator for _, w in items))
+    steps = {lbl: [0, {}] for lbl in space.labels}
+    for s, w in items:
+        iw = sign * w.numerator * (den // w.denominator)
+        _add_weights(steps, ((lbl, _digit_bases(sl)) for lbl, sl in space.slice_items(s)), iw)
+    return _extreme(steps, den, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +688,16 @@ class CountingData:
 
     d_set is a finite symmetric set of group elements; the hypothesis reads
     sum_j |{g in D^2 : g.x in V_j}| < (n+1) |{g in D : g.x in U^{-eps}}|
-    pointwise.
+    pointwise.  d2 is D² sorted by ``_elem_order``, when the caller has it
+    already (``_squares``).
     """
 
-    def __init__(self, d_set, epsilon: Fraction, sources, target):
+    def __init__(self, d_set, epsilon: Fraction, sources, target, d2=None):
         self.d_set = list(d_set)
         self.epsilon = Fraction(epsilon)
         self.sources = list(sources)
         self.target = target
+        self.d2 = d2
 
 
 def _elem_order(space):
@@ -686,48 +705,62 @@ def _elem_order(space):
     return lambda e: (len(space.word_part(e)), str(space.elem_json(e)))
 
 
+def _squares(space, d_set) -> list:
+    """D·D, each element once, sorted by ``_elem_order``."""
+    return sorted({space.mul(g, h) for g in d_set for h in d_set}, key=_elem_order(space))
+
+
 def check_counting(space, data: CountingData, n: int) -> dict:
-    """Exact pointwise verification of the counting hypothesis."""
+    """Exact pointwise verification of the counting hypothesis.
+
+    The weighted sum has one item f⁻¹·V_j per (f in D², V_j), weight 1, and
+    one item g⁻¹·U^{-eps} per g in D, weight -(n+1).  Each is added slice
+    by slice to one step function per label; a label only renames the
+    slices, so no product set is built."""
+    if not data.d_set:
+        raise ValueError("the weighted sum needs at least one item")
     u_eff = space.shrink(data.target, data.epsilon)
-    d2 = sorted(
-        {space.mul(g, h) for g in data.d_set for h in data.d_set}, key=_elem_order(space)
-    )
-    moved: Dict[tuple, ClopenSet] = {}
+    d2 = data.d2 if data.d2 is not None else _squares(space, data.d_set)
+    moved: Dict[tuple, Optional[List[str]]] = {}
 
-    def act(h: str, sl: ClopenSet) -> ClopenSet:
-        """h·sl, each (word, slice) pair translated once."""
+    def act(h: str, sl: ClopenSet) -> Optional[List[str]]:
+        """The digit bases of h·sl, each (word, slice) pair translated once."""
         key = (h, sl.full, sl.bases)
-        img = moved.get(key)
-        if img is None:
-            img = moved[key] = sl.act(h)
-        return img
-
-    def pull_back(f, s):
-        """f⁻¹·s, slice by slice: a label only renames the slices."""
-        g = space.inv(f)
-        h = space.word_part(g)
-        return space.from_slices(
-            {space.act_label(g, lbl): act(h, sl) for lbl, sl in space.slice_items(s)}
-        )
+        try:
+            return moved[key]
+        except KeyError:
+            img = moved[key] = _digit_bases(sl.act(h))
+            return img
 
     # f⁻¹·V for V the same slice S at every label is h·S at every label, h
     # the F2 word of f⁻¹: such a V gives one item per word, weighted by how
-    # often the word occurs in D².  The sweep reads only the summed step
-    # function, so its extreme and witness cell stay those of one item per f.
+    # often the word occurs in D², in a step function every label starts
+    # from.  The sweep reads only the summed step function, so its extreme
+    # and witness cell stay those of one item per f.
     words: Dict[str, int] = {}
     for f in d2:
         h = space.word_part(space.inv(f))
         words[h] = words.get(h, 0) + 1
-    items: List[Tuple[object, Fraction]] = []
+    # the step function every label starts from, under the key None
+    shared = {None: [0, {}]}
+    pulled: List[Tuple[object, object, int]] = []
     for v in data.sources:
         sls = [sl for _, sl in space.slice_items(v)]
         if all(sl.equals(sls[0]) for sl in sls):
-            items += [(space.uniform(act(h, sls[0])), Fraction(c)) for h, c in words.items()]
+            for h, c in words.items():
+                _add_weights(shared, [(None, act(h, sls[0]))], c)
         else:
-            items += [(pull_back(f, v), Fraction(1)) for f in d2]
-    for g in data.d_set:
-        items.append((pull_back(g, u_eff), Fraction(-(n + 1))))
-    worst, cell = extreme_weighted_count(space, items, "max")
+            pulled += [(f, v, 1) for f in d2]
+    pulled += [(g, u_eff, -(n + 1)) for g in data.d_set]
+    const, base_w = shared[None]
+    steps = {lbl: [const, dict(base_w)] for lbl in space.labels}
+    for f, s, iw in pulled:
+        g = space.inv(f)
+        h = space.word_part(g)
+        _add_weights(
+            steps, ((space.act_label(g, lbl), act(h, sl)) for lbl, sl in space.slice_items(s)), iw
+        )
+    worst, cell = _extreme(steps, 1, 1)
     return {
         "pass": worst < 0,
         "max_margin": _frac_json(worst),
@@ -1051,7 +1084,9 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
             f"claim 1 counting bound failed: {c1_val} < {m} on cell {list(c1_cell)}"
         )
 
-    # towers indexed by the m copies, jointly D^2-disjoint
+    # towers indexed by the m copies, jointly D^2-disjoint; F·F is the D
+    # of the product check and the D² of the counting hypothesis
+    f_squares = _squares(space, f_elems)
     d2_words = sorted(
         {multiply(u, v) for u in d_words for v in d_words},
         key=lambda w: (len(w), w),
@@ -1072,7 +1107,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         c_sets, g_elems = zip(*lifted)
         fam_check = TowerFamily(
             space.kind,
-            sorted({space.mul(u, v) for u in f_elems for v in f_elems}, key=_elem_order(space)),
+            f_squares,
             lifted,
             k_group=space.k_group,
             cover_groups=[list(range(nm))],
@@ -1131,7 +1166,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         )
 
     # claim 3: counting hypothesis plus the matching assignment
-    data = CountingData(f_elems, eps, v_list, u_target)
+    data = CountingData(f_elems, eps, v_list, u_target, f_squares)
     counting = check_counting(space, data, n)
     # petr_assign hands back a witness it has verified, with the report
     claim3_witness = petr_assign(space, data, n, counting)

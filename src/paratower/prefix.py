@@ -35,6 +35,10 @@ def canonical(
     parent.  In the group a family merges only when the parent word is in
     the set; on the boundary (``words=None``) it always does."""
     bs = set(bases)
+    if len(bs) == 1 and not words:
+        # one base and no word are in form already; most translates of a
+        # cone or a cylinder are one base
+        return (None if words is None else frozenset()), frozenset(bs)
     if "" in bs:
         return (None if words is None else frozenset()), frozenset([""])
     kept: list = []

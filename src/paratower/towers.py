@@ -266,15 +266,17 @@ class _Translates:
     """Normal forms of translates x·A of tower sets, and prefix-trie walks
     over them, each computed once.
 
-    Every distinct form gets an integer id.  A form made as x·A remembers
-    (x, A), so y·(x·A) is made as (yx)·A: a set and all its translates share
-    one entry per element.  A walk over some forms is kept, and a walk over
-    fewer of them at the same radius is read off it: the first word of a
-    pattern over the fewer forms is the ball-order minimum of the first
-    words of the patterns that restrict to it."""
+    Every distinct form, a (words, bases) pair in the form of
+    ``prefix.canonical``, gets an integer id; a ``NormalForm`` is made only
+    for a set handed to a builder (``translate``).  A form made as x·A
+    remembers (x, A), so y·(x·A) is made as (yx)·A: a set and all its
+    translates share one entry per element.  A walk over some forms is
+    kept, and a walk over fewer of them at the same radius is read off it:
+    the first word of a pattern over the fewer forms is the ball-order
+    minimum of the first words of the patterns that restrict to it."""
 
     def __init__(self) -> None:
-        self.forms: List[NormalForm] = []
+        self.forms: List[_Form] = []
         self._ids: Dict[_Form, int] = {}
         # id(set) -> (set, form id); the set is kept so its id stays its own
         self._of_set: Dict[int, Tuple[object, int]] = {}
@@ -282,19 +284,19 @@ class _Translates:
         self._origin: Dict[int, Tuple[str, int]] = {}
         self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
 
-    def _id(self, nf: NormalForm) -> int:
-        key = (nf.words, nf.cones)
-        fid = self._ids.get(key)
+    def _id(self, form: _Form) -> int:
+        fid = self._ids.get(form)
         if fid is None:
-            fid = self._ids[key] = len(self.forms)
-            self.forms.append(nf)
+            fid = self._ids[form] = len(self.forms)
+            self.forms.append(form)
         return fid
 
     def of(self, subset: GroupSubset) -> int:
         """The id of a set's normal form; NotNormalizable when it has none."""
         hit = self._of_set.get(id(subset))
         if hit is None:
-            hit = self._of_set[id(subset)] = (subset, self._id(subset.normal_form()))
+            nf = subset.normal_form()
+            hit = self._of_set[id(subset)] = (subset, self._id((nf.words, nf.cones)))
         return hit[1]
 
     def moved(self, x: str, fid: int) -> int:
@@ -307,7 +309,7 @@ class _Translates:
             elif x == "":
                 out = fid
             else:
-                out = self._id(self.forms[fid].translate(x))
+                out = self._id(prefix.canonical(*prefix.translate(x, *self.forms[fid])))
                 if out != fid:
                     self._origin.setdefault(out, (x, fid))
             self._moved[(x, fid)] = out
@@ -316,7 +318,7 @@ class _Translates:
     def translate(self, x: str, subset: GroupSubset) -> GroupSubset:
         """x·A as ``subsets.translate`` makes it."""
         try:
-            return ss.NormalizedSet(self.forms[self.moved(x, self.of(subset))])
+            return ss.NormalizedSet(NormalForm(*self.forms[self.moved(x, self.of(subset))]))
         except NotNormalizable:
             return ss.TranslateSet(x, subset)
 
@@ -335,30 +337,22 @@ class _Translates:
                     out[restricted] = first
         else:
             order = sorted(fids)
-            forms = [(self.forms[i].words, self.forms[i].cones) for i in order]
             out = {
                 frozenset(order[k] for k in pattern): (fw.ball_key(w), w)
-                for pattern, w in prefix.first_by_pattern(forms, radius).items()
+                for pattern, w in prefix.first_by_pattern(
+                    [self.forms[i] for i in order], radius
+                ).items()
             }
         self._walks[(radius, fids)] = out
         return out
 
     def walk_over(self, ids: Sequence[int], radius: Optional[int]) -> Tuple[dict, dict]:
         """The walk over the distinct forms of ``ids``, and the positions in
-        ``ids`` of each form, for ``_widen``."""
+        ``ids`` of each form, in order."""
         at: Dict[int, List[int]] = {}
         for k, fid in enumerate(ids):
             at.setdefault(fid, []).append(k)
-        walk = self.walk(frozenset(at), radius)
-        return walk, {fid: frozenset(ks) for fid, ks in at.items()}
-
-
-def _widen(pattern: FrozenSet[int], at: Dict[int, FrozenSet[int]]) -> FrozenSet[int]:
-    """The positions of the forms of a pattern."""
-    if len(pattern) == 1:
-        (fid,) = pattern
-        return at[fid]
-    return frozenset().union(*(at[fid] for fid in pattern))
+        return self.walk(frozenset(at), radius), at
 
 
 # the memo of the enclosing `shared_translates` block; set only inside one
@@ -387,32 +381,35 @@ def _translates() -> _Translates:
     return _SHARED.get() or _Translates()
 
 
-def _keep_first(out: dict, pattern: FrozenSet[int], key, elem) -> None:
-    if pattern not in out or key < out[pattern][0]:
-        out[pattern] = (key, elem)
-
-
 def _pieces(memo: _Translates, s: "ProductSubset") -> List[Tuple[int, FrozenSet[str]]]:
     """s as a disjoint union of rectangles A × C: (form id of A, labels C)
     for each distinct nonempty slice A; a rectangle has one piece."""
     labels: Dict[int, List[str]] = {}
     for lbl, t in s.slices.items():
         fid = memo.of(t)
-        if not memo.forms[fid].is_empty():
+        words, bases = memo.forms[fid]
+        if words or bases:
             labels.setdefault(fid, []).append(lbl)
     return [(fid, frozenset(lbls)) for fid, lbls in labels.items()]
 
 
-def _first_elements(
+def _first_hit(
     family: TowerFamily, placed: Sequence[Tuple[object, int]], radius: Optional[int],
-    memo: _Translates,
-) -> dict:
-    """For each membership pattern over the translates x·A_i, for (x, i) in
-    ``placed``, met in the radius-r ball, or in the whole group when
-    ``radius`` is None, (ball-order key, element) of its first element.
-    Raises NotNormalizable when a set has no normal form."""
+    memo: _Translates, clash: bool,
+) -> Optional[Tuple[object, List[int]]]:
+    """The first element, in ball order, of the radius-r ball, or of the
+    whole group when ``radius`` is None, that lies in two of the translates
+    x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
+    otherwise: (element, sorted positions in ``placed`` of the translates
+    holding it), or None.  Every membership pattern of the walk is asked
+    only how many translates hold its first element; the positions are
+    read for the element found.  Raises NotNormalizable when a set has no
+    normal form."""
+
+    def wanted(count: int) -> bool:
+        return count > 1 if clash else count == 0
+
     sets = family.items
-    out: dict = {}
     if family.kind in ("F2", "F3"):
         # in F3 a word p·s has the membership of its a,b-part p, and p comes
         # first in the ball
@@ -424,42 +421,74 @@ def _first_elements(
                 a = a.base
             ids.append(memo.moved(x, memo.of(a)))
         walk, at = memo.walk_over(ids, radius)
-        for pattern, first in walk.items():
-            out[_widen(pattern, at)] = first
-    elif family.kind == "F2xK":
+        if not clash:
+            first = walk.get(frozenset())
+            return None if first is None else (first[1], [])
+        # a form in a pattern holds its first word, so a pattern is held by
+        # two translates when it has two forms or a form placed twice
+        twice = {fid for fid, ps in at.items() if len(ps) > 1}
+        hits = [
+            (first, pattern) for pattern, first in walk.items()
+            if len(pattern) > 1 or not twice.isdisjoint(pattern)
+        ]
+        if not hits:
+            return None
+        (_, w), pattern = min(hits, key=lambda hit: hit[0])
+        return w, sorted(p for fid in pattern for p in at[fid])
+    if family.kind == "F2xK":
         # (h, e)·(A × C) = hA × eC: one walk over the forms hA of every
-        # piece, and the owners of (w, l) are the translates with a piece
-        # whose hA holds w and whose eC holds l
+        # piece, and (w, l) lies in the translates with a piece whose hA
+        # holds w and whose eC holds l
         k = family.k_group
+        index = {lbl: li for li, lbl in enumerate(k.elements)}
         pieces = {i: _pieces(memo, sets[i][0]) for i in {i for _, i in placed}}
         ids, owners, labels = [], [], []
         for j, ((h, e), i) in enumerate(placed):
-            for fid, lbls in pieces[i]:
+            for fid, c in pieces[i]:
                 ids.append(memo.moved(h, fid))
                 owners.append(j)
-                labels.append({k.mul(e, lbl) for lbl in lbls})
+                labels.append({index[k.mul(e, lbl)] for lbl in c})
         walk, at = memo.walk_over(ids, radius)
-        for li, lbl in enumerate(k.elements):
-            held = {
-                fid: frozenset(owners[p] for p in ps if lbl in labels[p])
-                for fid, ps in at.items()
-            }
-            for pattern, (key, w) in walk.items():
-                _keep_first(out, _widen(pattern, held), (key, li), (w, lbl))
-    elif family.kind == "F2xF2":
+        # a translate has at most one piece at a label, so the translates
+        # holding (w, l) number the pieces at l of the forms holding w
+        counts = {fid: [0] * len(index) for fid in at}
+        for fid, c in zip(ids, labels):
+            row = counts[fid]
+            for li in c:
+                row[li] += 1
+        best = None
+        for pattern, (key, w) in walk.items():
+            if best is not None and key > best[0][0]:
+                continue
+            for li in range(len(index)):
+                if wanted(sum(counts[fid][li] for fid in pattern)):
+                    if best is None or (key, li) < best[0]:
+                        best = ((key, li), w, pattern)
+                    break
+        if best is None:
+            return None
+        (_, li), w, pattern = best
+        return (w, k.elements[li]), sorted(
+            owners[p] for fid in pattern for p in at[fid] if li in labels[p]
+        )
+    if family.kind == "F2xF2":
         # a pattern of the first factor fixes the rectangles still active
         firsts = [memo.moved(u, memo.of(sets[i][0].first)) for (u, _), i in placed]
         seconds = [memo.moved(v, memo.of(sets[i][0].second)) for (_, v), i in placed]
         walk, at = memo.walk_over(firsts, radius)
+        best = None
         for first, (ku, u) in walk.items():
-            active = sorted(_widen(first, at))
+            if best is not None and ku > best[0][0]:
+                continue
+            active = sorted(p for fid in first for p in at[fid])
             inner, inner_at = memo.walk_over([seconds[j] for j in active], radius)
             for second, (kv, v) in inner.items():
-                pattern = frozenset(active[j] for j in _widen(second, inner_at))
-                _keep_first(out, pattern, (ku, kv), (u, v))
-    else:
-        raise ValueError(f"unknown group: {family.kind!r}")
-    return out
+                if wanted(sum(len(inner_at[fid]) for fid in second)) and (
+                    best is None or (ku, kv) < best[0]
+                ):
+                    best = ((ku, kv), (u, v), [active[j] for fid in second for j in inner_at[fid]])
+        return None if best is None else (best[1], sorted(best[2]))
+    raise ValueError(f"unknown group: {family.kind!r}")
 
 
 def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
@@ -499,21 +528,16 @@ def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     memo = _translates()
     owners = _owners(family)
     placed = [(family.d_set[di], i) for di, i in owners]
-    clashes = [
-        (key, w, sorted(pattern))
-        for pattern, (key, w) in _first_elements(family, placed, radius, memo).items()
-        if len(pattern) > 1
-    ]
-    clash = None
-    if clashes:
-        _, w, hits = min(clashes)
+    clash = _first_hit(family, placed, radius, memo, clash=True)
+    if clash is not None:
+        w, hits = clash
         clash = (w, owners[hits[0]], owners[hits[1]])
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
         covers = [(family.items[i][1], i) for i in idxs]
-        first = _first_elements(family, covers, radius, memo).get(frozenset())
+        first = _first_hit(family, covers, radius, memo, clash=False)
         if first is not None:
-            bare = (first[1], group_no)
+            bare = (first[0], group_no)
             break
     return _ball_checks(family, clash, bare)
 

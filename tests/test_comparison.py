@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import paratower.comparison as comparison
-from paratower import prefix
+from paratower import prefix, subsets, towers
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
     ComparisonInstance,
@@ -516,6 +517,46 @@ def test_tower_stage_translates_each_set_once(monkeypatch):
     assert len({(words, bases) for _, words, bases in inputs}) == 3
 
 
+def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
+    # from the entry into more_towers to the end of the product check, the
+    # walks read translates as (words, bases) pairs: a NormalForm of one
+    # cone is made only for a base cone, a set handed to a builder or a
+    # complement of one, never by translating a form
+    made = []
+    stage = [False]
+    init = subsets.NormalForm.__init__
+    more, verify = comparison.more_towers, comparison.verify_towers
+
+    def spied(self, words=(), cones=()):
+        init(self, words, cones)
+        if stage[0]:
+            made.append((sys._getframe(1).f_code, self))
+
+    def entered(*a, **k):
+        stage[0] = True
+        return more(*a, **k)
+
+    def left(*a, **k):
+        try:
+            return verify(*a, **k)
+        finally:
+            stage[0] = False
+
+    monkeypatch.setattr(subsets.NormalForm, "__init__", spied)
+    monkeypatch.setattr(comparison, "more_towers", entered)
+    monkeypatch.setattr(comparison, "verify_towers", left)
+    u_set = ProductClopen(cyclic_group(2), {"1": cyl("abABa")})
+    assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
+    assert not stage[0]
+    one_cone = [code for code, nf in made if len(nf.cones) == 1 and not nf.words]
+    handed = towers._Translates.translate.__code__
+    assert handed in one_cone
+    assert set(one_cone) <= {
+        handed, subsets.ConeSet.normal_form.__code__, subsets.NormalForm.complement.__code__
+    }
+    assert subsets.NormalForm.translate.__code__ not in {code for code, _ in made}
+
+
 
 @pytest.mark.parametrize(
     "inst, u_set",
@@ -839,14 +880,14 @@ def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space
     # D holds each word with every label, as the builder's does; sources the
     # same at every label take one item per F2 word of D², and on F2 × Z/3
     # one more source, on one label only, keeps one item per element
-    swept = []
-    real = comparison.extreme_weighted_count
+    added = []
+    real = comparison._add_weights
 
-    def recorded(space, items, mode):
-        swept.append(len(items))
-        return real(space, items, mode)
+    def recorded(steps, slices, iw):
+        added.append(iw)
+        return real(steps, slices, iw)
 
-    monkeypatch.setattr(comparison, "extreme_weighted_count", recorded)
+    monkeypatch.setattr(comparison, "_add_weights", recorded)
     rng = random.Random(f"counting-words/{space.kind}")
     for _ in range(40):
         words = {""}
@@ -861,13 +902,65 @@ def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space
             other = [space.from_slices({rng.choice(space.labels): cyl(word)})]
         data = CountingData(d_set, Fraction(1, 8), uniform + other, _random_set(rng, space))
         n = rng.randint(0, 3)
+        added.clear()
         got = check_counting(space, data, n)
+        items = len(added)
         want = _check_counting_sets(space, data, n)
         assert (got["max_margin"], got["witness_cell"]) == (want["max_margin"], want["witness_cell"])
         assert got == want
         d2 = {space.mul(f, g) for f in d_set for g in d_set}
         d2_words = {space.word_part(f) for f in d2}
-        assert swept[-1] == len(d2_words) * len(uniform) + len(d2) * len(other) + len(d_set)
+        assert items == len(d2_words) * len(uniform) + len(d2) * len(other) + len(d_set)
+
+
+def test_check_counting_builds_no_product_set_for_a_uniform_source(monkeypatch):
+    # the uniform sources add their translated slices to the shared step
+    # function, the target's pull-backs slice by slice: the one product set
+    # built is the shrunk target
+    k3 = cyclic_group(3)
+    space = ProductSpace(k3)
+    rng = random.Random("counting-no-products")
+    d_set = [space.elem(w, k) for w in ("", "ab", "BA") for k in space.labels]
+    sources = [space.uniform(_random_clopen(rng)) for _ in range(3)]
+    data = CountingData(d_set, Fraction(1, 8), sources, space.from_slices({"1": cyl("ab")}))
+    built = []
+    init = ProductClopen.__init__
+
+    def counted(self, k_group, slices):
+        built.append(1)
+        init(self, k_group, slices)
+
+    monkeypatch.setattr(ProductClopen, "__init__", counted)
+    got = check_counting(space, data, 2)
+    assert len(built) == 1
+    assert got == _check_counting_sets(space, data, 2)
+
+
+def test_check_counting_sweeps_label_maps_that_differ(monkeypatch):
+    # D on F2 × Z/3 with one label per word and the target on one label:
+    # each label pulls the target back by other words, so the step functions
+    # differ and the sweep runs once per label
+    space = ProductSpace(cyclic_group(3))
+    swept = []
+    sweep = comparison._sweep
+    monkeypatch.setattr(comparison, "_sweep", lambda *a: swept.append(a) or sweep(*a))
+    rng = random.Random("counting-labels/F2xZ3")
+    sweeps = set()
+    for _ in range(30):
+        d_set = {space.identity}
+        for _ in range(rng.randint(1, 2)):
+            g = (_random_element(rng, SPACE), rng.choice(["1", "2"]))
+            d_set |= {g, space.inv(g)}
+        uniform = [space.uniform(_random_clopen(rng)) for _ in range(rng.randint(1, 2))]
+        other = [space.from_slices({rng.choice(space.labels): _random_clopen(rng)})]
+        target = space.from_slices({"0": cyl(rng.choice(words_of_length(rng.randint(1, 2))))})
+        data = CountingData(sorted(d_set, key=str), Fraction(1, 8), uniform + other, target)
+        n = rng.randint(0, 3)
+        swept.clear()
+        got = check_counting(space, data, n)
+        sweeps.add(len(swept))
+        assert got == _check_counting_sets(space, data, n)
+    assert 3 in sweeps
 
 
 def _canonical_image_key(space, ueff_slices, g, cell):

@@ -273,6 +273,23 @@ def test_first_by_pattern_matches_ball_oracle():
         assert list(prefix.first_by_pattern(forms).items()) == oracle(longest + 2), nfs
 
 
+# -- one base and no words
+
+
+def test_canonical_one_base_exit_matches_the_full_path():
+    # a base or a word under the one base sends the same set down the full
+    # path; the base "" is the whole space in both views
+    rng = random.Random("prefix/one-base")
+    for b in [""] + [random_word(rng, 6) for _ in range(300)]:
+        below = b + rng.choice(legal_next_letters(b))
+        form = prefix.canonical(None, [b])
+        assert form == prefix.canonical(None, [b, below]) == (None, frozenset([b]))
+        form = prefix.canonical((), [b])
+        assert form == prefix.canonical([below], [b]) == prefix.canonical(set(), [b, below])
+        assert form == (frozenset(), frozenset([b]))
+        assert ClopenSet([b]).is_full() == NormalForm(cones=[b]).is_full() == (b == "")
+
+
 # -- scale
 
 
