@@ -7,11 +7,10 @@ from .boundary import (
     GeodesicMap,
     PeriodicPoint,
     ProductClopen,
-    RationalProbMeasure,
     TranslatedPoint,
     shrink,
 )
-from .coloring import Coloring, greedy_color, periodic_color_z
+from .coloring import Coloring, greedy_color
 from .comparison import (
     ComparisonCertificate,
     ComparisonInstance,

@@ -14,12 +14,13 @@ exact rationals.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import prefix
 from .groups import FiniteGroup, finite_group_from_json
-from .subsets import GroupSubset, NormalForm
+from .subsets import NormalForm
 from .words import (
     LETTERS,
     are_reduced,
@@ -438,35 +439,6 @@ def clopen_from_json(data: dict):
 # geodesic averaging measures
 
 
-class RationalProbMeasure:
-    """Finitely supported exact rational probability measure on the group."""
-
-    def __init__(self, mass: Dict[str, Fraction]):
-        total = sum(mass.values(), Fraction(0))
-        if total != 1:
-            raise ValueError(f"total mass is {total}, not 1")
-        if any(v < 0 for v in mass.values()):
-            raise ValueError("negative mass")
-        self.mass = {g: v for g, v in mass.items() if v != 0}
-
-    def of_subset(self, s: GroupSubset) -> Fraction:
-        return sum((v for g, v in self.mass.items() if s.contains(g)), Fraction(0))
-
-    def translated(self, g: str) -> "RationalProbMeasure":
-        out: Dict[str, Fraction] = {}
-        for h, v in self.mass.items():
-            key = multiply(g, h)
-            out[key] = out.get(key, Fraction(0)) + v
-        return RationalProbMeasure(out)
-
-    def l1_distance(self, other: "RationalProbMeasure") -> Fraction:
-        keys = set(self.mass) | set(other.mass)
-        return sum(
-            (abs(self.mass.get(k, Fraction(0)) - other.mass.get(k, Fraction(0))) for k in keys),
-            Fraction(0),
-        )
-
-
 class GeodesicMap:
     """x ↦ uniform measure on the prefixes of x of lengths 0..N-1.
 
@@ -480,54 +452,17 @@ class GeodesicMap:
             raise ValueError("depth must be positive")
         self.n = depth
 
-    def measure_at(self, point: BoundaryPoint) -> RationalProbMeasure:
-        w = point.prefix(self.n - 1)
-        return RationalProbMeasure(
-            {w[:l]: Fraction(1, self.n) for l in range(self.n)}
-        )
-
-    def mu_eval(self, w: str, s: GroupSubset) -> Fraction:
-        """Exact value of mu_N(x)(S) for any point x in the cylinder [w]."""
-        nf = s.normal_form()
-        d = len(w)
-        if nf.depth() > d:
-            raise DepthInsufficient(
-                f"set depth {nf.depth()} exceeds cylinder depth {d}"
-            )
+    def _cells(self, nfs: Sequence[NormalForm]) -> Iterator[Tuple[str, List[int]]]:
+        """Cells (cylinder base, counts) partitioning the boundary, with
+        counts[i] = N·mu_N(x)(nfs[i]) for every x in the cell: the number of
+        the N shortest prefixes of x in nfs[i].  Only the prefix tree of the
+        normal-form bases and words is visited, never a full depth
+        enumeration.  Callers must not change the counts lists, which
+        sibling cells share."""
         n = self.n
-        cnt = sum(1 for l in range(min(d, n)) if nf.contains(w[:l]))
-        if n > d:
-            if nf.contains(w):
-                cnt += 1
-            if any(w.startswith(c) for c in nf.cones):
-                cnt += n - d - 1
-        return Fraction(cnt, n)
+        trie = {b[:t] for nf in nfs for b in nf.words | nf.cones for t in range(len(b) + 1)}
 
-    def step_cells(
-        self, nfs: Sequence[NormalForm], weights: Sequence[Fraction]
-    ) -> List[Tuple[str, Fraction]]:
-        """Cells (cylinder base, value) of x ↦ Σ weights[i]·mu_N(x)(nfs[i]).
-
-        The function is constant on each returned cylinder; the cells
-        partition the boundary.  Only the prefix tree of the normal-form
-        bases is explored, never a full depth enumeration.
-        """
-        n = self.n
-        trie = set()
-        for nf in nfs:
-            for b in nf.words | nf.cones:
-                for t in range(len(b) + 1):
-                    trie.add(b[:t])
-        cells: List[Tuple[str, Fraction]] = []
-
-        def emit(base: str, finals: List[int]) -> None:
-            val = sum(
-                (weights[i] * Fraction(finals[i], n) for i in range(len(nfs))),
-                Fraction(0),
-            )
-            cells.append((base, val))
-
-        def visit(w: str, cnts: List[int], resolved: List[Optional[int]]) -> None:
+        def visit(w: str, cnts: List[int], resolved: List[Optional[int]]):
             t = len(w)
             cnts = list(cnts)
             resolved = list(resolved)
@@ -537,22 +472,34 @@ class GeodesicMap:
                         resolved[i] = cnts[i] + max(0, n - t)
                     elif t < n and w in nf.words:
                         cnts[i] += 1
-            if all(r is not None for r in resolved):
-                emit(w, [r for r in resolved])  # type: ignore[misc]
+            if None not in resolved:
+                yield w, resolved
                 return
+            finals = [c if r is None else r for c, r in zip(cnts, resolved)]
             for y in legal_next_letters(w):
                 child = w + y
                 if child in trie:
-                    visit(child, cnts, resolved)
+                    yield from visit(child, cnts, resolved)
                 else:
-                    finals = [
-                        resolved[i] if resolved[i] is not None else cnts[i]
-                        for i in range(len(nfs))
-                    ]
-                    emit(child, finals)  # type: ignore[arg-type]
+                    yield child, finals
 
-        visit("", [0] * len(nfs), [None] * len(nfs))
-        return cells
+        return visit("", [0] * len(nfs), [None] * len(nfs))
+
+    def step_cells(
+        self, nfs: Sequence[NormalForm], weights: Sequence[Fraction]
+    ) -> List[Tuple[str, Fraction]]:
+        """Cells (cylinder base, value) of x ↦ Σ weights[i]·mu_N(x)(nfs[i]).
+
+        The function is constant on each returned cylinder; the cells
+        partition the boundary.
+        """
+        n = self.n
+        return [
+            (base, sum(
+                (w * Fraction(c, n) for w, c in zip(weights, counts, strict=True)), Fraction(0)
+            ))
+            for base, counts in self._cells(nfs)
+        ]
 
     def threshold_weighted(
         self,
@@ -560,22 +507,22 @@ class GeodesicMap:
         weights: Sequence[Fraction],
         theta: Fraction,
     ) -> ClopenSet:
-        """Exact clopen set {x : Σ weights[i]·mu_N(x)(nfs[i]) > theta}."""
-        keep = [base for base, val in self.step_cells(nfs, weights) if val > theta]
+        """Exact clopen set {x : Σ weights[i]·mu_N(x)(nfs[i]) > theta}.
+
+        With L the common denominator of the weights and w'_i = weights[i]·L,
+        a cell's value Σ w'_i·counts[i] / (N·L) exceeds theta = p/q exactly
+        when Σ w'_i·counts[i]·q > p·N·L, all in integers."""
+        den = math.lcm(*(w.denominator for w in weights))
+        scaled = [w.numerator * (den // w.denominator) * theta.denominator for w in weights]
+        bound = theta.numerator * self.n * den
+        keep = [
+            base
+            for base, counts in self._cells(nfs)
+            if sum(w * c for w, c in zip(scaled, counts, strict=True)) > bound
+        ]
         if "" in keep:
             return ClopenSet.full_set()
         return ClopenSet(keep)
-
-    def defect(self, g: str, deep_base: str) -> Fraction:
-        """Exact ℓ1 distance between mu_N(g·x) and g·mu_N(x) on [deep_base]."""
-        if len(deep_base) < self.n + len(g):
-            raise DepthInsufficient(
-                f"cylinder depth {len(deep_base)} below {self.n + len(g)}"
-            )
-        moved = multiply(g, deep_base)
-        p1 = {moved[:l] for l in range(self.n)}
-        p2 = {multiply(g, deep_base[:l]) for l in range(self.n)}
-        return Fraction(len(p1 ^ p2), self.n)
 
     def defect_bound(self, g: str) -> Fraction:
         return Fraction(2 * len(g), self.n)

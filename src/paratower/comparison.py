@@ -437,20 +437,6 @@ class SubeqWitness:
         return SubeqWitness(space, sources, targets, entries)
 
 
-def _overlap_pair_reps(items):
-    """First pair of owners among (owner, [(label, base), ...]) whose
-    cylinder unions overlap in some K slice, or None."""
-    per_label: Dict = {}
-    for owner, rep in items:
-        for lbl, b in rep:
-            per_label.setdefault(lbl, []).append((b, owner))
-    for bucket in per_label.values():
-        pair = prefix.first_overlap(bucket)
-        if pair is not None:
-            return pair
-    return None
-
-
 def _base_rep(space, s) -> List[Tuple[Optional[str], str]]:
     """(label, base) pairs of a clopen set; a full slice is base ''."""
     rep: List[Tuple[Optional[str], str]] = []
@@ -464,7 +450,7 @@ def _base_rep(space, s) -> List[Tuple[Optional[str], str]]:
 
 def _overlap_pair(space, items):
     """First pair of owners among (owner, set) whose sets overlap, or None."""
-    return _overlap_pair_reps([(o, _base_rep(space, s)) for o, s in items])
+    return prefix.first_overlap_by_label([(o, _base_rep(space, s)) for o, s in items])
 
 
 def _image_cells(space, g, piece) -> List[Tuple[Optional[str], str]]:
@@ -530,7 +516,7 @@ def verify_witness(w: SubeqWitness) -> dict:
                 break
             images.append((idx, cells))
         contained = escaping is None
-        disjoint = not contained or _overlap_pair_reps(images) is None
+        disjoint = not contained or prefix.first_overlap_by_label(images) is None
         report["colors"].append(
             {"color": color, "contained": contained, "disjoint": disjoint}
         )
@@ -961,7 +947,7 @@ def _color_clash(matched, n):
             if right in seen:
                 return (left, right)
             seen[right] = left
-        pair = _overlap_pair_reps([(lr, lr[1][1]) for lr in group])
+        pair = prefix.first_overlap_by_label([(lr, lr[1][1]) for lr in group])
         if pair is not None:
             return pair[1]
     return None

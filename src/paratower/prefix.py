@@ -18,6 +18,7 @@ views hand back to ``canonical`` through their constructors.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Set, Tuple,
 )
@@ -199,8 +200,26 @@ def first_overlap(
     directly before the bases it covers, so one scan with the last base
     seen finds a meeting pair."""
     last = None
-    for x, owner in sorted(bases, key=lambda e: e[0]):
+    for x, owner in sorted(bases, key=itemgetter(0)):
         if last is not None and x.startswith(last[0]):
             return last[1], owner
         last = (x, owner)
+    return None
+
+
+def first_overlap_by_label(
+    items: Iterable[Tuple[Hashable, Iterable[Tuple[Hashable, str]]]]
+) -> Optional[Tuple[Hashable, Hashable]]:
+    """First pair of owners among (owner, [(label, base), ...]) items whose
+    cones meet at some label, or None: ``first_overlap`` over each label's
+    (base, owner) entries.  An owner may come in several items, and its
+    bases at one label must be an antichain."""
+    per_label: Dict[Hashable, list] = {}
+    for owner, rep in items:
+        for lbl, b in rep:
+            per_label.setdefault(lbl, []).append((b, owner))
+    for bucket in per_label.values():
+        pair = first_overlap(bucket)
+        if pair is not None:
+            return pair
     return None

@@ -6,7 +6,10 @@ pairwise disjoint while the g_i·A_i cover G.  The free-group construction
 uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
-by the same prefix-trie walk that certifies it on a metric ball.  A family
+by the same prefix-trie walk that certifies it on a metric ball.  On F2,
+F3 and F2 × K a disjointness check first scans the translates' bases in
+sorted order, and walks only when two of them meet or a translate holds
+words, to name the first counterexample.  A family
 on F2 × K is decided by its factors: its sets split into rectangles A × C,
 and since (h, e)·(A × C) = hA × eC, one F2 walk over the forms hA is read
 at each label of K.  Within one builder call, or one ``shared_translates``
@@ -283,6 +286,7 @@ class _Translates:
         self._moved: Dict[Tuple[str, int], int] = {}
         self._origin: Dict[int, Tuple[str, int]] = {}
         self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
+        self._disjoint: List[FrozenSet[int]] = []
 
     def _id(self, form: _Form) -> int:
         fid = self._ids.get(form)
@@ -321,6 +325,23 @@ class _Translates:
             return ss.NormalizedSet(NormalForm(*self.forms[self.moved(x, self.of(subset))]))
         except NotNormalizable:
             return ss.TranslateSet(x, subset)
+
+    def disjoint(self, ids: Sequence[int]) -> bool:
+        """Whether the forms ``ids`` are pairwise disjoint, by one sorted
+        scan of their bases; False when one has words, which only a walk
+        decides.  Distinct forms among ones found disjoint need no scan."""
+        fids = frozenset(ids)
+        distinct = len(fids) == len(ids)
+        if distinct and any(fids <= known for known in self._disjoint):
+            return True
+        forms = [self.forms[fid] for fid in ids]
+        if any(words for words, _ in forms) or prefix.first_overlap(
+            (b, p) for p, (_, bases) in enumerate(forms) for b in bases
+        ) is not None:
+            return False
+        if distinct:
+            self._disjoint.append(fids)
+        return True
 
     def walk(self, fids: FrozenSet[int], radius: Optional[int]) -> dict:
         """For each pattern of form ids met in the radius-r ball, or in the
@@ -401,10 +422,15 @@ def _first_hit(
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None.  Every membership pattern of the walk is asked
-    only how many translates hold its first element; the positions are
-    read for the element found.  Raises NotNormalizable when a set has no
-    normal form."""
+    holding it), or None.  On F2, F3 and F2 × K a clash is first decided by
+    one sorted scan of the translates' bases (``prefix.first_overlap``): if
+    no two cones meet, no element of the group, and so of no ball, lies in
+    two translates.  Only when the scan finds an overlap, which may lie
+    outside the ball, or a form has words does the walk run, to name the
+    first element in ball order.  Every membership pattern of the walk is
+    asked only how many translates hold its first element; the positions
+    are read for the element found.  Raises NotNormalizable when a set has
+    no normal form."""
 
     def wanted(count: int) -> bool:
         return count > 1 if clash else count == 0
@@ -420,6 +446,8 @@ def _first_hit(
                 _check_ab(x)
                 a = a.base
             ids.append(memo.moved(x, memo.of(a)))
+        if clash and memo.disjoint(ids):
+            return None
         walk, at = memo.walk_over(ids, radius)
         if not clash:
             first = walk.get(frozenset())
@@ -448,9 +476,16 @@ def _first_hit(
                 ids.append(memo.moved(h, fid))
                 owners.append(j)
                 labels.append({index[k.mul(e, lbl)] for lbl in c})
+        # a translate has at most one piece at a label, so two translates
+        # meet at a label exactly when two pieces, each its own owner, do;
+        # and the translates holding (w, l) number the pieces at l of the
+        # forms holding w
+        if clash and not any(memo.forms[fid][0] for fid in ids) and prefix.first_overlap_by_label(
+            (p, [(li, b) for li in c for b in memo.forms[fid][1]])
+            for p, (fid, c) in enumerate(zip(ids, labels))
+        ) is None:
+            return None
         walk, at = memo.walk_over(ids, radius)
-        # a translate has at most one piece at a label, so the translates
-        # holding (w, l) number the pieces at l of the forms holding w
         counts = {fid: [0] * len(index) for fid in at}
         for fid, c in zip(ids, labels):
             row = counts[fid]

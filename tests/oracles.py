@@ -1,0 +1,81 @@
+"""Reference implementations the tests check the exact algorithms against.
+
+They evaluate the geodesic averaging measures point by point, with no
+prefix-trie visit: ``GeodesicMap.step_cells`` and ``threshold_weighted``
+must agree with ``OracleMap.mu_eval``, and ``defect_bound`` must bound
+``OracleMap.defect``.
+"""
+
+from fractions import Fraction
+from typing import Dict
+
+from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap
+from paratower.subsets import GroupSubset
+from paratower.words import multiply
+
+
+class RationalProbMeasure:
+    """Finitely supported exact rational probability measure on the group."""
+
+    def __init__(self, mass: Dict[str, Fraction]):
+        total = sum(mass.values(), Fraction(0))
+        if total != 1:
+            raise ValueError(f"total mass is {total}, not 1")
+        if any(v < 0 for v in mass.values()):
+            raise ValueError("negative mass")
+        self.mass = {g: v for g, v in mass.items() if v != 0}
+
+    def of_subset(self, s: GroupSubset) -> Fraction:
+        return sum((v for g, v in self.mass.items() if s.contains(g)), Fraction(0))
+
+    def translated(self, g: str) -> "RationalProbMeasure":
+        out: Dict[str, Fraction] = {}
+        for h, v in self.mass.items():
+            key = multiply(g, h)
+            out[key] = out.get(key, Fraction(0)) + v
+        return RationalProbMeasure(out)
+
+    def l1_distance(self, other: "RationalProbMeasure") -> Fraction:
+        keys = set(self.mass) | set(other.mass)
+        return sum(
+            (abs(self.mass.get(k, Fraction(0)) - other.mass.get(k, Fraction(0))) for k in keys),
+            Fraction(0),
+        )
+
+
+class OracleMap(GeodesicMap):
+    """``GeodesicMap`` plus its measures evaluated at single points."""
+
+    def measure_at(self, point: BoundaryPoint) -> RationalProbMeasure:
+        w = point.prefix(self.n - 1)
+        return RationalProbMeasure(
+            {w[:l]: Fraction(1, self.n) for l in range(self.n)}
+        )
+
+    def mu_eval(self, w: str, s: GroupSubset) -> Fraction:
+        """Exact value of mu_N(x)(S) for any point x in the cylinder [w]."""
+        nf = s.normal_form()
+        d = len(w)
+        if nf.depth() > d:
+            raise DepthInsufficient(
+                f"set depth {nf.depth()} exceeds cylinder depth {d}"
+            )
+        n = self.n
+        cnt = sum(1 for l in range(min(d, n)) if nf.contains(w[:l]))
+        if n > d:
+            if nf.contains(w):
+                cnt += 1
+            if any(w.startswith(c) for c in nf.cones):
+                cnt += n - d - 1
+        return Fraction(cnt, n)
+
+    def defect(self, g: str, deep_base: str) -> Fraction:
+        """Exact ℓ1 distance between mu_N(g·x) and g·mu_N(x) on [deep_base]."""
+        if len(deep_base) < self.n + len(g):
+            raise DepthInsufficient(
+                f"cylinder depth {len(deep_base)} below {self.n + len(g)}"
+            )
+        moved = multiply(g, deep_base)
+        p1 = {moved[:l] for l in range(self.n)}
+        p2 = {multiply(g, deep_base[:l]) for l in range(self.n)}
+        return Fraction(len(p1 ^ p2), self.n)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import paratower.certificates as certs
 import paratower.subsets as ss
-from paratower.boundary import ClopenSet, GeodesicMap
+from paratower.boundary import ClopenSet
 from paratower.coloring import greedy_color
 from paratower.comparison import (
     ComparisonInstance,
@@ -33,6 +33,8 @@ from paratower.towers import (
     verify_towers,
 )
 from paratower.words import inverse, legal_next_letters, reduce_word
+
+from oracles import OracleMap
 
 D5 = ["", "a", "A", "b", "B"]
 
@@ -123,7 +125,7 @@ def test_05_cayley_colorings():
 
 def test_06_averaging_defect_bound():
     with Budget(2):
-        gm = GeodesicMap(64)
+        gm = OracleMap(64)
         rng = random.Random(1)
         for _ in range(100):
             g = ""

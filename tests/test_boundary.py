@@ -11,7 +11,6 @@ from paratower.boundary import (
     GeodesicMap,
     PeriodicPoint,
     ProductClopen,
-    RationalProbMeasure,
     TranslatedPoint,
     clopen_from_json,
     first_overlap,
@@ -21,6 +20,8 @@ from paratower.boundary import (
 )
 from paratower.groups import cyclic_group
 from paratower.words import ball, inverse, multiply, reduce_word, words_of_length
+
+from oracles import OracleMap, RationalProbMeasure
 
 letters = st.sampled_from("aAbB")
 reduced_words = st.lists(letters, max_size=6).map(reduce_word)
@@ -230,7 +231,7 @@ def test_measure_translation_and_distance():
 
 
 def test_geodesic_measure_at_point():
-    gm = GeodesicMap(4)
+    gm = OracleMap(4)
     z = PeriodicPoint("", "ab")
     mu = gm.measure_at(z)
     assert mu.mass == {p: Fraction(1, 4) for p in ["", "a", "ab", "aba"]}
@@ -238,7 +239,7 @@ def test_geodesic_measure_at_point():
 
 
 def test_mu_eval_matches_measure():
-    gm = GeodesicMap(8)
+    gm = OracleMap(8)
     s = ss.cone("ab") | ss.finite(["a"])
     z = PeriodicPoint("", "ab")
     exact = gm.measure_at(z).of_subset(s)
@@ -250,7 +251,7 @@ def test_mu_eval_matches_measure():
 @given(nonempty_words)
 @settings(max_examples=50, deadline=None)
 def test_threshold_set_is_exact(h):
-    gm = GeodesicMap(16)
+    gm = OracleMap(16)
     s = ss.cone(h)
     theta = Fraction(1, 3)
     thr = gm.threshold_weighted([s.normal_form()], [Fraction(1)], theta)
@@ -266,7 +267,7 @@ def test_threshold_set_is_exact(h):
 
 
 def test_defect_bound_and_exact_defect():
-    gm = GeodesicMap(64)
+    gm = OracleMap(64)
     g = "a"
     base = "b" * 0 + "baba" * 17  # depth 68 >= 64 + |g|, no cancellation with a
     base = ("b" + "ab" * 40)[:66]
@@ -277,6 +278,31 @@ def test_defect_bound_and_exact_defect():
     assert d == Fraction(2, 64)
     with pytest.raises(DepthInsufficient):
         gm.defect("a", "ab")
+
+
+def test_threshold_kernel_keeps_the_step_cells_above_theta():
+    # the integer kernel against the Fraction values of the same cells:
+    # weights over several denominators and a zero one, forms with words,
+    # and each attained value as theta, which must not keep its own cells
+    gm = GeodesicMap(7)
+    nfs = [
+        (ss.cone("ab") | ss.finite(["", "a", "b"])).normal_form(),
+        (ss.cone("ba") | ss.cone("aab") | ss.finite(["A"])).normal_form(),
+        ss.cone("a").normal_form(),
+        (ss.cone("Bab") | ss.finite(["B", "Ba"])).normal_form(),
+    ]
+    assert any(nf.words for nf in nfs)
+    weights = [Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(7, 4)]
+    cells = gm.step_cells(nfs, weights)
+    values = sorted({v for _, v in cells})
+    assert len(values) > 3
+    thetas = values + [Fraction(-1), Fraction(1, 7), values[-1] + 1]
+    for theta in thetas:
+        keep = [b for b, v in cells if v > theta]
+        want = ClopenSet.full_set() if "" in keep else ClopenSet(keep)
+        assert gm.threshold_weighted(nfs, weights, theta).equals(want), theta
+    # > is strict: at the largest value no cell is kept
+    assert gm.threshold_weighted(nfs, weights, values[-1]).is_empty()
 
 
 def test_step_cells_partition():

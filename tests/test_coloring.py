@@ -1,7 +1,22 @@
 import pytest
 
-from paratower.coloring import greedy_color, periodic_color_z
+from paratower.coloring import greedy_color
 from paratower.groups import cyclic_group
+
+
+def periodic_color_z(e_set):
+    """Closed-form proper coloring of the integers: k mod |E^2|.
+
+    Independent of the greedy path; used as a cross-check oracle.  Valid
+    whenever no nonzero offset in E^2 is divisible by |E^2|, which holds
+    for interval generating sets like {-1, 0, 1}.
+    """
+    e = sorted(int(x) for x in e_set)
+    offsets = {a + b for a in e for b in e}
+    m = len(offsets)
+    if any(g != 0 and g % m == 0 for g in offsets):
+        raise ValueError("mod-m coloring is not proper for this E")
+    return lambda k: (int(k) % m) + 1
 
 
 def test_z_interval_set_colors_and_properness():

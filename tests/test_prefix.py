@@ -228,6 +228,24 @@ def test_first_overlap_matches_pairwise_inter(raws):
         assert tuple(sorted(pair)) in overlapping
 
 
+@given(st.lists(st.tuples(st.sampled_from("xy"), short_words), max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_first_overlap_by_label_meets_only_at_one_label(entries):
+    # owner k holds its (label, base) entries; an owner meets another only
+    # where their bases meet at one label
+    items = [(k, [(lbl, b)]) for k, (lbl, b) in enumerate(entries)]
+    pair = prefix.first_overlap_by_label(items)
+    overlapping = [
+        (i, j)
+        for (i, (li, bi)), (j, (lj, bj)) in itertools.combinations(enumerate(entries), 2)
+        if li == lj and (bi.startswith(bj) or bj.startswith(bi))
+    ]
+    if pair is None:
+        assert not overlapping
+    else:
+        assert tuple(sorted(pair)) in overlapping
+
+
 # -- the first word of each membership pattern
 
 

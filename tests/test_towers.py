@@ -499,6 +499,125 @@ def test_shared_checks_match_fresh_ones(monkeypatch, radius):
         assert shared == fresh, name
 
 
+# -- the clash scan: a passing clash check takes no walk, a failing one the
+# walk that names the first element in two translates
+
+
+def _clash_check(monkeypatch, fam: TowerFamily, radius):
+    """The clash check's (element, positions) or None, with a fresh memo, and
+    the number of walks it took."""
+    walks = []
+    real = prefix.first_by_pattern
+    with monkeypatch.context() as m:
+        m.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+        placed = [(fam.d_set[di], i) for di, i in towers._owners(fam)]
+        hit = towers._first_hit(fam, placed, radius, towers._Translates(), clash=True)
+    return hit, len(walks)
+
+
+@pytest.mark.parametrize("radius", [None, 4])
+def test_a_passing_clash_check_takes_no_walk(monkeypatch, radius):
+    families = {"F2 more_towers": more_towers(D5, 3), "F3": union_towers(D5)}
+    for order in (2, 3, 4):
+        for name, fam in _rectangle_families(order, 0).items():
+            if name.endswith("as built"):
+                families[f"Z/{order} {name}"] = fam
+    for name, fam in families.items():
+        assert verify_towers(fam, "exact").passed, name
+        assert _clash_check(monkeypatch, fam, radius) == (None, 0), name
+
+
+@pytest.mark.parametrize("group", ["F2", "F2xZ2", "F3"])
+def test_a_failing_clash_check_walks_to_the_sweep_counterexample(monkeypatch, group):
+    build, max_radius, extra_d = WALK_FAMILIES[group]
+    failing = []
+    for name, fam in _seeded_defects(build(), extra_d).items():
+        want = _sweep_ball(fam, max_radius)["disjoint"]
+        if want["pass"]:
+            continue
+        failing.append(name)
+        hit, walks = _clash_check(monkeypatch, fam, max_radius)
+        assert hit is not None and walks == 1, name
+        assert verify_towers(fam, "ball", max_radius).checks["disjoint"] == want, name
+    assert "duplicated tower" in failing
+
+
+def _scan_families() -> dict:
+    """Seeded families whose clash checks the scan decides or hands to the
+    walk: F2 sets of several cones, F2 sets with words, F2 x Z/3 families
+    with one form at one label of two translates, and an F2 family whose
+    only overlap lies at length 5."""
+    rng = random.Random("towers/scan")
+    out = {}
+    for t in range(16):
+        d_set = ["", _random_word(rng, rng.randint(1, 3))]
+        items = []
+        for _ in range(2):
+            s = ss.cone(_random_word(rng, rng.randint(3, 5)))
+            for _ in range(rng.randint(1, 2)):
+                s = s | ss.cone(_random_word(rng, rng.randint(3, 6)))
+            items.append((s, _random_word(rng, 2)))
+        out[f"F2 bases {t}"] = TowerFamily("F2", d_set, items)
+        (a, g), rest = items[0], items[1:]
+        with_words = (a | ss.finite([_random_word(rng, rng.randint(0, 3))]), g)
+        out[f"F2 words {t}"] = TowerFamily("F2", d_set, [with_words] + rest)
+    k = cyclic_group(3)
+    a = ss.cone("ab") | ss.cone("Ba")
+    # (e, "1")·A0 and (e, "2")·A1 hold A at label "1" both
+    items = [
+        (ProductSubset(k, {"0": a, "2": ss.cone("bb")}), ("", "0")),
+        (ProductSubset(k, {"2": a}), ("", "0")),
+    ]
+    out["F2xZ3 one form twice at a label"] = TowerFamily(
+        "F2xK", [("", "0"), ("", "1"), ("", "2")], items, k_group=k
+    )
+    out["F2xZ3 one form at two labels"] = TowerFamily("F2xK", [("", "0")], items, k_group=k)
+    # a word in both translates at label "0", and none of their cones meet
+    items = [
+        (ProductSubset(k, {"0": ss.finite(["ab"]) | ss.cone(h)}), ("", "0"))
+        for h in ("aa", "bb")
+    ]
+    out["F2xZ3 words"] = TowerFamily("F2xK", [("", "0")], items, k_group=k)
+    out["F2 overlap at length 5"] = TowerFamily(
+        "F2", [""], [(ss.cone("ab"), ""), (ss.cone("abaab"), "")]
+    )
+    return out
+
+
+def test_a_shared_memo_still_catches_a_tower_placed_twice():
+    # pairwise disjoint forms found by one check clear their distinct
+    # subsets in later checks, but not a form placed twice
+    fam = more_towers(D5, 2)
+    twice = _mutate(fam, items=fam.items + [fam.items[1]])
+    with towers.shared_translates():
+        assert verify_towers(fam, "exact").passed
+        shared = verify_towers(twice, "exact").checks
+    assert not shared["disjoint"]["pass"]
+    assert shared == verify_towers(twice, "exact").checks
+
+
+@pytest.mark.parametrize("radius", [None, 2, 4])
+def test_the_clash_scan_agrees_with_the_walk(monkeypatch, radius):
+    families = _scan_families()
+    scanned = {name: _clash_check(monkeypatch, fam, radius) for name, fam in families.items()}
+    # every scan finds an overlap, so every clash check walks
+    monkeypatch.setattr(towers._Translates, "disjoint", lambda self, ids: False)
+    monkeypatch.setattr(prefix, "first_overlap_by_label", lambda items: (0, 1))
+    for name, fam in families.items():
+        hit, walks = scanned[name]
+        assert _clash_check(monkeypatch, fam, radius) == (hit, 1), name
+        if "words" in name:
+            assert walks == 1, name
+    verdicts = [hit is None for hit, _ in scanned.values()]
+    assert any(verdicts) and not all(verdicts)
+    assert scanned["F2xZ3 one form twice at a label"][0] is not None
+    assert scanned["F2xZ3 one form at two labels"] == (None, 0)
+    assert scanned["F2xZ3 words"][0] == (("ab", "0"), [0, 1])
+    # the scan finds the overlap at length 5, and the walk passes the smaller balls
+    first = None if radius is not None else ("abaab", [0, 1])
+    assert scanned["F2 overlap at length 5"] == (first, 1)
+
+
 def test_ball_walk_cost_does_not_grow_with_radius():
     fam = more_towers(D5, 2)
     for r in (12, 1000, 10**6):
