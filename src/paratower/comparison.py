@@ -31,11 +31,12 @@ in ``paratower.groups``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import prefix
 from . import words as fw
@@ -781,30 +782,41 @@ def _kuhn_match(lefts, adjacency, forbidden, colors: int) -> Optional[Dict]:
     return match_l
 
 
-def _image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
-    """The (label, base) pairs of g·cell's canonical bases, in order, if
-    g·cell lies inside the shrunk target whose slices by label are
-    ``ueff_slices``, else None.
+def _image_keys(space, ueff_slices, movers, cells) -> Iterator[Tuple]:
+    """(mover, cell, key) for each mover of ``movers``, in order, and each
+    cell (label, word) of ``cells`` that the mover moves inside the shrunk
+    target with slices ``ueff_slices``; the key lists the (label, base)
+    pairs of the image's canonical bases in order.
 
-    For cells deeper than the cancellation the image is the single
-    cylinder [g·w], so the containment test is a string prefix check.
-    Otherwise it is decided on the cell's moved bases, which are the
-    image's canonical bases, as ``_image_cells`` does; no clopen sets
-    get built."""
-    lbl, w = cell
-    h = space.word_part(g)
-    c = prefix.moved_base(h, w)
-    newl = space.act_label(g, lbl)
-    tgt = ueff_slices[newl]
-    if c is not None:
-        if tgt.full or any(c.startswith(b) for b in tgt.bases):
-            return ((newl, c),)
-        if not any(b.startswith(c) for b in tgt.bases):
-            return None
-    bases = sorted(prefix.translate(h, None, (w,))[1])
-    if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
-        return None
-    return tuple((newl, b) for b in bases)
+    h·[w] lies inside a slice T exactly when a base of the canonical
+    preimage h⁻¹·T is a prefix of w.  So for a run of movers with one F2
+    word h, one preimage per image label is bisected into each label's
+    sorted cell words, and only the cells found are moved, each once: to
+    one base, or, cancelled, to the pieces of ``prefix.translate``, which
+    are the canonical bases of the image."""
+    words: Dict = {}
+    for lbl, w in cells:
+        words.setdefault(lbl, set()).add(w)
+    words = {lbl: sorted(ws) for lbl, ws in words.items()}
+    for h, same_word in itertools.groupby(movers, space.word_part):
+        # image label -> (preimage, the key of each cell word found so far)
+        preimages: Dict = {}
+        for g, (lbl, ws) in itertools.product(same_word, words.items()):
+            newl = space.act_label(g, lbl)
+            pre, keys = preimages.get(newl) or preimages.setdefault(
+                newl, (ueff_slices[newl].act(inverse(h)), {})
+            )
+            for b in [""] if pre.full else pre.bases:
+                i = bisect.bisect_left(ws, b)
+                while i < len(ws) and ws[i].startswith(b):
+                    w = ws[i]
+                    i += 1
+                    key = keys.get(w)
+                    if key is None:
+                        c = prefix.moved_base(h, w)
+                        moved = [c] if c is not None else sorted(prefix.translate(h, None, [w])[1])
+                        key = keys[w] = tuple((newl, x) for x in moved)
+                    yield g, (lbl, w), key
 
 
 def petr_assign(
@@ -821,13 +833,14 @@ def petr_assign(
     set of one V_j is disjoint, so this passes exactly when the per-cell
     witness does, and the search settles on the same depth and matching.
 
-    The F2 work is done once per F2 word, not once per K label: a cell is
-    asked only about the movers whose label sends its label onto a nonempty
-    slice of U^{-eps}, an image key is worked out once per (mover's word,
-    cell word, image label), and the graph holds one edge per key, whose
-    n+1 colours the search expands in colour order.  Before each depth the
-    (cell, mover) lookups are counted, and a depth needing more than
-    ``MATCH_BUDGET`` is refused with DepthCapExceeded."""
+    The cells whose image under a mover lies inside U^{-eps} are found
+    from the mover's preimage of each slice (``_image_keys``), so only
+    those cells are moved, and the graph holds one edge per image key,
+    whose n+1 colours the search expands in colour order.  Before each
+    depth the gate counts the (cell, mover) pairs the search answers for,
+    each cell with the movers whose label sends its label onto a nonempty
+    slice of U^{-eps}, though it makes no lookup per pair; a depth with
+    more than ``MATCH_BUDGET`` pairs is refused with DepthCapExceeded."""
     if counting is None:
         counting = check_counting(space, data, n)
     if not counting["pass"]:
@@ -845,15 +858,10 @@ def petr_assign(
     budget = _extra_depth_budget()
     elem_order = sorted(data.d_set, key=_elem_order(space))
     ueff_slices = dict(space.slice_items(u_eff))
-    # per cell label, the movers (in elem_order) that send it onto a
-    # nonempty slice of U^{-eps}, as (mover, F2 word, image label); every
-    # other mover's image key is None
-    movers = {
-        lbl: [
-            (g, space.word_part(g), space.act_label(g, lbl))
-            for g in elem_order
-            if not ueff_slices[space.act_label(g, lbl)].is_empty()
-        ]
+    # per cell label, how many movers send it onto a nonempty slice of
+    # U^{-eps}; no other mover moves a cell inside
+    reach = {
+        lbl: sum(not ueff_slices[space.act_label(g, lbl)].is_empty() for g in elem_order)
         for lbl in space.labels
     }
 
@@ -868,7 +876,7 @@ def petr_assign(
                 count = 4 * 3 ** (d - 1) if sl.full else sum(3 ** (d - len(b)) for b in sl.bases)
                 per_label[lbl] = per_label.get(lbl, 0) + count
         cells = sum(per_label.values())
-        lookups = sum(count * len(movers[lbl]) for lbl, count in per_label.items())
+        lookups = sum(count * reach[lbl] for lbl, count in per_label.items())
         if lookups > MATCH_BUDGET:
             raise DepthCapExceeded(
                 f"the matching at depth {d} needs {lookups} (cell, mover) lookups"
@@ -876,27 +884,15 @@ def petr_assign(
             )
         tried = f"deepest depth tried {d}: {cells} cells, {lookups} lookups"
         lefts = [(j, cell) for j, v in enumerate(data.sources) for cell in space.cells(v, d)]
-        # per left, its image keys in the order found, each with the first
+        # per cell, its image keys in mover order, each with the first
         # mover found for it: distinct cells can share an image key through
         # different movers, so the mover is per edge, and every colour of
-        # a key takes the same one
-        edges: Dict = {}
-        by_word: Dict[str, list] = {}
-        for left in lefts:
-            by_word.setdefault(left[1][1], []).append(left)
-        for same_word in by_word.values():
-            # _image_key reads a mover only through its F2 word and the
-            # image label, so the cells of one word share the work
-            memo: Dict = {}
-            for left in same_word:
-                adj = edges[left] = {}
-                for g, h, newl in movers[left[1][0]]:
-                    try:
-                        key = memo[h, newl]
-                    except KeyError:
-                        key = memo[h, newl] = _image_key(space, ueff_slices, g, left[1])
-                    if key is not None:
-                        adj.setdefault(key, g)
+        # a key takes the same one.  The lefts of a cell share its dict,
+        # bound before the search so that the last depth's graph goes first
+        adjacency: Dict = {cell: {} for _, cell in lefts}
+        edges = {left: adjacency[left[1]] for left in lefts}
+        for g, cell, key in _image_keys(space, ueff_slices, elem_order, adjacency):
+            adjacency[cell].setdefault(key, g)
         forbidden: set = set()
         matched = None
         for _ in range(100):

@@ -7,14 +7,14 @@ uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
 by the same prefix-trie walk that certifies it on a metric ball.  On F2,
-F3 and F2 × K a disjointness check first scans the translates' bases in
-sorted order, and walks only when two of them meet or a translate holds
-words, to name the first counterexample.  A family
-on F2 × K is decided by its factors: its sets split into rectangles A × C,
-and since (h, e)·(A × C) = hA × eC, one F2 walk over the forms hA is read
-at each label of K.  Within one builder call, or one ``shared_translates``
-block, the checks share their translates and walks, so each distinct x·A
-is normalised once.  Orbit-preimage families from the boundary action are
+F3 and F2 × K a disjointness check first asks whether two translates'
+cones meet, on their bases alone, and walks only when two do or a
+translate holds words, to name the first counterexample.  A family on
+F2 × K is decided by its factors: its sets split into rectangles A × C,
+and since (h, e)·(A × C) = hA × eC, the F2 sets hA are read at each label
+of K.  Within one builder call, or one ``shared_translates`` block, the
+checks share their translates, scans and walks, so each distinct x·A is
+moved once.  Orbit-preimage families from the boundary action are
 certified exactly by clopen-set algebra on the boundary.
 """
 
@@ -266,17 +266,18 @@ _Form = Tuple[FrozenSet[str], FrozenSet[str]]
 
 
 class _Translates:
-    """Normal forms of translates x·A of tower sets, and prefix-trie walks
-    over them, each computed once.
+    """Translates x·A of tower sets, and prefix-trie walks over them, each
+    computed once.
 
-    Every distinct form, a (words, bases) pair in the form of
-    ``prefix.canonical``, gets an integer id; a ``NormalForm`` is made only
-    for a set handed to a builder (``translate``).  A form made as x·A
-    remembers (x, A), so y·(x·A) is made as (yx)·A: a set and all its
-    translates share one entry per element.  A walk over some forms is
-    kept, and a walk over fewer of them at the same radius is read off it:
-    the first word of a pattern over the fewer forms is the ball-order
-    minimum of the first words of the patterns that restrict to it."""
+    A clash scan reads only the bases of x·A, kept per (x, A) (``bases``).
+    A form, a (words, bases) pair in the form of ``prefix.canonical``, gets
+    an integer id only when it goes to a walk or a builder (``moved``), and
+    a ``NormalForm`` only for a builder (``translate``).  A form made as
+    x·A remembers (x, A), so y·(x·A) is moved as (yx)·A.  Bases a scan found
+    pairwise prefix-free clear later scans (``meet``).  A walk over some
+    forms is kept, and a walk over fewer of them at the same radius is read
+    off it: the first word of a pattern over the fewer forms is the
+    ball-order minimum of the first words of the patterns restricting to it."""
 
     def __init__(self) -> None:
         self.forms: List[_Form] = []
@@ -284,9 +285,10 @@ class _Translates:
         # id(set) -> (set, form id); the set is kept so its id stays its own
         self._of_set: Dict[int, Tuple[object, int]] = {}
         self._moved: Dict[Tuple[str, int], int] = {}
+        self._bases: Dict[Tuple[str, int], Optional[Tuple[str, ...]]] = {}
         self._origin: Dict[int, Tuple[str, int]] = {}
         self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
-        self._disjoint: List[FrozenSet[int]] = []
+        self._clear: List[FrozenSet[str]] = []
 
     def _id(self, form: _Form) -> int:
         fid = self._ids.get(form)
@@ -313,10 +315,35 @@ class _Translates:
             elif x == "":
                 out = fid
             else:
-                out = self._id(prefix.canonical(*prefix.translate(x, *self.forms[fid])))
+                # moved bases with no words are in form already
+                bases = self._bases.get((x, fid))
+                out = self._id(
+                    (frozenset(), frozenset(bases)) if bases is not None
+                    else prefix.canonical(*prefix.translate(x, *self.forms[fid]))
+                )
                 if out != fid:
                     self._origin.setdefault(out, (x, fid))
             self._moved[(x, fid)] = out
+        return out
+
+    def bases(self, x: str, fid: int) -> Optional[Tuple[str, ...]]:
+        """The bases of x·F, F the form with id ``fid``, or None when x·F
+        holds words.  With no words in F and no base cancelled they are the
+        moved bases; otherwise x·F is interned (``moved``)."""
+        key = (x, fid)
+        out = self._bases.get(key, False)
+        if out is not False:
+            return out
+        origin = self._origin.get(fid)
+        if origin is not None:
+            out = self.bases(multiply(x, origin[0]), origin[1])
+        else:
+            words, bases = self.forms[fid]
+            out = None if words else tuple([prefix.moved_base(x, b) for b in bases])
+            if out is None or None in out:
+                words, bases = self.forms[self.moved(x, fid)]
+                out = None if words else tuple(bases)
+        self._bases[key] = out
         return out
 
     def translate(self, x: str, subset: GroupSubset) -> GroupSubset:
@@ -326,26 +353,25 @@ class _Translates:
         except NotNormalizable:
             return ss.TranslateSet(x, subset)
 
-    def disjoint(self, ids: Sequence[int]) -> bool:
-        """Whether the forms ``ids`` are pairwise disjoint, by one sorted
-        scan of their bases; False when one has words, which only a walk
-        decides.  Distinct forms among ones found disjoint need no scan."""
-        fids = frozenset(ids)
-        distinct = len(fids) == len(ids)
-        if distinct and any(fids <= known for known in self._disjoint):
-            return True
-        forms = [self.forms[fid] for fid in ids]
-        if any(words for words, _ in forms) or prefix.first_overlap(
-            (b, p) for p, (_, bases) in enumerate(forms) for b in bases
-        ) is not None:
-            return False
-        if distinct:
-            self._disjoint.append(fids)
-        return True
+    def meet(self, buckets: Iterable[List[str]]) -> bool:
+        """Whether two cones of a bucket meet, each bucket the bases of some
+        owners, each owner's an antichain.  A bucket inside bases found
+        pairwise prefix-free before meets only at equal bases; any other
+        takes one sorted scan (``prefix.first_overlap``), kept if it passes."""
+        for bucket in buckets:
+            if any(known.issuperset(bucket) for known in self._clear):
+                if len(set(bucket)) < len(bucket):
+                    return True
+            elif prefix.first_overlap((b, None) for b in bucket) is not None:
+                return True
+            else:
+                self._clear.append(frozenset(bucket))
+        return False
 
     def walk(self, fids: FrozenSet[int], radius: Optional[int]) -> dict:
         """For each pattern of form ids met in the radius-r ball, or in the
-        whole group when ``radius`` is None, (ball-order key, first word)."""
+        whole group when ``radius`` is None, (ball-order key, first word), in
+        ball order of the first words."""
         out = self._walks.get((radius, fids))
         if out is not None:
             return out
@@ -402,18 +428,6 @@ def _translates() -> _Translates:
     return _SHARED.get() or _Translates()
 
 
-def _pieces(memo: _Translates, s: "ProductSubset") -> List[Tuple[int, FrozenSet[str]]]:
-    """s as a disjoint union of rectangles A × C: (form id of A, labels C)
-    for each distinct nonempty slice A; a rectangle has one piece."""
-    labels: Dict[int, List[str]] = {}
-    for lbl, t in s.slices.items():
-        fid = memo.of(t)
-        words, bases = memo.forms[fid]
-        if words or bases:
-            labels.setdefault(fid, []).append(lbl)
-    return [(fid, frozenset(lbls)) for fid, lbls in labels.items()]
-
-
 def _first_hit(
     family: TowerFamily, placed: Sequence[Tuple[object, int]], radius: Optional[int],
     memo: _Translates, clash: bool,
@@ -422,90 +436,74 @@ def _first_hit(
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None.  On F2, F3 and F2 × K a clash is first decided by
-    one sorted scan of the translates' bases (``prefix.first_overlap``): if
-    no two cones meet, no element of the group, and so of no ball, lies in
-    two translates.  Only when the scan finds an overlap, which may lie
-    outside the ball, or a form has words does the walk run, to name the
-    first element in ball order.  Every membership pattern of the walk is
-    asked only how many translates hold its first element; the positions
-    are read for the element found.  Raises NotNormalizable when a set has
-    no normal form."""
-
-    def wanted(count: int) -> bool:
-        return count > 1 if clash else count == 0
-
+    holding it), or None.  On F2, F3 and F2 × K a clash is first decided on
+    the translates' bases alone (``_Translates.meet``): if no two cones meet
+    at a label, no element of the group, and so of no ball, lies in two
+    translates.  Only when two meet, which may be outside the ball, or a
+    translate holds words does the walk run, to name the first element in
+    ball order.  Every membership pattern of the walk is asked only how
+    many translates hold its first element; the positions are read for the
+    element found.  Raises NotNormalizable when a set has no normal form."""
     sets = family.items
-    if family.kind in ("F2", "F3"):
-        # in F3 a word p·s has the membership of its a,b-part p, and p comes
-        # first in the ball
-        ids = []
-        for x, i in placed:
-            a = sets[i][0]
-            if family.kind == "F3":
-                _check_ab(x)
-                a = a.base
-            ids.append(memo.moved(x, memo.of(a)))
-        if clash and memo.disjoint(ids):
-            return None
+    if family.kind in ("F2", "F3", "F2xK"):
+        # rows (position, F2 word h, form id of A, label indices C): the
+        # translate at the position holds hA × C.  On F2 and F3 it is one
+        # row at the one label (in F3 a word p·s has the membership of its
+        # a,b-part p, which comes first in the ball); on F2 × K one row per
+        # piece, at most one at a label, so translates meet where rows do
+        rows = []
+        if family.kind == "F2xK":
+            k = family.k_group
+            index = {lbl: li for li, lbl in enumerate(k.elements)}
+            # the pieces A × C of A_i, as (form id of A, label indices of
+            # eC), for each distinct nonempty slice A
+            pieces: Dict[Tuple[str, int], Dict[int, set]] = {}
+            for j, ((h, e), i) in enumerate(placed):
+                if (e, i) not in pieces:
+                    at_e = pieces[e, i] = {}
+                    for lbl, t in sets[i][0].slices.items():
+                        fid = memo.of(t)
+                        if any(memo.forms[fid]):
+                            at_e.setdefault(fid, set()).add(index[k.mul(e, lbl)])
+                rows += [(j, h, fid, c) for fid, c in pieces[e, i].items()]
+        else:
+            index, fids = {None: 0}, {}
+            for j, (x, i) in enumerate(placed):
+                if family.kind == "F3":
+                    _check_ab(x)
+                if i not in fids:
+                    fids[i] = memo.of(sets[i][0].base if family.kind == "F3" else sets[i][0])
+                rows.append((j, x, fids[i], (0,)))
+        if clash:
+            buckets: List[List[str]] = [[] for _ in index]
+            for _, h, fid, c in rows:
+                bases = memo.bases(h, fid)
+                if bases is None:
+                    break
+                for li in c:
+                    buckets[li].extend(bases)
+            else:
+                if not memo.meet(buckets):
+                    return None
+        # one walk over the forms hA, read at each label in ball order: the
+        # translates holding (w, l) number the rows at l of the forms
+        # holding w, and a cover misses (w, l) when no form holding w has one
+        ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
         walk, at = memo.walk_over(ids, radius)
-        if not clash:
+        if not clash and len(index) == 1:
+            # the one label holds every form: only the empty pattern is missed
             first = walk.get(frozenset())
             return None if first is None else (first[1], [])
-        # a form in a pattern holds its first word, so a pattern is held by
-        # two translates when it has two forms or a form placed twice
-        twice = {fid for fid, ps in at.items() if len(ps) > 1}
-        hits = [
-            (first, pattern) for pattern, first in walk.items()
-            if len(pattern) > 1 or not twice.isdisjoint(pattern)
-        ]
-        if not hits:
-            return None
-        (_, w), pattern = min(hits, key=lambda hit: hit[0])
-        return w, sorted(p for fid in pattern for p in at[fid])
-    if family.kind == "F2xK":
-        # (h, e)·(A × C) = hA × eC: one walk over the forms hA of every
-        # piece, and (w, l) lies in the translates with a piece whose hA
-        # holds w and whose eC holds l
-        k = family.k_group
-        index = {lbl: li for li, lbl in enumerate(k.elements)}
-        pieces = {i: _pieces(memo, sets[i][0]) for i in {i for _, i in placed}}
-        ids, owners, labels = [], [], []
-        for j, ((h, e), i) in enumerate(placed):
-            for fid, c in pieces[i]:
-                ids.append(memo.moved(h, fid))
-                owners.append(j)
-                labels.append({index[k.mul(e, lbl)] for lbl in c})
-        # a translate has at most one piece at a label, so two translates
-        # meet at a label exactly when two pieces, each its own owner, do;
-        # and the translates holding (w, l) number the pieces at l of the
-        # forms holding w
-        if clash and not any(memo.forms[fid][0] for fid in ids) and prefix.first_overlap_by_label(
-            (p, [(li, b) for li in c for b in memo.forms[fid][1]])
-            for p, (fid, c) in enumerate(zip(ids, labels))
-        ) is None:
-            return None
-        walk, at = memo.walk_over(ids, radius)
-        counts = {fid: [0] * len(index) for fid in at}
-        for fid, c in zip(ids, labels):
-            row = counts[fid]
-            for li in c:
-                row[li] += 1
-        best = None
-        for pattern, (key, w) in walk.items():
-            if best is not None and key > best[0][0]:
-                continue
-            for li in range(len(index)):
-                if wanted(sum(counts[fid][li] for fid in pattern)):
-                    if best is None or (key, li) < best[0]:
-                        best = ((key, li), w, pattern)
-                    break
-        if best is None:
-            return None
-        (_, li), w, pattern = best
-        return (w, k.elements[li]), sorted(
-            owners[p] for fid in pattern for p in at[fid] if li in labels[p]
-        )
+        counts: List[Dict[int, int]] = [{} for _ in index]
+        for fid, row in zip(ids, rows):
+            for li in row[3]:
+                counts[li][fid] = counts[li].get(fid, 0) + 1
+        for pattern, (_, w) in walk.items():
+            for li, held in enumerate(counts):
+                if sum(held.get(fid, 0) for fid in pattern) > 1 if clash else held.keys().isdisjoint(pattern):
+                    hits = sorted(rows[p][0] for fid in pattern for p in at[fid] if li in rows[p][3])
+                    return ((w, k.elements[li]) if family.kind == "F2xK" else w), hits
+        return None
     if family.kind == "F2xF2":
         # a pattern of the first factor fixes the rectangles still active
         firsts = [memo.moved(u, memo.of(sets[i][0].first)) for (u, _), i in placed]
@@ -518,7 +516,8 @@ def _first_hit(
             active = sorted(p for fid in first for p in at[fid])
             inner, inner_at = memo.walk_over([seconds[j] for j in active], radius)
             for second, (kv, v) in inner.items():
-                if wanted(sum(len(inner_at[fid]) for fid in second)) and (
+                count = sum(len(inner_at[fid]) for fid in second)
+                if (count > 1 if clash else count == 0) and (
                     best is None or (ku, kv) < best[0]
                 ):
                     best = ((ku, kv), (u, v), [active[j] for fid in second for j in inner_at[fid]])

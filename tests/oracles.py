@@ -3,12 +3,15 @@
 They evaluate the geodesic averaging measures point by point, with no
 prefix-trie visit: ``GeodesicMap.step_cells`` and ``threshold_weighted``
 must agree with ``OracleMap.mu_eval``, and ``defect_bound`` must bound
-``OracleMap.defect``.
+``OracleMap.defect``.  ``image_key`` asks one (cell, mover) pair at a time
+what the matching's preimage search (``comparison._image_keys``) finds for
+many cells at once.
 """
 
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
+from paratower import prefix
 from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap
 from paratower.subsets import GroupSubset
 from paratower.words import multiply
@@ -79,3 +82,28 @@ class OracleMap(GeodesicMap):
         p1 = {moved[:l] for l in range(self.n)}
         p2 = {multiply(g, deep_base[:l]) for l in range(self.n)}
         return Fraction(len(p1 ^ p2), self.n)
+
+
+def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
+    """The (label, base) pairs of g·cell's canonical bases, in order, if
+    g·cell lies inside the shrunk target whose slices by label are
+    ``ueff_slices``, else None.
+
+    For cells deeper than the cancellation the image is the single
+    cylinder [g·w], so the containment test is a string prefix check.
+    Otherwise it is decided on the cell's moved bases, which are the
+    image's canonical bases; no clopen sets get built."""
+    lbl, w = cell
+    h = space.word_part(g)
+    c = prefix.moved_base(h, w)
+    newl = space.act_label(g, lbl)
+    tgt = ueff_slices[newl]
+    if c is not None:
+        if tgt.full or any(c.startswith(b) for b in tgt.bases):
+            return ((newl, c),)
+        if not any(b.startswith(c) for b in tgt.bases):
+            return None
+    bases = sorted(prefix.translate(h, None, (w,))[1])
+    if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
+        return None
+    return tuple((newl, b) for b in bases)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import paratower.comparison as comparison
+from oracles import image_key
 from paratower import prefix, subsets, towers
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
@@ -982,22 +983,28 @@ def _canonical_image_key(space, ueff_slices, g, cell):
     ids=["F2-ab", "F2xZ2-a0"],
 )
 def test_image_keys_are_the_canonical_ones(monkeypatch, inst, u_set):
-    # every (cell, mover) the matching asks about in one build, keyed off the
-    # cell's moved bases, against the key of its canonical image
+    # every (cell, mover) the preimage search answers for in one build: the
+    # key it yields, or none, against the key of the canonical image
     calls = []
-    image_key = comparison._image_key
+    image_keys = comparison._image_keys
 
-    def recorded(space, ueff_slices, g, cell):
-        found = image_key(space, ueff_slices, g, cell)
-        calls.append((space, ueff_slices, g, cell, found))
-        return found
+    def recorded(space, ueff_slices, movers, cells):
+        movers, cells = list(movers), list(cells)
+        found = {}
+        for g, cell, key in image_keys(space, ueff_slices, movers, cells):
+            assert (g, cell) not in found, (g, cell)
+            found[g, cell] = key
+            yield g, cell, key
+        calls.append((space, ueff_slices, movers, cells, found))
 
-    monkeypatch.setattr(comparison, "_image_key", recorded)
+    monkeypatch.setattr(comparison, "_image_keys", recorded)
     assert build_comparison(inst, u_set).passed
     assert calls
-    for space, ueff_slices, g, cell, found in calls:
-        want = _canonical_image_key(space, ueff_slices, g, cell)
-        assert found == want, (g, cell)
+    for space, ueff_slices, movers, cells, found in calls:
+        for g in movers:
+            for cell in cells:
+                want = _canonical_image_key(space, ueff_slices, g, cell)
+                assert found.get((g, cell)) == want, (g, cell)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
@@ -1011,12 +1018,76 @@ def test_image_keys_of_cancelled_cells_are_the_canonical_ones(space):
         cell = rng.choice(space.cells(space.full(), rng.randint(1, 3)))
         for _ in range(10):
             g = _random_element(rng, space)
-            found = comparison._image_key(space, ueff_slices, g, cell)
+            found = image_key(space, ueff_slices, g, cell)
             want = _canonical_image_key(space, ueff_slices, g, cell)
             assert found == want, (g, cell)
             if found is not None:
                 cancelled_inside += prefix.moved_base(space.word_part(g), cell[1]) is None
     assert cancelled_inside >= 5
+
+
+class _Adjacency(Exception):
+    """Raised by a spy to hand back the matching's first adjacency."""
+
+
+@pytest.mark.parametrize(
+    "space", [PlainSpace(), ProductSpace(cyclic_group(2)), ProductSpace(cyclic_group(3))],
+    ids=["F2", "F2xZ2", "F2xZ3"],
+)
+def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
+    # random canonical slices of U^{-eps} (full and empty ones among them),
+    # sources cut into cells of depth 1-6 and movers up to 8 letters long:
+    # each cell's ordered (key -> first mover) dict is the one built by
+    # asking the oracle about every (cell, mover) in mover order
+    def caught(lefts, adjacency, forbidden, colors):
+        raise _Adjacency(lefts, adjacency)
+
+    monkeypatch.setattr(comparison, "_kuhn_match", caught)
+    rng = random.Random(f"preimage-search/{len(space.labels)}")
+    shapes = set()
+    edges = cancelled = 0
+    for _ in range(40):
+        ueff = space.from_slices({
+            lbl: rng.choice([ClopenSet.full_set(), ClopenSet.empty(), _random_clopen(rng)])
+            for lbl in space.labels
+        })
+        shapes.update("full" if sl.full else "empty" if sl.is_empty() else "part"
+                      for _, sl in space.slice_items(ueff))
+        d = rng.randint(1, 6)
+        sources = [
+            space.from_slices({
+                lbl: ClopenSet.union_all(
+                    cyl(rng.choice(words_of_length(rng.randint(1, d)))) for _ in range(3)
+                )
+                for lbl in rng.sample(space.labels, rng.randint(1, len(space.labels)))
+            })
+            for _ in range(rng.randint(1, 2))
+        ]
+        movers = {space.identity}
+        for _ in range(rng.randint(2, 12)):
+            w = ""
+            for _ in range(rng.randint(0, 8)):
+                w += rng.choice(legal_next_letters(w))
+            movers.add(space.elem(w, rng.choice(space.labels)))
+        data = CountingData(sorted(movers, key=str), Fraction(1, 8), sources, space.full())
+        with monkeypatch.context() as m, pytest.raises(_Adjacency) as got:
+            m.setattr(space, "shrink", lambda s, eps: ueff, raising=False)
+            petr_assign(space, data, 1, {"pass": True})
+        lefts, adjacency = got.value.args
+        ueff_slices = dict(space.slice_items(ueff))
+        elem_order = sorted(data.d_set, key=comparison._elem_order(space))
+        assert len(lefts) == len(adjacency)
+        for left in lefts:
+            want = {}
+            for g in elem_order:
+                key = image_key(space, ueff_slices, g, left[1])
+                if key is not None:
+                    want.setdefault(key, g)
+                    cancelled += prefix.moved_base(space.word_part(g), left[1][1]) is None
+            assert list(adjacency[left].items()) == list(want.items()), left
+            edges += len(want)
+    assert shapes == {"full", "empty", "part"}
+    assert edges >= 100 and cancelled >= 20
 
 
 # -- the matching against the per-element loop it replaced
@@ -1060,7 +1131,7 @@ def _petr_assign_reference(space, data, n):
                 lefts.append(left)
                 edges[left] = []
                 for g in elem_order:
-                    key = comparison._image_key(space, ueff_slices, g, cell)
+                    key = image_key(space, ueff_slices, g, cell)
                     if key is None:
                         continue
                     for color in range(n + 1):

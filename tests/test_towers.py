@@ -601,8 +601,7 @@ def test_the_clash_scan_agrees_with_the_walk(monkeypatch, radius):
     families = _scan_families()
     scanned = {name: _clash_check(monkeypatch, fam, radius) for name, fam in families.items()}
     # every scan finds an overlap, so every clash check walks
-    monkeypatch.setattr(towers._Translates, "disjoint", lambda self, ids: False)
-    monkeypatch.setattr(prefix, "first_overlap_by_label", lambda items: (0, 1))
+    monkeypatch.setattr(towers._Translates, "meet", lambda self, buckets: True)
     for name, fam in families.items():
         hit, walks = scanned[name]
         assert _clash_check(monkeypatch, fam, radius) == (hit, 1), name
@@ -616,6 +615,81 @@ def test_the_clash_scan_agrees_with_the_walk(monkeypatch, radius):
     # the scan finds the overlap at length 5, and the walk passes the smaller balls
     first = None if radius is not None else ("abaab", [0, 1])
     assert scanned["F2 overlap at length 5"] == (first, 1)
+
+
+@pytest.mark.parametrize("radius", [3, 5])
+def test_a_walk_after_a_scan_matches_the_sweep(radius):
+    # a walk after a scan that found meeting cones takes the forms interned
+    # from the moved bases of the scan
+    for name, fam in _scan_families().items():
+        assert verify_towers(fam, "ball", radius).checks == _sweep_ball(fam, radius), name
+
+
+# -- bases a scan found prefix-free clear later scans of the same memo
+
+
+def _lifted(fam: TowerFamily, placements) -> TowerFamily:
+    """The F2 family's towers on F2 x Z/2, tower i at the labels of its
+    placement, translated by D x {0}."""
+    k = cyclic_group(2)
+    items = [
+        (ProductSubset(k, {lbl: fam.items[i][0] for lbl in labels}), (fam.items[i][1], "0"))
+        for i, labels in placements
+    ]
+    return TowerFamily(
+        "F2xK", [(d, "0") for d in fam.d_set], items, k_group=k,
+        cover_groups=[list(range(len(items)))],
+    )
+
+
+def _sorts(monkeypatch) -> list:
+    """A list that gets one entry per sorted scan of a clash check."""
+    calls = []
+    real = prefix.first_overlap
+    monkeypatch.setattr(prefix, "first_overlap", lambda b: calls.append(1) or real(b))
+    return calls
+
+
+def test_a_tower_placed_twice_at_overlapping_labels_fails_on_cleared_bases(monkeypatch):
+    fam = more_towers(D5, 2)
+    twice = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["0", "1"])])
+    with towers.shared_translates():
+        assert verify_towers(fam, "exact").passed
+        sorts = _sorts(monkeypatch)
+        shared = verify_towers(twice, "exact").checks
+    # the bases all lie in the F2 check's, so the clash shows as an equal
+    # base at label 0, with no sort, and the walk names it
+    assert sorts == []
+    assert not shared["disjoint"]["pass"]
+    monkeypatch.setattr(towers._Translates, "meet", lambda self, buckets: True)
+    assert shared == verify_towers(twice, "exact").checks
+
+
+def test_one_form_at_two_disjoint_labels_passes_on_cleared_bases(monkeypatch):
+    fam = more_towers(D5, 2)
+    apart = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["1"]), (1, ["1"])])
+    with towers.shared_translates():
+        assert verify_towers(fam, "exact").passed
+        sorts = _sorts(monkeypatch)
+        walks = []
+        real = prefix.first_by_pattern
+        monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+        placed = [(apart.d_set[di], i) for di, i in towers._owners(apart)]
+        hit = towers._first_hit(apart, placed, None, towers._translates(), clash=True)
+    assert (hit, sorts, walks) == (None, [], [])
+    assert verify_towers(apart, "exact").passed
+
+
+def test_a_product_family_on_bases_not_cleared_takes_the_sorted_scan(monkeypatch):
+    fam = _lifted(more_towers(D5, 2), [(0, ["0"]), (1, ["0"]), (0, ["1"]), (1, ["1"])])
+    sorts = _sorts(monkeypatch)
+    with towers.shared_translates():
+        assert verify_towers(fam, "exact").passed
+        # one sort the first time, at label 0, whose bases then clear those
+        # of label 1; none for the same family again
+        assert len(sorts) == 1
+        assert verify_towers(fam, "exact").passed
+        assert len(sorts) == 1
 
 
 def test_ball_walk_cost_does_not_grow_with_radius():
