@@ -791,9 +791,9 @@ def _image_keys(space, ueff_slices, movers, cells) -> Iterator[Tuple]:
     h·[w] lies inside a slice T exactly when a base of the canonical
     preimage h⁻¹·T is a prefix of w.  So for a run of movers with one F2
     word h, one preimage per image label is bisected into each label's
-    sorted cell words, and only the cells found are moved, each once: to
-    one base, or, cancelled, to the pieces of ``prefix.translate``, which
-    are the canonical bases of the image."""
+    sorted cell words, and only the cells found are moved, each once, by
+    ``prefix.translate``, whose pieces are the canonical bases of the
+    image."""
     words: Dict = {}
     for lbl, w in cells:
         words.setdefault(lbl, set()).add(w)
@@ -813,8 +813,7 @@ def _image_keys(space, ueff_slices, movers, cells) -> Iterator[Tuple]:
                     i += 1
                     key = keys.get(w)
                     if key is None:
-                        c = prefix.moved_base(h, w)
-                        moved = [c] if c is not None else sorted(prefix.translate(h, None, [w])[1])
+                        moved = sorted(prefix.translate(h, None, [w])[1])
                         key = keys[w] = tuple((newl, x) for x in moved)
                     yield g, (lbl, w), key
 

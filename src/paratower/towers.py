@@ -490,10 +490,6 @@ def _first_hit(
         # holding w, and a cover misses (w, l) when no form holding w has one
         ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
         walk, at = memo.walk_over(ids, radius)
-        if not clash and len(index) == 1:
-            # the one label holds every form: only the empty pattern is missed
-            first = walk.get(frozenset())
-            return None if first is None else (first[1], [])
         counts: List[Dict[int, int]] = [{} for _ in index]
         for fid, row in zip(ids, rows):
             for li in row[3]:

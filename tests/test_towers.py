@@ -172,6 +172,18 @@ def test_defect_dropped_tower_breaks_cover():
     assert not cert.checks["cover"]["pass"]
 
 
+def test_a_failing_cover_over_the_trivial_group_names_a_pair():
+    # K = Z/1 has one label, like F2, yet its elements stay (word, label)
+    k = cyclic_group(1)
+    fam = finite_normal_ext_towers([("", "0"), ("a", "0"), ("A", "0")], k)
+    broken = TowerFamily(fam.kind, fam.d_set, fam.items[:-1], k_group=k, cover_groups=[[0]])
+    checks = verify_towers(broken, "exact").checks
+    assert checks["cover"]["counterexample"] == {"word": ["A", "0"], "cover_group": 0}
+    assert checks["disjoint"]["pass"]
+    for r in range(5):
+        assert verify_towers(broken, "ball", r).checks == _sweep_ball(broken, r), r
+
+
 def test_defect_product_label_collision():
     k = cyclic_group(2)
     fam = finite_normal_ext_towers([("", "0"), ("a", "1")], k)
