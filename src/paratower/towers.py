@@ -6,13 +6,14 @@ pairwise disjoint while the g_i·A_i cover G.  The free-group construction
 uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
-by the same prefix-trie walk that certifies it on a metric ball.  On F2,
-F3 and F2 × K a disjointness check first asks whether two translates'
-cones meet, on their bases alone, and walks only when two do or a
-translate holds words, to name the first counterexample.  A family on
-F2 × K is decided by its factors: its sets split into rectangles A × C,
-and since (h, e)·(A × C) = hA × eC, the F2 sets hA are read at each label
-of K.  Within one builder call, or one ``shared_translates`` block, the
+by the same prefix-trie walk that certifies it on a metric ball.  A
+disjointness check first asks whether two translates' cones meet, on
+their bases alone, and walks only when two do or a translate holds words,
+to name the first counterexample.  A family on F2 × K or F2 × F2 is
+decided by its factors: its sets split into rectangles A × C, and since
+(h, e)·(A × C) = hA × eC, the F2 sets hA are read at each label: an
+element of K, or on F2 × F2 a membership pattern of the second factors
+eC.  Within one builder call, or one ``shared_translates`` block, the
 checks share their translates, scans and walks, so each distinct x·A is
 moved once.  Orbit-preimage families from the boundary action are
 certified exactly by clopen-set algebra on the boundary.
@@ -436,89 +437,84 @@ def _first_hit(
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None.  On F2, F3 and F2 × K a clash is first decided on
-    the translates' bases alone (``_Translates.meet``): if no two cones meet
-    at a label, no element of the group, and so of no ball, lies in two
-    translates.  Only when two meet, which may be outside the ball, or a
-    translate holds words does the walk run, to name the first element in
-    ball order.  Every membership pattern of the walk is asked only how
+    holding it), or None.  A clash is first decided on the translates'
+    bases alone (``_Translates.meet``): if no two cones meet at a label,
+    no element of the group, and so of no ball, lies in two translates.
+    Only when two meet, which may be outside the ball, or a translate
+    holds words does the walk run, to name the first element in ball
+    order.  Every membership pattern of the walk is asked only how
     many translates hold its first element; the positions are read for the
     element found.  Raises NotNormalizable when a set has no normal form."""
     sets = family.items
-    if family.kind in ("F2", "F3", "F2xK"):
-        # rows (position, F2 word h, form id of A, label indices C): the
-        # translate at the position holds hA × C.  On F2 and F3 it is one
-        # row at the one label (in F3 a word p·s has the membership of its
-        # a,b-part p, which comes first in the ball); on F2 × K one row per
-        # piece, at most one at a label, so translates meet where rows do
-        rows = []
-        if family.kind == "F2xK":
-            k = family.k_group
-            index = {lbl: li for li, lbl in enumerate(k.elements)}
-            # the pieces A × C of A_i, as (form id of A, label indices of
-            # eC), for each distinct nonempty slice A
-            pieces: Dict[Tuple[str, int], Dict[int, set]] = {}
-            for j, ((h, e), i) in enumerate(placed):
-                if (e, i) not in pieces:
-                    at_e = pieces[e, i] = {}
-                    for lbl, t in sets[i][0].slices.items():
-                        fid = memo.of(t)
-                        if any(memo.forms[fid]):
-                            at_e.setdefault(fid, set()).add(index[k.mul(e, lbl)])
-                rows += [(j, h, fid, c) for fid, c in pieces[e, i].items()]
-        else:
-            index, fids = {None: 0}, {}
-            for j, (x, i) in enumerate(placed):
-                if family.kind == "F3":
-                    _check_ab(x)
-                if i not in fids:
-                    fids[i] = memo.of(sets[i][0].base if family.kind == "F3" else sets[i][0])
-                rows.append((j, x, fids[i], (0,)))
-        if clash:
-            buckets: List[List[str]] = [[] for _ in index]
-            for _, h, fid, c in rows:
-                bases = memo.bases(h, fid)
-                if bases is None:
-                    break
-                for li in c:
-                    buckets[li].extend(bases)
-            else:
-                if not memo.meet(buckets):
-                    return None
-        # one walk over the forms hA, read at each label in ball order: the
-        # translates holding (w, l) number the rows at l of the forms
-        # holding w, and a cover misses (w, l) when no form holding w has one
-        ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
-        walk, at = memo.walk_over(ids, radius)
-        counts: List[Dict[int, int]] = [{} for _ in index]
-        for fid, row in zip(ids, rows):
-            for li in row[3]:
-                counts[li][fid] = counts[li].get(fid, 0) + 1
-        for pattern, (_, w) in walk.items():
-            for li, held in enumerate(counts):
-                if sum(held.get(fid, 0) for fid in pattern) > 1 if clash else held.keys().isdisjoint(pattern):
-                    hits = sorted(rows[p][0] for fid in pattern for p in at[fid] if li in rows[p][3])
-                    return ((w, k.elements[li]) if family.kind == "F2xK" else w), hits
-        return None
-    if family.kind == "F2xF2":
-        # a pattern of the first factor fixes the rectangles still active
-        firsts = [memo.moved(u, memo.of(sets[i][0].first)) for (u, _), i in placed]
+    # rows (position, F2 word h, form id of A, label indices C): the
+    # translate at the position holds hA × C, and ``labels`` names the
+    # element of each label.  On F2 and F3 it is one row at the one label
+    # (in F3 a word p·s has the membership of its a,b-part p, which comes
+    # first in the ball); on F2 × K one row per piece, at most one at a
+    # label, so translates meet where rows do
+    rows = []
+    if family.kind == "F2xK":
+        labels = family.k_group.elements
+        index = {lbl: li for li, lbl in enumerate(labels)}
+        # the pieces A × C of A_i, as (form id of A, label indices of eC),
+        # for each distinct nonempty slice A
+        pieces: Dict[Tuple[str, int], Dict[int, set]] = {}
+        for j, ((h, e), i) in enumerate(placed):
+            if (e, i) not in pieces:
+                at_e = pieces[e, i] = {}
+                for lbl, t in sets[i][0].slices.items():
+                    fid = memo.of(t)
+                    if any(memo.forms[fid]):
+                        at_e.setdefault(fid, set()).add(index[family.k_group.mul(e, lbl)])
+            rows += [(j, h, fid, c) for fid, c in pieces[e, i].items()]
+    elif family.kind == "F2xF2":
+        # the labels are the patterns of one walk over the second factors
+        # vB, named by their first words; the translate (u, v)·(A × B) is
+        # the row uA at every label holding vB.  The ball order of F2 × F2
+        # is lexicographic in (u, v), and a check's verdict at (u, v) is
+        # fixed by the two patterns, so reading the labels in order at each
+        # first-factor pattern finds the first element in ball order
         seconds = [memo.moved(v, memo.of(sets[i][0].second)) for (_, v), i in placed]
-        walk, at = memo.walk_over(firsts, radius)
-        best = None
-        for first, (ku, u) in walk.items():
-            if best is not None and ku > best[0][0]:
-                continue
-            active = sorted(p for fid in first for p in at[fid])
-            inner, inner_at = memo.walk_over([seconds[j] for j in active], radius)
-            for second, (kv, v) in inner.items():
-                count = sum(len(inner_at[fid]) for fid in second)
-                if (count > 1 if clash else count == 0) and (
-                    best is None or (ku, kv) < best[0]
-                ):
-                    best = ((ku, kv), (u, v), [active[j] for fid in second for j in inner_at[fid]])
-        return None if best is None else (best[1], sorted(best[2]))
-    raise ValueError(f"unknown group: {family.kind!r}")
+        patterns = memo.walk(frozenset(seconds), radius)
+        labels = [v for _, v in patterns.values()]
+        rows = [
+            (j, u, memo.of(sets[i][0].first), [li for li, p in enumerate(patterns) if fid in p])
+            for j, (((u, _), i), fid) in enumerate(zip(placed, seconds))
+        ]
+    else:
+        labels, fids = [None], {}
+        for j, (x, i) in enumerate(placed):
+            if family.kind == "F3":
+                _check_ab(x)
+            if i not in fids:
+                fids[i] = memo.of(sets[i][0].base if family.kind == "F3" else sets[i][0])
+            rows.append((j, x, fids[i], (0,)))
+    if clash:
+        buckets: List[List[str]] = [[] for _ in labels]
+        for _, h, fid, c in rows:
+            bases = memo.bases(h, fid)
+            if bases is None:
+                break
+            for li in c:
+                buckets[li].extend(bases)
+        else:
+            if not memo.meet(buckets):
+                return None
+    # one walk over the forms hA, read at each label in ball order: the
+    # translates holding (w, l) number the rows at l of the forms holding
+    # w, and a cover misses (w, l) when no form holding w has one
+    ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
+    walk, at = memo.walk_over(ids, radius)
+    counts: List[Dict[int, int]] = [{} for _ in labels]
+    for fid, row in zip(ids, rows):
+        for li in row[3]:
+            counts[li][fid] = counts[li].get(fid, 0) + 1
+    for pattern, (_, w) in walk.items():
+        for li, held in enumerate(counts):
+            if sum(held.get(fid, 0) for fid in pattern) > 1 if clash else held.keys().isdisjoint(pattern):
+                hits = sorted(rows[p][0] for fid in pattern for p in at[fid] if li in rows[p][3])
+                return (w if labels[li] is None else (w, labels[li])), hits
+    return None
 
 
 def _owners(family: TowerFamily) -> List[Tuple[int, int]]:

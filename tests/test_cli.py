@@ -119,13 +119,41 @@ def _identity_filling_mover(mode) -> dict:
     return payload
 
 
+def _rectangle_payload(mode) -> dict:
+    # the payload of ext-towers --kind f2xf2 --F a:b,A:B
+    from paratower.towers import extension_towers, verify_towers
+
+    fam = extension_towers([("a", "b"), ("A", "B")])
+    return verify_towers(fam, mode, 4 if mode == "ball" else None).to_json()
+
+
+def _duplicated_rectangle(mode) -> dict:
+    payload = _rectangle_payload(mode)
+    payload["towers"].append(payload["towers"][0])
+    return payload
+
+
+def _identity_rectangle_mover(mode) -> dict:
+    payload = _rectangle_payload(mode)
+    payload["towers"][1]["g"] = ["", ""]
+    return payload
+
+
 @pytest.mark.parametrize("mode", ["exact", "ball"])
-@pytest.mark.parametrize("forge", [_duplicated_filling_tower, _identity_filling_mover])
+@pytest.mark.parametrize(
+    "forge",
+    [_duplicated_filling_tower, _identity_filling_mover, _duplicated_rectangle,
+     _identity_rectangle_mover],
+)
 def test_verify_rejects_forged_filling_family(tmp_path, forge, mode, capsys):
-    assert main(["verify", _forged_towers(tmp_path, forge(mode))]) == 2
+    payload = forge(mode)
+    assert main(["verify", _forged_towers(tmp_path, payload)]) == 2
     report = json.loads(capsys.readouterr().out)
-    failed = [c for c in report["recomputed"].values() if not c["pass"]]
-    assert failed and all(c["counterexample"]["word"] is not None for c in failed)
+    words = [c["counterexample"]["word"] for c in report["recomputed"].values() if not c["pass"]]
+    assert words and None not in words
+    if payload["group"] == "F2xF2":
+        # an F2 x F2 counterexample is a pair (u, v)
+        assert all(isinstance(w, list) and len(w) == 2 for w in words)
 
 
 def _filling_point(point) -> dict:

@@ -288,6 +288,40 @@ def test_exact_walk_matches_sweep_past_the_longest_key(group):
         assert cert.passed == (name == "as built"), name
 
 
+def _small_f2xf2_family(rng: random.Random) -> TowerFamily:
+    """A random F2 x F2 family of 1-3 rectangles of cones, cones with words
+    and finite sets, with movers and D elements of length at most 1."""
+
+    def factor():
+        kind = rng.randrange(3)
+        if kind == 2:
+            return ss.finite([_random_word(rng, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))])
+        s = ss.cone(_random_word(rng, rng.randint(0, 2)))
+        return s | ss.finite([_random_word(rng, rng.randint(0, 2))]) if kind else s
+
+    def elem():
+        return (_random_word(rng, rng.randint(0, 1)), _random_word(rng, rng.randint(0, 1)))
+
+    items = [(ProductF2Subset(factor(), factor()), elem()) for _ in range(rng.randint(1, 3))]
+    return TowerFamily("F2xF2", sorted({elem() for _ in range(rng.randint(1, 2))}), items)
+
+
+def test_exact_f2xf2_matches_the_sweep_at_its_counterexample():
+    # F2 x F2's ball order is lexicographic in (u, v), so the first
+    # counterexample (u, v) in the group is the first in the ball of radius
+    # max(|u|, |v|); a check that passes passes on every ball
+    rng = random.Random("towers/f2xf2-exact")
+    verdicts = set()
+    for t in range(200):
+        fam = _small_f2xf2_family(rng)
+        for name, check in verify_towers(fam, "exact").checks.items():
+            cex = check["counterexample"]
+            r = 3 if cex is None else max(len(x) for x in cex["word"])
+            assert check == _sweep_ball(fam, r)[name], (t, name)
+            verdicts.add((name, check["pass"]))
+    assert len(verdicts) == 4
+
+
 def test_exact_mode_takes_many_rectangles():
     # 6 × 6 rectangles from three copies of the factor towers
     fam = extension_towers([("a", "b"), ("A", "B")], base=lambda d: more_towers(d, 3))
@@ -534,14 +568,19 @@ def test_a_passing_clash_check_takes_no_walk(monkeypatch, radius):
         for name, fam in _rectangle_families(order, 0).items():
             if name.endswith("as built"):
                 families[f"Z/{order} {name}"] = fam
+    families["F2xF2"] = extension_towers([("a", "b"), ("A", "B")])
     for name, fam in families.items():
         assert verify_towers(fam, "exact").passed, name
-        assert _clash_check(monkeypatch, fam, radius) == (None, 0), name
+        # F2 x F2 walks its second factors once, for its labels
+        walks = 1 if fam.kind == "F2xF2" else 0
+        assert _clash_check(monkeypatch, fam, radius) == (None, walks), name
 
 
-@pytest.mark.parametrize("group", ["F2", "F2xZ2", "F3"])
+@pytest.mark.parametrize("group", ["F2", "F2xZ2", "F3", "F2xF2"])
 def test_a_failing_clash_check_walks_to_the_sweep_counterexample(monkeypatch, group):
     build, max_radius, extra_d = WALK_FAMILIES[group]
+    # F2 x F2 first walks its second factors, for its labels
+    walks_taken = 2 if group == "F2xF2" else 1
     failing = []
     for name, fam in _seeded_defects(build(), extra_d).items():
         want = _sweep_ball(fam, max_radius)["disjoint"]
@@ -549,7 +588,7 @@ def test_a_failing_clash_check_walks_to_the_sweep_counterexample(monkeypatch, gr
             continue
         failing.append(name)
         hit, walks = _clash_check(monkeypatch, fam, max_radius)
-        assert hit is not None and walks == 1, name
+        assert hit is not None and walks == walks_taken, name
         assert verify_towers(fam, "ball", max_radius).checks["disjoint"] == want, name
     assert "duplicated tower" in failing
 
