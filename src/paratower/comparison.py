@@ -82,22 +82,20 @@ class ConstructionFailed(RuntimeError):
     """A construction step failed the exact check that guards it."""
 
 
-# The most (cell, mover) lookups one depth attempt of the matching may
-# make; a larger attempt is refused before it lists its cells.  With
-# U = [ab]×{0}, F2 × Z/5 matches at 251,790 lookups and F2 × Z/6 at
-# 1,078,464; each deeper level has about three times the cells.  The
-# budget bounds lookups, not memory, and the bytes per lookup differ by
-# instance: the F2 × Z/6 build peaks at 128 MB at 1,078,464 lookups, the
-# forced-failure F2 × Z/2 U = [a]×{0} search (every witness refused) at
-# 175 MB at 898,128 (depth 33, deep cells with many new image keys), so
-# an attempt there just under the budget would take about 400 MB
-# (extrapolated, not run).
-MATCH_BUDGET = 2 * 10**6
+# The most (cell, mover) pairs the held cells of the matching may have,
+# counted before a split lists its cells.  F2 × Z/8 with U = [ab]×{0}
+# matches on its 128 bases at 7,040 pairs; a refused witness splits every
+# cell, so about three times the pairs, and memory, at each refusal.
+MATCH_BUDGET = 5 * 10**5
+
+# How many matchings may end in a colour clash: the first MATCH_TRIES - 1
+# forbid their clash's edge, and each later one splits the cell it names.
+MATCH_TRIES = 100
 
 
 def _extra_depth_budget() -> int:
-    """PARATOWER_MAX_DEPTH: how many levels past the sources' depth the
-    matching step may refine (default 8)."""
+    """PARATOWER_MAX_DEPTH: how many levels below the sources' deepest base
+    the matching step may split a cell (default 8)."""
     raw = os.environ.get("PARATOWER_MAX_DEPTH", "8")
     if not (raw.isascii() and raw.isdigit()):
         raise ValueError(f"PARATOWER_MAX_DEPTH must be a non-negative integer, not {raw!r}")
@@ -146,14 +144,6 @@ class _BoundarySpace:
             for lbl, sl in self.slice_items(s):
                 per[lbl].append(sl)
         return self.from_slices({lbl: ClopenSet.union_all(sls) for lbl, sls in per.items()})
-
-    def cells(self, s, depth: int) -> List[Cell]:
-        return [
-            (lbl, w)
-            for lbl, sl in self.slice_items(s)
-            if not sl.is_empty()
-            for w in sl.refine(depth)
-        ]
 
     def shrink(self, s, eps: Fraction):
         # K carries the discrete metric, so only the boundary factor shrinks
@@ -756,10 +746,10 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     }
 
 
-def _kuhn_match(lefts, adjacency, forbidden, colors: int) -> Optional[Dict]:
-    """A matching of every left to a (colour, key) right, or None.  The
-    adjacency of a left lists its image keys, and each key stands for its
-    ``colors`` copies, tried in colour order as they are met."""
+def _kuhn_match(lefts, adjacency, forbidden, colors: int) -> Dict:
+    """A matching of lefts to (colour, key) rights, without each left that
+    its one augmenting search cannot place.  A left's adjacency lists its
+    image keys, each standing for ``colors`` copies tried in colour order."""
     match_r: Dict = {}
     match_l: Dict = {}
 
@@ -777,16 +767,15 @@ def _kuhn_match(lefts, adjacency, forbidden, colors: int) -> Optional[Dict]:
         return False
 
     for l in lefts:
-        if not try_augment(l, set()):
-            return None
+        try_augment(l, set())
     return match_l
 
 
 def _image_keys(space, ueff_slices, movers, cells) -> Iterator[Tuple]:
     """(mover, cell, key) for each mover of ``movers``, in order, and each
-    cell (label, word) of ``cells`` that the mover moves inside the shrunk
-    target with slices ``ueff_slices``; the key lists the (label, base)
-    pairs of the image's canonical bases in order.
+    cell (label, word) of ``cells``, words of any lengths, that the mover
+    moves inside the shrunk target with slices ``ueff_slices``; the key
+    lists the (label, base) pairs of the image's canonical bases in order.
 
     h·[w] lies inside a slice T exactly when a base of the canonical
     preimage h⁻¹·T is a prefix of w.  So for a run of movers with one F2
@@ -826,20 +815,19 @@ def petr_assign(
     is the report of ``check_counting(space, data, n)`` when the caller
     has it already.
 
-    The matching is cell by cell: each depth-d cell of each V_j gets a
-    mover and a colour.  The witness has one entry per (source, mover,
-    colour), whose piece is the union of the cells matched to it; a cell
-    set of one V_j is disjoint, so this passes exactly when the per-cell
-    witness does, and the search settles on the same depth and matching.
-
-    The cells whose image under a mover lies inside U^{-eps} are found
-    from the mover's preimage of each slice (``_image_keys``), so only
-    those cells are moved, and the graph holds one edge per image key,
-    whose n+1 colours the search expands in colour order.  Before each
-    depth the gate counts the (cell, mover) pairs the search answers for,
-    each cell with the movers whose label sends its label onto a nonempty
-    slice of U^{-eps}, though it makes no lookup per pair; a depth with
-    more than ``MATCH_BUDGET`` pairs is refused with DepthCapExceeded."""
+    Each held cell of each V_j gets a mover and a colour.  The held cells
+    start as the V_j's bases (a full slice's as its letters), in
+    ``ClopenSet.refine`` order, and a cell splits into its children in
+    place when no mover moves it inside U^{-eps}, when the augmenting search
+    cannot place it, or when a colour clash names it after ``MATCH_TRIES``
+    clashes; every cell splits when the witness fails its check.  Image
+    keys come from each mover's preimage of U^{-eps} (``_image_keys``),
+    once per cell, and a key stands for its n+1 colours.  Before cells are
+    listed, the gate counts the held (cell, mover) pairs, each cell with
+    the movers that send its label onto a nonempty slice of U^{-eps}: more
+    than ``MATCH_BUDGET`` pairs, a cell more than ``PARATOWER_MAX_DEPTH``
+    levels below the V_j's deepest base, or ``MATCH_TRIES`` matchings per
+    level and one more level spent, raises DepthCapExceeded."""
     if counting is None:
         counting = check_counting(space, data, n)
     if not counting["pass"]:
@@ -849,12 +837,9 @@ def petr_assign(
             tuple(counting["witness_cell"]),
         )
     u_eff = space.shrink(data.target, data.epsilon)
-    depth = max(
-        max((sl.depth() for _, sl in space.slice_items(v)), default=1)
-        for v in data.sources
-    )
-    depth = max(depth, 1)
-    budget = _extra_depth_budget()
+    levels = _extra_depth_budget()
+    cap = levels + max([1] + [sl.depth() for v in data.sources for _, sl in space.slice_items(v)])
+    matchings = tries = MATCH_TRIES * (levels + 1)
     elem_order = sorted(data.d_set, key=_elem_order(space))
     ueff_slices = dict(space.slice_items(u_eff))
     # per cell label, how many movers send it onto a nonempty slice of
@@ -863,70 +848,77 @@ def petr_assign(
         lbl: sum(not ueff_slices[space.act_label(g, lbl)].is_empty() for g in elem_order)
         for lbl in space.labels
     }
-
-    tried = "no depth tried"
-    for attempt in range(budget + 1):
-        d = depth + attempt
-        # the gate counts the cells by label before they are listed: a
-        # slice has 3^(d-|b|) depth-d cells below each base b, 4·3^(d-1) if full
-        per_label: Dict = {}
-        for v in data.sources:
-            for lbl, sl in space.slice_items(v):
-                count = 4 * 3 ** (d - 1) if sl.full else sum(3 ** (d - len(b)) for b in sl.bases)
-                per_label[lbl] = per_label.get(lbl, 0) + count
-        cells = sum(per_label.values())
-        lookups = sum(count * reach[lbl] for lbl, count in per_label.items())
+    lefts = [(j, (lbl, w)) for j, v in enumerate(data.sources) for lbl, sl in space.slice_items(v)
+             for w in (fw.LETTERS if sl.full else sorted(sl.bases))]
+    lookups = sum(reach[lbl] for _, (lbl, _) in lefts)
+    # per cell, its image keys in mover order, each with the first mover
+    # found for it: distinct cells can share an image key through different
+    # movers, so the mover is per edge, and every colour of a key takes the
+    # same one.  The lefts of a cell share its dict
+    adjacency: Dict = {}
+    split: set = set()
+    forbidden: set = set()
+    tried = "no cells tried"
+    while True:
+        # a split cell's three children are counted before they are listed
+        lookups += 2 * sum(reach[lbl] for _, (lbl, _) in split)
+        cells = len(lefts) + 2 * len(split)
+        deepest = max([len(c[1]) for _, c in lefts] + [len(c[1]) + 1 for _, c in split], default=0)
+        # a cell no mover sends onto U^{-eps} has no key at any depth
+        if deepest > cap or not matchings or any(not reach[lbl] for _, (lbl, _) in split):
+            raise DepthCapExceeded(
+                f"no per-color disjoint matching up to depth {cap} ({tried}) after"
+                f" {tries - matchings} matchings; raise PARATOWER_MAX_DEPTH to search deeper"
+            )
         if lookups > MATCH_BUDGET:
             raise DepthCapExceeded(
-                f"the matching at depth {d} needs {lookups} (cell, mover) lookups"
-                f" over {cells} cells, above the budget of {MATCH_BUDGET}; {tried}"
+                f"the matching down to depth {deepest} needs {lookups} (cell, mover) lookups"
+                f" over {cells} held cells, above the budget of {MATCH_BUDGET}; {tried}"
             )
-        tried = f"deepest depth tried {d}: {cells} cells, {lookups} lookups"
-        lefts = [(j, cell) for j, v in enumerate(data.sources) for cell in space.cells(v, d)]
-        # per cell, its image keys in mover order, each with the first
-        # mover found for it: distinct cells can share an image key through
-        # different movers, so the mover is per edge, and every colour of
-        # a key takes the same one.  The lefts of a cell share its dict,
-        # bound before the search so that the last depth's graph goes first
-        adjacency: Dict = {cell: {} for _, cell in lefts}
+        tried = f"deepest depth tried {deepest}: {cells} cells, {lookups} lookups"
+        # a split cell gives way to its children, in place
+        lefts = [(j, (lbl, w + x)) for j, (lbl, w) in lefts
+                 for x in (legal_next_letters(w) if (j, (lbl, w)) in split else [""])]
+        new = {cell: {} for _, cell in lefts if cell not in adjacency}
+        for g, cell, key in _image_keys(space, ueff_slices, elem_order, new):
+            new[cell].setdefault(key, g)
+        adjacency.update(new)
+        split = {left for left in lefts if not adjacency[left[1]]}
+        if split:
+            continue
         edges = {left: adjacency[left[1]] for left in lefts}
-        for g, cell, key in _image_keys(space, ueff_slices, elem_order, adjacency):
-            adjacency[cell].setdefault(key, g)
-        forbidden: set = set()
-        matched = None
-        for _ in range(100):
+        while not split and matchings:
+            matchings -= 1
             matched = _kuhn_match(lefts, edges, forbidden, n + 1)
-            if matched is None:
+            split = {left for left in lefts if left not in matched}
+            if split:
                 break
             clash = _color_clash(matched, n)
             if clash is None:
-                break
-            forbidden.add(clash)
-            matched = None
-        if matched is not None:
-            # one entry per (source, mover, colour), in the order of first
-            # appearance, whose piece is the union of its matched cells: the
-            # cells of one source are disjoint, so this keeps the verdict of
-            # one entry per cell (as in _grouped)
-            groups: Dict[tuple, Dict] = {}
-            for left in lefts:
-                color, key = matched[left]
-                lbl, w = left[1]
-                piece = groups.setdefault((left[0], edges[left][key], color), {})
-                piece.setdefault(lbl, []).append(w)
-            entries = [
-                (j, space.from_slices({lbl: ClopenSet(ws) for lbl, ws in piece.items()}), g, color)
-                for (j, g, color), piece in groups.items()
-            ]
-            out = SubeqWitness(space, data.sources, [data.target] * (n + 1), entries)
-            try:
-                return _verified(out, "assigned")
-            except ConstructionFailed:
-                pass  # refine one level further
-    raise DepthCapExceeded(
-        f"no per-color disjoint matching up to depth {depth + budget} ({tried});"
-        " raise PARATOWER_MAX_DEPTH to search deeper"
-    )
+                try:
+                    return _verified(_assembled(space, data, n, lefts, edges, matched), "assigned")
+                except ConstructionFailed:
+                    split = set(lefts)
+            elif len(forbidden) + 1 < MATCH_TRIES:
+                forbidden.add(clash)
+            else:
+                split = {clash[0]}
+
+
+def _assembled(space, data: CountingData, n: int, lefts, edges, matched) -> SubeqWitness:
+    """One entry per (source, mover, colour), in order of first appearance,
+    whose piece is the union of its matched cells (as in ``_grouped``)."""
+    groups: Dict[tuple, Dict] = {}
+    for left in lefts:
+        color, key = matched[left]
+        lbl, w = left[1]
+        piece = groups.setdefault((left[0], edges[left][key], color), {})
+        piece.setdefault(lbl, []).append(w)
+    entries = [
+        (j, space.from_slices({lbl: ClopenSet(ws) for lbl, ws in piece.items()}), g, color)
+        for (j, g, color), piece in groups.items()
+    ]
+    return SubeqWitness(space, data.sources, [data.target] * (n + 1), entries)
 
 
 def _color_clash(matched, n):

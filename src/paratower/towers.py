@@ -750,7 +750,7 @@ class StrengthenedF2Towers:
 
 @shared_translates()
 def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
-    d_list = [fw.reduce_word(d) for d in d_set]
+    d_list = fw.reduce_words(d_set)
     if not d_list:
         raise ValueError("D must be nonempty")
     m = max(len(d) for d in d_list)
@@ -800,7 +800,7 @@ def disjoint_translates(d_words: Sequence[str], count: int) -> List[str]:
 def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     """copies × n indexed towers that are jointly D-disjoint (one covering
     family per copy index)."""
-    d_list = [fw.reduce_word(d) for d in d_set]
+    d_list = fw.reduce_words(d_set)
     if copies < 1:
         raise ValueError("copies must be positive")
     shifts = disjoint_translates(d_list, copies)
@@ -902,7 +902,7 @@ def extension_towers(
 @shared_translates()
 def union_towers(d_set: Iterable[str]) -> TowerFamily:
     """Towers on the rank-3 free group from coset-sliced rank-2 towers."""
-    d_list = [fw.reduce_word(d) for d in d_set]
+    d_list = fw.reduce_words(d_set)
     sub_fam = f2_towers(d_list)
     items = [(CosetSliceSubset(a), g) for a, g in sub_fam.items]
     fam = TowerFamily(
@@ -940,7 +940,7 @@ def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
     """
     if n < 2:
         raise ValueError("need at least two towers")
-    d_list = [fw.reduce_word(d) for d in d_set]
+    d_list = fw.reduce_words(d_set)
     # a repeated element never separates from itself, so the search below
     # would deepen to its cap
     repeated = sorted({d for d in d_list if d_list.count(d) > 1}, key=fw.ball_key)

@@ -9,7 +9,7 @@ word handed around by this package is kept freely reduced: no ``aA``, ``Aa``,
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 LETTERS = ("a", "A", "b", "B")
 
@@ -62,6 +62,13 @@ def reduce_word(letters: Sequence[str]) -> str:
         else:
             stack.append(x)
     return "".join(stack)
+
+
+def reduce_words(ws: Iterable[str]) -> List[str]:
+    """``reduce_word`` of each word, or the words themselves after one
+    ``are_reduced`` scan when they are reduced already."""
+    ws = list(ws)
+    return ws if are_reduced(ws) else [reduce_word(w) for w in ws]
 
 
 def multiply(u: str, v: str) -> str:

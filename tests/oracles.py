@@ -107,3 +107,14 @@ def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
     if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
         return None
     return tuple((newl, b) for b in bases)
+
+
+def cells(space, s, depth: int) -> list:
+    """The depth-``depth`` cylinder cells (label, word) below a set of a
+    space, in label order and ``ClopenSet.refine`` order."""
+    return [
+        (lbl, w)
+        for lbl, sl in space.slice_items(s)
+        if not sl.is_empty()
+        for w in sl.refine(depth)
+    ]

@@ -395,6 +395,7 @@ CLAIM3_CELLS = [
 
 @pytest.mark.parametrize("u, depth, count, digest", CLAIM3_CELLS, ids=[c[0] for c in CLAIM3_CELLS])
 def test_claim3_cells_are_the_per_cell_matching(tmp_path, u, depth, count, digest):
+    from oracles import cells
     from paratower.comparison import SubeqWitness
 
     code, env = run_json(tmp_path, ["compare", "--instance", "F2xZ2", "--U", u])
@@ -403,7 +404,7 @@ def test_claim3_cells_are_the_per_cell_matching(tmp_path, u, depth, count, diges
     rows = sorted(
         certs.canonical_json([i, list(cell), w.space.elem_json(g), color])
         for i, piece, g, color in w.entries
-        for cell in w.space.cells(piece, depth)
+        for cell in cells(w.space, piece, depth)
     )
     assert len(rows) == count and len(w.entries) == 8
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
@@ -477,9 +478,9 @@ def test_compare_rejects_a_bad_max_depth(monkeypatch, capsys, value):
 def test_compare_depth_cap_is_a_usage_error(monkeypatch, capsys):
     import paratower.comparison as comparison
 
-    # no matching at any depth: the budget runs out after one attempt
+    # no cell is ever placed: splitting the bases passes the cap at once
     monkeypatch.setenv("PARATOWER_MAX_DEPTH", "0")
-    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: None)
+    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: {})
     assert main(["compare", "--instance", "F2", "--U", "ab"]) == 64
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -488,8 +489,8 @@ def test_compare_depth_cap_is_a_usage_error(monkeypatch, capsys):
     assert "up to depth 12 (deepest depth tried 12: 2 cells, 14 lookups)" in err
 
 
-# every matched claim-3 witness refused, so the matching refines level after
-# level, with about three times the cells each, until the gate refuses one
+# every matched claim-3 witness refused, so every held cell of the matching
+# splits, about three times the cells each time, until the gate refuses
 REFUSE_EVERY_DEPTH = """
 import sys
 import paratower.comparison as comparison
@@ -521,9 +522,11 @@ def test_a_matching_past_the_gate_exits_64_within_seconds(monkeypatch):
     elapsed = time.perf_counter() - start
     assert proc.returncode == 64, proc.stderr
     assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("error: the matching at depth 34 needs 2694384")
-    assert "above the budget of 2000000" in proc.stderr
-    assert "deepest depth tried 33: 81648 cells, 898128 lookups" in proc.stderr
+    assert proc.stderr == (
+        "error: the matching down to depth 35 needs 577368 (cell, mover) lookups over"
+        " 52488 held cells, above the budget of 500000;"
+        " deepest depth tried 34: 17496 cells, 192456 lookups\n"
+    )
     assert elapsed < 30
     # the peak of every child so far, this one included
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
@@ -698,7 +701,7 @@ def test_isometry_depth_cap_is_a_usage_error(monkeypatch, capsys):
     import paratower.comparison as comparison
 
     monkeypatch.setenv("PARATOWER_MAX_DEPTH", "0")
-    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: None)
+    monkeypatch.setattr(comparison, "_kuhn_match", lambda *a: {})
     assert main(["isometry", "--U", "ab"]) == 64
     err = capsys.readouterr().err
     assert err.count("\n") == 1

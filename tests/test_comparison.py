@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 import paratower.comparison as comparison
-from oracles import image_key
+from oracles import cells, image_key
 from paratower import prefix, subsets, towers
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
     ComparisonInstance,
     ConstructionFailed,
+    DepthCapExceeded,
     CountingData,
     HypothesisViolated,
     IncompatibleMiddles,
@@ -28,7 +29,7 @@ from paratower.comparison import (
 )
 from paratower.groups import cyclic_group
 from paratower.towers import TowerCertificate
-from paratower.words import inverse, legal_next_letters, multiply, words_of_length
+from paratower.words import LETTERS, inverse, legal_next_letters, multiply, words_of_length
 
 SPACE = PlainSpace()
 
@@ -650,7 +651,7 @@ def _random_witness(rng, space):
     entries = []
     for i, src in enumerate(sources):
         depth = max([1] + [sl.depth() for _, sl in space.slice_items(src)])
-        for cell in space.cells(src, depth):
+        for cell in cells(space, src, depth):
             if rng.random() < 0.05:
                 continue
             g = _random_element(rng, space) if moved else space.identity
@@ -1015,7 +1016,7 @@ def test_image_keys_of_cancelled_cells_are_the_canonical_ones(space):
     cancelled_inside = 0
     for _ in range(300):
         ueff_slices = dict(space.slice_items(_random_set(rng, space)))
-        cell = rng.choice(space.cells(space.full(), rng.randint(1, 3)))
+        cell = rng.choice(cells(space, space.full(), rng.randint(1, 3)))
         for _ in range(10):
             g = _random_element(rng, space)
             found = image_key(space, ueff_slices, g, cell)
@@ -1045,7 +1046,7 @@ def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
     monkeypatch.setattr(comparison, "_kuhn_match", caught)
     rng = random.Random(f"preimage-search/{len(space.labels)}")
     shapes = set()
-    edges = cancelled = 0
+    edges = cancelled = matchings = 0
     for _ in range(40):
         ueff = space.from_slices({
             lbl: rng.choice([ClopenSet.full_set(), ClopenSet.empty(), _random_clopen(rng)])
@@ -1070,10 +1071,16 @@ def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
                 w += rng.choice(legal_next_letters(w))
             movers.add(space.elem(w, rng.choice(space.labels)))
         data = CountingData(sorted(movers, key=str), Fraction(1, 8), sources, space.full())
-        with monkeypatch.context() as m, pytest.raises(_Adjacency) as got:
+        # a cell still without a key at the sources' depth ends the search
+        # before any matching
+        with monkeypatch.context() as m, pytest.raises((_Adjacency, DepthCapExceeded)) as got:
             m.setattr(space, "shrink", lambda s, eps: ueff, raising=False)
+            m.setenv("PARATOWER_MAX_DEPTH", "0")
             petr_assign(space, data, 1, {"pass": True})
+        if got.type is DepthCapExceeded:
+            continue
         lefts, adjacency = got.value.args
+        matchings += 1
         ueff_slices = dict(space.slice_items(ueff))
         elem_order = sorted(data.d_set, key=comparison._elem_order(space))
         assert len(lefts) == len(adjacency)
@@ -1087,7 +1094,7 @@ def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
             assert list(adjacency[left].items()) == list(want.items()), left
             edges += len(want)
     assert shapes == {"full", "empty", "part"}
-    assert edges >= 100 and cancelled >= 20
+    assert matchings >= 20 and edges >= 100 and cancelled >= 20
 
 
 # -- the matching against the per-element loop it replaced
@@ -1114,9 +1121,10 @@ def _kuhn_match_reference(lefts, adjacency, forbidden):
 
 
 def _petr_assign_reference(space, data, n):
-    """petr_assign as it was: every mover of D asked about every cell with
-    no memo, one edge per colour, one entry per cell grouped by _grouped.
-    Returns the verified witness and its depth, or (None, None)."""
+    """The matching refined to one depth after another: every cell of every
+    V_j at depth d, every mover of D asked about every cell with no memo,
+    one edge per colour, one entry per cell grouped by _grouped.  Returns
+    the verified witness and its depth, or (None, None)."""
     u_eff = space.shrink(data.target, data.epsilon)
     depth = max(
         [1] + [sl.depth() for v in data.sources for _, sl in space.slice_items(v)]
@@ -1126,7 +1134,7 @@ def _petr_assign_reference(space, data, n):
     for d in range(depth, depth + comparison._extra_depth_budget() + 1):
         lefts, edges, edge_elem = [], {}, {}
         for j, v in enumerate(data.sources):
-            for cell in space.cells(v, d):
+            for cell in cells(space, v, d):
                 left = (j, cell)
                 lefts.append(left)
                 edges[left] = []
@@ -1165,16 +1173,22 @@ def _petr_assign_reference(space, data, n):
 
 
 def _assigned_with_depth(space, data, n):
-    """petr_assign's witness (or None) and the depth of its last attempt."""
-    depths = []
-    cells = space.cells
-    space.cells = lambda s, d: depths.append(d) or cells(s, d)
+    """petr_assign's witness (or None) and the length of its deepest held
+    cell, read off the cells whose image keys it asks for."""
+    deepest = [0]
+    image_keys = comparison._image_keys
+
+    def spied(space, ueff_slices, movers, cells):
+        deepest[0] = max([deepest[0]] + [len(w) for _, w in cells])
+        return image_keys(space, ueff_slices, movers, cells)
+
+    comparison._image_keys = spied
     try:
-        return petr_assign(space, data, n), depths[-1]
+        return petr_assign(space, data, n), deepest[0]
     except comparison.DepthCapExceeded:
         return None, None
     finally:
-        del space.cells
+        comparison._image_keys = image_keys
 
 
 def _claim3_data(monkeypatch, inst, u_set):
@@ -1225,7 +1239,7 @@ def test_matching_equals_the_per_element_loop(monkeypatch, case):
         n = int(n)
     w, depth = _assigned_with_depth(space, data, n)
     ref, ref_depth = _petr_assign_reference(space, data, n)
-    assert depth == ref_depth
+    assert depth <= ref_depth
     assert w.to_json() == ref.to_json()
     assert w.report == ref.report
 
@@ -1262,7 +1276,7 @@ def test_matching_equals_the_per_element_loop_on_random_data(monkeypatch, space,
             )
             labels = rng.sample(space.labels, max(1, len(space.labels) - rng.randint(0, 1)))
             sources.append(space.from_slices({k: c for k in labels}))
-        target = space.cylinder(rng.choice(space.cells(space.full(), 1)))
+        target = space.cylinder(rng.choice(cells(space, space.full(), 1)))
         data = CountingData(d_set, Fraction(1, 8), sources, target)
         n = rng.randint(1, 8)
         if not check_counting(space, data, n)["pass"]:
@@ -1271,10 +1285,148 @@ def test_matching_equals_the_per_element_loop_on_random_data(monkeypatch, space,
         w, depth = _assigned_with_depth(space, data, n)
         refused.clear()
         ref, ref_depth = _petr_assign_reference(space, data, n)
-        assert depth == ref_depth
+        assert depth <= ref_depth
         assert w.to_json() == ref.to_json() and w.report == ref.report
         matched += 1
     assert matched >= 5
+
+
+def _split_trace(monkeypatch):
+    """Spy on the matching's steps: ("keys", cells asked about), ("kuhn",
+    lefts placed, the lefts in order) and ("clash", the clash named or
+    None)."""
+    trace = []
+    image_keys, kuhn, clash = comparison._image_keys, comparison._kuhn_match, comparison._color_clash
+
+    def keys_spy(space, ueff_slices, movers, cells):
+        trace.append(("keys", sorted(cells)))
+        return image_keys(space, ueff_slices, movers, cells)
+
+    def kuhn_spy(lefts, adjacency, forbidden, colors):
+        matched = kuhn(lefts, adjacency, forbidden, colors)
+        trace.append(("kuhn", len(matched), list(lefts)))
+        return matched
+
+    def clash_spy(matched, n):
+        trace.append(("clash", clash(matched, n)))
+        return trace[-1][1]
+
+    monkeypatch.setattr(comparison, "_image_keys", keys_spy)
+    monkeypatch.setattr(comparison, "_kuhn_match", kuhn_spy)
+    monkeypatch.setattr(comparison, "_color_clash", clash_spy)
+    return trace
+
+
+def _split_case(sources, d_set):
+    """F2 counting data with U^{-eps} = [a] (a counting report is taken as
+    given): sources the cylinders ``sources``, movers ``d_set``."""
+    return CountingData(d_set, Fraction(1, 4), [cyl(w) for w in sources], cyl("a"))
+
+
+# aBAB moves [baa] and [baB] inside [a] and abAB moves [bab] there, but
+# neither moves the whole of [ba] inside
+SPLIT_MOVERS = ["", "aBAB", "abAB"]
+BA_CHILDREN = [(None, "baB"), (None, "baa"), (None, "bab")]
+
+
+def test_a_base_without_an_image_key_splits_before_matching(monkeypatch):
+    trace = _split_trace(monkeypatch)
+    data = _split_case(["ba"], SPLIT_MOVERS)
+    w = petr_assign(SPACE, data, 0, {"pass": True})
+    # the children take their parent's place in refine order
+    lefts = [(0, (None, "baa")), (0, (None, "bab")), (0, (None, "baB"))]
+    assert trace[:3] == [("keys", [(None, "ba")]), ("keys", BA_CHILDREN), ("kuhn", 3, lefts)]
+    monkeypatch.undo()
+    assert verify_witness(w)["pass"]
+    ref, ref_depth = _petr_assign_reference(SPACE, data, 0)
+    assert ref_depth == 3 and w.to_json() == ref.to_json()
+
+
+def test_a_cell_the_search_cannot_place_splits(monkeypatch):
+    # one colour, and the identity is the only mover of the whole [aa]: the
+    # second source's [aa] is left out, and its children go to aBAA and abAA
+    trace = _split_trace(monkeypatch)
+    data = _split_case(["aa", "aa"], ["", "aBAA", "abAA"])
+    w = petr_assign(SPACE, data, 0, {"pass": True})
+    assert trace[:3] == [
+        ("keys", [(None, "aa")]),
+        ("kuhn", 1, [(0, (None, "aa")), (1, (None, "aa"))]),
+        ("keys", [(None, "aaB"), (None, "aaa"), (None, "aab")]),
+    ]
+    monkeypatch.undo()
+    assert verify_witness(w)["pass"]
+    assert [(i, p.to_json()["words"], g, c) for i, p, g, c in w.entries] == [
+        (0, ["aa"], "", 0), (1, ["aaB", "aaa"], "aBAA", 0), (1, ["aab"], "abAA", 0)
+    ]
+    assert _petr_assign_reference(SPACE, data, 0)[1] == 3
+
+
+def test_a_clash_past_the_tries_splits_the_cell_it_names(monkeypatch):
+    # aaaaa moves the whole of [ba] into [aa], the first source's image
+    trace = _split_trace(monkeypatch)
+    monkeypatch.setattr(comparison, "MATCH_TRIES", 1)
+    data = _split_case(["aa", "ba"], SPLIT_MOVERS + ["aaaaa"])
+    w = petr_assign(SPACE, data, 0, {"pass": True})
+    assert trace[:4] == [
+        ("keys", [(None, "aa"), (None, "ba")]),
+        ("kuhn", 2, [(0, (None, "aa")), (1, (None, "ba"))]),
+        ("clash", ((1, (None, "ba")), (0, ((None, "aaaaaba"),)))),
+        ("keys", BA_CHILDREN),
+    ]
+    monkeypatch.undo()
+    assert verify_witness(w)["pass"]
+    ref, ref_depth = _petr_assign_reference(SPACE, data, 0)
+    assert ref_depth == 3 and w.to_json() == ref.to_json()
+
+
+def test_a_search_that_keeps_clashing_stops_after_its_matchings(monkeypatch):
+    # aaaaa moves every cell below [ba] into [aa], the first source's image,
+    # and nothing else moves [ba] inside [a]: with one matching per level
+    # the search stops after 9, while its cells are 4 levels above the cap
+    monkeypatch.delenv("PARATOWER_MAX_DEPTH", raising=False)
+    monkeypatch.setattr(comparison, "MATCH_TRIES", 1)
+    data = _split_case(["aa", "ba", "ba"], ["", "aaaaa"])
+    with pytest.raises(DepthCapExceeded) as refused:
+        petr_assign(SPACE, data, 0, {"pass": True})
+    assert str(refused.value) == (
+        "no per-color disjoint matching up to depth 10 (deepest depth tried 6: 31 cells,"
+        " 62 lookups) after 9 matchings; raise PARATOWER_MAX_DEPTH to search deeper"
+    )
+
+
+def test_a_cell_no_mover_can_reach_is_refused_without_splitting(monkeypatch):
+    # every mover keeps K's label, and U^{-eps} lies at label 0 only, so no
+    # mover moves a cell at label 1 inside at any depth
+    monkeypatch.delenv("PARATOWER_MAX_DEPTH", raising=False)
+    space = ProductSpace(cyclic_group(3))
+    d_set = [(w, "0") for w in ["", "a", "A"]]
+    data = CountingData(d_set, Fraction(1, 4), [space.cylinder(("1", "ab"))], space.cylinder(("0", "a")))
+    with pytest.raises(DepthCapExceeded) as refused:
+        petr_assign(space, data, 1, {"pass": True})
+    assert str(refused.value) == (
+        "no per-color disjoint matching up to depth 10 (deepest depth tried 2: 1 cells,"
+        " 0 lookups) after 0 matchings; raise PARATOWER_MAX_DEPTH to search deeper"
+    )
+
+
+def _zn_instance(k: int) -> ComparisonInstance:
+    """F2 × Z/k through the one comparison path; ``ComparisonInstance``
+    itself names only F2 and F2 × Z/2."""
+    inst = ComparisonInstance.__new__(ComparisonInstance)
+    inst.name, inst._space = f"F2xZ{k}", ProductSpace(cyclic_group(k))
+    return inst
+
+
+def test_f2xz7_builds_under_the_gate(monkeypatch):
+    # the matching holds the sources' 98 bases and splits none of them
+    trace = _split_trace(monkeypatch)
+    u_set = ProductClopen(cyclic_group(7), {"0": cyl("ab")})
+    cert = build_comparison(_zn_instance(7), u_set).to_json()
+    assert cert["pass"]
+    assert [(kind, len(x)) for kind, x, *_ in trace if kind == "keys"] == [("keys", 98)]
+    monkeypatch.undo()
+    for data in (cert["claim3_witness"], cert["boosted"]["witness"]):
+        assert verify_witness(SubeqWitness.from_json(data))["pass"]
 
 
 def test_the_gate_counts_the_lookups_it_would_make(monkeypatch):
@@ -1292,15 +1444,21 @@ def test_the_gate_counts_the_cells_of_full_and_empty_slices(monkeypatch):
     # is taken as given
     space, data = _z3_counting_data("ab")
     data.sources = [space.full(), space.from_slices({"1": ClopenSet(["ab", "Ba"])})]
-    _refused_at_the_gate(monkeypatch, space, data, 3, {"pass": True})
+    # with 9 colours every base is placed without a split
+    _refused_at_the_gate(monkeypatch, space, data, 8, {"pass": True})
 
 
 def _refused_at_the_gate(monkeypatch, space, data, n, counting) -> int:
-    """Check the gate's refusal at the first depth, and at the next one once
-    the first is let through and its witness refused; returns the lookups
-    of the first depth."""
-    depth = max(sl.depth() for v in data.sources for _, sl in space.slice_items(v))
-    cells = [cell for v in data.sources for cell in space.cells(v, depth)]
+    """Check the gate's refusal of the sources' own bases, and of their
+    children once the bases are let through, matched and their witness
+    refused; returns the lookups of the bases."""
+    cells = [
+        (lbl, w)
+        for v in data.sources
+        for lbl, sl in space.slice_items(v)
+        for w in (LETTERS if sl.full else sl.bases)
+    ]
+    depth = max(len(w) for _, w in cells)
     # a lookup is a cell with a mover that sends its label onto U^{-eps}
     ueff = dict(space.slice_items(space.shrink(data.target, data.epsilon)))
     lookups = sum(
@@ -1311,15 +1469,17 @@ def _refused_at_the_gate(monkeypatch, space, data, n, counting) -> int:
     with pytest.raises(comparison.DepthCapExceeded) as refused:
         petr_assign(space, data, n, counting)
     assert str(refused.value) == (
-        f"the matching at depth {depth} needs {lookups} (cell, mover) lookups over"
-        f" {len(cells)} cells, above the budget of {lookups - 1}; no depth tried"
+        f"the matching down to depth {depth} needs {lookups} (cell, mover) lookups over"
+        f" {len(cells)} held cells, above the budget of {lookups - 1}; no cells tried"
     )
+    # every held cell splits into its three children, at its own label
     monkeypatch.setattr(comparison, "MATCH_BUDGET", lookups)
     monkeypatch.setattr(comparison, "verify_witness", _failing_witness_check)
     with pytest.raises(comparison.DepthCapExceeded) as refused:
         petr_assign(space, data, n, counting)
-    assert str(refused.value).startswith(f"the matching at depth {depth + 1} needs")
-    assert str(refused.value).endswith(
-        f"; deepest depth tried {depth}: {len(cells)} cells, {lookups} lookups"
+    assert str(refused.value) == (
+        f"the matching down to depth {depth + 1} needs {3 * lookups} (cell, mover) lookups"
+        f" over {3 * len(cells)} held cells, above the budget of {lookups};"
+        f" deepest depth tried {depth}: {len(cells)} cells, {lookups} lookups"
     )
     return lookups

@@ -75,6 +75,17 @@ def test_f2_towers_brute_force_cross_check():
         )
 
 
+@pytest.mark.parametrize("build", [
+    lambda d: towers.f2_strengthened_towers(d).family(), lambda d: towers.more_towers(d, 2),
+    towers.union_towers, towers.towers_from_filling,
+], ids=["strengthened", "more", "union", "filling"])
+def test_tower_builders_reduce_d_and_reject_a_non_letter(build):
+    # reduced words pass through unchanged after one scan, others are reduced
+    assert build(["aAb", "bB", "Ba"]).to_json() == build(["b", "", "Ba"]).to_json()
+    with pytest.raises(ValueError, match="not a generator letter"):
+        build(["a", "x"])
+
+
 def test_more_towers_cover_groups():
     fam = more_towers(["", "a", "A", "b", "B"], 3)
     assert len(fam.cover_groups) == 3

@@ -14,6 +14,7 @@ from paratower.words import (
     legal_next_letters,
     multiply,
     reduce_word,
+    reduce_words,
     words_of_length,
 )
 
@@ -32,6 +33,18 @@ def test_reduce_is_reduced_and_idempotent(seq):
 def test_reduce_rejects_bad_letters():
     with pytest.raises(ValueError):
         reduce_word("ax")
+
+
+@given(st.lists(letter_seqs.map("".join), max_size=6))
+def test_reduce_words_reduces_each_word(ws):
+    assert reduce_words(ws) == [reduce_word(w) for w in ws]
+    assert reduce_words(iter(ws)) == [reduce_word(w) for w in ws]
+
+
+@pytest.mark.parametrize("ws", [["a", "x"], ["ab", "a,b"], ["aA", "b", "c"], ["", "Ba", "a b"]])
+def test_reduce_words_rejects_a_non_letter(ws):
+    with pytest.raises(ValueError):
+        reduce_words(ws)
 
 
 @given(reduced_words, reduced_words)
