@@ -1,20 +1,22 @@
-"""Exact boolean algebra of symbolic subsets of the free group.
+"""Exact boolean algebra of subsets of the free group.
 
 The basic building block is the cone ``W(h)``: all reduced words that start
-with the reduced word ``h``.  Subsets are expression trees over cones, finite
-word sets and orbit preimages, combined by union / intersection / complement
-/ left translation.  Every expression free of orbit-preimage atoms normalizes
-to a canonical form: a finite word set together with a prefix-free antichain
-of cones, pairwise disjoint.  Emptiness, disjointness and totality are exactly
-decidable on normal forms, which is what makes tower certification exact.
+with the reduced word ``h``.  A tower set is one of two kinds.  A finite
+union of cones and words is held in its normal form: a finite word set
+together with a prefix-free antichain of cones, pairwise disjoint.  Normal
+forms are closed under union, intersection, complement and left
+translation, and emptiness, disjointness and totality are exactly decidable
+on them, which is what makes tower certification exact.  An orbit preimage
+{g : g·z ∈ U} of a boundary point z and a clopen set U has no normal form,
+but each of its left translates is again an orbit preimage.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable, List, Union
 
 from . import prefix
-from .words import is_reduced, multiply
+from .words import are_reduced, multiply
 
 
 class NotNormalizable(ValueError):
@@ -84,144 +86,14 @@ class NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# tower sets
 
 
-class GroupSubset:
-    """Base class for symbolic subset expressions."""
+class NormalizedSet:
+    """A tower set with a normal form: a cone, a finite set, or a union of
+    these."""
 
-    def contains(self, word: str) -> bool:
-        raise NotImplementedError
-
-    def normal_form(self) -> NormalForm:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def translate(self, g: str) -> "GroupSubset":
-        return translate(g, self)
-
-    def __or__(self, other: "GroupSubset") -> "GroupSubset":
-        return UnionSet([self, other])
-
-    def __and__(self, other: "GroupSubset") -> "GroupSubset":
-        return InterSet([self, other])
-
-    def __invert__(self) -> "GroupSubset":
-        return ComplementSet(self)
-
-
-class ConeSet(GroupSubset):
-    def __init__(self, base: str):
-        if not is_reduced(base):
-            raise ValueError(f"cone base must be reduced: {base!r}")
-        self.base = base
-
-    def contains(self, word: str) -> bool:
-        return word.startswith(self.base)
-
-    def normal_form(self) -> NormalForm:
-        return NormalForm(cones=[self.base])
-
-    def to_json(self) -> dict:
-        return {"kind": "cone", "base": self.base}
-
-    def __repr__(self) -> str:
-        return f"W({self.base!r})"
-
-
-class FiniteSet(GroupSubset):
-    def __init__(self, words: Iterable[str]):
-        ws = set()
-        for w in words:
-            if not is_reduced(w):
-                raise ValueError(f"word must be reduced: {w!r}")
-            ws.add(w)
-        self.words = frozenset(ws)
-
-    def contains(self, word: str) -> bool:
-        return word in self.words
-
-    def normal_form(self) -> NormalForm:
-        return NormalForm(words=self.words)
-
-    def to_json(self) -> dict:
-        return {"kind": "finite", "words": sorted(self.words)}
-
-    def __repr__(self) -> str:
-        return f"Finite({sorted(self.words)})"
-
-
-class UnionSet(GroupSubset):
-    def __init__(self, parts: Iterable[GroupSubset]):
-        self.parts = list(parts)
-
-    def contains(self, word: str) -> bool:
-        return any(p.contains(word) for p in self.parts)
-
-    def normal_form(self) -> NormalForm:
-        out = NormalForm()
-        for p in self.parts:
-            out = out.union(p.normal_form())
-        return out
-
-    def to_json(self) -> dict:
-        return {"kind": "union", "parts": [p.to_json() for p in self.parts]}
-
-
-class InterSet(GroupSubset):
-    def __init__(self, parts: Iterable[GroupSubset]):
-        self.parts = list(parts)
-
-    def contains(self, word: str) -> bool:
-        return all(p.contains(word) for p in self.parts)
-
-    def normal_form(self) -> NormalForm:
-        out = NormalForm(cones=[""])
-        for p in self.parts:
-            out = out.inter(p.normal_form())
-        return out
-
-    def to_json(self) -> dict:
-        return {"kind": "inter", "parts": [p.to_json() for p in self.parts]}
-
-
-class ComplementSet(GroupSubset):
-    def __init__(self, inner: GroupSubset):
-        self.inner = inner
-
-    def contains(self, word: str) -> bool:
-        return not self.inner.contains(word)
-
-    def normal_form(self) -> NormalForm:
-        return self.inner.normal_form().complement()
-
-    def to_json(self) -> dict:
-        return {"kind": "compl", "inner": self.inner.to_json()}
-
-
-class TranslateSet(GroupSubset):
-    """Lazy left translate g·S, used when S is not cone-expressible."""
-
-    def __init__(self, g: str, inner: GroupSubset):
-        self.g = g
-        self.inner = inner
-
-    def contains(self, word: str) -> bool:
-        from .words import inverse as inv
-
-        return self.inner.contains(multiply(inv(self.g), word))
-
-    def normal_form(self) -> NormalForm:
-        return self.inner.normal_form().translate(self.g)
-
-    def to_json(self) -> dict:
-        return {"kind": "translate", "g": self.g, "inner": self.inner.to_json()}
-
-
-class NormalizedSet(GroupSubset):
-    """A subset already in normal form."""
+    __slots__ = ("nf",)
 
     def __init__(self, nf: NormalForm):
         self.nf = nf
@@ -231,6 +103,9 @@ class NormalizedSet(GroupSubset):
 
     def normal_form(self) -> NormalForm:
         return self.nf
+
+    def translate(self, g: str) -> "NormalizedSet":
+        return NormalizedSet(self.nf.translate(g))
 
     def to_json(self) -> dict:
         parts: List[dict] = []
@@ -246,7 +121,7 @@ class NormalizedSet(GroupSubset):
         return f"Normalized({self.nf!r})"
 
 
-class OrbitPreimage(GroupSubset):
+class OrbitPreimage:
     """{g : g·z ∈ U} for a boundary point z and a clopen set U.
 
     Membership is decided by computing a sufficiently deep prefix of g·z;
@@ -268,6 +143,10 @@ class OrbitPreimage(GroupSubset):
     def normal_form(self) -> NormalForm:
         raise NotNormalizable("orbit-preimage atoms have no cone normal form")
 
+    def translate(self, g: str) -> "OrbitPreimage":
+        # g·{h : h·z ∈ U} = {h : h·z ∈ g·U}
+        return OrbitPreimage(self.point, self.clopen.act(g))
+
     def to_json(self) -> dict:
         return {
             "kind": "orbitpre",
@@ -276,20 +155,25 @@ class OrbitPreimage(GroupSubset):
         }
 
 
+GroupSubset = Union[NormalizedSet, OrbitPreimage]
+
+
 # ---------------------------------------------------------------------------
 # module-level operations (the public verbs)
 
 
-def cone(base: str) -> ConeSet:
-    return ConeSet(base)
+def _reduced(words: List[str], what: str) -> List[str]:
+    if not are_reduced(words):
+        raise ValueError(f"{what} must be a list of reduced words over a, A, b, B: {words!r}")
+    return words
 
 
-def finite(words: Iterable[str]) -> FiniteSet:
-    return FiniteSet(words)
+def cone(base: str) -> NormalizedSet:
+    return NormalizedSet(NormalForm(cones=_reduced([base], "a cone base")))
 
 
-def full_group() -> NormalizedSet:
-    return NormalizedSet(NormalForm(cones=[""]))
+def finite(words: List[str]) -> NormalizedSet:
+    return NormalizedSet(NormalForm(words=_reduced(words, "finite words")))
 
 
 def empty_set() -> NormalizedSet:
@@ -297,47 +181,34 @@ def empty_set() -> NormalizedSet:
 
 
 def translate(g: str, s: GroupSubset) -> GroupSubset:
-    """Left translate; normalized whenever s is cone-expressible."""
-    try:
-        return NormalizedSet(s.normal_form().translate(g))
-    except NotNormalizable:
-        return TranslateSet(g, s)
+    """The left translate g·s, of the same kind as s."""
+    return s.translate(g)
 
 
-def is_empty(s: GroupSubset) -> bool:
-    return s.normal_form().is_empty()
-
-
-def is_all(s: GroupSubset) -> bool:
-    return s.normal_form().complement().is_empty()
-
-
-def are_disjoint(s: GroupSubset, t: GroupSubset) -> bool:
-    return s.normal_form().inter(t.normal_form()).is_empty()
-
-
-def sets_equal(s: GroupSubset, t: GroupSubset) -> bool:
-    return s.normal_form().equals(t.normal_form())
+def _form_from_json(data: dict) -> NormalForm:
+    """The normal form of a ``cone``, ``finite`` or ``union`` set; words and
+    parts are read only from lists."""
+    kind = data["kind"]
+    if kind == "cone":
+        return cone(data["base"]).nf
+    if kind == "finite":
+        return finite(data["words"]).nf
+    if kind == "union":
+        parts = data["parts"]
+        if not isinstance(parts, list):
+            raise ValueError(f"union parts must be a list, not {parts!r}")
+        forms = [_form_from_json(p) for p in parts]
+        return NormalForm([w for f in forms for w in f.words], [c for f in forms for c in f.cones])
+    raise ValueError(f"a {kind!r} set is not a union of cones and words")
 
 
 def subset_from_json(data: dict) -> GroupSubset:
-    kind = data["kind"]
-    if kind == "cone":
-        return ConeSet(data["base"])
-    if kind == "finite":
-        return FiniteSet(data["words"])
-    if kind == "union":
-        return UnionSet(subset_from_json(p) for p in data["parts"])
-    if kind == "inter":
-        return InterSet(subset_from_json(p) for p in data["parts"])
-    if kind == "compl":
-        return ComplementSet(subset_from_json(data["inner"]))
-    if kind == "translate":
-        return TranslateSet(data["g"], subset_from_json(data["inner"]))
-    if kind == "orbitpre":
+    """A tower set of F2: an ``orbitpre`` set, or a ``cone``, ``finite`` or
+    ``union`` set in normal form.  Any other kind is a ValueError."""
+    if data["kind"] == "orbitpre":
         from .boundary import boundary_from_json, point_from_json
 
         return OrbitPreimage(
             point_from_json(data["point"]), boundary_from_json(data["clopen"])
         )
-    raise ValueError(f"unknown subset node kind: {kind!r}")
+    return NormalizedSet(_form_from_json(data))

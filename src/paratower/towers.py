@@ -347,12 +347,9 @@ class _Translates:
         self._bases[key] = out
         return out
 
-    def translate(self, x: str, subset: GroupSubset) -> GroupSubset:
+    def translate(self, x: str, subset: ss.NormalizedSet) -> ss.NormalizedSet:
         """x·A as ``subsets.translate`` makes it."""
-        try:
-            return ss.NormalizedSet(NormalForm(*self.forms[self.moved(x, self.of(subset))]))
-        except NotNormalizable:
-            return ss.TranslateSet(x, subset)
+        return ss.NormalizedSet(NormalForm(*self.forms[self.moved(x, self.of(subset))]))
 
     def meet(self, buckets: Iterable[List[str]]) -> bool:
         """Whether two cones of a bucket meet, each bucket the bases of some

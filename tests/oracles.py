@@ -3,17 +3,19 @@
 They evaluate the geodesic averaging measures point by point, with no
 prefix-trie visit: ``GeodesicMap.step_cells`` and ``threshold_weighted``
 must agree with ``OracleMap.mu_eval``, and ``defect_bound`` must bound
-``OracleMap.defect``.  ``image_key`` asks one (cell, mover) pair at a time
+``OracleMap.defect``.  ``union`` joins tower sets in normal form, as a
+``union`` set decodes.  ``image_key`` asks one (cell, mover) pair at a time
 what the matching's preimage search (``comparison._image_keys``) finds for
 many cells at once.
 """
 
+import functools
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from paratower import prefix
 from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap
-from paratower.subsets import GroupSubset
+from paratower.subsets import GroupSubset, NormalForm, NormalizedSet
 from paratower.words import multiply
 
 
@@ -82,6 +84,11 @@ class OracleMap(GeodesicMap):
         p1 = {moved[:l] for l in range(self.n)}
         p2 = {multiply(g, deep_base[:l]) for l in range(self.n)}
         return Fraction(len(p1 ^ p2), self.n)
+
+
+def union(*sets: NormalizedSet) -> NormalizedSet:
+    """The union of tower sets in normal form."""
+    return NormalizedSet(functools.reduce(NormalForm.union, (s.nf for s in sets), NormalForm()))
 
 
 def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:

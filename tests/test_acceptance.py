@@ -34,7 +34,7 @@ from paratower.towers import (
 )
 from paratower.words import inverse, legal_next_letters, reduce_word
 
-from oracles import OracleMap
+from oracles import OracleMap, union
 
 D5 = ["", "a", "A", "b", "B"]
 
@@ -198,7 +198,7 @@ def _broken_tower_families():
 
     a0, g0 = fam.items[0]
     a1, _ = fam.items[1]
-    yield mutate(items=[(a0 | ss.cone("ba"), g0), fam.items[1]])
+    yield mutate(items=[(union(a0, ss.cone("ba")), g0), fam.items[1]])
     yield mutate(items=[fam.items[0], fam.items[0]])
     yield mutate(items=[fam.items[0], (a1, "b")])
     yield mutate(d_set=fam.d_set + ["aab"])

@@ -21,7 +21,7 @@ from paratower.boundary import (
 from paratower.groups import cyclic_group
 from paratower.words import ball, inverse, multiply, reduce_word, words_of_length
 
-from oracles import OracleMap, RationalProbMeasure
+from oracles import OracleMap, RationalProbMeasure, union
 
 letters = st.sampled_from("aAbB")
 reduced_words = st.lists(letters, max_size=6).map(reduce_word)
@@ -240,7 +240,7 @@ def test_geodesic_measure_at_point():
 
 def test_mu_eval_matches_measure():
     gm = OracleMap(8)
-    s = ss.cone("ab") | ss.finite(["a"])
+    s = union(ss.cone("ab"), ss.finite(["a"]))
     z = PeriodicPoint("", "ab")
     exact = gm.measure_at(z).of_subset(s)
     assert gm.mu_eval(z.prefix(8), s) == exact
@@ -286,10 +286,10 @@ def test_threshold_kernel_keeps_the_step_cells_above_theta():
     # and each attained value as theta, which must not keep its own cells
     gm = GeodesicMap(7)
     nfs = [
-        (ss.cone("ab") | ss.finite(["", "a", "b"])).normal_form(),
-        (ss.cone("ba") | ss.cone("aab") | ss.finite(["A"])).normal_form(),
+        union(ss.cone("ab"), ss.finite(["", "a", "b"])).nf,
+        union(ss.cone("ba"), ss.cone("aab"), ss.finite(["A"])).nf,
         ss.cone("a").normal_form(),
-        (ss.cone("Bab") | ss.finite(["B", "Ba"])).normal_form(),
+        union(ss.cone("Bab"), ss.finite(["B", "Ba"])).nf,
     ]
     assert any(nf.words for nf in nfs)
     weights = [Fraction(1, 3), Fraction(2, 5), Fraction(0), Fraction(7, 4)]

@@ -75,10 +75,12 @@ def test_verify_rejects_failing_payload():
     import paratower.subsets as ss
     from paratower.towers import TowerFamily
 
+    from oracles import union
+
     fam = f2_towers(D5)
     items = list(fam.items)
     a, g = items[0]
-    items[0] = (a | ss.cone("ba"), g)
+    items[0] = (union(a, ss.cone("ba")), g)
     broken = TowerFamily(fam.kind, fam.d_set, items)
     cert = verify_towers(broken, "exact")
     code, report = certs.verify_certificate(certs.wrap("towers", cert.to_json()))

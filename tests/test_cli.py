@@ -872,6 +872,44 @@ def _with_mode(payload, mode):
     return payload
 
 
+def _finite_words_as_a_string(mode):
+    # the checks are those of the set {a, b}, which a string "ab" of words
+    # must not decode as
+    import paratower.subsets as ss
+    from paratower.towers import TowerFamily, f2_towers, verify_towers
+
+    fam = f2_towers(["", "a"])
+    fam = TowerFamily("F2", fam.d_set, fam.items + [(ss.finite(["a", "b"]), "")])
+    payload = verify_towers(fam, mode, 2 if mode == "ball" else None).to_json()
+    payload["towers"][-1]["A"] = {"kind": "finite", "words": "ab"}
+    return payload
+
+
+def _removed_set_kind(wrap):
+    """An F2 family whose first tower set is rewritten by ``wrap`` into a set
+    kind that no builder writes."""
+
+    def forge(mode):
+        from paratower.towers import f2_towers, verify_towers
+
+        payload = verify_towers(f2_towers(["", "a"]), mode, 2 if mode == "ball" else None).to_json()
+        tower = payload["towers"][0]
+        tower["A"] = wrap(tower["A"])
+        return payload
+
+    return forge
+
+
+def _orbit_part(a):
+    from paratower.boundary import AperiodicPoint, ClopenSet
+    from paratower.subsets import OrbitPreimage
+
+    return {
+        "kind": "union",
+        "parts": [a, OrbitPreimage(AperiodicPoint(), ClopenSet.cylinder("ab")).to_json()],
+    }
+
+
 @pytest.mark.parametrize("mode", ["exact", "ball"])
 @pytest.mark.parametrize(
     "forge",
@@ -886,10 +924,17 @@ def _with_mode(payload, mode):
         _f2xk_without_k,
         # coset-slice sets have no meaning in F2
         _f3_sets_in_f2,
+        _finite_words_as_a_string,
+        # each of these holds the same set as the built one
+        _removed_set_kind(lambda a: {"kind": "inter", "parts": [a, a]}),
+        _removed_set_kind(lambda a: {"kind": "compl", "inner": {"kind": "compl", "inner": a}}),
+        _removed_set_kind(lambda a: {"kind": "translate", "g": "", "inner": a}),
+        _removed_set_kind(_orbit_part),
     ],
     ids=[
         "index-past-end", "negative-index", "bool-index", "empty-group", "f2xk-without-k",
-        "f3-sets-in-f2",
+        "f3-sets-in-f2", "finite-words-string", "inter", "compl", "translate",
+        "union-with-orbitpre",
     ],
 )
 def test_verify_rejects_forged_tower_family(tmp_path, forge, mode):

@@ -554,7 +554,7 @@ def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
     handed = towers._Translates.translate.__code__
     assert handed in one_cone
     assert set(one_cone) <= {
-        handed, subsets.ConeSet.normal_form.__code__, subsets.NormalForm.complement.__code__
+        handed, subsets.cone.__code__, subsets.NormalForm.complement.__code__
     }
     assert subsets.NormalForm.translate.__code__ not in {code for code, _ in made}
 

@@ -36,6 +36,8 @@ from paratower.towers import (
 from paratower.coloring import greedy_color
 from paratower.words import LETTERS, ball, ball_key, inverse, multiply
 
+from oracles import union
+
 D5 = ["", "a", "A", "b", "B"]
 
 
@@ -146,7 +148,7 @@ def test_defect_enlarged_tower_set():
     fam = f2_towers(D5)
     items = list(fam.items)
     a, g = items[0]
-    items[0] = (a | ss.cone("ba"), g)
+    items[0] = (union(a, ss.cone("ba")), g)
     cert = verify_towers(_mutate(fam, items=items), "exact")
     assert not cert.checks["disjoint"]["pass"]
     assert cert.checks["disjoint"]["counterexample"] is not None
@@ -219,7 +221,7 @@ def test_defect_ball_mode_catches_overlap():
     fam = f2_towers(D5)
     items = list(fam.items)
     a, g = items[0]
-    items[0] = (a | ss.cone("b"), g)
+    items[0] = (union(a, ss.cone("b")), g)
     cert = verify_towers(_mutate(fam, items=items), "ball", 6)
     assert not cert.checks["disjoint"]["pass"]
     cex = cert.checks["disjoint"]["counterexample"]
@@ -308,7 +310,7 @@ def _small_f2xf2_family(rng: random.Random) -> TowerFamily:
         if kind == 2:
             return ss.finite([_random_word(rng, rng.randint(0, 2)) for _ in range(rng.randint(1, 3))])
         s = ss.cone(_random_word(rng, rng.randint(0, 2)))
-        return s | ss.finite([_random_word(rng, rng.randint(0, 2))]) if kind else s
+        return union(s, ss.finite([_random_word(rng, rng.randint(0, 2))])) if kind else s
 
     def elem():
         return (_random_word(rng, rng.randint(0, 1)), _random_word(rng, rng.randint(0, 1)))
@@ -459,9 +461,9 @@ def _rectangle_families(order: int, seed: int) -> dict:
     out = {}
     for name, fam in built.items():
         (a0, g0), (a1, _) = fam.items[:2]
-        held = [lbl for lbl, t in a0.slices.items() if not ss.is_empty(t)]
+        held = [lbl for lbl, t in a0.slices.items() if not t.nf.is_empty()]
         sole = a0.slices[held[0]]
-        other = next(t for t in a1.slices.values() if not ss.is_empty(t))
+        other = next(t for t in a1.slices.values() if not t.nf.is_empty())
         out[f"{name} as built"] = fam
         free = next((lbl for lbl in labels if lbl not in held), None)
         if free is not None:
@@ -617,14 +619,14 @@ def _scan_families() -> dict:
         for _ in range(2):
             s = ss.cone(_random_word(rng, rng.randint(3, 5)))
             for _ in range(rng.randint(1, 2)):
-                s = s | ss.cone(_random_word(rng, rng.randint(3, 6)))
+                s = union(s, ss.cone(_random_word(rng, rng.randint(3, 6))))
             items.append((s, _random_word(rng, 2)))
         out[f"F2 bases {t}"] = TowerFamily("F2", d_set, items)
         (a, g), rest = items[0], items[1:]
-        with_words = (a | ss.finite([_random_word(rng, rng.randint(0, 3))]), g)
+        with_words = (union(a, ss.finite([_random_word(rng, rng.randint(0, 3))])), g)
         out[f"F2 words {t}"] = TowerFamily("F2", d_set, [with_words] + rest)
     k = cyclic_group(3)
-    a = ss.cone("ab") | ss.cone("Ba")
+    a = union(ss.cone("ab"), ss.cone("Ba"))
     # (e, "1")·A0 and (e, "2")·A1 hold A at label "1" both
     items = [
         (ProductSubset(k, {"0": a, "2": ss.cone("bb")}), ("", "0")),
@@ -636,7 +638,7 @@ def _scan_families() -> dict:
     out["F2xZ3 one form at two labels"] = TowerFamily("F2xK", [("", "0")], items, k_group=k)
     # a word in both translates at label "0", and none of their cones meet
     items = [
-        (ProductSubset(k, {"0": ss.finite(["ab"]) | ss.cone(h)}), ("", "0"))
+        (ProductSubset(k, {"0": union(ss.finite(["ab"]), ss.cone(h))}), ("", "0"))
         for h in ("aa", "bb")
     ]
     out["F2xZ3 words"] = TowerFamily("F2xK", [("", "0")], items, k_group=k)
@@ -798,7 +800,7 @@ def test_product_subset_builds_no_empty_slices(monkeypatch):
     # missing slices share one empty set
     p = ProductSubset(k, {"0": ss.cone("a")})
     assert calls == []
-    assert p.slices["1"] is p.slices["2"] and ss.is_empty(p.slices["1"])
+    assert p.slices["1"] is p.slices["2"] and p.slices["1"].nf.is_empty()
 
 
 # -- orbit-preimage families: the boundary check against the contains sweep
