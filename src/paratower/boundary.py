@@ -139,6 +139,15 @@ class ClopenSet:
         self.full = full
         self.bases: FrozenSet[str] = frozenset() if full else bases
 
+    @classmethod
+    def _in_form(cls, bases: Iterable[str]) -> "ClopenSet":
+        """The set of bases that are canonical already, as ``prefix.meet``
+        and ``prefix.complement`` return them."""
+        s = object.__new__(cls)
+        s.full = "" in bases
+        s.bases = frozenset() if s.full else frozenset(bases)
+        return s
+
     # -- constructors
 
     @staticmethod
@@ -213,13 +222,13 @@ class ClopenSet:
             return other
         if other.full:
             return self
-        return ClopenSet(prefix.meet(self.bases, other.bases))
+        return ClopenSet._in_form(prefix.meet(self.bases, other.bases))
 
     def complement(self) -> "ClopenSet":
         if self.full:
             return ClopenSet.empty()
         _, bases = prefix.complement(None, self.bases)
-        return ClopenSet(bases)
+        return ClopenSet._in_form(bases)
 
     def minus(self, other: "ClopenSet") -> "ClopenSet":
         return self.inter(other.complement())

@@ -666,7 +666,7 @@ class CountingData:
     d_set is a finite symmetric set of group elements; the hypothesis reads
     sum_j |{g in D^2 : g.x in V_j}| < (n+1) |{g in D : g.x in U^{-eps}}|
     pointwise.  d2 is D² sorted by ``_elem_order``, when the caller has it
-    already (``_squares``).
+    already; otherwise ``check_counting`` forms it with ``_squares``.
     """
 
     def __init__(self, d_set, epsilon: Fraction, sources, target, d2=None):
@@ -1058,11 +1058,14 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         )
 
     # towers indexed by the m copies, jointly D^2-disjoint; F·F is the D
-    # of the product check and the D² of the counting hypothesis
-    f_squares = _squares(space, f_elems)
+    # of the product check and the D² of the counting hypothesis.  F is
+    # D × K, so F·F is D² × K
     d2_words = sorted(
         {multiply(u, v) for u in d_words for v in d_words},
         key=lambda w: (len(w), w),
+    )
+    f_squares = sorted(
+        (space.elem(w, e) for w in d2_words for e in space.labels), key=_elem_order(space)
     )
     # the product check shares more_towers's translates and walks; the memo
     # goes with the block, before the larger stages below

@@ -11,9 +11,12 @@ set beside the antichain, and a boundary set passes ``words=None``.  The
 base "" is the whole space.
 
 A pair is in form when the bases are pairwise prefix-incomparable and no
-word lies under a base.  ``canonical`` returns the unique form with maximal
-bases; the other operations take forms and return pieces in form, which the
-views hand back to ``canonical`` through their constructors.
+word lies under a base; it is canonical when, besides, no complete sibling
+family could merge into its parent.  ``canonical`` returns the unique
+canonical form.  The other operations take canonical forms of reduced
+words.  ``meet`` and ``complement`` return canonical forms, which the views
+keep as they are; the pieces of ``translate`` can leave form, so the views
+hand them back to ``canonical``.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def _collapse_families(words: Optional[Set[str]], bases: Set[str]) -> None:
     # a merge can only complete the family of the parent one level up
     for depth in range(max(by_depth), -1, -1):
         for p, kids in by_depth.get(depth, {}).items():
-            if len(kids) != len(legal_next_letters(p)):
+            # a family is three children, or four at the identity
+            if len(kids) != (3 if p else 4):
                 continue
             if words is not None and p not in words:
                 continue
@@ -82,7 +86,12 @@ def under(w: str, bases) -> bool:
 def meet(a: Iterable[str], b: Iterable[str]) -> Set[str]:
     """Bases of the intersection of two antichains: each base that has a
     prefix on the other side.  In sorted order that prefix is the last
-    base of the other side seen."""
+    base of the other side seen.
+
+    The meet of two canonical antichains is canonical.  A child in the meet
+    that is no base of one side lies under a base of that side at or above
+    its parent, and then no sibling is a base of that side.  So a complete
+    family in the meet is a complete family of one side."""
     last: list = [None, None]
     out = set()
     for x, side in sorted([(x, 0) for x in a] + [(x, 1) for x in b]):
@@ -96,7 +105,12 @@ def meet(a: Iterable[str], b: Iterable[str]) -> Set[str]:
 def complement(words: Words, bases: AbstractSet[str]) -> Tuple[Words, Set[str]]:
     """Complement of a form, by one walk over its prefix trie: the
     branch-off bases at every inner node, plus in the group the inner
-    nodes that are not words."""
+    nodes that are not words.
+
+    The result is canonical.  The inner nodes are closed under prefixes, so
+    none lies under a branch-off.  An inner node that is no word of the set
+    is a proper prefix of one of its pieces, so one of its children is
+    inner or a base, and its children are never all branch-offs."""
     if "" in bases:
         return (None if words is None else set()), set()
     inner = {b[:t] for b in bases for t in range(len(b))}

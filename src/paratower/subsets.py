@@ -42,6 +42,15 @@ class NormalForm:
         self.words: FrozenSet[str] = w
         self.cones: FrozenSet[str] = c
 
+    @classmethod
+    def _in_form(cls, words: Iterable[str], cones: Iterable[str]) -> "NormalForm":
+        """The form of words and cones that are canonical already, as
+        ``inter`` and ``prefix.complement`` build them."""
+        nf = object.__new__(cls)
+        nf.words = frozenset(words)
+        nf.cones = frozenset(cones)
+        return nf
+
     def contains(self, word: str) -> bool:
         if word in self.words:
             return True
@@ -61,14 +70,17 @@ class NormalForm:
         return NormalForm(self.words | other.words, self.cones | other.cones)
 
     def inter(self, other: "NormalForm") -> "NormalForm":
+        # canonical: a word of one side under a cone of the meet would lie
+        # under a cone of its own side, and a complete family of the meet's
+        # cones is a family of one side, which cannot hold its parent too
         words = {u for u in self.words if prefix.under(u, other.cones)}
         words.update(
             u for u in other.words if u in self.words or prefix.under(u, self.cones)
         )
-        return NormalForm(words, prefix.meet(self.cones, other.cones))
+        return NormalForm._in_form(words, prefix.meet(self.cones, other.cones))
 
     def complement(self) -> "NormalForm":
-        return NormalForm(*prefix.complement(self.words, self.cones))
+        return NormalForm._in_form(*prefix.complement(self.words, self.cones))
 
     def minus(self, other: "NormalForm") -> "NormalForm":
         return self.inter(other.complement())

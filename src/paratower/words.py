@@ -90,12 +90,15 @@ def inverse(u: str) -> str:
     return "".join(_INVERSE[x] for x in reversed(u))
 
 
-def legal_next_letters(w: str) -> List[str]:
-    """Letters x with w·x reduced (all four at the identity)."""
-    if not w:
-        return list(LETTERS)
-    bad = _INVERSE[w[-1]]
-    return [x for x in LETTERS if x != bad]
+# the letters that may follow each last letter ("" at the identity), in
+# LETTERS order; the trie walks ask for them once per node
+_NEXT = {"": LETTERS, **{x: tuple(y for y in LETTERS if y != _INVERSE[x]) for x in LETTERS}}
+
+
+def legal_next_letters(w: str) -> Tuple[str, ...]:
+    """Letters x with w·x reduced (all four at the identity), in the order
+    of ``LETTERS``."""
+    return _NEXT[w[-1:]]
 
 
 def words_of_length(n: int) -> List[str]:

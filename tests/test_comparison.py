@@ -461,6 +461,22 @@ def test_build_comparison_rejects_empty_target():
         ComparisonInstance("F5")
 
 
+@pytest.mark.parametrize(
+    "inst, u_set",
+    [("F2", cyl("aB")), ("F2xZ2", ProductClopen(cyclic_group(2), {"1": cyl("ba")}))],
+    ids=["F2", "F2xZ2"],
+)
+def test_the_product_check_runs_over_f_times_f(inst, u_set):
+    # the builder reads F·F off D² × K; it is every product of two elements
+    # of F, in the same order
+    instance = ComparisonInstance(inst)
+    space = instance.space()
+    data = build_comparison(instance, u_set).data
+    f_elems = [space.elem_from_json(f) for f in data["F"]]
+    squares = comparison._squares(space, f_elems)
+    assert data["towers"]["D"] == [space.elem_json(g) for g in squares]
+
+
 def _failing_towers(family, mode="exact", radius=None):
     checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
     return TowerCertificate(family.to_json(), mode, radius, checks)
@@ -665,7 +681,8 @@ def _random_witness(rng, space):
         roll = rng.random()
         if roll < 0.15 and not target.is_empty():
             cut = comparison.cylinder_cell_of(space, target)
-            target = target.minus(space.cylinder((cut[0], cut[1] + rng.choice("ab"))))
+            below = cut[1] + rng.choice(legal_next_letters(cut[1]))
+            target = target.minus(space.cylinder((cut[0], below)))
         elif roll < 0.25:
             target = _random_set(rng, space)
         targets.append(target)
@@ -814,7 +831,8 @@ def _cancelling_witness(rng, space):
         roll = rng.random()
         if roll < 0.2 and not target.is_empty():
             cut = comparison.cylinder_cell_of(space, target)
-            target = target.minus(space.cylinder((cut[0], cut[1] + rng.choice("ab"))))
+            below = cut[1] + rng.choice(legal_next_letters(cut[1]))
+            target = target.minus(space.cylinder((cut[0], below)))
         elif roll < 0.3:
             target = _random_set(rng, space)
         targets.append(target)

@@ -308,6 +308,64 @@ def test_canonical_one_base_exit_matches_the_full_path():
         assert ClopenSet([b]).is_full() == NormalForm(cones=[b]).is_full() == (b == "")
 
 
+# -- complement and meet build their results without canonical
+
+
+THREE_ROOTS = ["a", "A", "b"]
+
+
+def random_pieces(rng, count, max_len):
+    """Random nonempty reduced words; about a third of them replaced by
+    their children, so that canonical has families to merge."""
+    out = []
+    for _ in range(count):
+        w = random_word(rng, max_len) or rng.choice(ROOT_FAMILY)
+        out.extend(children(w) if rng.random() < 0.3 else [w])
+    return out
+
+
+def test_group_complement_and_meet_are_canonical_as_built():
+    rng = random.Random("prefix/in-form/group")
+    raws = GROUP_EDGES + [
+        ([], THREE_ROOTS),
+        ([""], THREE_ROOTS),
+        (["B", "Bab", "aa"], THREE_ROOTS[:2] + ["ba"]),
+    ]
+    raws += [
+        (
+            random_pieces(rng, rng.randint(0, 4), 5) + [""] * (rng.random() < 0.2),
+            random_pieces(rng, rng.randint(0, 6), 5),
+        )
+        for _ in range(200)
+    ]
+    forms = [NormalForm(*raw) for raw in raws]
+    # the edges (empty, full, three roots, forms holding words) meet every set
+    edges = forms[: len(GROUP_EDGES) + 3]
+    for s in forms:
+        results = [s.complement()]
+        for u in edges + rng.sample(forms, 4):
+            results += [s.inter(u), u.inter(s), s.minus(u)]
+        for r in results:
+            assert isinstance(r.words, frozenset) and isinstance(r.cones, frozenset)
+            assert NormalForm(r.words, r.cones).equals(r), (s, r)
+
+
+def test_boundary_complement_and_meet_are_canonical_as_built():
+    rng = random.Random("prefix/in-form/boundary")
+    raws = BOUNDARY_EDGES + [THREE_ROOTS, ["a", "A", "bA", "ba"]]
+    raws += [random_pieces(rng, rng.randint(0, 8), 5) for _ in range(200)]
+    sets = [ClopenSet(raw) for raw in raws]
+    edges = sets[: len(BOUNDARY_EDGES) + 2]
+    for s in sets:
+        results = [s.complement()]
+        for t in edges + rng.sample(sets, 4):
+            results += [s.inter(t), t.inter(s), s.minus(t)]
+        for r in results:
+            assert isinstance(r.bases, frozenset)
+            assert ClopenSet(r.bases, r.full).equals(r), (s, r)
+            assert "" not in r.bases
+
+
 # -- scale
 
 

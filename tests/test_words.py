@@ -78,6 +78,14 @@ def test_legal_next_letters_extend_reduced(w):
         assert is_reduced(w + x)
 
 
+def test_legal_next_letters_keep_the_letter_order():
+    assert legal_next_letters("") == ("a", "A", "b", "B")
+    assert legal_next_letters("Ba") == ("a", "b", "B")
+    assert legal_next_letters("bA") == ("A", "b", "B")
+    assert legal_next_letters("ab") == ("a", "A", "b")
+    assert legal_next_letters("AB") == ("a", "A", "B")
+
+
 def test_words_of_length_counts():
     assert words_of_length(0) == [""]
     assert len(words_of_length(1)) == 4
