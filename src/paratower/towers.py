@@ -21,6 +21,7 @@ certified exactly by clopen-set algebra on the boundary.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import contextvars
 import itertools
@@ -29,7 +30,9 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from . import prefix
 from . import subsets as ss
 from . import words as fw
-from .boundary import AperiodicPoint, ClopenSet, TranslatedPoint, first_overlap, orbit_word
+from .boundary import (
+    AperiodicPoint, BoundaryPoint, ClopenSet, TranslatedPoint, first_overlap, orbit_word
+)
 from .groups import (
     FiniteGroup,
     ProductElem,
@@ -72,11 +75,8 @@ class ProductSubset:
         )
 
     def to_json(self) -> dict:
-        return {
-            "kind": "product-k",
-            "k": self.k.to_json(),
-            "slices": {e: s.to_json() for e, s in self.slices.items()},
-        }
+        slices = {e: s.to_json() for e, s in self.slices.items()}
+        return {"kind": "product-k", "k": self.k.to_json(), "slices": slices}
 
 
 class ProductF2Subset:
@@ -90,16 +90,11 @@ class ProductF2Subset:
         return self.first.contains(g[0]) and self.second.contains(g[1])
 
     def translate(self, g: Tuple[str, str]) -> "ProductF2Subset":
-        return ProductF2Subset(
-            ss.translate(g[0], self.first), ss.translate(g[1], self.second)
-        )
+        return ProductF2Subset(ss.translate(g[0], self.first), ss.translate(g[1], self.second))
 
     def to_json(self) -> dict:
-        return {
-            "kind": "product-f2",
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-        }
+        first, second = self.first.to_json(), self.second.to_json()
+        return {"kind": "product-f2", "first": first, "second": second}
 
 
 class CosetSliceSubset:
@@ -115,8 +110,7 @@ class CosetSliceSubset:
         self.base = base
 
     def contains(self, w: str) -> bool:
-        p, _ = f3_factor(w)
-        return self.base.contains(p)
+        return self.base.contains(f3_factor(w)[0])
 
     def translate(self, g: str) -> "CosetSliceSubset":
         _check_ab(g)
@@ -145,17 +139,14 @@ def _subset_from_json(data: dict, group):
     k_group = group.k_group
     if kind == "product-k":
         if data["k"] != k_group.to_json():
-            raise ValueError(
-                f"a product-k set's k must be the family's k, not {data['k']!r}"
-            )
+            raise ValueError(f"a product-k set's k must be the family's k, not {data['k']!r}")
         slices = data["slices"]
         if not isinstance(slices, dict) or not set(slices) <= set(k_group.elements):
             raise ValueError(f"slices {slices!r} are not an object keyed by labels of K")
         return ProductSubset(k_group, {e: ss.subset_from_json(v) for e, v in slices.items()})
     if kind == "product-f2":
-        return ProductF2Subset(
-            ss.subset_from_json(data["first"]), ss.subset_from_json(data["second"])
-        )
+        first, second = (ss.subset_from_json(data[key]) for key in ("first", "second"))
+        return ProductF2Subset(first, second)
     if kind == "coset-slices":
         return CosetSliceSubset(ss.subset_from_json(data["base"]))
     return ss.subset_from_json(data)
@@ -194,9 +185,7 @@ class TowerFamily:
         out = self.group.to_json()
         out["group"] = out.pop("kind")
         out["D"] = [self.group.elem_json(d) for d in self.d_set]
-        out["towers"] = [
-            {"A": a.to_json(), "g": self.group.elem_json(g)} for a, g in self.items
-        ]
+        out["towers"] = [{"A": a.to_json(), "g": self.group.elem_json(g)} for a, g in self.items]
         out["cover_groups"] = self.cover_groups
         if self.notes:
             out["notes"] = self.notes
@@ -206,10 +195,7 @@ class TowerFamily:
     def from_json(data: dict) -> "TowerFamily":
         group = group_from_json({"kind": data["group"], "k": data.get("k")})
         towers = data["towers"]
-        items = [
-            (_subset_from_json(t["A"], group), group.elem_from_json(t["g"]))
-            for t in towers
-        ]
+        items = [(_subset_from_json(t["A"], group), group.elem_from_json(t["g"])) for t in towers]
         return TowerFamily(
             group.kind,
             [group.elem_from_json(d) for d in data["D"]],
@@ -247,17 +233,10 @@ class TowerCertificate:
         return all(c["pass"] for c in self.checks.values())
 
     def to_json(self) -> dict:
-        out = {
-            "group": self.family_json["group"],
-            "D": self.family_json["D"],
-            "towers": self.family_json["towers"],
-            "cover_groups": self.family_json["cover_groups"],
-            "mode": self.mode,
-            "checks": self.checks,
-        }
-        for key in ("k", "notes"):
-            if key in self.family_json:
-                out[key] = self.family_json[key]
+        fam = self.family_json
+        out = {key: fam[key] for key in ("group", "D", "towers", "cover_groups")}
+        out.update(mode=self.mode, checks=self.checks)
+        out.update((key, fam[key]) for key in ("k", "notes") if key in fam)
         if self.radius is not None:
             out["radius"] = self.radius
         return out
@@ -527,13 +506,10 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
     disjoint: dict = {"pass": True, "counterexample": None}
     if clash is not None:
         w, (di, i), (dj, j) = clash
+        d, d2 = (group.elem_json(family.d_set[k]) for k in (di, dj))
         disjoint = {
             "pass": False,
-            "counterexample": {
-                "word": group.elem_json(w),
-                "d": group.elem_json(family.d_set[di]), "i": i,
-                "d2": group.elem_json(family.d_set[dj]), "i2": j,
-            },
+            "counterexample": {"word": group.elem_json(w), "d": d, "i": i, "d2": d2, "i2": j},
         }
     cover: dict = {"pass": True, "counterexample": None}
     if bare is not None:
@@ -587,9 +563,7 @@ def _first_clash(family: TowerFamily, ball: list):
     owners = _owners(family)
     for w in ball:
         hits = [
-            (di, i)
-            for di, i in owners
-            if family.items[i][0].contains(group.mul(inv_d[di], w))
+            (di, i) for di, i in owners if family.items[i][0].contains(group.mul(inv_d[di], w))
         ]
         if len(hits) > 1:
             return (w, hits[0], hits[1])
@@ -603,9 +577,7 @@ def _first_bare(family: TowerFamily, ball: list):
     inv_g = [group.inv(g) for _, g in family.items]
     for group_no, idxs in enumerate(family.cover_groups):
         for w in ball:
-            if not any(
-                family.items[i][0].contains(group.mul(inv_g[i], w)) for i in idxs
-            ):
+            if not any(family.items[i][0].contains(group.mul(inv_g[i], w)) for i in idxs):
                 return (w, group_no)
     return None
 
@@ -702,9 +674,7 @@ def verify_towers(
             try:
                 checks = _walk_ball(family, None)
             except NotNormalizable as e:
-                raise NotNormalizable(
-                    f"exact mode unavailable for this family: {e}"
-                ) from e
+                raise NotNormalizable(f"exact mode unavailable for this family: {e}") from e
         return TowerCertificate(family.to_json(), "exact", None, checks)
 
     if mode != "ball":
@@ -754,11 +724,9 @@ def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
     pad = "a" * (2 * m)
     bases = [pad + "ba", pad + "bA", pad + "bb"]
     t = StrengthenedF2Towers(d_list, m, bases)
-    cert = verify_towers(t.family(), "exact")
-    if not cert.checks["disjoint"]["pass"]:
+    if not verify_towers(t.family(), "exact").checks["disjoint"]["pass"]:
         raise RuntimeError("tower disjointness failed")
-    comps = t.complements()
-    for x, y in itertools.combinations(comps, 2):
+    for x, y in itertools.combinations(t.complements(), 2):
         if not x.inter(y).is_empty():
             raise RuntimeError("complement disjointness failed")
     return t
@@ -769,10 +737,13 @@ def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     """2-tower family: first two strengthened towers; their covering is
     forced by the complements being disjoint."""
     t = f2_strengthened_towers(d_set)
-    fam = TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m})
-    cert = verify_towers(fam, "exact")
-    if not cert.passed:
-        raise RuntimeError("base family failed exact verification")
+    return _verified(TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m}), "base")
+
+
+def _verified(fam: TowerFamily, what: str) -> TowerFamily:
+    """The family, once it passes exact verification."""
+    if not verify_towers(fam, "exact").passed:
+        raise RuntimeError(f"{what} family failed exact verification")
     return fam
 
 
@@ -804,21 +775,11 @@ def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     d_big = sorted({multiply(d, s) for d in d_list for s in shifts}, key=lambda w: (len(w), w))
     base_fam = f2_towers(d_big)
     memo = _translates()
-    items = []
-    cover_groups: List[List[int]] = []
-    for j, s in enumerate(shifts):
-        group = []
-        for a, g in base_fam.items:
-            items.append((memo.translate(s, a), multiply(g, inverse(s))))
-            group.append(len(items) - 1)
-        cover_groups.append(group)
-    fam = TowerFamily(
-        "F2", d_list, items, cover_groups=cover_groups, notes={"shifts": shifts}
-    )
-    cert = verify_towers(fam, "exact")
-    if not cert.passed:
-        raise RuntimeError("indexed family failed exact verification")
-    return fam
+    base, k = base_fam.items, len(base_fam.items)
+    items = [(memo.translate(s, a), multiply(g, inverse(s))) for s in shifts for a, g in base]
+    cover_groups = [list(range(j * k, j * k + k)) for j in range(copies)]
+    fam = TowerFamily("F2", d_list, items, cover_groups=cover_groups, notes={"shifts": shifts})
+    return _verified(fam, "indexed")
 
 
 # ---------------------------------------------------------------------------
@@ -835,27 +796,16 @@ def finite_normal_ext_towers(f_set: Sequence[ProductElem], k_group: FiniteGroup)
     m = len(k_group)
     d0 = sorted({f[0] for f in f_set} | {""}, key=lambda w: (len(w), w))
     shifts = disjoint_translates(d0, m)
-    d_big = sorted(
-        {multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w)
-    )
+    d_big = sorted({multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w))
     quot = f2_towers(d_big)
     memo = _translates()
     items = []
-    for j, (t, k_elem) in enumerate(zip(shifts, k_group.elements)):
+    for t, k_elem in zip(shifts, k_group.elements):
         for a, g in quot.items:
             c = ProductSubset(k_group, {k_group.identity: memo.translate(t, a)})
             items.append((c, (multiply(g, inverse(t)), k_elem)))
-    fam = TowerFamily(
-        "F2xK",
-        list(f_set),
-        items,
-        k_group=k_group,
-        notes={"shifts": shifts},
-    )
-    cert = verify_towers(fam, "exact")
-    if not cert.passed:
-        raise RuntimeError("product family failed exact verification")
-    return fam
+    fam = TowerFamily("F2xK", list(f_set), items, k_group=k_group, notes={"shifts": shifts})
+    return _verified(fam, "product")
 
 
 @shared_translates()
@@ -870,30 +820,13 @@ def extension_towers(
     # second-factor translates arising from products of F elements whose
     # first coordinates cancel
     e2 = sorted(
-        {
-            multiply(v1, v2)
-            for (u1, v1) in sym
-            for (u2, v2) in sym
-            if multiply(u1, u2) == ""
-        },
+        {multiply(v1, v2) for u1, v1 in sym for u2, v2 in sym if multiply(u1, u2) == ""},
         key=lambda w: (len(w), w),
     )
-    first_fam = base(d1)
-    second_fam = base(e2)
-    items = []
-    for a, g in first_fam.items:
-        for b, k in second_fam.items:
-            items.append((ProductF2Subset(a, b), (g, k)))
-    fam = TowerFamily(
-        "F2xF2",
-        sorted(sym),
-        items,
-        notes={"first_D": d1, "second_D": e2},
-    )
-    cert = verify_towers(fam, "exact")
-    if not cert.passed:
-        raise RuntimeError("rectangle family failed exact verification")
-    return fam
+    firsts, seconds = base(d1).items, base(e2).items
+    items = [(ProductF2Subset(a, b), (g, k)) for a, g in firsts for b, k in seconds]
+    fam = TowerFamily("F2xF2", sorted(sym), items, notes={"first_D": d1, "second_D": e2})
+    return _verified(fam, "rectangle")
 
 
 @shared_translates()
@@ -902,29 +835,66 @@ def union_towers(d_set: Iterable[str]) -> TowerFamily:
     d_list = fw.reduce_words(d_set)
     sub_fam = f2_towers(d_list)
     items = [(CosetSliceSubset(a), g) for a, g in sub_fam.items]
-    fam = TowerFamily(
-        "F3",
-        d_list,
-        items,
-        notes={
-            "transversal": "identity plus reduced words starting with c or C",
-            "transversal_radius": 5,
-        },
-    )
-    cert = verify_towers(fam, "exact")
-    if not cert.passed:
-        raise RuntimeError("coset-sliced family failed exact verification")
-    return fam
+    notes = {
+        "transversal": "identity plus reduced words starting with c or C",
+        "transversal_radius": 5,
+    }
+    return _verified(TowerFamily("F3", d_list, items, notes=notes), "coset-sliced")
 
 
 # ---------------------------------------------------------------------------
 # towers from the boundary action
 
 
-# the filling towers compare boundary points on prefixes of this length, and
-# check that no word of the ball of STABILIZER_RADIUS fixes that prefix of z
+# the filling towers compare boundary points on prefixes of this length,
+# check that no word of the ball of STABILIZER_RADIUS fixes that prefix of
+# z, and deepen the neighborhoods at most to NEIGHBORHOOD_DEPTH
 CHECK_PREFIX_LEN = 40
 STABILIZER_RADIUS = 6
+NEIGHBORHOOD_DEPTH = 60
+
+
+def fixing_word(z: BoundaryPoint) -> Optional[str]:
+    """The first nonempty word of the ball of STABILIZER_RADIUS, in ball
+    order, that fixes the length-CHECK_PREFIX_LEN prefix of z, or None.
+
+    Let g fix that prefix, and let g·z cancel c letters of z.  The other
+    a = |g| - c letters of g begin g·z, so they spell z[:a], and the c
+    letters that cancel spell z[:c]^{-1}.  So g = z[:a]·z[:c]^{-1} with
+    a + c ≤ STABILIZER_RADIUS, and testing these words, at most 28,
+    decides the whole ball."""
+    k, r = CHECK_PREFIX_LEN, STABILIZER_RADIUS
+    zp = z.prefix(k + r)
+    tried = {zp[:a] + inverse(zp[:c]) for a in range(r + 1) for c in range(r + 1 - a)}
+    for g in sorted(tried - {""}, key=fw.ball_key):
+        # a word that is not reduced is no word of the ball
+        if fw.is_reduced(g) and multiply(g, zp[: k + len(g)])[:k] == zp[:k]:
+            return g
+    return None
+
+
+def orbit_movers(z: BoundaryPoint, d_list: Sequence[str], n: int) -> List[str]:
+    """The identity and the first n - 1 nonempty words c, in enumeration
+    order, such that the D-translates of c·z differ on CHECK_PREFIX_LEN
+    letters from those of every point taken before, all read off one
+    prefix of c·z."""
+    reach = CHECK_PREFIX_LEN + max(map(len, d_list), default=0)
+
+    def translates(c: str) -> set:
+        p = multiply(c, z.prefix(reach + len(c)))
+        return {multiply(d, p)[:CHECK_PREFIX_LEN] for d in d_list}
+
+    movers, taken, c = [""], translates(""), ""
+    for c in fw.enumerate_words():
+        if c and taken.isdisjoint(seen := translates(c)):
+            movers.append(c)
+            taken |= seen
+            if len(movers) == n:
+                return movers
+    raise SearchExhausted(
+        f"found only {len(movers)} of {n} orbit points with disjoint D-translates"
+        f" up to radius {len(c)}"
+    )
 
 
 def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
@@ -938,52 +908,25 @@ def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
     if n < 2:
         raise ValueError("need at least two towers")
     d_list = fw.reduce_words(d_set)
-    # a repeated element never separates from itself, so the search below
-    # would deepen to its cap
-    repeated = sorted({d for d in d_list if d_list.count(d) > 1}, key=fw.ball_key)
+    # a repeated element never separates from itself
+    repeated = [d for d, k in collections.Counter(d_list).items() if k > 1]
     if repeated:
-        raise ValueError(f"D repeats the reduced element {repeated[0]!r}")
+        raise ValueError(f"D repeats the reduced element {min(repeated, key=fw.ball_key)!r}")
     z = AperiodicPoint()
-
     # no short word fixes a long prefix of z; full triviality is assumed
-    for g in fw.ball(STABILIZER_RADIUS):
-        if g == "":
-            continue
-        moved = multiply(g, z.prefix(CHECK_PREFIX_LEN + len(g)))
-        if moved[:CHECK_PREFIX_LEN] == z.prefix(CHECK_PREFIX_LEN):
-            raise RuntimeError(f"stabilizer check failed at {g!r}")
-
-    # orbit points z, c_2·z, ... with pairwise distinct D-orbit translates
-    points = [z]
-    movers = [""]
-    for g in fw.enumerate_words():
-        if len(points) == n:
-            break
-        if g == "":
-            continue
-        cand = TranslatedPoint(g, z)
-        ok = True
-        for p in points:
-            for d in d_list:
-                for d2 in d_list:
-                    a = multiply(d, cand.prefix(CHECK_PREFIX_LEN + len(d)))[:CHECK_PREFIX_LEN]
-                    b = multiply(d2, p.prefix(CHECK_PREFIX_LEN + len(d2)))[:CHECK_PREFIX_LEN]
-                    if a == b:
-                        ok = False
-        if ok:
-            points.append(cand)
-            movers.append(g)
-    if len(points) < n:
-        raise SearchExhausted("could not separate enough orbit points")
+    g = fixing_word(z)
+    if g is not None:
+        raise RuntimeError(f"stabilizer check failed at {g!r}")
+    movers = orbit_movers(z, d_list, n)
+    points = [z] + [TranslatedPoint(g, z) for g in movers[1:]]
 
     # deepen the neighborhoods until all D-translates are pairwise disjoint,
     # keeping the cylinders' last letters non-constant so the covering
     # translates reach the whole boundary
-    depth = max((len(d) for d in d_list), default=0) + 2
+    depth = max(map(len, d_list), default=0) + 2
     while True:
         bases = [p.prefix(depth) for p in points]
         if len({b[-1] for b in bases}) == 1:
-            # covering needs at least two distinct last letters
             k = depth + 1
             while points[-1].prefix(k)[-1] == bases[0][-1]:
                 k += 1
@@ -993,22 +936,22 @@ def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
         if checks["disjoint"]["pass"]:
             break
         depth += 1
-        if depth > 60:
-            raise SearchExhausted("could not separate neighborhoods")
+        if depth > NEIGHBORHOOD_DEPTH:
+            c = checks["disjoint"]["counterexample"]
+            raise SearchExhausted(
+                f"could not separate neighborhoods by depth {NEIGHBORHOOD_DEPTH}:"
+                f" {c['d']!r}·A_{c['i']} and {c['d2']!r}·A_{c['i2']} meet at {c['word']!r}"
+            )
     # filling data: u^{-1}·[u] is the complement of one depth-1 cylinder,
     # and the last letters are not all equal, so the images cover
     if not checks["cover"]["pass"]:
         raise RuntimeError("filling data failed to cover the boundary")
 
-    return TowerFamily(
-        "F2",
-        d_list,
-        items,
-        notes={
-            "point": z.to_json(),
-            "orbit_movers": movers,
-            "neighborhoods": bases,
-            "stabilizer": f"trivial assumed; checked on ball {STABILIZER_RADIUS}"
-            f" against a length-{CHECK_PREFIX_LEN} prefix",
-        },
-    )
+    notes = {
+        "point": z.to_json(),
+        "orbit_movers": movers,
+        "neighborhoods": bases,
+        "stabilizer": f"trivial assumed; checked on ball {STABILIZER_RADIUS}"
+        f" against a length-{CHECK_PREFIX_LEN} prefix",
+    }
+    return TowerFamily("F2", d_list, items, notes=notes)

@@ -6,7 +6,9 @@ must agree with ``OracleMap.mu_eval``, and ``defect_bound`` must bound
 ``OracleMap.defect``.  ``union`` joins tower sets in normal form, as a
 ``union`` set decodes.  ``image_key`` asks one (cell, mover) pair at a time
 what the matching's preimage search (``comparison._image_keys``) finds for
-many cells at once.
+many cells at once.  ``fixing_word`` and ``orbit_movers`` are the filling
+towers' searches done the long way: the stabilizer check on every word of
+the ball, and the orbit separation on every pair of translates.
 """
 
 import functools
@@ -14,9 +16,10 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from paratower import prefix
-from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap
+from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap, TranslatedPoint
 from paratower.subsets import GroupSubset, NormalForm, NormalizedSet
-from paratower.words import multiply
+from paratower.towers import CHECK_PREFIX_LEN, STABILIZER_RADIUS, SearchExhausted
+from paratower.words import ball, enumerate_words, multiply
 
 
 class RationalProbMeasure:
@@ -125,3 +128,44 @@ def cells(space, s, depth: int) -> list:
         if not sl.is_empty()
         for w in sl.refine(depth)
     ]
+
+
+def fixing_word(z: BoundaryPoint) -> Optional[str]:
+    """The first nonempty word of the ball of STABILIZER_RADIUS, in ball
+    order, that fixes the length-CHECK_PREFIX_LEN prefix of z, or None:
+    every word of the ball is moved along z and compared."""
+    for g in ball(STABILIZER_RADIUS):
+        if g == "":
+            continue
+        moved = multiply(g, z.prefix(CHECK_PREFIX_LEN + len(g)))
+        if moved[:CHECK_PREFIX_LEN] == z.prefix(CHECK_PREFIX_LEN):
+            return g
+    return None
+
+
+def orbit_movers(z: BoundaryPoint, d_list, n: int) -> list:
+    """The movers of ``towers.orbit_movers``, found by comparing the
+    length-CHECK_PREFIX_LEN prefixes of d·c·z and d2·p for every candidate
+    c, every point p taken before and every pair d, d2 of D."""
+    points = [z]
+    movers = [""]
+    for g in enumerate_words():
+        if len(points) == n:
+            return movers
+        if g == "":
+            continue
+        cand = TranslatedPoint(g, z)
+        ok = True
+        for p in points:
+            for d in d_list:
+                for d2 in d_list:
+                    a = multiply(d, cand.prefix(CHECK_PREFIX_LEN + len(d)))[:CHECK_PREFIX_LEN]
+                    b = multiply(d2, p.prefix(CHECK_PREFIX_LEN + len(d2)))[:CHECK_PREFIX_LEN]
+                    if a == b:
+                        ok = False
+        if ok:
+            points.append(cand)
+            movers.append(g)
+    if len(points) < n:
+        raise SearchExhausted("could not separate enough orbit points")
+    return movers

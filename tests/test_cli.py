@@ -100,6 +100,19 @@ def test_an_exhausted_search_is_a_usage_error(monkeypatch, capsys):
     assert err == "error: could not separate neighborhoods\n"
 
 
+def test_the_filling_searches_exhausted_exit_64_saying_how_far_they_got(monkeypatch, capsys):
+    import paratower.towers as towers
+
+    monkeypatch.setattr(towers, "NEIGHBORHOOD_DEPTH", 4)
+    assert main(["filling-towers", "--D", "e,a,A"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: could not separate neighborhoods by depth 4:")
+    monkeypatch.setattr(towers.fw, "enumerate_words", lambda: iter(["", "a", "A"]))
+    assert main(["filling-towers", "--D", "e,a,A", "--n", "3"]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: found only 1 of 3 orbit points with disjoint D-translates up to radius 1\n"
+
+
 def _filling_payload(mode) -> dict:
     from paratower.towers import towers_from_filling, verify_towers
 

@@ -539,16 +539,26 @@ def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
     # from the entry into more_towers to the end of the product check, the
     # walks read translates as (words, bases) pairs: a NormalForm of one
     # cone is made only for a base cone, a set handed to a builder or a
-    # complement of one, never by translating a form
+    # complement or intersection of forms, never by translating a form.
+    # Forms are built through __init__ or, when already in form, _in_form
     made = []
     stage = [False]
     init = subsets.NormalForm.__init__
+    in_form = subsets.NormalForm._in_form.__func__
     more, verify = comparison.more_towers, comparison.verify_towers
+
+    def record(nf):
+        if stage[0]:
+            made.append((sys._getframe(2).f_code, nf))
 
     def spied(self, words=(), cones=()):
         init(self, words, cones)
-        if stage[0]:
-            made.append((sys._getframe(1).f_code, self))
+        record(self)
+
+    def spied_in_form(cls, words, cones):
+        nf = in_form(cls, words, cones)
+        record(nf)
+        return nf
 
     def entered(*a, **k):
         stage[0] = True
@@ -561,19 +571,20 @@ def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
             stage[0] = False
 
     monkeypatch.setattr(subsets.NormalForm, "__init__", spied)
+    monkeypatch.setattr(subsets.NormalForm, "_in_form", classmethod(spied_in_form))
     monkeypatch.setattr(comparison, "more_towers", entered)
     monkeypatch.setattr(comparison, "verify_towers", left)
     u_set = ProductClopen(cyclic_group(2), {"1": cyl("abABa")})
     assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
     assert not stage[0]
     one_cone = [code for code, nf in made if len(nf.cones) == 1 and not nf.words]
-    handed = towers._Translates.translate.__code__
-    assert handed in one_cone
-    assert set(one_cone) <= {
-        handed, subsets.cone.__code__, subsets.NormalForm.complement.__code__
+    # each maker occurs: complement builds its forms through _in_form only
+    assert set(one_cone) == {
+        towers._Translates.translate.__code__,
+        subsets.cone.__code__,
+        subsets.NormalForm.complement.__code__,
     }
     assert subsets.NormalForm.translate.__code__ not in {code for code, _ in made}
-
 
 
 @pytest.mark.parametrize(

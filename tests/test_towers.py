@@ -8,7 +8,9 @@ import pytest
 import paratower.subsets as ss
 import paratower.towers as towers
 from paratower import prefix
-from paratower.boundary import ClopenSet, PeriodicPoint, ProductClopen
+from paratower.boundary import (
+    AperiodicPoint, ClopenSet, PeriodicPoint, ProductClopen, TranslatedPoint
+)
 from paratower.groups import (
     F2Group,
     F2xF2Group,
@@ -36,6 +38,7 @@ from paratower.towers import (
 from paratower.coloring import greedy_color
 from paratower.words import LETTERS, ball, ball_key, inverse, multiply
 
+import oracles
 from oracles import union
 
 D5 = ["", "a", "A", "b", "B"]
@@ -925,6 +928,86 @@ def test_towers_from_filling_refuses_a_repeated_element():
     for d_set, named in ((["", "", "a"], "''"), (["a", "A", "aAa"], "'a'")):
         with pytest.raises(ValueError, match=f"repeats the reduced element {named}"):
             towers_from_filling(d_set)
+
+
+# boundary points, and whether a word of the radius-6 ball fixes their
+# length-40 prefix; some are translates, so that a fixing word may cancel
+POINTS = [
+    (AperiodicPoint(), False),
+    (PeriodicPoint("", "ab"), True),
+    (TranslatedPoint("b", PeriodicPoint("", "ab")), True),
+    (TranslatedPoint("BA", PeriodicPoint("", "ab")), True),
+    (PeriodicPoint("", "a"), True),
+    (PeriodicPoint("B", "aab"), True),
+    (TranslatedPoint("aB", PeriodicPoint("", "abAB")), True),
+    (TranslatedPoint("Ab", PeriodicPoint("bb", "aBB")), False),
+    (PeriodicPoint("aab", "aBB"), False),
+]
+
+
+@pytest.mark.parametrize("k", range(len(POINTS)))
+def test_fixing_word_names_the_first_fixing_word_of_the_ball(k):
+    z, fixed = POINTS[k]
+    assert towers.fixing_word(z) == oracles.fixing_word(z)
+    assert (towers.fixing_word(z) is not None) == fixed
+
+
+def test_filling_towers_match_the_full_searches(monkeypatch):
+    # 51 seeded D of 1-17 distinct words of length at most 3, n = 2-4: the
+    # same movers, neighborhoods and sets as the ball scan and the pairwise
+    # orbit comparison give
+    cases = []
+    for seed in range(51):
+        rng = random.Random(seed)
+        d_set = set()
+        while len(d_set) < 1 + seed % 17:
+            d_set.add(_random_word(rng, rng.randint(0, 3)))
+        d_list = sorted(d_set, key=ball_key)
+        cases.append((d_list, 2 + seed % 3, towers_from_filling(d_list, 2 + seed % 3).to_json()))
+    monkeypatch.setattr(towers, "fixing_word", oracles.fixing_word)
+    monkeypatch.setattr(towers, "orbit_movers", oracles.orbit_movers)
+    for d_list, n, built in cases:
+        assert towers_from_filling(d_list, n).to_json() == built, (d_list, n)
+
+
+def test_filling_searches_translate_few_prefixes(monkeypatch):
+    # the stabilizer check tests at most 28 words, and the orbit search
+    # moves at most |D| + 1 prefixes per candidate: no ball scan, no D × D
+    moved = []
+    monkeypatch.setattr(towers, "multiply", lambda u, v: moved.append(u) or multiply(u, v))
+    for z, _ in POINTS:
+        moved.clear()
+        towers.fixing_word(z)
+        assert len(moved) <= 28
+    tried = []
+    words = towers.fw.enumerate_words
+    monkeypatch.setattr(towers.fw, "enumerate_words", lambda: (tried.append(w) or w for w in words()))
+    d_list = list(ball(2))
+    moved.clear()
+    assert towers.orbit_movers(AperiodicPoint(), d_list, 3) == ["", "aaaaa", "aaaab"]
+    assert len(tried) > 100
+    assert len(moved) <= (len(d_list) + 1) * len(tried)
+
+
+def test_an_exhausted_orbit_search_says_how_far_it_got(monkeypatch):
+    monkeypatch.setattr(towers.fw, "enumerate_words", lambda: iter(["", "a", "A", "b"]))
+    with pytest.raises(towers.SearchExhausted) as info:
+        towers_from_filling(["", "a", "A"], n=3)
+    assert str(info.value) == (
+        "found only 2 of 3 orbit points with disjoint D-translates up to radius 1"
+    )
+
+
+def test_an_exhausted_neighborhood_search_names_its_cap_and_first_clash(monkeypatch):
+    # the neighborhoods of D = {e, a, A} separate at depth 5
+    monkeypatch.setattr(towers, "NEIGHBORHOOD_DEPTH", 4)
+    with pytest.raises(towers.SearchExhausted) as info:
+        towers_from_filling(["", "a", "A"])
+    assert str(info.value) == (
+        "could not separate neighborhoods by depth 4: ''·A_0 and 'a'·A_1 meet at 'ababa'"
+    )
+    monkeypatch.setattr(towers, "NEIGHBORHOOD_DEPTH", 5)
+    assert towers_from_filling(["", "a", "A"]).notes["neighborhoods"][0] == "ababb"
 
 
 def test_exact_counterexample_when_the_first_base_ends_in_the_inverse_of_z1():
