@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import prefix
 from .groups import FiniteGroup, finite_group_from_json
@@ -461,77 +461,55 @@ class GeodesicMap:
             raise ValueError("depth must be positive")
         self.n = depth
 
-    def _cells(self, nfs: Sequence[NormalForm]) -> Iterator[Tuple[str, List[int]]]:
-        """Cells (cylinder base, counts) partitioning the boundary, with
-        counts[i] = N·mu_N(x)(nfs[i]) for every x in the cell: the number of
-        the N shortest prefixes of x in nfs[i].  Only the prefix tree of the
-        normal-form bases and words is visited, never a full depth
-        enumeration.  Callers must not change the counts lists, which
-        sibling cells share."""
-        n = self.n
-        trie = {b[:t] for nf in nfs for b in nf.words | nf.cones for t in range(len(b) + 1)}
-
-        def visit(w: str, cnts: List[int], resolved: List[Optional[int]]):
-            t = len(w)
-            cnts = list(cnts)
-            resolved = list(resolved)
-            for i, nf in enumerate(nfs):
-                if resolved[i] is None:
-                    if w in nf.cones:
-                        resolved[i] = cnts[i] + max(0, n - t)
-                    elif t < n and w in nf.words:
-                        cnts[i] += 1
-            if None not in resolved:
-                yield w, resolved
-                return
-            finals = [c if r is None else r for c, r in zip(cnts, resolved)]
-            for y in legal_next_letters(w):
-                child = w + y
-                if child in trie:
-                    yield from visit(child, cnts, resolved)
-                else:
-                    yield child, finals
-
-        return visit("", [0] * len(nfs), [None] * len(nfs))
+    def _key_sums(
+        self, nfs: Sequence[NormalForm], weights: Sequence[Fraction], q: int = 1
+    ) -> Tuple[int, Dict[str, list]]:
+        """(L, ``prefix.branch_sums`` over the forms' words and bases), L the
+        weights' common denominator.  A form has nothing below a base, so
+        the number of the N shortest prefixes of x in nfs[i] adds up along
+        x's path: 1 at a word of depth below N, N − t at a base of depth
+        t < N.  A key's sum is Σ weights[i]·L·q times these on its cells."""
+        den = math.lcm(*(w.denominator for w in weights))
+        own: Dict[str, int] = {}
+        for w, nf in zip(weights, nfs, strict=True):
+            w = w.numerator * (den // w.denominator) * q
+            for x in nf.words:
+                own[x] = own.get(x, 0) + (w if len(x) < self.n else 0)
+            for b in nf.cones:
+                own[b] = own.get(b, 0) + w * max(0, self.n - len(b))
+        return den, prefix.branch_sums(own)
 
     def step_cells(
         self, nfs: Sequence[NormalForm], weights: Sequence[Fraction]
     ) -> List[Tuple[str, Fraction]]:
-        """Cells (cylinder base, value) of x ↦ Σ weights[i]·mu_N(x)(nfs[i]).
-
-        The function is constant on each returned cylinder; the cells
-        partition the boundary.
-        """
-        n = self.n
+        """Cells (cylinder base, value) of x ↦ Σ weights[i]·mu_N(x)(nfs[i]):
+        the function is constant on each cell, and the cells partition the
+        boundary."""
+        den, nodes = self._key_sums(nfs, weights)
         return [
-            (base, sum(
-                (w * Fraction(c, n) for w, c in zip(weights, counts, strict=True)), Fraction(0)
-            ))
-            for base, counts in self._cells(nfs)
+            (cell, Fraction(total, self.n * den))
+            for x, (total, below) in nodes.items()
+            for cell in prefix.key_cells(x, below, legal_next_letters)
         ]
 
     def threshold_weighted(
-        self,
-        nfs: Sequence[NormalForm],
-        weights: Sequence[Fraction],
-        theta: Fraction,
+        self, nfs: Sequence[NormalForm], weights: Sequence[Fraction], theta: Fraction
     ) -> ClopenSet:
         """Exact clopen set {x : Σ weights[i]·mu_N(x)(nfs[i]) > theta}.
 
-        With L the common denominator of the weights and w'_i = weights[i]·L,
-        a cell's value Σ w'_i·counts[i] / (N·L) exceeds theta = p/q exactly
-        when Σ w'_i·counts[i]·q > p·N·L, all in integers."""
-        den = math.lcm(*(w.denominator for w in weights))
-        scaled = [w.numerator * (den // w.denominator) * theta.denominator for w in weights]
+        With L the common denominator of the weights and counts[i] the
+        number of the N shortest prefixes of x in nfs[i], the value
+        Σ weights[i]·counts[i] / N exceeds theta = p/q exactly when
+        Σ weights[i]·L·q·counts[i] > p·N·L, all in integers.  A key's cells
+        share one value and are listed only when kept."""
+        den, nodes = self._key_sums(nfs, weights, theta.denominator)
         bound = theta.numerator * self.n * den
-        keep = [
-            base
-            for base, counts in self._cells(nfs)
-            if sum(w * c for w, c in zip(scaled, counts, strict=True)) > bound
-        ]
-        if "" in keep:
-            return ClopenSet.full_set()
-        return ClopenSet(keep)
+        return ClopenSet([
+            cell
+            for x, (total, below) in nodes.items()
+            if total > bound
+            for cell in prefix.key_cells(x, below, legal_next_letters)
+        ])
 
     def defect_bound(self, g: str) -> Fraction:
         return Fraction(2 * len(g), self.n)

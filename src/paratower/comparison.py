@@ -35,6 +35,7 @@ import bisect
 import itertools
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -243,11 +244,32 @@ def space_from_json(data: dict):
 # each last digit, in that order
 _LEGAL_DIGITS = {"": "0123", "0": "023", "1": "123", "2": "012", "3": "013"}
 _FROM_DIGITS = str.maketrans("0123", "aAbB")
+_INVERSE_DIGIT = {"0": "1", "1": "0", "2": "3", "3": "2"}  # a, A and b, B cancel
 
 
 def _digit_bases(sl: ClopenSet) -> Optional[List[str]]:
     """The bases of a slice in ball-order digits, or None when it is full."""
     return None if sl.full else [b.translate(fw._BALL_ORDER) for b in sl.bases]
+
+
+def _moved_digits(h: str, sl: ClopenSet) -> Optional[List[str]]:
+    """The bases of h·sl in ball-order digits, or None when it is full.  A
+    sibling family has three members at least, so one or two canonical
+    bases move one by one unless h cancels one whole; other slices go
+    through ``ClopenSet.act``, whose canonical form can merge moved bases
+    (a·{a, b, B} is [a])."""
+    if sl.full or len(sl.bases) > 2:
+        return _digit_bases(sl.act(h))
+    g = h.translate(fw._BALL_ORDER)
+    out = []
+    for b in _digit_bases(sl):
+        k = 0
+        while k < len(g) and k < len(b) and g[-1 - k] == _INVERSE_DIGIT[b[k]]:
+            k += 1
+        if k == len(b):
+            return _digit_bases(sl.act(h))
+        out.append(g[: len(g) - k] + b[k:])
+    return out
 
 
 def _add_weights(
@@ -266,68 +288,29 @@ def _add_weights(
             base_w[k] = base_w.get(k, 0) + iw
 
 
-def _first_chain_leaf(top: str, key: str) -> str:
-    """First leaf, in walk order, of the chain nodes strictly between the
-    key ``top`` and the key ``key`` below it.  A chain node p has one child
-    on the chain, key[len(p)], and its other children are leaves; a leaf
-    before that child comes before every leaf further down."""
-    for t in range(len(top) + 1, len(key)):
-        p = key[:t]
-        leaf = p + next(y for y in _LEGAL_DIGITS[p[-1]] if y != key[t])
-        if leaf < key:
-            return leaf
-    return leaf
-
-
 def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     """Max over the boundary of const plus base_w[b] on each cylinder [b],
-    with the first leaf of the bases' prefix trie, in walk order, on which
-    it is attained; words in ball-order digits.
-
-    A leaf is a child off the trie of a trie node and carries the node's
-    sum.  Only "", the bases and the longest common prefix of each pair of
-    neighbours in sorted order (the keys) carry a weight or branch; every
-    other node lies on a chain between a key and the next key below it,
-    carries the upper key's sum and has leaves.  One sorted scan with a
-    stack of ancestors gives each key its sum and the letters by which the
-    trie goes on below it, so the cost is O(keys · log keys), not the size
-    of the trie."""
-    bases = sorted(base_w)
-    keys = set(bases)
-    keys.add("")
-    keys.update(u[:fw.common_prefix_len(u, v)] for u, v in zip(bases, bases[1:]))
-    # key -> [sum, the next digits that stay in the trie]
-    nodes: Dict[str, list] = {}
-    chains: List[Tuple[int, str, str]] = []
-    stack: List[str] = []
-    for x in sorted(keys):
-        while stack and not x.startswith(stack[-1]):
-            stack.pop()
-        total = base_w.get(x, 0)
-        if stack:
-            top = stack[-1]
-            above = nodes[top]
-            total += above[0]
-            above[1].add(x[len(top)])
-            if len(x) > len(top) + 1:
-                chains.append((above[0], top, x))
-        else:
-            total += const
-        nodes[x] = [total, set()]
-        stack.append(x)
-    # keys with a leaf child; every trie leaf's parent is one or a chain node
-    open_keys = [
-        (total, x, below) for x, (total, below) in nodes.items()
-        if len(below) < len(_LEGAL_DIGITS[x[-1:]])
-    ]
-    best = max([t for t, _, _ in open_keys] + [t for t, _, _ in chains])
-    leaves = [
-        x + next(y for y in _LEGAL_DIGITS[x[-1:]] if y not in below)
-        for t, x, below in open_keys
+    and the first leaf (a child off the bases' prefix trie) that attains
+    it; words in ball-order digits, whose string order is the walk order.
+    Only the keys of ``prefix.branch_keys`` carry a weight or branch, so
+    the cost is one sort of the bases and O(keys), not the trie's size."""
+    nodes = prefix.branch_sums(base_w)
+    # the keys with a leaf below them: fewer child keys than digits, or a
+    # chain down to one
+    best = max(
+        t for x, (t, below) in nodes.items()
+        if len(below) < (3 if x else 4) or any(len(k) > len(x) + 1 for k in below)
+    )
+    first = min(
+        cell
+        for x, (t, below) in nodes.items()
         if t == best
-    ]
-    leaves += [_first_chain_leaf(top, x) for t, top, x in chains if t == best]
-    return best, min(leaves)
+        for cell in prefix.key_cells(x, below, lambda p: _LEGAL_DIGITS[p[-1:]])
+    )
+    # a key with no key below is one cell, whose first leaf is its first child
+    if first in nodes:
+        first += _LEGAL_DIGITS[first[-1:]][0]
+    return const + best, first
 
 
 def _extreme(steps: Dict, den: int, sign: int) -> Tuple[Fraction, Cell]:
@@ -593,32 +576,22 @@ def _single_cylinder_cell(space, s) -> Optional[Cell]:
         if not sl.is_empty()
         for b in (sl.refine(1) if sl.is_full() else sl.sorted_bases())
     ]
-    if len(cells) == 1:
-        return cells[0]
-    return None
+    return cells[0] if len(cells) == 1 else None
 
 
 def _extensions_ending_with(v: str, last: str, count: int) -> List[str]:
     """First `count` same-length extensions of v that end with the letter
-    `last`, at the smallest depth admitting that many."""
-    extra = 2
-    while extra <= 12:
-        found = [
-            w
-            for w in sorted(_extend_all(v, extra))
-            if w[-1] == last
-        ]
-        if len(found) >= count:
-            return found[:count]
-        extra += 1
-    raise SearchExhausted(f"no {count} extensions of [{v}] ending with {last!r}")
-
-
-def _extend_all(v: str, extra: int) -> List[str]:
+    `last`, at the smallest depth from 2 to 12 admitting that many."""
     layer = [v]
-    for _ in range(extra):
+    for extra in range(1, 13):
         layer = [w + y for w in layer for y in legal_next_letters(w)]
-    return layer
+        found = sorted(w for w in layer if w[-1] == last)
+        if extra > 1 and len(found) >= count:
+            return found[:count]
+    raise SearchExhausted(
+        f"no {count} extensions of [{v}] of one length end with {last!r}:"
+        f" found {len(found)} at {extra} letters longer, the longest tried"
+    )
 
 
 def boost(w: SubeqWitness, v_set) -> SubeqWitness:
@@ -701,23 +674,18 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     moved: Dict[tuple, Optional[List[str]]] = {}
 
     def act(h: str, sl: ClopenSet) -> Optional[List[str]]:
-        """The digit bases of h·sl, each (word, slice) pair translated once."""
+        """The digit bases of h·sl, each (word, slice) pair moved once."""
         key = (h, sl.full, sl.bases)
-        try:
-            return moved[key]
-        except KeyError:
-            img = moved[key] = _digit_bases(sl.act(h))
-            return img
+        if key not in moved:
+            moved[key] = _moved_digits(h, sl)
+        return moved[key]
 
     # f⁻¹·V for V the same slice S at every label is h·S at every label, h
     # the F2 word of f⁻¹: such a V gives one item per word, weighted by how
     # often the word occurs in D², in a step function every label starts
     # from.  The sweep reads only the summed step function, so its extreme
     # and witness cell stay those of one item per f.
-    words: Dict[str, int] = {}
-    for f in d2:
-        h = space.word_part(space.inv(f))
-        words[h] = words.get(h, 0) + 1
+    words = {inverse(w): c for w, c in Counter(space.word_part(f) for f in d2).items()}
     # the step function every label starts from, under the key None
     shared = {None: [0, {}]}
     pulled: List[Tuple[object, object, int]] = []
@@ -988,12 +956,14 @@ def _extend_to_last(u0: str, last: str) -> str:
     if u0 and u0[-1] == last:
         return u0
     layer = [u0]
-    for _ in range(4):
+    for extra in range(1, 5):
         layer = [w + y for w in sorted(layer) for y in legal_next_letters(w)]
         for w in layer:
             if w[-1] == last:
                 return w
-    raise SearchExhausted(f"cannot extend [{u0}] to end with {last!r}")
+    raise SearchExhausted(
+        f"cannot extend [{u0}] to end with {last!r}: found none up to {extra} letters longer"
+    )
 
 
 def _translator_set(u0: str) -> Dict[str, str]:

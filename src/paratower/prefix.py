@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (
-    AbstractSet, Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Set, Tuple,
+    AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 from .words import ball_key, legal_next_letters, multiply
@@ -204,6 +205,65 @@ def first_by_pattern(
     for w, pattern in candidates:
         first.setdefault(pattern, w)
     return first
+
+
+def branch_keys(words: Sequence[str]) -> List[Tuple[str, Optional[str]]]:
+    """The keys of the prefix trie of sorted words, each after its parent
+    key (None for ""): "", the words and the longest common prefix of each
+    pair of neighbours.  Every other node lies on a chain between a key
+    and a child key.  One scan with a stack of the keys above the previous
+    word: a word closes the keys that are not its prefixes, and its common
+    prefix with the last one closed is a key when longer than the top."""
+    out: List[Tuple[str, Optional[str]]] = []
+    stack = [""]
+    for w in words:
+        closed = None
+        while not w.startswith(stack[-1]):
+            if closed is not None:
+                out.append((closed, stack[-1]))
+            closed = stack.pop()
+        if closed is not None:
+            i = len(stack[-1])
+            while closed[i] == w[i]:
+                i += 1
+            if i > len(stack[-1]):
+                stack.append(w[:i])
+            out.append((closed, stack[-1]))
+        if w != stack[-1]:
+            stack.append(w)
+    # the keys left on the stack close, the deepest first
+    out += zip(stack[:0:-1], stack[-2::-1])
+    out.append(("", None))
+    return out[::-1]
+
+
+def branch_sums(weights: Dict[str, int]) -> Dict[str, list]:
+    """key -> [the sum of the weights on the path from "" to it, its child
+    keys], for the keys of ``branch_keys`` over the weighted words."""
+    nodes: Dict[str, list] = {}
+    for x, top in branch_keys(sorted(weights)):
+        node = nodes[x] = [weights.get(x, 0), []]
+        if top is not None:
+            above = nodes[top]
+            node[0] += above[0]
+            above[1].append(x)
+    return nodes
+
+
+def key_cells(
+    key: str, below: Sequence[str], legal: Callable[[str], Sequence[str]]
+) -> List[str]:
+    """The cells that carry a key's sum: the key when it has no child keys,
+    else its children off the trie and those of the chain nodes down to
+    each child key.  ``legal(p)`` spells the letters that may follow p."""
+    if not below:
+        return [key]
+    on = {x[len(key)] for x in below}
+    out = [key + y for y in legal(key) if y not in on]
+    for x in below:
+        for t in range(len(key) + 1, len(x)):
+            out += [x[:t] + y for y in legal(x[:t]) if y != x[t]]
+    return out
 
 
 def first_overlap(

@@ -160,11 +160,3 @@ def enumerate_words(max_radius: int = DEFAULT_MAX_RADIUS) -> Iterator[str]:
     for _ in range(max_radius):
         layer = [w + x for w in layer for x in legal_next_letters(w)]
         yield from layer
-
-
-def common_prefix_len(u: str, v: str) -> int:
-    n = min(len(u), len(v))
-    for i in range(n):
-        if u[i] != v[i]:
-            return i
-    return n

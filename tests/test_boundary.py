@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import paratower.subsets as ss
+from paratower import prefix
 from paratower.boundary import (
     AperiodicPoint,
     ClopenSet,
@@ -19,7 +21,9 @@ from paratower.boundary import (
     shrink,
 )
 from paratower.groups import cyclic_group
-from paratower.words import ball, inverse, multiply, reduce_word, words_of_length
+from paratower.words import (
+    ball, inverse, legal_next_letters, multiply, reduce_word, words_of_length,
+)
 
 from oracles import OracleMap, RationalProbMeasure, union
 
@@ -314,3 +318,69 @@ def test_step_cells_partition():
         assert len(cells) == 1
     else:
         assert rebuilt.is_full()
+
+
+def _stem_word(rng, stems, extra):
+    """A prefix of a random stem grown by up to `extra` letters."""
+    stem = rng.choice(stems)
+    w = stem[: rng.randint(0, len(stem))]
+    for _ in range(rng.randint(0, extra)):
+        w += rng.choice(legal_next_letters(w))
+    return w
+
+
+def _chain_forms(rng):
+    """1-3 normal forms whose bases are cut from two or three stems of 10-20
+    letters and grown by up to 3 letters, so that the keys sit far apart on
+    long chains, with words cut from the same stems, on those chains."""
+    stems = []
+    for _ in range(rng.randint(2, 3)):
+        w = ""
+        for _ in range(rng.randint(10, 20)):
+            w += rng.choice(legal_next_letters(w))
+        stems.append(w)
+    return [
+        ss.NormalForm(
+            [_stem_word(rng, stems, 0) for _ in range(rng.randint(0, 3))],
+            [_stem_word(rng, stems, 3) for _ in range(rng.randint(1, 4))],
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _pad(w, depth, pick):
+    while len(w) < depth:
+        w += legal_next_letters(w)[pick]
+    return w
+
+
+def test_key_scan_cells_match_the_pointwise_measure():
+    # step cells against mu_N at points of each cell, with N below and above
+    # the deepest base; the threshold set against the union of the kept
+    # cells, including cells off a chain between two keys
+    rng = random.Random("boundary/key-scan-cells")
+    kept_chain_leaves = 0
+    for case in range(60):
+        nfs = _chain_forms(rng)
+        depth = max(nf.depth() for nf in nfs)
+        gm = OracleMap(rng.choice([rng.randint(1, max(depth, 1)), depth + rng.randint(1, 6)]))
+        weights = [Fraction(rng.randint(-3, 5), rng.randint(1, 4)) for _ in nfs]
+        cells = gm.step_cells(nfs, weights)
+        # a partition: disjoint, and together the whole boundary
+        assert prefix.first_overlap((c, i) for i, (c, _) in enumerate(cells)) is None
+        assert ClopenSet([c for c, _ in cells]).is_full()
+        for c, value in cells:
+            for pick in (0, -1):
+                x = _pad(c, max(depth, gm.n) + 1, pick)
+                want = sum(
+                    w * gm.mu_eval(x, ss.NormalizedSet(nf)) for w, nf in zip(weights, nfs)
+                )
+                assert value == want, (case, c)
+        keys = {x for x, _ in prefix.branch_keys(sorted(
+            {x for nf in nfs for x in nf.words | nf.cones}
+        ))}
+        for theta in sorted({v for _, v in cells}) + [Fraction(-100)]:
+            kept = [c for c, v in cells if v > theta]
+            assert gm.threshold_weighted(nfs, weights, theta).equals(ClopenSet(kept))
+            kept_chain_leaves += sum(c not in keys and c[:-1] not in keys for c in kept)
+    assert kept_chain_leaves > 0

@@ -113,6 +113,38 @@ def test_the_filling_searches_exhausted_exit_64_saying_how_far_they_got(monkeypa
     assert err == "error: found only 1 of 3 orbit points with disjoint D-translates up to radius 1\n"
 
 
+def test_an_exhausted_translator_search_exits_64_saying_how_far_it_got(monkeypatch, capsys):
+    # with a as the only letter that may follow, no extension of [ab] ends
+    # with A
+    import paratower.comparison as comparison
+
+    monkeypatch.setattr(comparison, "legal_next_letters", lambda w: ("a",))
+    assert main(["compare", "--instance", "F2", "--U", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err == "error: cannot extend [ab] to end with 'A': found none up to 4 letters longer\n"
+
+
+def test_an_exhausted_boost_search_exits_64_saying_how_far_it_got(monkeypatch, capsys):
+    # the boost's search for three same-length extensions of U's cell
+    # ending with b, where b is the only letter that may follow: one
+    # extension per length
+    import paratower.comparison as comparison
+
+    search = comparison._extensions_ending_with
+
+    def one_letter(v, last, count):
+        monkeypatch.setattr(comparison, "legal_next_letters", lambda w: ("b",))
+        return search(v, last, count)
+
+    monkeypatch.setattr(comparison, "_extensions_ending_with", one_letter)
+    assert main(["compare", "--instance", "F2", "--U", "ab"]) == 64
+    err = capsys.readouterr().err
+    assert err == (
+        "error: no 3 extensions of [ab] of one length end with 'b':"
+        " found 1 at 12 letters longer, the longest tried\n"
+    )
+
+
 def _filling_payload(mode) -> dict:
     from paratower.towers import towers_from_filling, verify_towers
 
@@ -320,6 +352,29 @@ def test_compare_payload_is_schema_1_without_the_composed_witness(
     assert env["schema_version"] == 2
     assert list(env["payload"]["composed"]) == ["report"]
     assert env["content_hash"] == payload_digest
+
+
+# SHA-256 of the canonical JSON of the F2 × Z/n certificates for
+# U = [ab]×{0}, built through the one comparison path (the CLI names only
+# F2 and F2 × Z/2); recorded before the counting and threshold sweeps read
+# their trie's keys alone.  Their sweeps run over hundreds of bases.
+PINNED_ZN_COMPARISONS = [
+    (3, "edacfd4cbe761917ebdc2207acdae47024c8842864f01d75b6c1ef00f5027763"),
+    (4, "d5293cca57d8e652a2a41de1b0a90c85eed38ddd7f2861dfe595d917211640c2"),
+]
+
+
+@pytest.mark.parametrize("k, digest", PINNED_ZN_COMPARISONS, ids=["F2xZ3-ab0", "F2xZ4-ab0"])
+def test_zn_comparison_bytes_are_pinned(k, digest):
+    from test_comparison import _zn_instance
+
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.comparison import build_comparison
+    from paratower.groups import cyclic_group
+
+    u_set = ProductClopen(cyclic_group(k), {"0": ClopenSet.cylinder("ab")})
+    cert = build_comparison(_zn_instance(k), u_set)
+    assert hashlib.sha256(certs.canonical_json(cert.to_json()).encode()).hexdigest() == digest
 
 
 # SHA-256 of the `--json` output of each tower builder, in exact and ball

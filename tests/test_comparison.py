@@ -994,6 +994,90 @@ def test_check_counting_sweeps_label_maps_that_differ(monkeypatch):
     assert 3 in sweeps
 
 
+def _sweep_by_walk(const, base_w):
+    """``comparison._sweep`` by a walk over every node of the bases' prefix
+    trie, in ball-order digits: the max over the leaves and the first leaf
+    that attains it."""
+    trie = {b[:t] for b in base_w for t in range(len(b) + 1)}
+    best = None
+
+    def visit(node, total):
+        nonlocal best
+        total += base_w.get(node, 0)
+        for y in comparison._LEGAL_DIGITS[node[-1:]]:
+            if node + y in trie:
+                visit(node + y, total)
+            elif best is None or total > best[0]:
+                best = (total, node + y)
+
+    visit("", const)
+    return best
+
+
+def _digit_word(rng, stem, extra):
+    """A prefix of stem grown by up to `extra` legal ball-order digits."""
+    w = stem[: rng.randint(0, len(stem))]
+    for _ in range(rng.randint(0, extra)):
+        w += rng.choice(comparison._LEGAL_DIGITS[w[-1:]])
+    return w
+
+
+def test_sweep_equals_the_walk_over_every_trie_node():
+    # nested bases cut from shared stems, so that chains are long and keys
+    # sit below keys; the base "", negative and zero weights, and ties
+    # the max only on a chain below a key whose every child is a key
+    base_w = {"": 5, "00": -1, "02": -1, "0302": -1, "1": -1, "2": -1, "3": -1}
+    assert comparison._sweep(0, base_w) == _sweep_by_walk(0, base_w) == (5, "0300")
+    rng = random.Random("sweep/walk")
+    for _ in range(300):
+        stems = [_digit_word(rng, "", 20) for _ in range(rng.randint(1, 3))]
+        base_w = {}
+        for _ in range(rng.randint(1, 8)):
+            b = _digit_word(rng, rng.choice(stems), 3)
+            base_w[b] = base_w.get(b, 0) + rng.randint(-4, 4)
+        if rng.random() < 0.2:
+            base_w[""] = rng.randint(-2, 2)
+        const = rng.randint(-3, 3)
+        assert comparison._sweep(const, base_w) == _sweep_by_walk(const, base_w), base_w
+
+
+@pytest.mark.parametrize(
+    "space, sources, d_words, n",
+    [
+        # a·{a, b, B} is [a]: moved one base at a time it would be the
+        # non-canonical {aa, ab, aB}, and the sweep would name another cell
+        (SPACE, [ClopenSet(["a", "b", "B"])], ["", "a", "A"], 0),
+        (ProductSpace(cyclic_group(3)), [ClopenSet(["a", "b", "B"])], ["", "a", "A"], 0),
+        # A cancels [a] whole, and BA all of [ab]
+        (SPACE, [cyl("a")], ["", "a", "A"], 0),
+        (SPACE, [ClopenSet(["ab", "b"])], ["", "ab", "BA"], 1),
+    ],
+    ids=["three-bases", "three-bases-F2xZ3", "cancelled", "cancelled-of-two"],
+)
+def test_check_counting_moves_a_slice_through_its_canonical_form(
+    monkeypatch, space, sources, d_words, n
+):
+    acted = []
+    act = ClopenSet.act
+    monkeypatch.setattr(ClopenSet, "act", lambda s, g: acted.append(g) or act(s, g))
+    d_set = [space.elem(w, k) for w in d_words for k in space.labels]
+    target = space.from_slices({space.labels[0]: cyl("b" if n == 0 else "a")})
+    data = CountingData(d_set, Fraction(1, 8), [space.uniform(s) for s in sources], target)
+    got = check_counting(space, data, n)
+    assert acted
+    monkeypatch.undo()
+    assert got == _check_counting_sets(space, data, n)
+
+
+def test_check_counting_moves_one_or_two_bases_without_a_clopen_set(monkeypatch):
+    # no base is cancelled whole, so no slice goes through ClopenSet.act
+    monkeypatch.setattr(ClopenSet, "act", None)
+    data = CountingData(["", "a", "A"], Fraction(1, 8), [ClopenSet(["ab", "b"])], cyl("b"))
+    report = check_counting(SPACE, data, 1)
+    monkeypatch.undo()
+    assert report == _check_counting_sets(SPACE, data, 1)
+
+
 def _canonical_image_key(space, ueff_slices, g, cell):
     """The matching key of g·cell from canonical clopen sets, or None when
     the image leaves the shrunk target."""

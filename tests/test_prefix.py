@@ -366,6 +366,61 @@ def test_boundary_complement_and_meet_are_canonical_as_built():
             assert "" not in r.bases
 
 
+# -- the keys of a prefix trie
+
+
+def trie_keys(words):
+    """The keys by the trie's definition: "", the words and every node with
+    two children or more, each with its nearest key above."""
+    nodes = {w[:t] for w in words for t in range(len(w) + 1)} | {""}
+    branching = {p for p in nodes if sum(p + y in nodes for y in legal_next_letters(p)) > 1}
+    keys = {""} | set(words) | branching
+    return {x: max((x[:t] for t in range(len(x)) if x[:t] in keys), key=len, default=None)
+            for x in keys}
+
+
+def grown(rng, stems):
+    """A prefix of one of the stems grown by up to two letters: words that
+    share long prefixes."""
+    w = rng.choice(stems)
+    w = w[: rng.randint(0, len(w))]
+    for _ in range(rng.randint(0, 2)):
+        w += rng.choice(legal_next_letters(w))
+    return w
+
+
+def test_branch_keys_are_the_words_and_branch_points_under_their_parents():
+    rng = random.Random("prefix/branch-keys")
+    for _ in range(300):
+        stems = [random_word(rng, 12) for _ in range(rng.randint(1, 3))]
+        words = sorted({grown(rng, stems) for _ in range(rng.randint(0, 8))})
+        got = prefix.branch_keys(words)
+        assert dict(got) == trie_keys(words) and len(got) == len(dict(got))
+        # every key comes after its parent
+        seen = set()
+        for x, top in got:
+            assert top is None or top in seen
+            seen.add(x)
+        # a repeated word is one key
+        assert prefix.branch_keys(sorted(words + words[:2])) == got
+
+
+def test_key_cells_partition_the_boundary():
+    rng = random.Random("prefix/key-cells")
+    for _ in range(200):
+        stems = [random_word(rng, 10) for _ in range(rng.randint(1, 3))]
+        weights = {grown(rng, stems): rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
+        nodes = prefix.branch_sums(weights)
+        cells = [c for x, (_, below) in nodes.items()
+                 for c in prefix.key_cells(x, below, legal_next_letters)]
+        assert prefix.first_overlap((c, c) for c in cells) is None
+        assert ClopenSet(cells).is_full()
+        # a cell's sum is the sum of the weights on its path
+        for x, (total, below) in nodes.items():
+            for c in prefix.key_cells(x, below, legal_next_letters):
+                assert total == sum(v for w, v in weights.items() if c.startswith(w))
+
+
 # -- scale
 
 

@@ -7,7 +7,6 @@ from paratower.words import (
     ball,
     ball_key,
     ball_size,
-    common_prefix_len,
     enumerate_words,
     inverse,
     is_reduced,
@@ -127,11 +126,3 @@ def test_enumerate_words_prefix_of_ball():
     while len(lazy) < ball_size(4):
         lazy.append(next(gen))
     assert lazy == list(ball(4))
-
-
-@given(reduced_words, reduced_words)
-def test_common_prefix_len(u, v):
-    k = common_prefix_len(u, v)
-    assert u[:k] == v[:k]
-    if k < min(len(u), len(v)):
-        assert u[k] != v[k]
