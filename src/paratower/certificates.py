@@ -86,17 +86,19 @@ def _verify_coloring(payload: dict) -> dict:
     from .coloring import greedy_color
     from .groups import factor_from_json
 
-    coloring = greedy_color(factor_from_json(payload["K"]), payload["E"])
+    group = factor_from_json(payload["K"])
+    coloring = greedy_color(group, payload["E"])
     window = payload["window"]
-    proper = coloring.is_proper_on(window)
-    same = [coloring.color_of(k) for k in window] == payload["assignment"]
-    within = all(1 <= c <= payload["m"] for c in payload["assignment"])
-    return {
-        "pass": proper and same and within,
-        "proper": proper,
-        "assignment_matches": same,
-        "within_budget": within,
+    checks = {
+        "proper": coloring.is_proper_on(window),
+        "assignment_matches": [coloring.color_of(k) for k in window] == payload["assignment"],
+        "within_budget": all(1 <= c <= coloring.m for c in payload["assignment"]),
+        # m is |E²|, and K is recorded with its elements
+        "m_matches": payload["m"] == coloring.m,
+        "K_matches": payload["K"] == group.to_json(),
     }
+    checks["pass_matches"] = payload["pass"] is all(checks.values())
+    return {"pass": all(checks.values()), **checks}
 
 
 def _verify_witness_payload(payload: dict) -> dict:

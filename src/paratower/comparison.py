@@ -638,11 +638,10 @@ class CountingData:
 
     d_set is a finite symmetric set of group elements; the hypothesis reads
     sum_j |{g in D^2 : g.x in V_j}| < (n+1) |{g in D : g.x in U^{-eps}}|
-    pointwise.  d2 is D² sorted by ``_elem_order``, when the caller has it
-    already; otherwise ``check_counting`` forms it with ``_squares``.
+    pointwise.  d2 is D², sorted by ``_elem_order``.
     """
 
-    def __init__(self, d_set, epsilon: Fraction, sources, target, d2=None):
+    def __init__(self, d_set, epsilon: Fraction, sources, target, d2):
         self.d_set = list(d_set)
         self.epsilon = Fraction(epsilon)
         self.sources = list(sources)
@@ -655,11 +654,6 @@ def _elem_order(space):
     return lambda e: (len(space.word_part(e)), str(space.elem_json(e)))
 
 
-def _squares(space, d_set) -> list:
-    """D·D, each element once, sorted by ``_elem_order``."""
-    return sorted({space.mul(g, h) for g in d_set for h in d_set}, key=_elem_order(space))
-
-
 def check_counting(space, data: CountingData, n: int) -> dict:
     """Exact pointwise verification of the counting hypothesis.
 
@@ -670,7 +664,6 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     if not data.d_set:
         raise ValueError("the weighted sum needs at least one item")
     u_eff = space.shrink(data.target, data.epsilon)
-    d2 = data.d2 if data.d2 is not None else _squares(space, data.d_set)
     moved: Dict[tuple, Optional[List[str]]] = {}
 
     def act(h: str, sl: ClopenSet) -> Optional[List[str]]:
@@ -685,7 +678,7 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     # often the word occurs in D², in a step function every label starts
     # from.  The sweep reads only the summed step function, so its extreme
     # and witness cell stay those of one item per f.
-    words = {inverse(w): c for w, c in Counter(space.word_part(f) for f in d2).items()}
+    words = {inverse(w): c for w, c in Counter(space.word_part(f) for f in data.d2).items()}
     # the step function every label starts from, under the key None
     shared = {None: [0, {}]}
     pulled: List[Tuple[object, object, int]] = []
@@ -695,7 +688,7 @@ def check_counting(space, data: CountingData, n: int) -> dict:
             for h, c in words.items():
                 _add_weights(shared, [(None, act(h, sls[0]))], c)
         else:
-            pulled += [(f, v, 1) for f in d2]
+            pulled += [(f, v, 1) for f in data.d2]
     pulled += [(g, u_eff, -(n + 1)) for g in data.d_set]
     const, base_w = shared[None]
     steps = {lbl: [const, dict(base_w)] for lbl in space.labels}
@@ -710,7 +703,7 @@ def check_counting(space, data: CountingData, n: int) -> dict:
         "pass": worst < 0,
         "max_margin": _frac_json(worst),
         "witness_cell": list(cell),
-        "d2_size": len(d2),
+        "d2_size": len(data.d2),
     }
 
 

@@ -7,15 +7,18 @@ uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
 F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
 by the same prefix-trie walk that certifies it on a metric ball.  A
-disjointness check first asks whether two translates' cones meet, on
-their bases alone, and walks only when two do or a translate holds words,
-to name the first counterexample.  A family on F2 × K or F2 × F2 is
-decided by its factors: its sets split into rectangles A × C, and since
-(h, e)·(A × C) = hA × eC, the F2 sets hA are read at each label: an
-element of K, or on F2 × F2 a membership pattern of the second factors
-eC.  Within one builder call, or one ``shared_translates`` block, the
-checks share their translates, scans and walks, so each distinct x·A is
-moved once.  Orbit-preimage families from the boundary action are
+family on F2 × K or F2 × F2 is read by its factors: its sets split into
+rectangles A × C, and since (h, e)·(A × C) = hA × eC, the F2 sets hA are
+read at each label: an element of K, or on F2 × F2 a membership pattern
+of the second factors eC.  A disjointness check first asks on bases alone
+whether two translates meet.  Off F2 × F2 it moves each distinct hA once,
+in bulk per form, and needs one sorted scan of them and, for each h and
+A, pairwise disjoint label sets eC over the labels e that D pairs with h
+(F2 and F3: the one label); otherwise it scans the translates label by
+label.  It walks only when two may meet, to name the first
+counterexample.  Within one builder call,
+or one ``shared_translates`` block, the checks share their translates,
+scans and walks.  Orbit-preimage families from the boundary action are
 certified exactly by clopen-set algebra on the boundary.
 """
 
@@ -222,8 +225,10 @@ def _cover_groups_from_json(groups, n: int) -> List[List[int]]:
 
 
 class TowerCertificate:
-    def __init__(self, family_json: dict, mode: str, radius: Optional[int], checks: dict):
-        self.family_json = family_json
+    """The checks of a family; the family is serialised only by ``to_json``."""
+
+    def __init__(self, family: TowerFamily, mode: str, radius: Optional[int], checks: dict):
+        self.family = family
         self.mode = mode
         self.radius = radius
         self.checks = checks
@@ -233,7 +238,7 @@ class TowerCertificate:
         return all(c["pass"] for c in self.checks.values())
 
     def to_json(self) -> dict:
-        fam = self.family_json
+        fam = self.family.to_json()
         out = {key: fam[key] for key in ("group", "D", "towers", "cover_groups")}
         out.update(mode=self.mode, checks=self.checks)
         out.update((key, fam[key]) for key in ("k", "notes") if key in fam)
@@ -265,7 +270,7 @@ class _Translates:
         # id(set) -> (set, form id); the set is kept so its id stays its own
         self._of_set: Dict[int, Tuple[object, int]] = {}
         self._moved: Dict[Tuple[str, int], int] = {}
-        self._bases: Dict[Tuple[str, int], Optional[Tuple[str, ...]]] = {}
+        self._bases: Dict[int, Tuple[Tuple[str, ...], Dict[str, object]]] = {}
         self._origin: Dict[int, Tuple[str, int]] = {}
         self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
         self._clear: List[FrozenSet[str]] = []
@@ -296,9 +301,9 @@ class _Translates:
                 out = fid
             else:
                 # moved bases with no words are in form already
-                bases = self._bases.get((x, fid))
+                bases = self._bases.get(fid, ((), {}))[1].get(x)
                 out = self._id(
-                    (frozenset(), frozenset(bases)) if bases is not None
+                    (frozenset(), frozenset(bases)) if bases
                     else prefix.canonical(*prefix.translate(x, *self.forms[fid]))
                 )
                 if out != fid:
@@ -306,24 +311,33 @@ class _Translates:
             self._moved[(x, fid)] = out
         return out
 
-    def bases(self, x: str, fid: int) -> Optional[Tuple[str, ...]]:
-        """The bases of x·F, F the form with id ``fid``, or None when x·F
-        holds words.  With no words in F and no base cancelled they are the
-        moved bases; otherwise x·F is interned (``moved``)."""
-        key = (x, fid)
-        out = self._bases.get(key, False)
-        if out is not False:
-            return out
+    def bases(self, xs: Iterable[str], fid: int) -> Optional[List[str]]:
+        """The bases of x·F for every x of ``xs``, F the form with id
+        ``fid``, in one list, or None when some x·F holds words.  A form made
+        as y·A is read as A moved by each xy.  Each (x, A) is moved once:
+        base by base when A has no words and x cancels no base whole (ends
+        with no base's inverse), else interned (``moved``)."""
         origin = self._origin.get(fid)
         if origin is not None:
-            out = self.bases(multiply(x, origin[0]), origin[1])
-        else:
-            words, bases = self.forms[fid]
-            out = None if words else tuple([prefix.moved_base(x, b) for b in bases])
-            if out is None or None in out:
-                words, bases = self.forms[self.moved(x, fid)]
-                out = None if words else tuple(bases)
-        self._bases[key] = out
+            xs, fid = [multiply(x, origin[0]) for x in xs], origin[1]
+        words, bases = self.forms[fid]
+        # the bases' inverses, and x -> the bases of x·F, or False when it holds words
+        cut, known = self._bases.get(fid) or self._bases.setdefault(
+            fid, (tuple(map(inverse, bases)), {})
+        )
+        out: List[str] = []
+        for x in xs:
+            moved = known.get(x)
+            if moved is None:
+                if words or x.endswith(cut):
+                    words_x, moved = self.forms[self.moved(x, fid)]
+                    moved = not words_x and list(moved)
+                else:
+                    moved = [multiply(x, b) for b in bases]
+                known[x] = moved
+            if moved is False:
+                return None
+            out += moved
         return out
 
     def translate(self, x: str, subset: ss.NormalizedSet) -> ss.NormalizedSet:
@@ -370,14 +384,6 @@ class _Translates:
         self._walks[(radius, fids)] = out
         return out
 
-    def walk_over(self, ids: Sequence[int], radius: Optional[int]) -> Tuple[dict, dict]:
-        """The walk over the distinct forms of ``ids``, and the positions in
-        ``ids`` of each form, in order."""
-        at: Dict[int, List[int]] = {}
-        for k, fid in enumerate(ids):
-            at.setdefault(fid, []).append(k)
-        return self.walk(frozenset(at), radius), at
-
 
 # the memo of the enclosing `shared_translates` block; set only inside one
 _SHARED: contextvars.ContextVar[Optional[_Translates]] = contextvars.ContextVar(
@@ -413,14 +419,16 @@ def _first_hit(
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None.  A clash is first decided on the translates'
-    bases alone (``_Translates.meet``): if no two cones meet at a label,
-    no element of the group, and so of no ball, lies in two translates.
-    Only when two meet, which may be outside the ball, or a translate
-    holds words does the walk run, to name the first element in ball
-    order.  Every membership pattern of the walk is asked only how
-    many translates hold its first element; the positions are read for the
-    element found.  Raises NotNormalizable when a set has no normal form."""
+    holding it), or None.  A clash on F2 × K or F2 × F2 is first decided
+    on the translates' bases alone (``_Translates.meet``): if no two cones
+    meet at a label, no element of the group, and so of no ball, lies in
+    two translates.  Only when two meet, which may be outside the ball, or
+    a translate holds words does the walk run, to name the first element
+    in ball order; on F2 and F3 ``_disjoint_by_factors`` has scanned the
+    same bases already, and the walk runs at once.  Every membership
+    pattern of the walk is asked only how many translates hold its first
+    element; the positions are read for the element found.  Raises
+    NotNormalizable when a set has no normal form."""
     sets = family.items
     # rows (position, F2 word h, form id of A, label indices C): the
     # translate at the position holds hA × C, and ``labels`` names the
@@ -465,10 +473,10 @@ def _first_hit(
             if i not in fids:
                 fids[i] = memo.of(sets[i][0].base if family.kind == "F3" else sets[i][0])
             rows.append((j, x, fids[i], (0,)))
-    if clash:
+    if clash and family.kind in ("F2xK", "F2xF2"):
         buckets: List[List[str]] = [[] for _ in labels]
         for _, h, fid, c in rows:
-            bases = memo.bases(h, fid)
+            bases = memo.bases((h,), fid)
             if bases is None:
                 break
             for li in c:
@@ -480,7 +488,10 @@ def _first_hit(
     # translates holding (w, l) number the rows at l of the forms holding
     # w, and a cover misses (w, l) when no form holding w has one
     ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
-    walk, at = memo.walk_over(ids, radius)
+    at: Dict[int, List[int]] = {}
+    for k, fid in enumerate(ids):
+        at.setdefault(fid, []).append(k)
+    walk = memo.walk(frozenset(at), radius)
     counts: List[Dict[int, int]] = [{} for _ in labels]
     for fid, row in zip(ids, rows):
         for li in row[3]:
@@ -491,6 +502,47 @@ def _first_hit(
                 hits = sorted(rows[p][0] for fid in pattern for p in at[fid] if li in rows[p][3])
                 return (w if labels[li] is None else (w, labels[li])), hits
     return None
+
+
+def _disjoint_by_factors(family: TowerFamily, memo: _Translates) -> bool:
+    """True when no two translates d·A_i meet, read off one scan of bases;
+    False when two may.  Write D's elements (h, e), with E_h the labels e
+    that come with h, and split A_i into pieces A × C, one per distinct
+    slice A; F2 and F3 are the case e = C = {1}.  (h, e)·(A × C) =
+    hA × eC, so when the distinct hA meet nowhere and, for each h and A,
+    the label sets eC for e in E_h are pairwise disjoint, no two
+    translates meet.  On D = H × E with no element twice, the label sets
+    are those of E for every h."""
+    if family.kind not in ("F2xK", "F2", "F3"):
+        return False
+    by_word: Dict[str, list] = {}
+    for d in family.d_set:
+        h, e = d if family.kind == "F2xK" else (d, None)
+        by_word.setdefault(h, []).append(e)
+    try:
+        if family.kind == "F2xK":
+            act = family.k_group.mul
+            pieces = [(memo.of(t), lbl) for a, _ in family.items for lbl, t in a.slices.items()]
+        else:
+            act = lambda e, lbl: lbl
+            for h in by_word if family.kind == "F3" else ():
+                _check_ab(h)
+            sets = (a.base if family.kind == "F3" else a for a, _ in family.items)
+            pieces = [(memo.of(a), None) for a in sets]
+    except NotNormalizable:
+        # the row path raises it with its own message
+        return False
+    pieces = [(fid, lbl) for fid, lbl in pieces if any(memo.forms[fid])]
+    for es in {tuple(es) for es in by_word.values()}:
+        labels: Dict[int, set] = {}
+        for fid, lbl in pieces:
+            taken = labels.setdefault(fid, set())
+            size = len(taken)
+            taken.update(act(e, lbl) for e in es)
+            if len(taken) < size + len(es):
+                return False
+    moved = [memo.bases(list(by_word), fid) for fid in dict.fromkeys(f for f, _ in pieces)]
+    return None not in moved and not memo.meet([list(itertools.chain(*moved))])
 
 
 def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
@@ -525,12 +577,14 @@ def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     """Checks on the radius-r ball, or on the whole group when ``radius`` is
     None, read off the prefix trie of the translates' normal forms."""
     memo = _translates()
-    owners = _owners(family)
-    placed = [(family.d_set[di], i) for di, i in owners]
-    clash = _first_hit(family, placed, radius, memo, clash=True)
-    if clash is not None:
-        w, hits = clash
-        clash = (w, owners[hits[0]], owners[hits[1]])
+    clash = None
+    if not _disjoint_by_factors(family, memo):
+        owners = _owners(family)
+        placed = [(family.d_set[di], i) for di, i in owners]
+        clash = _first_hit(family, placed, radius, memo, clash=True)
+        if clash is not None:
+            w, hits = clash
+            clash = (w, owners[hits[0]], owners[hits[1]])
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
         covers = [(family.items[i][1], i) for i in idxs]
@@ -675,7 +729,7 @@ def verify_towers(
                 checks = _walk_ball(family, None)
             except NotNormalizable as e:
                 raise NotNormalizable(f"exact mode unavailable for this family: {e}") from e
-        return TowerCertificate(family.to_json(), "exact", None, checks)
+        return TowerCertificate(family, "exact", None, checks)
 
     if mode != "ball":
         raise ValueError(f"unknown mode: {mode!r}")
@@ -690,7 +744,7 @@ def verify_towers(
             checks = _walk_ball(family, radius)
         except NotNormalizable:
             checks = _sweep_ball(family, radius)
-    return TowerCertificate(family.to_json(), "ball", radius, checks)
+    return TowerCertificate(family, "ball", radius, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -748,20 +802,55 @@ def _verified(fam: TowerFamily, what: str) -> TowerFamily:
 
 
 def disjoint_translates(d_words: Sequence[str], count: int) -> List[str]:
-    """First `count` words s (canonical order) with the sets D·s pairwise disjoint."""
+    """First `count` words s (canonical order) with the sets D·s pairwise
+    disjoint, for D a list of reduced words.
+
+    D·w meets D·s exactly when x = w·s⁻¹ is some d⁻¹d'.  Write d = p + a and
+    d' = p + b with p their longest common prefix: then d⁻¹d' = a⁻¹ + b with
+    nothing cancelled.  So x is one exactly when some split x = u + v has a
+    p with p + u⁻¹ and p + v in D (``_splits_in``).  ``ends[t]`` holds the
+    p with p + t in D, for the suffixes t as long as a split has asked, so
+    a candidate costs a few set meets per chosen word, not |D| products."""
+    by_length: Dict[int, List[str]] = {}
+    for d in d_words:
+        by_length.setdefault(len(d), []).append(d)
+    longest, depth = max(by_length, default=0), -1
+    ends: Dict[str, set] = {}
     chosen: List[str] = []
-    taken: set = set()
-    d_list = list(d_words)
+    inverses: List[str] = []
     for w in fw.enumerate_words():
-        if not any(multiply(d, w) in taken for d in d_list):
+        for t in inverses:
+            x = multiply(w, t)
+            while depth < min(len(x), longest):
+                depth += 1
+                for size, ds in by_length.items():
+                    for d in ds if size >= depth else ():
+                        ends.setdefault(d[size - depth:], set()).add(d[: size - depth])
+            if _splits_in(x, ends, longest):
+                break
+        else:
             chosen.append(w)
-            taken.update(multiply(d, w) for d in d_list)
+            inverses.append(inverse(w))
             if len(chosen) == count:
                 return chosen
     raise SearchExhausted(
         f"found only {len(chosen)} of {count} disjoint translates"
         f" within radius {fw.DEFAULT_MAX_RADIUS}"
     )
+
+
+def _splits_in(x: str, ends: Dict[str, set], longest: int) -> bool:
+    """Whether some split x = u + v, both parts at most ``longest`` letters,
+    has a p in ends[u⁻¹] and in ends[v]; x⁻¹ is x reversed, case swapped."""
+    n, x_inv = len(x), x[::-1].swapcase()
+    for i in range(max(0, n - longest), min(n, longest) + 1):
+        if not ends.get(x_inv[n - i:], _NO_ENDS).isdisjoint(ends.get(x[i:], _NO_ENDS)):
+            return True
+    return False
+
+
+# the ends of a suffix that no word of D has
+_NO_ENDS: FrozenSet[str] = frozenset()
 
 
 @shared_translates()

@@ -9,6 +9,9 @@ what the matching's preimage search (``comparison._image_keys``) finds for
 many cells at once.  ``fixing_word`` and ``orbit_movers`` are the filling
 towers' searches done the long way: the stabilizer check on every word of
 the ball, and the orbit separation on every pair of translates.
+``squares`` forms D² as the comparison builder hands it to the counting
+step, and ``disjoint_translates`` is the translate search that makes |D|
+products per candidate word.
 """
 
 import functools
@@ -169,3 +172,26 @@ def orbit_movers(z: BoundaryPoint, d_list, n: int) -> list:
     if len(points) < n:
         raise SearchExhausted("could not separate enough orbit points")
     return movers
+
+
+def squares(space, d_set) -> list:
+    """D·D, each element once, sorted by word length, then by JSON."""
+    return sorted(
+        {space.mul(g, h) for g in d_set for h in d_set},
+        key=lambda e: (len(space.word_part(e)), str(space.elem_json(e))),
+    )
+
+
+def disjoint_translates(d_words, count: int) -> list:
+    """The first ``count`` words s, in enumeration order, with the sets D·s
+    pairwise disjoint: each candidate's |D| products against the words
+    taken so far."""
+    chosen: list = []
+    taken: set = set()
+    for w in enumerate_words():
+        if not any(multiply(d, w) in taken for d in d_words):
+            chosen.append(w)
+            taken.update(multiply(d, w) for d in d_words)
+            if len(chosen) == count:
+                return chosen
+    raise SearchExhausted(f"found only {len(chosen)} of {count} disjoint translates")

@@ -356,15 +356,20 @@ def test_compare_payload_is_schema_1_without_the_composed_witness(
 
 # SHA-256 of the canonical JSON of the F2 × Z/n certificates for
 # U = [ab]×{0}, built through the one comparison path (the CLI names only
-# F2 and F2 × Z/2); recorded before the counting and threshold sweeps read
-# their trie's keys alone.  Their sweeps run over hundreds of bases.
+# F2 and F2 × Z/2); Z/3 and Z/4 recorded before the counting and threshold
+# sweeps read their trie's keys alone, Z/6 before the product tower check
+# was decided on its factors.  Their sweeps run over hundreds of bases, and
+# the Z/6 tower check over six labels.
 PINNED_ZN_COMPARISONS = [
     (3, "edacfd4cbe761917ebdc2207acdae47024c8842864f01d75b6c1ef00f5027763"),
     (4, "d5293cca57d8e652a2a41de1b0a90c85eed38ddd7f2861dfe595d917211640c2"),
+    (6, "680b34f9080012b03b73ee7ed45bfb7df8178589af38da59e65dd4f456be0653"),
 ]
 
 
-@pytest.mark.parametrize("k, digest", PINNED_ZN_COMPARISONS, ids=["F2xZ3-ab0", "F2xZ4-ab0"])
+@pytest.mark.parametrize(
+    "k, digest", PINNED_ZN_COMPARISONS, ids=["F2xZ3-ab0", "F2xZ4-ab0", "F2xZ6-ab0"]
+)
 def test_zn_comparison_bytes_are_pinned(k, digest):
     from test_comparison import _zn_instance
 
@@ -1376,6 +1381,34 @@ def test_verify_refuses_a_forged_coloring_at_once(tmp_path, capsys, payload, nam
     assert code == 3 and named in report["error"]
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("malformed:")
+
+
+def _built_coloring(tmp_path) -> dict:
+    code, env = run_json(tmp_path, ["color", "--K", "Z/5", "--E", "0,1,4"])
+    assert code == 0
+    return env["payload"]
+
+
+# `color --K Z/5 --E 0,1,4` with one recorded field forged and the hash
+# recomputed: verify works out each of them, so each exits 2
+@pytest.mark.parametrize(
+    "path, value, failed",
+    [
+        (["pass"], False, ["pass_matches"]),
+        (["m"], 6, ["m_matches", "pass_matches"]),
+        (["K", "elements"], ["0", "1", "2", "3", "5"], ["K_matches", "pass_matches"]),
+        (["K", "elements"], ["0", "1", "2", "4", "3"], ["K_matches", "pass_matches"]),
+    ],
+    ids=["pass-false", "m-plus-one", "K-element-renamed", "K-elements-reordered"],
+)
+def test_verify_works_out_each_recorded_coloring_field(tmp_path, path, value, failed):
+    payload = _built_coloring(tmp_path)
+    assert _verify_payload(tmp_path, "coloring", payload)[0] == 0
+    code, report = _verify_payload(tmp_path, "coloring", _with(payload, path, value))
+    assert code == 2 and not report["pass"]
+    # a forged field fails its own check, and the recorded pass then
+    # disagrees with the verdict
+    assert [key for key, ok in report.items() if ok is False] == ["pass"] + failed
 
 
 @pytest.mark.parametrize("command", ["compose", "boost"])

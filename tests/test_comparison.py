@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import paratower.comparison as comparison
-from oracles import cells, image_key
+import oracles
+from oracles import cells, image_key, squares
 from paratower import prefix, subsets, towers
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
@@ -200,7 +201,7 @@ def test_boost_shifts_labels_onto_the_target(v_word, v_label, digest):
 
 def plain_counting_data():
     d_set = ["", "a", "A", "aB", "bA"]
-    return CountingData(d_set, Fraction(1, 4), [cyl("aabb")], cyl("a"))
+    return CountingData(d_set, Fraction(1, 4), [cyl("aabb")], cyl("a"), squares(SPACE, d_set))
 
 
 def test_check_counting_passes():
@@ -225,7 +226,7 @@ def test_petr_assign_builds_witness():
 
 def test_petr_assign_rejects_failed_hypothesis():
     # a point of [a] is hit once on each side, so strictness fails
-    data = CountingData([""], Fraction(1, 4), [cyl("a")], cyl("a"))
+    data = CountingData([""], Fraction(1, 4), [cyl("a")], cyl("a"), squares(SPACE, [""]))
     with pytest.raises(HypothesisViolated):
         petr_assign(SPACE, data, 0)
 
@@ -473,13 +474,12 @@ def test_the_product_check_runs_over_f_times_f(inst, u_set):
     space = instance.space()
     data = build_comparison(instance, u_set).data
     f_elems = [space.elem_from_json(f) for f in data["F"]]
-    squares = comparison._squares(space, f_elems)
-    assert data["towers"]["D"] == [space.elem_json(g) for g in squares]
+    assert data["towers"]["D"] == [space.elem_json(g) for g in squares(space, f_elems)]
 
 
 def _failing_towers(family, mode="exact", radius=None):
     checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
-    return TowerCertificate(family.to_json(), mode, radius, checks)
+    return TowerCertificate(family, mode, radius, checks)
 
 
 def _failing_witness_check(w):
@@ -875,10 +875,7 @@ def _check_counting_sets(space, data, n):
     """check_counting as it was, translating every set with space.act:
     the reference for the report."""
     u_eff = space.shrink(data.target, data.epsilon)
-    d2 = sorted(
-        {space.mul(g, h) for g in data.d_set for h in data.d_set},
-        key=comparison._elem_order(space),
-    )
+    d2 = squares(space, data.d_set)
     items = [(space.act(space.inv(f), v), Fraction(1)) for f in d2 for v in data.sources]
     items += [(space.act(space.inv(g), u_eff), Fraction(-(n + 1))) for g in data.d_set]
     worst, cell = extreme_weighted_count(space, items, "max")
@@ -901,7 +898,10 @@ def test_check_counting_matches_the_set_algebra(space):
             g = _random_element(rng, space)
             d_set |= {g, space.inv(g)}
         sources = [_random_set(rng, space) for _ in range(rng.randint(1, 3))]
-        data = CountingData(sorted(d_set, key=str), Fraction(1, 8), sources, _random_set(rng, space))
+        d_set = sorted(d_set, key=str)
+        data = CountingData(
+            d_set, Fraction(1, 8), sources, _random_set(rng, space), squares(space, d_set)
+        )
         n = rng.randint(0, 3)
         assert check_counting(space, data, n) == _check_counting_sets(space, data, n)
 
@@ -931,7 +931,9 @@ def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space
         if isinstance(space, ProductSpace):
             word = rng.choice(words_of_length(rng.randint(1, 3)))
             other = [space.from_slices({rng.choice(space.labels): cyl(word)})]
-        data = CountingData(d_set, Fraction(1, 8), uniform + other, _random_set(rng, space))
+        data = CountingData(
+            d_set, Fraction(1, 8), uniform + other, _random_set(rng, space), squares(space, d_set)
+        )
         n = rng.randint(0, 3)
         added.clear()
         got = check_counting(space, data, n)
@@ -953,7 +955,8 @@ def test_check_counting_builds_no_product_set_for_a_uniform_source(monkeypatch):
     rng = random.Random("counting-no-products")
     d_set = [space.elem(w, k) for w in ("", "ab", "BA") for k in space.labels]
     sources = [space.uniform(_random_clopen(rng)) for _ in range(3)]
-    data = CountingData(d_set, Fraction(1, 8), sources, space.from_slices({"1": cyl("ab")}))
+    target = space.from_slices({"1": cyl("ab")})
+    data = CountingData(d_set, Fraction(1, 8), sources, target, squares(space, d_set))
     built = []
     init = ProductClopen.__init__
 
@@ -985,7 +988,8 @@ def test_check_counting_sweeps_label_maps_that_differ(monkeypatch):
         uniform = [space.uniform(_random_clopen(rng)) for _ in range(rng.randint(1, 2))]
         other = [space.from_slices({rng.choice(space.labels): _random_clopen(rng)})]
         target = space.from_slices({"0": cyl(rng.choice(words_of_length(rng.randint(1, 2))))})
-        data = CountingData(sorted(d_set, key=str), Fraction(1, 8), uniform + other, target)
+        d_set = sorted(d_set, key=str)
+        data = CountingData(d_set, Fraction(1, 8), uniform + other, target, squares(space, d_set))
         n = rng.randint(0, 3)
         swept.clear()
         got = check_counting(space, data, n)
@@ -1062,7 +1066,8 @@ def test_check_counting_moves_a_slice_through_its_canonical_form(
     monkeypatch.setattr(ClopenSet, "act", lambda s, g: acted.append(g) or act(s, g))
     d_set = [space.elem(w, k) for w in d_words for k in space.labels]
     target = space.from_slices({space.labels[0]: cyl("b" if n == 0 else "a")})
-    data = CountingData(d_set, Fraction(1, 8), [space.uniform(s) for s in sources], target)
+    sources = [space.uniform(s) for s in sources]
+    data = CountingData(d_set, Fraction(1, 8), sources, target, squares(space, d_set))
     got = check_counting(space, data, n)
     assert acted
     monkeypatch.undo()
@@ -1072,7 +1077,9 @@ def test_check_counting_moves_a_slice_through_its_canonical_form(
 def test_check_counting_moves_one_or_two_bases_without_a_clopen_set(monkeypatch):
     # no base is cancelled whole, so no slice goes through ClopenSet.act
     monkeypatch.setattr(ClopenSet, "act", None)
-    data = CountingData(["", "a", "A"], Fraction(1, 8), [ClopenSet(["ab", "b"])], cyl("b"))
+    d_set = ["", "a", "A"]
+    sources = [ClopenSet(["ab", "b"])]
+    data = CountingData(d_set, Fraction(1, 8), sources, cyl("b"), squares(SPACE, d_set))
     report = check_counting(SPACE, data, 1)
     monkeypatch.undo()
     assert report == _check_counting_sets(SPACE, data, 1)
@@ -1183,7 +1190,8 @@ def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
             for _ in range(rng.randint(0, 8)):
                 w += rng.choice(legal_next_letters(w))
             movers.add(space.elem(w, rng.choice(space.labels)))
-        data = CountingData(sorted(movers, key=str), Fraction(1, 8), sources, space.full())
+        movers = sorted(movers, key=str)
+        data = CountingData(movers, Fraction(1, 8), sources, space.full(), squares(space, movers))
         # a cell still without a key at the sources' depth ends the search
         # before any matching
         with monkeypatch.context() as m, pytest.raises((_Adjacency, DepthCapExceeded)) as got:
@@ -1325,7 +1333,8 @@ def _z3_counting_data(source: str):
     space = ProductSpace(cyclic_group(3))
     d_set = [(w, k) for w in ["", "a", "A", "aB", "bA"] for k in space.labels]
     return space, CountingData(
-        d_set, Fraction(1, 4), [space.uniform(cyl(source))], space.cylinder(("0", "a"))
+        d_set, Fraction(1, 4), [space.uniform(cyl(source))], space.cylinder(("0", "a")),
+        squares(space, d_set),
     )
 
 
@@ -1390,7 +1399,7 @@ def test_matching_equals_the_per_element_loop_on_random_data(monkeypatch, space,
             labels = rng.sample(space.labels, max(1, len(space.labels) - rng.randint(0, 1)))
             sources.append(space.from_slices({k: c for k in labels}))
         target = space.cylinder(rng.choice(cells(space, space.full(), 1)))
-        data = CountingData(d_set, Fraction(1, 8), sources, target)
+        data = CountingData(d_set, Fraction(1, 8), sources, target, squares(space, d_set))
         n = rng.randint(1, 8)
         if not check_counting(space, data, n)["pass"]:
             continue
@@ -1433,7 +1442,9 @@ def _split_trace(monkeypatch):
 def _split_case(sources, d_set):
     """F2 counting data with U^{-eps} = [a] (a counting report is taken as
     given): sources the cylinders ``sources``, movers ``d_set``."""
-    return CountingData(d_set, Fraction(1, 4), [cyl(w) for w in sources], cyl("a"))
+    return CountingData(
+        d_set, Fraction(1, 4), [cyl(w) for w in sources], cyl("a"), squares(SPACE, d_set)
+    )
 
 
 # aBAB moves [baa] and [baB] inside [a] and abAB moves [bab] there, but
@@ -1513,7 +1524,8 @@ def test_a_cell_no_mover_can_reach_is_refused_without_splitting(monkeypatch):
     monkeypatch.delenv("PARATOWER_MAX_DEPTH", raising=False)
     space = ProductSpace(cyclic_group(3))
     d_set = [(w, "0") for w in ["", "a", "A"]]
-    data = CountingData(d_set, Fraction(1, 4), [space.cylinder(("1", "ab"))], space.cylinder(("0", "a")))
+    sources, target = [space.cylinder(("1", "ab"))], space.cylinder(("0", "a"))
+    data = CountingData(d_set, Fraction(1, 4), sources, target, squares(space, d_set))
     with pytest.raises(DepthCapExceeded) as refused:
         petr_assign(space, data, 1, {"pass": True})
     assert str(refused.value) == (
@@ -1528,6 +1540,45 @@ def _zn_instance(k: int) -> ComparisonInstance:
     inst = ComparisonInstance.__new__(ComparisonInstance)
     inst.name, inst._space = f"F2xZ{k}", ProductSpace(cyclic_group(k))
     return inst
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_the_translates_of_d_squared_match_the_full_products(monkeypatch, k):
+    # the translate searches of an F2 × Z/k build, the D² one among them,
+    # each against the search that makes |D| products per candidate
+    calls = []
+    real = towers.disjoint_translates
+    monkeypatch.setattr(
+        towers, "disjoint_translates", lambda d, c: calls.append((d, c)) or real(d, c)
+    )
+    u_set = ProductClopen(cyclic_group(k), {"0": cyl("ab")})
+    build_comparison(_zn_instance(k), u_set)
+    (d_squared, count), = calls
+    assert len(d_squared) > 100 and count == k
+    assert real(d_squared, count) == oracles.disjoint_translates(d_squared, count)
+
+
+@pytest.mark.parametrize("inst, k", [("F2xZ2", 2), (None, 3)])
+def test_the_product_tower_check_makes_no_rows(monkeypatch, inst, k):
+    # the F2 × Z/k check is decided on D = D² × K and the lifted sets'
+    # factors, as are the F2 checks of more_towers: no clash check lists
+    # its translates as rows
+    decided, rows = [], []
+    factors, first_hit = towers._disjoint_by_factors, towers._first_hit
+    monkeypatch.setattr(
+        towers, "_disjoint_by_factors",
+        lambda fam, memo: decided.append(fam.kind) or factors(fam, memo),
+    )
+    monkeypatch.setattr(
+        towers, "_first_hit",
+        lambda fam, placed, r, memo, clash: (clash and rows.append(fam.kind))
+        or first_hit(fam, placed, r, memo, clash),
+    )
+    u_set = ProductClopen(cyclic_group(k), {"0": cyl("ab")})
+    instance = ComparisonInstance(inst) if inst else _zn_instance(k)
+    assert build_comparison(instance, u_set).passed
+    assert decided.count("F2xK") == 1 and "F2" in decided
+    assert rows == []
 
 
 def test_f2xz7_builds_under_the_gate(monkeypatch):

@@ -369,7 +369,7 @@ def test_builders_raise_when_their_check_fails(monkeypatch, kind, builder):
         if family.kind != kind:
             return real(family, mode, radius)
         checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
-        return TowerCertificate(family.to_json(), mode, radius, checks)
+        return TowerCertificate(family, mode, radius, checks)
 
     monkeypatch.setattr(towers, "verify_towers", failing)
     with pytest.raises(RuntimeError, match="failed"):
@@ -567,13 +567,16 @@ def test_shared_checks_match_fresh_ones(monkeypatch, radius):
 
 def _clash_check(monkeypatch, fam: TowerFamily, radius):
     """The clash check's (element, positions) or None, with a fresh memo, and
-    the number of walks it took."""
+    the number of walks it took: the scan on D's factors, then the rows."""
     walks = []
     real = prefix.first_by_pattern
     with monkeypatch.context() as m:
         m.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+        memo = towers._Translates()
         placed = [(fam.d_set[di], i) for di, i in towers._owners(fam)]
-        hit = towers._first_hit(fam, placed, radius, towers._Translates(), clash=True)
+        hit = None
+        if not towers._disjoint_by_factors(fam, memo):
+            hit = towers._first_hit(fam, placed, radius, memo, clash=True)
     return hit, len(walks)
 
 
@@ -757,6 +760,120 @@ def test_a_product_family_on_bases_not_cleared_takes_the_sorted_scan(monkeypatch
         assert len(sorts) == 1
         assert verify_towers(fam, "exact").passed
         assert len(sorts) == 1
+
+
+# -- the clash check decided on D's factors: D = H × E, sets A × C
+
+
+def _factor_families(order: int, seed: int) -> dict:
+    """F2 x Z/order families whose clash check the factor rule decides, or
+    hands to the row path, each keyed by the rule's verdict and a name: the
+    lift of a more_towers family with one tower copy per label and
+    D = D5 × K, and seeded changes to its D and its sets."""
+    rng = random.Random(f"factors/{order}/{seed}")
+    k = cyclic_group(order)
+    labels = list(k.elements)
+    fam = more_towers(D5, order)
+    items = [
+        (ProductSubset(k, {labels[j]: fam.items[i][0]}), (fam.items[i][1], "0"))
+        for j, idxs in enumerate(fam.cover_groups)
+        for i in idxs
+    ]
+    d_set = [(h, e) for h in D5 for e in labels]
+    rng.shuffle(d_set)
+
+    def family(d=d_set, sets=items):
+        return TowerFamily("F2xK", d, sets, k_group=k, cover_groups=[list(range(len(sets)))])
+
+    (a0, g0), (a1, g1) = items[:2]
+    sole = a0.slices["0"]
+    word = _random_word(rng, rng.randint(0, 3))
+    dropped = rng.randrange(len(d_set))
+    return {
+        (True, "as built"): family(),
+        # E_h is K for all but one word h
+        (True, "a non-product D"): family(d=d_set[:dropped] + d_set[dropped + 1:]),
+        (False, "D repeats an element at size |H|·|E|"): family(
+            d=d_set[:dropped] + d_set[dropped + 1:] + [d_set[(dropped + 1) % len(d_set)]]
+        ),
+        # the second tower's set is the first one's, one label on: (h, e)
+        # and (h, e - 1) place the same hA at label e
+        (False, "two towers with equal slices"): family(
+            sets=[(a0, g0), (ProductSubset(k, {"1": sole}), g1)] + items[2:]
+        ),
+        # with E = {0} the same slice at two labels meets nothing
+        (True, "two towers with equal slices at E = {0}"): family(
+            d=[(h, "0") for h in D5],
+            sets=[(a0, g0), (ProductSubset(k, {"1": sole}), g1)] + items[2:],
+        ),
+        # the first two towers' slices meet in F2, at labels no e brings together
+        (False, "meeting slices at disjoint labels, E = {0}"): family(
+            d=[(h, "0") for h in D5],
+            sets=[(a0, g0), (ProductSubset(k, {"1": union(a1.slices["0"], sole)}), g1)]
+            + items[2:],
+        ),
+        (False, "a slice that holds words"): family(
+            sets=[(ProductSubset(k, {"0": union(sole, ss.finite([word]))}), g0)] + items[1:]
+        ),
+        # e·{0, 1} and e'·{0, 1} share a label when e' = e ± 1
+        (False, "label sets that overlap under some e"): family(
+            sets=[(ProductSubset(k, {"0": sole, "1": sole}), g0)] + items[1:]
+        ),
+    }
+
+
+@pytest.mark.parametrize("order, seed", [(2, 0), (3, 1), (4, 2)])
+def test_the_factored_check_matches_the_row_path(monkeypatch, order, seed):
+    families = _factor_families(order, seed)
+    factored = {
+        name: [verify_towers(fam, mode, r).checks for mode, r in (("exact", None), ("ball", 4))]
+        for name, fam in families.items()
+    }
+    for (decided, name), fam in families.items():
+        assert towers._disjoint_by_factors(fam, towers._Translates()) == decided, name
+    # the built family passes, and some of the changed ones clash
+    assert factored[True, "as built"][0]["disjoint"]["pass"]
+    assert not all(c[0]["disjoint"]["pass"] for c in factored.values())
+    monkeypatch.setattr(towers, "_disjoint_by_factors", lambda family, memo: False)
+    for key, fam in families.items():
+        rows = [verify_towers(fam, mode, r).checks for mode, r in (("exact", None), ("ball", 4))]
+        assert factored[key] == rows, key
+
+
+def test_the_factored_check_matches_the_sweep():
+    for (_, name), fam in _factor_families(2, 3).items():
+        assert verify_towers(fam, "ball", 3).checks == _sweep_ball(fam, 3), name
+
+
+def test_a_passing_clash_check_moves_each_word_and_form_once(monkeypatch):
+    # the strengthened towers' three cones, moved by the radius-2 ball: one
+    # product per (word, cone), and none when a check of the same block
+    # reads them again
+    d_words = list(ball(2))
+    strengthened = towers.StrengthenedF2Towers(d_words, 2, ["aaaaba", "aaaabA", "aaaabb"])
+    calls = []
+    real = towers.multiply
+    monkeypatch.setattr(towers, "multiply", lambda u, v: calls.append((u, v)) or real(u, v))
+    with towers.shared_translates():
+        memo = towers._translates()
+        fam = strengthened.family()
+        assert towers._disjoint_by_factors(fam, memo)
+        assert sorted(calls) == sorted((d, b) for d in d_words for b in strengthened.bases)
+        calls.clear()
+        assert verify_towers(TowerFamily("F2", d_words, fam.items[:2]), "exact").passed
+        assert [c for c in calls if c[1] in strengthened.bases] == []
+
+
+def test_disjoint_translates_match_the_full_products():
+    rng = random.Random("disjoint-translates")
+    cases = []
+    for _ in range(30):
+        d_set = [_random_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 12))]
+        cases.append((d_set, rng.randint(1, 5)))
+    cases += [([], 3), ([""], 4), (list(ball(2)), 3), (["a", "a", "ab"], 3)]
+    for d_set, count in cases:
+        want = oracles.disjoint_translates(d_set, count)
+        assert towers.disjoint_translates(d_set, count) == want, (d_set, count)
 
 
 def test_ball_walk_cost_does_not_grow_with_radius():
