@@ -140,7 +140,8 @@ def _verify_comparison(payload: dict) -> dict:
 
     The recorded witness reports must be the recomputed ones, and claim
     2's cover and inclusions the verdicts read off its report; the
-    counting sweep's witness cell must be a cell of the space."""
+    counting sweep's witness cell must be a cell of the space, and every
+    recorded pass flag true."""
     from .comparison import ComparisonInstance, SubeqWitness, cylinder_cell_of, verify_witness
 
     space = ComparisonInstance.from_json(payload["instance"]).space()
@@ -179,8 +180,9 @@ def _verify_comparison(payload: dict) -> dict:
         }
         if failed is None and not (check["pass"] and proves):
             failed = claim
-    claim1_rec, claim2_rec, claim3_rec, boosted_rec = (
-        _object(payload.get(c, {}), c) for c in ("claim1", "claim2", "claim3", "boosted")
+    claim1_rec, claim2_rec, claim3_rec, boosted_rec, towers_rec, composed_rec = (
+        _object(payload.get(c, {}), c)
+        for c in ("claim1", "claim2", "claim3", "boosted", "towers", "composed")
     )
     report2 = recomputed["claim2_witness"]
     fields = [
@@ -197,10 +199,17 @@ def _verify_comparison(payload: dict) -> dict:
     counting = _object(claim3_rec.get("counting", {}), "claim3.counting")
     if failed is None and not _is_cell(space, counting.get("witness_cell")):
         failed = f"claim 3: the counting witness cell {counting.get('witness_cell')!r} is no cell"
-    flags = [rec.get("pass") for rec in (claim1_rec, claim2_rec, claim3_rec)]
-    flags.append(payload.get("pass"))
-    if failed is None and not all(flags):
-        failed = "a recorded claim flag is not pass"
+    # every recorded pass flag must be true, the product tower check's
+    # disjoint and cover among them
+    checks = {"disjoint": {}, "cover": {}, **_object(towers_rec.get("checks", {}), "towers.checks")}
+    records = [("claim1", claim1_rec), ("claim2", claim2_rec), ("claim3", claim3_rec),
+               *((f"towers.checks.{c}", rec) for c, rec in checks.items()),
+               ("composed.report", composed_rec.get("report", {}))]
+    flags = {f"{name}.pass": _object(rec, name).get("pass") for name, rec in records}
+    flags["pass"] = payload.get("pass")
+    unpassed = [name for name, flag in flags.items() if flag is not True]
+    if failed is None and unpassed:
+        failed = f"recorded {unpassed[0]} is not pass"
     return {
         "pass": failed is None,
         "failed": failed,

@@ -313,22 +313,25 @@ def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     return const + best, first
 
 
-def _extreme(steps: Dict, den: int, sign: int) -> Tuple[Fraction, Cell]:
-    """Extreme of the step functions ``steps`` (label -> [constant, base
-    weights], scaled by den and by sign) and its witness cell: the first
-    leaf attaining it in the trie walk of the first label (in ``str``
-    order) that attains it."""
+def _extreme(shared: list, diffs: Dict, den: int, sign: int) -> Tuple[Fraction, Cell]:
+    """Extreme of the step functions ``shared`` plus ``diffs[label]`` (each
+    [constant, base weights], scaled by den and by sign) and its witness
+    cell: the first leaf attaining it in the trie walk of the first label
+    (in ``str`` order) that attains it.  One label's merged step function
+    is held at a time."""
     best: Optional[Fraction] = None
     best_cell: Cell = (None, "")
     swept: list = []
-    for lbl in sorted(steps, key=str):
-        const, base_w = steps[lbl]
-        # a label with an earlier label's step function ties with it and
-        # loses the tie
-        if steps[lbl] in swept:
+    const, base_w = shared
+    for lbl in sorted(diffs, key=str):
+        # a label with an earlier label's difference ties with it and loses
+        # the tie
+        if diffs[lbl] in swept:
             continue
-        swept.append(steps[lbl])
-        top, cell = _sweep(const, base_w) if base_w else (const, "")
+        swept.append(diffs[lbl])
+        d_const, d_w = diffs[lbl]
+        merged = {**base_w, **{k: base_w.get(k, 0) + w for k, w in d_w.items()}}
+        top, cell = _sweep(const + d_const, merged) if merged else (const + d_const, "")
         val = Fraction(sign * top, den)
         if best is None or sign * val > sign * best:
             best, best_cell = val, (lbl, cell.translate(_FROM_DIGITS))
@@ -353,7 +356,7 @@ def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
     for s, w in items:
         iw = sign * w.numerator * (den // w.denominator)
         _add_weights(steps, ((lbl, _digit_bases(sl)) for lbl, sl in space.slice_items(s)), iw)
-    return _extreme(steps, den, sign)
+    return _extreme([0, {}], steps, den, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +662,9 @@ def check_counting(space, data: CountingData, n: int) -> dict:
 
     The weighted sum has one item f⁻¹·V_j per (f in D², V_j), weight 1, and
     one item g⁻¹·U^{-eps} per g in D, weight -(n+1).  Each is added slice
-    by slice to one step function per label; a label only renames the
-    slices, so no product set is built."""
+    by slice to the step function every label shares or to one label's
+    difference from it; a label only renames the slices, so no product set
+    is built."""
     if not data.d_set:
         raise ValueError("the weighted sum needs at least one item")
     u_eff = space.shrink(data.target, data.epsilon)
@@ -679,8 +683,10 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     # from.  The sweep reads only the summed step function, so its extreme
     # and witness cell stay those of one item per f.
     words = {inverse(w): c for w, c in Counter(space.word_part(f) for f in data.d2).items()}
-    # the step function every label starts from, under the key None
+    # the step function every label shares, under the key None, and each
+    # label's difference from it
     shared = {None: [0, {}]}
+    diffs = {lbl: [0, {}] for lbl in space.labels}
     pulled: List[Tuple[object, object, int]] = []
     for v in data.sources:
         sls = [sl for _, sl in space.slice_items(v)]
@@ -690,15 +696,13 @@ def check_counting(space, data: CountingData, n: int) -> dict:
         else:
             pulled += [(f, v, 1) for f in data.d2]
     pulled += [(g, u_eff, -(n + 1)) for g in data.d_set]
-    const, base_w = shared[None]
-    steps = {lbl: [const, dict(base_w)] for lbl in space.labels}
     for f, s, iw in pulled:
         g = space.inv(f)
         h = space.word_part(g)
         _add_weights(
-            steps, ((space.act_label(g, lbl), act(h, sl)) for lbl, sl in space.slice_items(s)), iw
+            diffs, ((space.act_label(g, lbl), act(h, sl)) for lbl, sl in space.slice_items(s)), iw
         )
-    worst, cell = _extreme(steps, 1, 1)
+    worst, cell = _extreme(shared[None], diffs, 1, 1)
     return {
         "pass": worst < 0,
         "max_margin": _frac_json(worst),
@@ -1122,6 +1126,12 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     composed = compose(claim2_witness, claim3_witness)
     boosted = boost(composed, u_set)
 
+    # the product check's record without its family: its D is F·F and its
+    # towers are the pairs (C, g), both read off F, C and g below
+    towers_json = dict(fam_check.group.to_json(), cover_groups=fam_check.cover_groups,
+                       mode=tower_cert.mode, checks=tower_cert.checks)
+    towers_json["group"] = towers_json.pop("kind")
+
     data_json = {
         "instance": inst.to_json(),
         "U": u_set.to_json(),
@@ -1136,7 +1146,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         "n": n,
         "m": m,
         "claim1": claim1,
-        "towers": tower_cert.to_json(),
+        "towers": towers_json,
         "coloring": coloring_json,
         "C": [c.to_json() for c in c_sets],
         "g": [space.elem_json(g) for g in g_elems],

@@ -336,11 +336,39 @@ PINNED_COMPARISONS = [
 PINNED_IDS = ["F2-ab", "F2xZ2-a0"]
 
 
+def _with_product_family(payload: dict) -> dict:
+    """The comparison payload with the product tower check's D and towers
+    put back as the builder wrote them before they left the payload: D is
+    F·F as element JSON, and the towers are the pairs (C[i], g[i])."""
+    from oracles import squares
+    from paratower.comparison import space_from_json
+
+    rec = payload["towers"]
+    assert "D" not in rec and "towers" not in rec
+    space = space_from_json({"kind": rec["group"], "k": rec.get("k")})
+    f_elems = [space.elem_from_json(f) for f in payload["F"]]
+    rec["D"] = [space.elem_json(g) for g in squares(space, f_elems)]
+    rec["towers"] = [{"A": a, "g": g} for a, g in zip(payload["C"], payload["g"])]
+    return payload
+
+
+def _written_with_product_family(path) -> bytes:
+    """The comparison certificate the CLI wrote to ``path``, written as the
+    CLI does with ``_with_product_family``'s payload and its hash."""
+    raw = path.read_bytes()
+    env = json.loads(raw)
+    assert raw == (certs.canonical_json(env) + "\n").encode()
+    env["content_hash"] = certs.content_hash(_with_product_family(env["payload"]))
+    return (certs.canonical_json(env) + "\n").encode()
+
+
 @pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
 def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest, payload_digest):
+    # pinned with the product check's D and towers, which the payload no
+    # longer holds; every other byte is as pinned
     code, _ = run_json(tmp_path, ["compare"] + argv)
     assert code == 0
-    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(_written_with_product_family(tmp_path / "out.json")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
@@ -351,7 +379,32 @@ def test_compare_payload_is_schema_1_without_the_composed_witness(
     assert code == 0
     assert env["schema_version"] == 2
     assert list(env["payload"]["composed"]) == ["report"]
-    assert env["content_hash"] == payload_digest
+    assert certs.content_hash(_with_product_family(env["payload"])) == payload_digest
+
+
+# every field of a comparison payload and of its product tower record: a
+# field enters or leaves the certificate only with an edit here
+COMPARISON_FIELDS = [
+    "C", "D", "D0", "E", "F", "F0", "N", "U", "V", "W", "boosted", "claim1", "claim2",
+    "claim2_witness", "claim3", "claim3_witness", "coloring", "composed", "delta",
+    "delta_bound", "epsilon", "g", "instance", "m", "n", "pass", "target_cell", "towers",
+    "translates",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, tower_fields",
+    [
+        (["--instance", "F2", "--U", "ab"], ["checks", "cover_groups", "group", "mode"]),
+        (["--instance", "F2xZ2", "--U", "a:0"], ["checks", "cover_groups", "group", "k", "mode"]),
+    ],
+    ids=PINNED_IDS,
+)
+def test_the_comparison_payload_holds_exactly_these_fields(tmp_path, argv, tower_fields):
+    code, env = run_json(tmp_path, ["compare"] + argv)
+    assert code == 0
+    assert sorted(env["payload"]) == COMPARISON_FIELDS
+    assert sorted(env["payload"]["towers"]) == tower_fields
 
 
 # SHA-256 of the canonical JSON of the F2 × Z/n certificates for
@@ -378,8 +431,8 @@ def test_zn_comparison_bytes_are_pinned(k, digest):
     from paratower.groups import cyclic_group
 
     u_set = ProductClopen(cyclic_group(k), {"0": ClopenSet.cylinder("ab")})
-    cert = build_comparison(_zn_instance(k), u_set)
-    assert hashlib.sha256(certs.canonical_json(cert.to_json()).encode()).hexdigest() == digest
+    payload = _with_product_family(build_comparison(_zn_instance(k), u_set).to_json())
+    assert hashlib.sha256(certs.canonical_json(payload).encode()).hexdigest() == digest
 
 
 # SHA-256 of the `--json` output of each tower builder, in exact and ball
@@ -450,7 +503,10 @@ PINNED_TOWERS = [
 def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, argv)
     assert code == 0
-    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+    path = tmp_path / "out.json"
+    # comparisons were pinned with the product check's D and towers
+    raw = _written_with_product_family(path) if argv[0] == "compare" else path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 # SHA-256 of the sorted rows [source, cell, mover, colour] of each F2 × Z/2
@@ -1197,6 +1253,38 @@ def test_verify_recomputes_the_recorded_reports(tmp_path, f2_comparison, path, v
     assert code == 2 and not report["pass"]
     assert named in report["failed"]
     # the witnesses themselves still prove their claims
+    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
+
+
+@pytest.fixture(scope="module")
+def f2xz2_comparison():
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.comparison import ComparisonInstance, build_comparison
+    from paratower.groups import cyclic_group
+
+    u_set = ProductClopen(cyclic_group(2), {"0": ClopenSet.cylinder("a")})
+    return build_comparison(ComparisonInstance("F2xZ2"), u_set).to_json()
+
+
+# recorded flags that must be true; each forgery used to verify, since no
+# witness reads them
+@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
+@pytest.mark.parametrize(
+    "forge, named",
+    [
+        (lambda p: _with(p, ["towers", "checks", "disjoint", "pass"], False),
+         "towers.checks.disjoint.pass"),
+        (lambda p: _with(p, ["composed", "report", "pass"], False), "composed.report.pass"),
+        (lambda p: p["towers"]["checks"].pop("cover"), "towers.checks.cover.pass"),
+    ],
+    ids=["towers-disjoint-false", "composed-report-false", "towers-cover-missing"],
+)
+def test_verify_reads_every_recorded_flag(tmp_path, request, instance, forge, named):
+    payload = copy.deepcopy(request.getfixturevalue(instance))
+    assert _verify_payload(tmp_path, "comparison", payload)[0] == 0
+    forge(payload)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"] == f"recorded {named} is not pass"
     assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
 
 

@@ -467,14 +467,22 @@ def test_build_comparison_rejects_empty_target():
     [("F2", cyl("aB")), ("F2xZ2", ProductClopen(cyclic_group(2), {"1": cyl("ba")}))],
     ids=["F2", "F2xZ2"],
 )
-def test_the_product_check_runs_over_f_times_f(inst, u_set):
+def test_the_product_check_runs_over_f_times_f(monkeypatch, inst, u_set):
     # the builder reads F·F off D² × K; it is every product of two elements
-    # of F, in the same order
+    # of F, in the same order, and the product check's towers are (C, g)
+    families = []
+    real = comparison.verify_towers
+    monkeypatch.setattr(
+        comparison, "verify_towers", lambda fam, *a: families.append(fam) or real(fam, *a)
+    )
     instance = ComparisonInstance(inst)
     space = instance.space()
     data = build_comparison(instance, u_set).data
+    (fam,) = families
     f_elems = [space.elem_from_json(f) for f in data["F"]]
-    assert data["towers"]["D"] == [space.elem_json(g) for g in squares(space, f_elems)]
+    assert fam.d_set == squares(space, f_elems)
+    towers = [(a.to_json(), space.elem_json(g)) for a, g in fam.items]
+    assert towers == list(zip(data["C"], data["g"]))
 
 
 def _failing_towers(family, mode="exact", radius=None):
