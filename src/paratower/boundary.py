@@ -142,7 +142,8 @@ class ClopenSet:
     @classmethod
     def _in_form(cls, bases: Iterable[str]) -> "ClopenSet":
         """The set of bases that are canonical already, as ``prefix.meet``
-        and ``prefix.complement`` return them."""
+        and ``prefix.complement`` return them, and as ``act`` finds fewer
+        than three pieces."""
         s = object.__new__(cls)
         s.full = "" in bases
         s.bases = frozenset() if s.full else frozenset(bases)
@@ -238,7 +239,9 @@ class ClopenSet:
         if self.full:
             return self
         _, bases = prefix.translate(g, None, self.bases)
-        return ClopenSet(bases)
+        # the pieces are disjoint cylinders, and a split or a sibling family
+        # has three at least, so fewer pieces are canonical already
+        return ClopenSet._in_form(bases) if len(bases) < 3 else ClopenSet(bases)
 
     def refine(self, d: int) -> List[str]:
         """Depth-d cylinder bases whose union is this set (d ≥ depth)."""

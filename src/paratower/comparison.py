@@ -60,7 +60,7 @@ from .towers import (
     shared_translates,
     verify_towers,
 )
-from .words import inverse, legal_next_letters, multiply
+from .words import inverse, legal_next_letters, multiply, walk_key
 
 
 class HypothesisViolated(RuntimeError):
@@ -239,77 +239,45 @@ def space_from_json(data: dict):
 # ---------------------------------------------------------------------------
 # exact extremes of weighted indicator sums
 
-# The sweep spells words in ball-order digits (a, A, b, B as 0-3), so that
-# string order is the order of the trie walk; the legal next digits after
-# each last digit, in that order
-_LEGAL_DIGITS = {"": "0123", "0": "023", "1": "123", "2": "012", "3": "013"}
-_FROM_DIGITS = str.maketrans("0123", "aAbB")
-_INVERSE_DIGIT = {"0": "1", "1": "0", "2": "3", "3": "2"}  # a, A and b, B cancel
-
-
-def _digit_bases(sl: ClopenSet) -> Optional[List[str]]:
-    """The bases of a slice in ball-order digits, or None when it is full."""
-    return None if sl.full else [b.translate(fw._BALL_ORDER) for b in sl.bases]
-
-
-def _moved_digits(h: str, sl: ClopenSet) -> Optional[List[str]]:
-    """The bases of h·sl in ball-order digits, or None when it is full.  A
-    sibling family has three members at least, so one or two canonical
-    bases move one by one unless h cancels one whole; other slices go
-    through ``ClopenSet.act``, whose canonical form can merge moved bases
-    (a·{a, b, B} is [a])."""
-    if sl.full or len(sl.bases) > 2:
-        return _digit_bases(sl.act(h))
-    g = h.translate(fw._BALL_ORDER)
-    out = []
-    for b in _digit_bases(sl):
-        k = 0
-        while k < len(g) and k < len(b) and g[-1 - k] == _INVERSE_DIGIT[b[k]]:
-            k += 1
-        if k == len(b):
-            return _digit_bases(sl.act(h))
-        out.append(g[: len(g) - k] + b[k:])
-    return out
-
-
 def _add_weights(
-    steps: Dict, slices: Iterable[Tuple[object, Optional[List[str]]]], iw: int
+    steps: Dict, slices: Iterable[Tuple[object, Optional[Iterable[str]]]], iw: int
 ) -> None:
     """Add iw times one item's indicator to the step functions ``steps``,
-    one [constant, base weights] per key, from the item's (key, digit
-    bases) slices; a full slice (None) adds to the constant."""
-    for key, digits in slices:
+    one [constant, base weights] per key, from the item's (key, bases)
+    slices; a full slice (None) adds to the constant."""
+    for key, bases in slices:
         step = steps[key]
-        if digits is None:
+        if bases is None:
             step[0] += iw
             continue
         base_w = step[1]
-        for k in digits:
-            base_w[k] = base_w.get(k, 0) + iw
+        for b in bases:
+            base_w[b] = base_w.get(b, 0) + iw
 
 
 def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     """Max over the boundary of const plus base_w[b] on each cylinder [b],
     and the first leaf (a child off the bases' prefix trie) that attains
-    it; words in ball-order digits, whose string order is the walk order.
-    Only the keys of ``prefix.branch_keys`` carry a weight or branch, so
-    the cost is one sort of the bases and O(keys), not the trie's size."""
+    it in the trie walk.  Only the keys of ``prefix.branch_keys`` carry a
+    weight or branch, so the cost is one sort of the bases and O(keys),
+    not the trie's size."""
     nodes = prefix.branch_sums(base_w)
-    # the keys with a leaf below them: fewer child keys than digits, or a
+    # the keys with a leaf below them: fewer child keys than letters, or a
     # chain down to one
     best = max(
         t for x, (t, below) in nodes.items()
         if len(below) < (3 if x else 4) or any(len(k) > len(x) + 1 for k in below)
     )
-    first = min(
+    cells = (
         cell
         for x, (t, below) in nodes.items()
         if t == best
-        for cell in prefix.key_cells(x, below, lambda p: _LEGAL_DIGITS[p[-1:]])
+        for cell in prefix.key_cells(x, below, legal_next_letters)
     )
+    first = min(cells, key=walk_key)
     # a key with no key below is one cell, whose first leaf is its first child
     if first in nodes:
-        first += _LEGAL_DIGITS[first[-1:]][0]
+        first += legal_next_letters(first)[0]
     return const + best, first
 
 
@@ -334,7 +302,7 @@ def _extreme(shared: list, diffs: Dict, den: int, sign: int) -> Tuple[Fraction, 
         top, cell = _sweep(const + d_const, merged) if merged else (const + d_const, "")
         val = Fraction(sign * top, den)
         if best is None or sign * val > sign * best:
-            best, best_cell = val, (lbl, cell.translate(_FROM_DIGITS))
+            best, best_cell = val, (lbl, cell)
     return best, best_cell
 
 
@@ -355,7 +323,9 @@ def extreme_weighted_count(space, items, mode: str) -> Tuple[Fraction, Cell]:
     steps = {lbl: [0, {}] for lbl in space.labels}
     for s, w in items:
         iw = sign * w.numerator * (den // w.denominator)
-        _add_weights(steps, ((lbl, _digit_bases(sl)) for lbl, sl in space.slice_items(s)), iw)
+        _add_weights(
+            steps, ((lbl, None if sl.full else sl.bases) for lbl, sl in space.slice_items(s)), iw
+        )
     return _extreme([0, {}], steps, den, sign)
 
 
@@ -668,13 +638,15 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     if not data.d_set:
         raise ValueError("the weighted sum needs at least one item")
     u_eff = space.shrink(data.target, data.epsilon)
-    moved: Dict[tuple, Optional[List[str]]] = {}
+    moved: Dict[tuple, Optional[Tuple[str, ...]]] = {}
 
-    def act(h: str, sl: ClopenSet) -> Optional[List[str]]:
-        """The digit bases of h·sl, each (word, slice) pair moved once."""
+    def act(h: str, sl: ClopenSet) -> Optional[Tuple[str, ...]]:
+        """The bases of h·sl, or None when it is full, each (word, slice)
+        pair moved once."""
         key = (h, sl.full, sl.bases)
         if key not in moved:
-            moved[key] = _moved_digits(h, sl)
+            img = sl.act(h)
+            moved[key] = None if img.full else tuple(img.bases)
         return moved[key]
 
     # f⁻¹·V for V the same slice S at every label is h·S at every label, h

@@ -16,7 +16,7 @@ family could merge into its parent.  ``canonical`` returns the unique
 canonical form.  The other operations take canonical forms of reduced
 words.  ``meet`` and ``complement`` return canonical forms, which the views
 keep as they are; the pieces of ``translate`` can leave form, so the views
-hand them back to ``canonical``.
+hand them back to ``canonical`` (``ClopenSet.act`` only three or more).
 """
 
 from __future__ import annotations
@@ -128,13 +128,6 @@ def complement(words: Words, bases: AbstractSet[str]) -> Tuple[Words, Set[str]]:
     return (None if words is None else inner - words), out
 
 
-def moved_base(g: str, h: str) -> Optional[str]:
-    """The base of g·W(h) when part of h survives the cancellation with g,
-    otherwise None."""
-    c = multiply(g, h)
-    return c if len(c) > len(g) - len(h) else None
-
-
 def translate(g: str, words: Words, bases: Iterable[str]) -> Tuple[Words, list]:
     """Pieces of g·S.  A base moves to one base unless g cancels all of it;
     then it splits into its children, and in the group the node itself
@@ -144,12 +137,13 @@ def translate(g: str, words: Words, bases: Iterable[str]) -> Tuple[Words, list]:
     stack = list(bases)
     while stack:
         h = stack.pop()
-        c = moved_base(g, h)
-        if c is not None:
+        c = multiply(g, h)
+        # part of h survives the cancellation with g
+        if len(c) > len(g) - len(h):
             out.append(c)
             continue
         if out_words is not None:
-            out_words.add(multiply(g, h))
+            out_words.add(c)
         stack.extend(h + y for y in legal_next_letters(h))
     return out_words, out
 

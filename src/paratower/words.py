@@ -15,7 +15,7 @@ LETTERS = ("a", "A", "b", "B")
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
-_BALL_ORDER = str.maketrans("aAbB", "0123")
+_WALK_ORDER = str.maketrans("aAbB", "0123")
 
 DEFAULT_MAX_RADIUS = 14
 
@@ -133,10 +133,17 @@ def ball_size(r: int) -> int:
     return 1 + 2 * (3**r - 1)
 
 
+def walk_key(w: str) -> str:
+    """Sort key of the order in which a depth-first walk of the trie of
+    reduced words meets them: a word before its extensions, then letter by
+    letter with a < A < b < B."""
+    return w.translate(_WALK_ORDER)
+
+
 def ball_key(w: str) -> Tuple[int, str]:
     """Sort key of the order in which ``ball`` lists words: by length, then
-    letter by letter with a < A < b < B."""
-    return len(w), w.translate(_BALL_ORDER)
+    in walk order."""
+    return len(w), walk_key(w)
 
 
 def ball(r: int, max_radius: int = DEFAULT_MAX_RADIUS) -> Ball:

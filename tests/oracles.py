@@ -4,11 +4,13 @@ They evaluate the geodesic averaging measures point by point, with no
 prefix-trie visit: ``GeodesicMap.step_cells`` and ``threshold_weighted``
 must agree with ``OracleMap.mu_eval``, and ``defect_bound`` must bound
 ``OracleMap.defect``.  ``union`` joins tower sets in normal form, as a
-``union`` set decodes.  ``image_key`` asks one (cell, mover) pair at a time
-what the matching's preimage search (``comparison._image_keys``) finds for
-many cells at once.  ``fixing_word`` and ``orbit_movers`` are the filling
-towers' searches done the long way: the stabilizer check on every word of
-the ball, and the orbit separation on every pair of translates.
+``union`` set decodes.  ``moved_base`` is the rule by which
+``prefix.translate`` moves one base.  ``image_key`` asks one (cell, mover)
+pair at a time what the matching's preimage search
+(``comparison._image_keys``) finds for many cells at once.
+``fixing_word`` and ``orbit_movers`` are the filling towers' searches done
+the long way: the stabilizer check on every word of the ball, and the
+orbit separation on every pair of translates.
 ``squares`` forms D² as the comparison builder hands it to the counting
 step, and ``disjoint_translates`` is the translate search that makes |D|
 products per candidate word.
@@ -97,6 +99,13 @@ def union(*sets: NormalizedSet) -> NormalizedSet:
     return NormalizedSet(functools.reduce(NormalForm.union, (s.nf for s in sets), NormalForm()))
 
 
+def moved_base(g: str, h: str) -> Optional[str]:
+    """The base of g·W(h) when part of h survives the cancellation with g,
+    otherwise None."""
+    c = multiply(g, h)
+    return c if len(c) > len(g) - len(h) else None
+
+
 def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
     """The (label, base) pairs of g·cell's canonical bases, in order, if
     g·cell lies inside the shrunk target whose slices by label are
@@ -108,7 +117,7 @@ def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
     image's canonical bases; no clopen sets get built."""
     lbl, w = cell
     h = space.word_part(g)
-    c = prefix.moved_base(h, w)
+    c = moved_base(h, w)
     newl = space.act_label(g, lbl)
     tgt = ueff_slices[newl]
     if c is not None:

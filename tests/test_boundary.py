@@ -25,7 +25,7 @@ from paratower.words import (
     ball, inverse, legal_next_letters, multiply, reduce_word, words_of_length,
 )
 
-from oracles import OracleMap, RationalProbMeasure, union
+from oracles import OracleMap, RationalProbMeasure, moved_base, union
 
 letters = st.sampled_from("aAbB")
 reduced_words = st.lists(letters, max_size=6).map(reduce_word)
@@ -167,6 +167,62 @@ def test_act_pointwise(g, s):
         assert s.act(g).contains_point_prefix(moved) == s.contains_point_prefix(
             w[: max(s.depth(), 1)]
         )
+
+
+def _random_word(rng, length):
+    return reduce_word(rng.choice("aAbB") for _ in range(length))
+
+
+def _act_cases(rng, count):
+    """(set, word) pairs: a set of 1-6 raw bases of length 1-4, and a word
+    that half the time ends with the inverse of a base's prefix, so that
+    it cancels bases whole.  Sets that merge into the whole boundary are
+    left out."""
+    for _ in range(count):
+        s = ClopenSet(_random_word(rng, rng.randint(1, 4)) or "a" for _ in range(rng.randint(1, 6)))
+        if s.full:
+            continue
+        g = _random_word(rng, rng.randint(0, 5))
+        if rng.random() < 0.5:
+            b = rng.choice(sorted(s.bases))
+            g = multiply(g, inverse(b[: rng.randint(1, len(b))]))
+        yield s, g
+
+
+def test_act_moves_one_or_two_bases_without_canonical(monkeypatch):
+    # no word cancels a base of these sets whole, so the moved bases are
+    # the image's canonical ones as they come
+    calls = []
+    canonical = prefix.canonical
+    monkeypatch.setattr(prefix, "canonical", lambda *a: calls.append(a) or canonical(*a))
+    moved = 0
+    for s, g in _act_cases(random.Random("act/few"), 400):
+        if len(s.bases) > 2 or any(moved_base(g, b) is None for b in s.bases):
+            continue
+        calls.clear()
+        img = s.act(g)
+        assert not calls, (s, g)
+        assert img.bases == {multiply(g, b) for b in s.bases}
+        moved += 1
+    assert moved >= 100
+    # a split, and a third base, still go through the canonical form
+    for s, g in [(ClopenSet(["a"]), "A"), (ClopenSet(["a", "b", "B"]), "a")]:
+        calls.clear()
+        s.act(g)
+        assert calls
+
+
+def test_act_is_the_canonical_form_of_the_translated_pieces():
+    rng = random.Random("act/canonical")
+    kinds = set()
+    for s, g in _act_cases(rng, 600):
+        pieces = prefix.translate(g, None, s.bases)[1]
+        assert s.act(g).bases == ClopenSet(pieces).bases, (s, g)
+        cancelled = any(moved_base(g, b) is None for b in s.bases)
+        kinds.add((min(len(s.bases), 3), cancelled))
+    assert kinds == {(n, c) for n in (1, 2, 3) for c in (False, True)}
+    # moved one base at a time, a·{a, b, B} would be {aa, ab, aB}
+    assert ClopenSet(["a", "b", "B"]).act("a").bases == {"a"}
 
 
 def test_subset_and_disjoint():

@@ -2,9 +2,9 @@ import copy
 import hashlib
 import json
 import os
-import resource
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -411,17 +411,20 @@ def test_the_comparison_payload_holds_exactly_these_fields(tmp_path, argv, tower
 # U = [ab]×{0}, built through the one comparison path (the CLI names only
 # F2 and F2 × Z/2); Z/3 and Z/4 recorded before the counting and threshold
 # sweeps read their trie's keys alone, Z/6 before the product tower check
-# was decided on its factors.  Their sweeps run over hundreds of bases, and
-# the Z/6 tower check over six labels.
+# was decided on its factors, Z/5 and Z/8 before the sweep spelt its words
+# in letters.  Their sweeps run over hundreds of bases (Z/8: tens of
+# thousands of shared keys), and the Z/6 tower check over six labels.
 PINNED_ZN_COMPARISONS = [
     (3, "edacfd4cbe761917ebdc2207acdae47024c8842864f01d75b6c1ef00f5027763"),
     (4, "d5293cca57d8e652a2a41de1b0a90c85eed38ddd7f2861dfe595d917211640c2"),
+    (5, "b121293c8c7e15f51ff81168b73e64af76eb0745174d0075e5f31c37602880e7"),
     (6, "680b34f9080012b03b73ee7ed45bfb7df8178589af38da59e65dd4f456be0653"),
+    (8, "4f29fa46ea4730a068e93b94daf4dce408d37138cc2d6f14756ef11ce7c9a230"),
 ]
 
 
 @pytest.mark.parametrize(
-    "k, digest", PINNED_ZN_COMPARISONS, ids=["F2xZ3-ab0", "F2xZ4-ab0", "F2xZ6-ab0"]
+    "k, digest", PINNED_ZN_COMPARISONS, ids=[f"F2xZ{k}-ab0" for k, _ in PINNED_ZN_COMPARISONS]
 )
 def test_zn_comparison_bytes_are_pinned(k, digest):
     from test_comparison import _zn_instance
@@ -642,23 +645,33 @@ def test_a_matching_past_the_gate_exits_64_within_seconds(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", src)
     monkeypatch.delenv("PARATOWER_MAX_DEPTH", raising=False)
     start = time.perf_counter()
-    proc = subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-c", REFUSE_EVERY_DEPTH, "compare", "--instance", "F2xZ2", "--U", "a:0"],
-        capture_output=True,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
     )
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    try:
+        stderr = proc.stderr.read()
+    finally:
+        watchdog.cancel()
+        proc.stderr.close()
+    # reaped here, so the usage is this child's own, not the peak of every
+    # child the session has waited for
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 64, proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr == (
+    assert proc.returncode == 64, stderr
+    assert stderr.count("\n") == 1
+    assert stderr == (
         "error: the matching down to depth 35 needs 577368 (cell, mover) lookups over"
         " 52488 held cells, above the budget of 500000;"
         " deepest depth tried 34: 17496 cells, 192456 lookups\n"
     )
     assert elapsed < 30
-    # the peak of every child so far, this one included
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+    assert usage.ru_maxrss < 200 * 1024
 
 
 def _write_witness(tmp_path, name, sources, targets, entries):

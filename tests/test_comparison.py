@@ -6,7 +6,7 @@ import pytest
 
 import paratower.comparison as comparison
 import oracles
-from oracles import cells, image_key, squares
+from oracles import cells, image_key, moved_base, squares
 from paratower import prefix, subsets, towers
 from paratower.boundary import ClopenSet, ProductClopen
 from paratower.comparison import (
@@ -870,7 +870,7 @@ def test_verify_witness_on_cells_matches_the_set_algebra(space):
         for _, piece, g, _ in w.entries:
             for _, sl in space.slice_items(piece):
                 seen.add("full" if sl.is_full() else "empty" if sl.is_empty() else "bases")
-                if any(prefix.moved_base(space.word_part(g), b) is None for b in sl.bases):
+                if any(moved_base(space.word_part(g), b) is None for b in sl.bases):
                     seen.add("cancelled")
     assert {"pass", "containment", "overlap", "full", "cancelled"} <= seen
     if isinstance(space, ProductSpace):
@@ -1008,15 +1008,15 @@ def test_check_counting_sweeps_label_maps_that_differ(monkeypatch):
 
 def _sweep_by_walk(const, base_w):
     """``comparison._sweep`` by a walk over every node of the bases' prefix
-    trie, in ball-order digits: the max over the leaves and the first leaf
-    that attains it."""
+    trie, the letters in ``LETTERS`` order: the max over the leaves and the
+    first leaf that attains it."""
     trie = {b[:t] for b in base_w for t in range(len(b) + 1)}
     best = None
 
     def visit(node, total):
         nonlocal best
         total += base_w.get(node, 0)
-        for y in comparison._LEGAL_DIGITS[node[-1:]]:
+        for y in legal_next_letters(node):
             if node + y in trie:
                 visit(node + y, total)
             elif best is None or total > best[0]:
@@ -1026,11 +1026,11 @@ def _sweep_by_walk(const, base_w):
     return best
 
 
-def _digit_word(rng, stem, extra):
-    """A prefix of stem grown by up to `extra` legal ball-order digits."""
+def _grown_word(rng, stem, extra):
+    """A prefix of stem grown by up to `extra` legal letters."""
     w = stem[: rng.randint(0, len(stem))]
     for _ in range(rng.randint(0, extra)):
-        w += rng.choice(comparison._LEGAL_DIGITS[w[-1:]])
+        w += rng.choice(legal_next_letters(w))
     return w
 
 
@@ -1038,14 +1038,14 @@ def test_sweep_equals_the_walk_over_every_trie_node():
     # nested bases cut from shared stems, so that chains are long and keys
     # sit below keys; the base "", negative and zero weights, and ties
     # the max only on a chain below a key whose every child is a key
-    base_w = {"": 5, "00": -1, "02": -1, "0302": -1, "1": -1, "2": -1, "3": -1}
-    assert comparison._sweep(0, base_w) == _sweep_by_walk(0, base_w) == (5, "0300")
+    base_w = {"": 5, "aa": -1, "ab": -1, "aBab": -1, "A": -1, "b": -1, "B": -1}
+    assert comparison._sweep(0, base_w) == _sweep_by_walk(0, base_w) == (5, "aBaa")
     rng = random.Random("sweep/walk")
     for _ in range(300):
-        stems = [_digit_word(rng, "", 20) for _ in range(rng.randint(1, 3))]
+        stems = [_grown_word(rng, "", 20) for _ in range(rng.randint(1, 3))]
         base_w = {}
         for _ in range(rng.randint(1, 8)):
-            b = _digit_word(rng, rng.choice(stems), 3)
+            b = _grown_word(rng, rng.choice(stems), 3)
             base_w[b] = base_w.get(b, 0) + rng.randint(-4, 4)
         if rng.random() < 0.2:
             base_w[""] = rng.randint(-2, 2)
@@ -1080,17 +1080,6 @@ def test_check_counting_moves_a_slice_through_its_canonical_form(
     assert acted
     monkeypatch.undo()
     assert got == _check_counting_sets(space, data, n)
-
-
-def test_check_counting_moves_one_or_two_bases_without_a_clopen_set(monkeypatch):
-    # no base is cancelled whole, so no slice goes through ClopenSet.act
-    monkeypatch.setattr(ClopenSet, "act", None)
-    d_set = ["", "a", "A"]
-    sources = [ClopenSet(["ab", "b"])]
-    data = CountingData(d_set, Fraction(1, 8), sources, cyl("b"), squares(SPACE, d_set))
-    report = check_counting(SPACE, data, 1)
-    monkeypatch.undo()
-    assert report == _check_counting_sets(SPACE, data, 1)
 
 
 def _canonical_image_key(space, ueff_slices, g, cell):
@@ -1151,7 +1140,7 @@ def test_image_keys_of_cancelled_cells_are_the_canonical_ones(space):
             want = _canonical_image_key(space, ueff_slices, g, cell)
             assert found == want, (g, cell)
             if found is not None:
-                cancelled_inside += prefix.moved_base(space.word_part(g), cell[1]) is None
+                cancelled_inside += moved_base(space.word_part(g), cell[1]) is None
     assert cancelled_inside >= 5
 
 
@@ -1219,7 +1208,7 @@ def test_the_preimage_search_gives_the_per_pair_adjacency(monkeypatch, space):
                 key = image_key(space, ueff_slices, g, left[1])
                 if key is not None:
                     want.setdefault(key, g)
-                    cancelled += prefix.moved_base(space.word_part(g), left[1][1]) is None
+                    cancelled += moved_base(space.word_part(g), left[1][1]) is None
             assert list(adjacency[left].items()) == list(want.items()), left
             edges += len(want)
     assert shapes == {"full", "empty", "part"}

@@ -14,6 +14,7 @@ from paratower.words import (
     multiply,
     reduce_word,
     reduce_words,
+    walk_key,
     words_of_length,
 )
 
@@ -104,6 +105,13 @@ def test_ball_sizes_and_order():
         for n in range(r + 1):
             assert [w for w in ws if len(w) == n] == words_of_length(n)
         assert sorted(reversed(ws), key=ball_key) == ws
+        assert sorted(ws, key=walk_key) == _walk("", r)
+
+
+def _walk(w, depth):
+    """w and the words up to depth letters below it, in the order of a
+    depth-first walk of their trie."""
+    return [w] + [v for y in (legal_next_letters(w) if depth else ()) for v in _walk(w + y, depth - 1)]
 
 
 def test_ball_membership():
