@@ -186,7 +186,8 @@ class ClopenSet:
             return True
         if self.full:
             return False
-        return all(prefix.under(b, other.bases) for b in self.bases)
+        ordered = sorted(other.bases)
+        return all(prefix.under(b, ordered) for b in self.bases)
 
     def are_disjoint(self, other: "ClopenSet") -> bool:
         return self.inter(other).is_empty()

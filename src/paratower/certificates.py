@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from typing import Optional, Tuple
 
 # 2: comparison certificates keep only the report of the composed witness
@@ -139,9 +140,11 @@ def _verify_comparison(payload: dict) -> dict:
     The final witness alone proves the theorem, full below U.
 
     The recorded witness reports must be the recomputed ones, and claim
-    2's cover and inclusions the verdicts read off its report; the
-    counting sweep's witness cell must be a cell of the space, and every
-    recorded pass flag true."""
+    2's cover and inclusions the verdicts read off its report; so must the
+    target cell and its margin epsilon = 1/2^(|u0|+1), the number m of
+    colour classes of the space, and delta = 1/(4nm(nm+1)) with its bound
+    1/(2nm(nm+1)).  The counting sweep's witness cell must be a cell of the
+    space, and every recorded pass flag true."""
     from .comparison import ComparisonInstance, SubeqWitness, cylinder_cell_of, verify_witness
 
     space = ComparisonInstance.from_json(payload["instance"]).space()
@@ -151,7 +154,10 @@ def _verify_comparison(payload: dict) -> dict:
     full = [space.full()]
     v_sets = [space.set_from_json(v) for v in payload["V"]]
     u_set = [space.set_from_json(payload["U"])]
-    cell = space.cylinder(cylinder_cell_of(space, u_set[0]))
+    u0 = cylinder_cell_of(space, u_set[0])
+    cell = space.cylinder(u0)
+    m = len(space.coloring()[1])
+    nm = n * m
     claim2 = SubeqWitness.from_json(payload["claim2_witness"])
     claim3 = SubeqWitness.from_json(payload["claim3_witness"])
     final = SubeqWitness.from_json(payload["boosted"]["witness"])
@@ -192,6 +198,11 @@ def _verify_comparison(payload: dict) -> dict:
          all(c["contained"] for c in report2["colors"])),
         ("claim3.report", claim3_rec.get("report"), recomputed["claim3_witness"]),
         ("boosted.report", boosted_rec.get("report"), recomputed["boosted"]),
+        ("target_cell", payload.get("target_cell"), list(u0)),
+        ("epsilon", payload.get("epsilon"), str(Fraction(1, 2 ** (len(u0[1]) + 1)))),
+        ("m", payload.get("m"), m),
+        ("delta", payload.get("delta"), str(Fraction(1, 4 * nm * (nm + 1)))),
+        ("delta_bound", payload.get("delta_bound"), str(Fraction(1, 2 * nm * (nm + 1)))),
     ]
     mismatched = [f for f, got, want in fields if canonical_json(got) != canonical_json(want)]
     if failed is None and mismatched:

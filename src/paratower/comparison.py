@@ -449,16 +449,17 @@ def verify_witness(w: SubeqWitness) -> dict:
             report["failure"] = {"kind": "coverage", "source": i, "cell": list(cell)}
     for color in range(w.colors):
         target = w.targets[color]
-        inside = dict(space.slice_items(target))
+        # each slice's bases in sorted order, a full slice as the base ""
+        inside = {
+            lbl: [""] if sl.full else sorted(sl.bases) for lbl, sl in space.slice_items(target)
+        }
         images = []
         escaping = None
         for idx, (i, piece, g, c) in enumerate(w.entries):
             if c != color:
                 continue
             cells = _image_cells(space, g, piece)
-            if not all(
-                inside[lbl].full or prefix.under(b, inside[lbl].bases) for lbl, b in cells
-            ):
+            if not all(prefix.under(b, inside[lbl]) for lbl, b in cells):
                 escaping = idx
                 break
             images.append((idx, cells))
@@ -611,15 +612,22 @@ class CountingData:
 
     d_set is a finite symmetric set of group elements; the hypothesis reads
     sum_j |{g in D^2 : g.x in V_j}| < (n+1) |{g in D : g.x in U^{-eps}}|
-    pointwise.  d2 is D², sorted by ``_elem_order``.
+    pointwise.  d2 is D², sorted by ``_elem_order``; u_eff is U^{-eps},
+    worked out once by ``shrunk`` unless the caller has it.
     """
 
-    def __init__(self, d_set, epsilon: Fraction, sources, target, d2):
+    def __init__(self, d_set, epsilon: Fraction, sources, target, d2, u_eff=None):
         self.d_set = list(d_set)
         self.epsilon = Fraction(epsilon)
         self.sources = list(sources)
         self.target = target
         self.d2 = d2
+        self.u_eff = u_eff
+
+    def shrunk(self, space):
+        if self.u_eff is None:
+            self.u_eff = space.shrink(self.target, self.epsilon)
+        return self.u_eff
 
 
 def _elem_order(space):
@@ -637,7 +645,7 @@ def check_counting(space, data: CountingData, n: int) -> dict:
     is built."""
     if not data.d_set:
         raise ValueError("the weighted sum needs at least one item")
-    u_eff = space.shrink(data.target, data.epsilon)
+    u_eff = data.shrunk(space)
     moved: Dict[tuple, Optional[Tuple[str, ...]]] = {}
 
     def act(h: str, sl: ClopenSet) -> Optional[Tuple[str, ...]]:
@@ -773,7 +781,7 @@ def petr_assign(
             f" with margin {counting['max_margin']}",
             tuple(counting["witness_cell"]),
         )
-    u_eff = space.shrink(data.target, data.epsilon)
+    u_eff = data.shrunk(space)
     levels = _extra_depth_budget()
     cap = levels + max([1] + [sl.depth() for v in data.sources for _, sl in space.slice_items(v)])
     matchings = tries = MATCH_TRIES * (levels + 1)
@@ -955,7 +963,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     u0_cell = cylinder_cell_of(space, u_set)
     u_target = space.cylinder(u0_cell)
     eps = Fraction(1, 2 ** (len(u0_cell[1]) + 1))
-    if not space.shrink(u_target, eps).equals(u_target):
+    u_eff = space.shrink(u_target, eps)
+    if not u_eff.equals(u_target):
         raise ConstructionFailed(f"shrinking by {eps} changes the target cylinder")
 
     # elements moving every depth-1 cylinder into the target cylinder, with
@@ -1081,7 +1090,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         )
 
     # claim 3: counting hypothesis plus the matching assignment
-    data = CountingData(f_elems, eps, v_list, u_target, f_squares)
+    data = CountingData(f_elems, eps, v_list, u_target, f_squares, u_eff)
     counting = check_counting(space, data, n)
     # petr_assign hands back a witness it has verified, with the report
     claim3_witness = petr_assign(space, data, n, counting)

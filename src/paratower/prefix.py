@@ -17,71 +17,70 @@ canonical form.  The other operations take canonical forms of reduced
 words.  ``meet`` and ``complement`` return canonical forms, which the views
 keep as they are; the pieces of ``translate`` can leave form, so the views
 hand them back to ``canonical`` (``ClopenSet.act`` only three or more).
+In sorted order a base comes directly before the words under it: ``under``
+takes an antichain sorted and bisects, and ``canonical`` is one scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from operator import itemgetter
 from typing import (
     AbstractSet, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set,
     Tuple,
 )
 
-from .words import ball_key, legal_next_letters, multiply
+from .words import LETTERS, ball_key, legal_next_letters, multiply
 
 Words = Optional[AbstractSet[str]]
+
+# a family's children in sorted order: the last is "b", or "a" after "B";
+# the letters of the others, by the parent's last letter ("" at the root)
+_SIBLINGS = {x: sorted(legal_next_letters(x))[:-1] for x in ("", *LETTERS)}
 
 
 def canonical(
     words: Optional[Iterable[str]], bases: Iterable[str]
 ) -> Tuple[Words, FrozenSet[str]]:
     """Unique form of a word set plus bases: nested bases and covered words
-    dropped, then complete sibling families merged bottom-up into their
-    parent.  In the group a family merges only when the parent word is in
-    the set; on the boundary (``words=None``) it always does."""
+    dropped, and complete sibling families merged into their parent.  In
+    the group a family merges only when the parent word is in the set; on
+    the boundary (``words=None``) it always does.  In sorted order a base
+    under the last one kept is nested, and a family's children sit side by
+    side, so its last child completes it when its siblings were the last
+    kept; the parent may then complete its own family, up to the root."""
     bs = set(bases)
     if len(bs) == 1 and not words:
         # one base and no word are in form already; most translates of a
         # cone or a cylinder are one base
         return (None if words is None else frozenset()), frozenset(bs)
-    if "" in bs:
-        return (None if words is None else frozenset()), frozenset([""])
-    kept: list = []
-    # a base sorts directly before every base it covers
+    ws = None if words is None else set(words)
+    kept: List[str] = []
     for b in sorted(bs):
-        if not kept or not b.startswith(kept[-1]):
-            kept.append(b)
-    bs = set(kept)
-    ws = None if words is None else {w for w in words if not under(w, bs)}
-    # a family has at least three members, so smaller sets cannot merge
-    if len(bs) >= 3:
-        _collapse_families(ws, bs)
-    return (None if ws is None else frozenset(ws)), frozenset(bs)
+        if kept and b.startswith(kept[-1]):
+            continue
+        while kept and b.endswith(("b", "Ba")):
+            p = b[:-1]
+            siblings = _SIBLINGS[p[-1:]]
+            if kept[-1] != p + siblings[-1] or (ws is not None and p not in ws):
+                break
+            if kept[-len(siblings):] != [p + y for y in siblings]:
+                break
+            del kept[-len(siblings):]
+            b = p
+        kept.append(b)
+    # a merged parent word lies under its own base
+    if ws is not None:
+        ws = frozenset(w for w in ws if not under(w, kept))
+    return ws, frozenset(kept)
 
 
-def _collapse_families(words: Optional[Set[str]], bases: Set[str]) -> None:
-    by_depth: Dict[int, Dict[str, list]] = {}
-    for b in bases:
-        by_depth.setdefault(len(b) - 1, {}).setdefault(b[:-1], []).append(b)
-    # a merge can only complete the family of the parent one level up
-    for depth in range(max(by_depth), -1, -1):
-        for p, kids in by_depth.get(depth, {}).items():
-            # a family is three children, or four at the identity
-            if len(kids) != (3 if p else 4):
-                continue
-            if words is not None and p not in words:
-                continue
-            bases.difference_update(kids)
-            bases.add(p)
-            if words is not None:
-                words.discard(p)
-            if p:
-                by_depth.setdefault(depth - 1, {}).setdefault(p[:-1], []).append(p)
-
-
-def under(w: str, bases) -> bool:
-    """Whether the word w lies under one of the bases."""
-    return any(w[:t] in bases for t in range(len(w) + 1))
+def under(w: str, ordered: Sequence[str]) -> bool:
+    """Whether the word w lies under a base of an antichain given in sorted
+    order.  Every word between a prefix of w and w extends that prefix, so
+    only the last base at or before w can be one."""
+    i = bisect_right(ordered, w)
+    return i > 0 and w.startswith(ordered[i - 1])
 
 
 def meet(a: Iterable[str], b: Iterable[str]) -> Set[str]:

@@ -73,10 +73,9 @@ class NormalForm:
         # canonical: a word of one side under a cone of the meet would lie
         # under a cone of its own side, and a complete family of the meet's
         # cones is a family of one side, which cannot hold its parent too
-        words = {u for u in self.words if prefix.under(u, other.cones)}
-        words.update(
-            u for u in other.words if u in self.words or prefix.under(u, self.cones)
-        )
+        mine, theirs = sorted(self.cones), sorted(other.cones)
+        words = {u for u in self.words if prefix.under(u, theirs)}
+        words.update(u for u in other.words if u in self.words or prefix.under(u, mine))
         return NormalForm._in_form(words, prefix.meet(self.cones, other.cones))
 
     def complement(self) -> "NormalForm":

@@ -14,11 +14,14 @@ orbit separation on every pair of translates.
 ``squares`` forms D² as the comparison builder hands it to the counting
 step, and ``disjoint_translates`` is the translate search that makes |D|
 products per candidate word.
+``under`` and ``canonical`` are the prefix core's containment test and
+canonical form done the long way: every prefix of a word probed in a set
+of bases, and sibling families merged level by level from the deepest.
 """
 
 import functools
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from paratower import prefix
 from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap, TranslatedPoint
@@ -99,6 +102,40 @@ def union(*sets: NormalizedSet) -> NormalizedSet:
     return NormalizedSet(functools.reduce(NormalForm.union, (s.nf for s in sets), NormalForm()))
 
 
+def under(w: str, bases) -> bool:
+    """Whether the word w lies under one of the bases, in any order."""
+    return any(w[:t] in bases for t in range(len(w) + 1))
+
+
+def canonical(words, bases) -> Tuple[Optional[FrozenSet[str]], FrozenSet[str]]:
+    """``prefix.canonical`` in two steps: nested bases and covered words
+    dropped, then complete sibling families merged bottom-up, one depth at
+    a time, into their parent (in the group only when the parent word is
+    in the set)."""
+    kept: list = []
+    for b in sorted(set(bases)):
+        if not kept or not b.startswith(kept[-1]):
+            kept.append(b)
+    bs = set(kept)
+    ws = None if words is None else {w for w in words if not under(w, bs)}
+    by_depth: Dict[int, Dict[str, list]] = {}
+    for b in bs:
+        by_depth.setdefault(len(b) - 1, {}).setdefault(b[:-1], []).append(b)
+    # a merge can only complete the family of the parent one level up
+    for depth in range(max(by_depth, default=-1), -1, -1):
+        for p, kids in by_depth.get(depth, {}).items():
+            # a family is three children, or four at the identity
+            if len(kids) != (3 if p else 4) or (ws is not None and p not in ws):
+                continue
+            bs.difference_update(kids)
+            bs.add(p)
+            if ws is not None:
+                ws.discard(p)
+            if p:
+                by_depth.setdefault(depth - 1, {}).setdefault(p[:-1], []).append(p)
+    return (None if ws is None else frozenset(ws)), frozenset(bs)
+
+
 def moved_base(g: str, h: str) -> Optional[str]:
     """The base of g·W(h) when part of h survives the cancellation with g,
     otherwise None."""
@@ -126,7 +163,7 @@ def image_key(space, ueff_slices, g, cell) -> Optional[Tuple]:
         if not any(b.startswith(c) for b in tgt.bases):
             return None
     bases = sorted(prefix.translate(h, None, (w,))[1])
-    if not (tgt.full or all(prefix.under(b, tgt.bases) for b in bases)):
+    if not (tgt.full or all(under(b, tgt.bases) for b in bases)):
         return None
     return tuple((newl, b) for b in bases)
 

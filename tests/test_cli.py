@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -1298,6 +1299,32 @@ def test_verify_reads_every_recorded_flag(tmp_path, request, instance, forge, na
     forge(payload)
     code, report = _verify_payload(tmp_path, "comparison", payload)
     assert code == 2 and report["failed"] == f"recorded {named} is not pass"
+    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
+
+
+def _halved(value):
+    return str(Fraction(value) / 2)
+
+
+# fields that verify works out from U, n and the space; each forgery used
+# to verify
+@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
+@pytest.mark.parametrize(
+    "field, forge",
+    [
+        ("target_cell", lambda cell: [cell[0], cell[1] + "a"]),
+        ("epsilon", _halved),
+        ("delta", _halved),
+        ("delta_bound", _halved),
+        ("m", lambda m: m + 1),
+    ],
+    ids=["target-cell", "epsilon", "delta", "delta-bound", "m"],
+)
+def test_verify_works_out_the_scales(tmp_path, request, instance, field, forge):
+    payload = copy.deepcopy(request.getfixturevalue(instance))
+    payload[field] = forge(payload[field])
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"] == f"recorded {field} is not the recomputed one"
     assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
 
 

@@ -153,7 +153,7 @@ def test_boost_merges_colors():
     entries = [
         (0, cyl("ba"), "a", 0),   # -> [aba]
         (0, cyl("bb"), "a", 1),   # -> [abb]
-        (0, cyl("bB"), "a", 1),   # -> [abB]
+        (0, cyl("bA"), "a", 1),   # -> [abA]
     ]
     w = make_witness(entries, [src], [cyl("a"), cyl("a")])
     assert verify_witness(w)["pass"]
@@ -483,6 +483,22 @@ def test_the_product_check_runs_over_f_times_f(monkeypatch, inst, u_set):
     assert fam.d_set == squares(space, f_elems)
     towers = [(a.to_json(), space.elem_json(g)) for a, g in fam.items]
     assert towers == list(zip(data["C"], data["g"]))
+
+
+@pytest.mark.parametrize(
+    "inst, u_set",
+    [("F2", cyl("ab")), ("F2xZ2", ProductClopen(cyclic_group(2), {"0": cyl("a")}))],
+    ids=["F2", "F2xZ2"],
+)
+def test_the_build_shrinks_the_target_once(monkeypatch, inst, u_set):
+    # the gate's U^{-eps} is the one the counting and the matching read:
+    # one shrink per slice of the target
+    calls = []
+    real = comparison.shrink
+    monkeypatch.setattr(comparison, "shrink", lambda sl, eps: calls.append(eps) or real(sl, eps))
+    instance = ComparisonInstance(inst)
+    assert build_comparison(instance, u_set).passed
+    assert len(calls) == len(instance.space().labels)
 
 
 def _failing_towers(family, mode="exact", radius=None):

@@ -12,6 +12,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from paratower import prefix
 from paratower.boundary import ClopenSet
 from paratower.subsets import NormalForm
@@ -306,6 +307,113 @@ def test_canonical_one_base_exit_matches_the_full_path():
         assert form == prefix.canonical([below], [b]) == prefix.canonical(set(), [b, below])
         assert form == (frozenset(), frozenset([b]))
         assert ClopenSet([b]).is_full() == NormalForm(cones=[b]).is_full() == (b == "")
+
+
+# -- the one-scan canonical form and sorted containment against the
+# two-step oracle
+
+
+def subtree(w, depth):
+    """The nodes `depth` levels below w; merged, they cascade up to w."""
+    layer = [w]
+    for _ in range(depth):
+        layer = [x for v in layer for x in children(v)]
+    return layer
+
+
+def seeded_raw(rng, pieces=6):
+    """(words, bases): random bases, some replaced by the whole subtree one
+    or two levels below them; words that are random, equal to a base, or
+    the parent or an ancestor of a base (which lets some families merge
+    and blocks the others)."""
+    bases = []
+    for _ in range(rng.randint(0, pieces)):
+        bases += subtree(random_word(rng, 5), rng.choice([0, 0, 1, 2]))
+    words = [random_word(rng, 5) for _ in range(rng.randint(0, 3))]
+    words += [b for b in bases if rng.random() < 0.1]
+    words += [b[:t] for b in bases for t in range(len(b)) if rng.random() < 0.2]
+    return words, bases
+
+
+SUBTREE = subtree("", 2)
+# (words, bases, canonical form) on the boundary (words None) and in the
+# group: the root base, words equal to bases, a family merging twice up to
+# the root's four children, and a family held back by its missing parent
+CANONICAL_EDGES = [
+    (None, ["", "ab"], (None, {""})),
+    (None, SUBTREE, (None, {""})),
+    (None, subtree("ab", 2) + ["aa", "aB"], (None, {"a"})),
+    (["ab", "b"], ["ab", "abA"], ({"b"}, {"ab"})),
+    (["", "a", "A", "b", "B"], SUBTREE, (set(), {""})),
+    (["a", "A", "b", "B"], SUBTREE, (set(), {"a", "A", "b", "B"})),
+    (["", "a", "A", "b"], SUBTREE, ({""}, {"a", "A", "b"} | set(children("B")))),
+    (["a"], ["aa", "ab", "aB"], (set(), {"a"})),
+    ([], ["aa", "ab", "aB"], (set(), {"aa", "ab", "aB"})),
+]
+
+
+def test_canonical_edges_match_the_two_step_oracle():
+    for words, bases, (want_words, want_bases) in CANONICAL_EDGES:
+        got = prefix.canonical(words, bases)
+        assert got == oracles.canonical(words, bases)
+        assert got == (None if want_words is None else frozenset(want_words), frozenset(want_bases))
+
+
+def test_canonical_matches_the_two_step_oracle():
+    rng = random.Random("prefix/canonical/oracle")
+    for _ in range(1000):
+        words, bases = seeded_raw(rng)
+        assert prefix.canonical(words, bases) == oracles.canonical(words, bases)
+        assert prefix.canonical(None, bases) == oracles.canonical(None, bases)
+
+
+def test_canonical_matches_the_oracle_on_ten_thousand_bases():
+    rng = random.Random("prefix/canonical/scale")
+    words, bases = [], []
+    while len(bases) < 10_000:
+        more_words, more_bases = seeded_raw(rng)
+        words += more_words
+        bases += [random_word(rng, 9) for _ in range(10)] + more_bases
+    for ws in (None, words):
+        got = prefix.canonical(ws, bases)
+        assert got == oracles.canonical(ws, bases)
+        ordered = sorted(got[1])
+        for w in words:
+            assert prefix.under(w, ordered) == oracles.under(w, got[1])
+
+
+def test_under_matches_the_prefix_probe():
+    rng = random.Random("prefix/under")
+    probes = ["", "a", "ab", "aba", "B"]
+    for _ in range(300):
+        words, bases = seeded_raw(rng)
+        _, antichain = prefix.canonical(None, bases)
+        ordered = sorted(antichain)
+        for w in probes + words + bases + [b[:-1] for b in bases]:
+            assert prefix.under(w, ordered) == oracles.under(w, antichain), (w, ordered)
+
+
+def test_is_subset_and_group_inter_match_the_oracle():
+    rng = random.Random("prefix/subset-inter")
+    sets = [ClopenSet(raw) for raw in BOUNDARY_EDGES]
+    forms = [NormalForm(*raw) for raw in GROUP_EDGES]
+    for _ in range(150):
+        words, bases = seeded_raw(rng)
+        sets.append(ClopenSet(bases))
+        forms.append(NormalForm(words, bases))
+    for s in sets:
+        for t in sets[: len(BOUNDARY_EDGES)] + rng.sample(sets, 6):
+            for small in (s, s.inter(t)):
+                want = t.full or small.is_empty() or (
+                    not small.full and all(oracles.under(b, t.bases) for b in small.bases)
+                )
+                assert small.is_subset(t) == want, (small, t)
+    for s in forms:
+        for t in forms[: len(GROUP_EDGES)] + rng.sample(forms, 6):
+            words = {u for u in s.words if oracles.under(u, t.cones)}
+            words |= {u for u in t.words if u in s.words or oracles.under(u, s.cones)}
+            got = s.inter(t)
+            assert got.words == words and got.cones == prefix.meet(s.cones, t.cones), (s, t)
 
 
 # -- complement and meet build their results without canonical
