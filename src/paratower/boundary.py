@@ -161,9 +161,11 @@ class ClopenSet:
 
     @staticmethod
     def cylinder(w: str) -> "ClopenSet":
+        """The cylinder [w]; a word that is not reduced names none and is a
+        ValueError."""
         if not w:
             return ClopenSet.full_set()
-        return ClopenSet([w])
+        return ClopenSet(check_bases([w]))
 
     # -- predicates
 
@@ -467,7 +469,7 @@ class GeodesicMap:
 
     def _key_sums(
         self, nfs: Sequence[NormalForm], weights: Sequence[Fraction], q: int = 1
-    ) -> Tuple[int, Dict[str, list]]:
+    ) -> Tuple[int, Tuple[Dict[str, int], Dict[str, List[str]]]]:
         """(L, ``prefix.branch_sums`` over the forms' words and bases), L the
         weights' common denominator.  A form has nothing below a base, so
         the number of the N shortest prefixes of x in nfs[i] adds up along
@@ -489,11 +491,11 @@ class GeodesicMap:
         """Cells (cylinder base, value) of x ↦ Σ weights[i]·mu_N(x)(nfs[i]):
         the function is constant on each cell, and the cells partition the
         boundary."""
-        den, nodes = self._key_sums(nfs, weights)
+        den, (sums, below) = self._key_sums(nfs, weights)
         return [
             (cell, Fraction(total, self.n * den))
-            for x, (total, below) in nodes.items()
-            for cell in prefix.key_cells(x, below, legal_next_letters)
+            for x, total in sums.items()
+            for cell in prefix.key_cells(x, below.get(x, ()), legal_next_letters)
         ]
 
     def threshold_weighted(
@@ -506,13 +508,13 @@ class GeodesicMap:
         Σ weights[i]·counts[i] / N exceeds theta = p/q exactly when
         Σ weights[i]·L·q·counts[i] > p·N·L, all in integers.  A key's cells
         share one value and are listed only when kept."""
-        den, nodes = self._key_sums(nfs, weights, theta.denominator)
+        den, (sums, below) = self._key_sums(nfs, weights, theta.denominator)
         bound = theta.numerator * self.n * den
         return ClopenSet([
             cell
-            for x, (total, below) in nodes.items()
+            for x, total in sums.items()
             if total > bound
-            for cell in prefix.key_cells(x, below, legal_next_letters)
+            for cell in prefix.key_cells(x, below.get(x, ()), legal_next_letters)
         ])
 
     def defect_bound(self, g: str) -> Fraction:

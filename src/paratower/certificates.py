@@ -123,6 +123,15 @@ def _same_sets(got, want) -> bool:
     )
 
 
+def _at_least(value, bound: int) -> Optional[bool]:
+    """Whether the fraction written as the string value is at least bound;
+    None when value writes no fraction."""
+    try:
+        return Fraction(value) >= bound if isinstance(value, str) else None
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def _is_cell(space, value) -> bool:
     """True when value is [label, reduced word] of the space's labels."""
     from .words import are_reduced
@@ -143,8 +152,10 @@ def _verify_comparison(payload: dict) -> dict:
     2's cover and inclusions the verdicts read off its report; so must the
     target cell and its margin epsilon = 1/2^(|u0|+1), the number m of
     colour classes of the space, and delta = 1/(4nm(nm+1)) with its bound
-    1/(2nm(nm+1)).  The counting sweep's witness cell must be a cell of the
-    space, and every recorded pass flag true."""
+    1/(2nm(nm+1)); claim 1's bound must be m, and its pass flag whether its
+    recorded min_count reaches m (the sweep is not run again).  The
+    counting sweep's witness cell must be a cell of the space, and every
+    recorded pass flag true."""
     from .comparison import ComparisonInstance, SubeqWitness, cylinder_cell_of, verify_witness
 
     space = ComparisonInstance.from_json(payload["instance"]).space()
@@ -203,6 +214,8 @@ def _verify_comparison(payload: dict) -> dict:
         ("m", payload.get("m"), m),
         ("delta", payload.get("delta"), str(Fraction(1, 4 * nm * (nm + 1)))),
         ("delta_bound", payload.get("delta_bound"), str(Fraction(1, 2 * nm * (nm + 1)))),
+        ("claim1.bound", claim1_rec.get("bound"), m),
+        ("claim1.pass", claim1_rec.get("pass"), _at_least(claim1_rec.get("min_count"), m)),
     ]
     mismatched = [f for f, got, want in fields if canonical_json(got) != canonical_json(want)]
     if failed is None and mismatched:

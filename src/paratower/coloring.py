@@ -68,10 +68,6 @@ class Coloring:
             self._assign[v] = next(c for c in range(1, self.m + 1) if c not in used)
         return self._assign[k]
 
-    def colors_used(self) -> int:
-        """The most colors the elements colored so far use."""
-        return max(self._assign.values(), default=0)
-
     def color_class(self, j: int):
         """Membership of class j as a set (finite K) or predicate (Z)."""
         if not 1 <= j <= self.m:

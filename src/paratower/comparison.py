@@ -258,25 +258,26 @@ def _add_weights(
 def _sweep(const: int, base_w: Dict[str, int]) -> Tuple[int, str]:
     """Max over the boundary of const plus base_w[b] on each cylinder [b],
     and the first leaf (a child off the bases' prefix trie) that attains
-    it in the trie walk.  Only the keys of ``prefix.branch_keys`` carry a
+    it in the trie walk.  Only the keys of ``prefix.branch_sums`` carry a
     weight or branch, so the cost is one sort of the bases and O(keys),
     not the trie's size."""
-    nodes = prefix.branch_sums(base_w)
+    sums, below = prefix.branch_sums(base_w)
     # the keys with a leaf below them: fewer child keys than letters, or a
     # chain down to one
     best = max(
-        t for x, (t, below) in nodes.items()
-        if len(below) < (3 if x else 4) or any(len(k) > len(x) + 1 for k in below)
+        t for x, t in sums.items()
+        if x not in below or len(below[x]) < (3 if x else 4)
+        or any(len(k) > len(x) + 1 for k in below[x])
     )
     cells = (
         cell
-        for x, (t, below) in nodes.items()
+        for x, t in sums.items()
         if t == best
-        for cell in prefix.key_cells(x, below, legal_next_letters)
+        for cell in prefix.key_cells(x, below.get(x, ()), legal_next_letters)
     )
     first = min(cells, key=walk_key)
     # a key with no key below is one cell, whose first leaf is its first child
-    if first in nodes:
+    if first in sums:
         first += legal_next_letters(first)[0]
     return const + best, first
 
@@ -635,6 +636,25 @@ def _elem_order(space):
     return lambda e: (len(space.word_part(e)), str(space.elem_json(e)))
 
 
+def _moved_bases(
+    h: str, sl: ClopenSet, memo: Dict[tuple, Optional[Tuple[str, ...]]]
+) -> Optional[Tuple[str, ...]]:
+    """The bases of h·sl as ``ClopenSet.act`` gives them, or None when it
+    is full.  One base b that h does not cancel whole moves to the one
+    base h·b, which act keeps as it is; any other slice goes through act
+    once per (word, slice), kept in ``memo``."""
+    if len(sl.bases) == 1:
+        (b,) = sl.bases
+        c = multiply(h, b)
+        if len(c) > len(h) - len(b):
+            return (c,)
+    key = (h, sl.full, sl.bases)
+    if key not in memo:
+        img = sl.act(h)
+        memo[key] = None if img.full else tuple(img.bases)
+    return memo[key]
+
+
 def check_counting(space, data: CountingData, n: int) -> dict:
     """Exact pointwise verification of the counting hypothesis.
 
@@ -647,32 +667,28 @@ def check_counting(space, data: CountingData, n: int) -> dict:
         raise ValueError("the weighted sum needs at least one item")
     u_eff = data.shrunk(space)
     moved: Dict[tuple, Optional[Tuple[str, ...]]] = {}
-
-    def act(h: str, sl: ClopenSet) -> Optional[Tuple[str, ...]]:
-        """The bases of h·sl, or None when it is full, each (word, slice)
-        pair moved once."""
-        key = (h, sl.full, sl.bases)
-        if key not in moved:
-            img = sl.act(h)
-            moved[key] = None if img.full else tuple(img.bases)
-        return moved[key]
-
     # f⁻¹·V for V the same slice S at every label is h·S at every label, h
     # the F2 word of f⁻¹: such a V gives one item per word, weighted by how
     # often the word occurs in D², in a step function every label starts
     # from.  The sweep reads only the summed step function, so its extreme
     # and witness cell stay those of one item per f.
     words = {inverse(w): c for w, c in Counter(space.word_part(f) for f in data.d2).items()}
-    # the step function every label shares, under the key None, and each
-    # label's difference from it
-    shared = {None: [0, {}]}
+    # the step function every label shares, and each label's difference
+    # from it
+    shared: list = [0, {}]
+    base_w = shared[1]
     diffs = {lbl: [0, {}] for lbl in space.labels}
     pulled: List[Tuple[object, object, int]] = []
     for v in data.sources:
         sls = [sl for _, sl in space.slice_items(v)]
         if all(sl.equals(sls[0]) for sl in sls):
             for h, c in words.items():
-                _add_weights(shared, [(None, act(h, sls[0]))], c)
+                bases = _moved_bases(h, sls[0], moved)
+                if bases is None:
+                    shared[0] += c
+                    continue
+                for b in bases:
+                    base_w[b] = base_w.get(b, 0) + c
         else:
             pulled += [(f, v, 1) for f in data.d2]
     pulled += [(g, u_eff, -(n + 1)) for g in data.d_set]
@@ -680,9 +696,12 @@ def check_counting(space, data: CountingData, n: int) -> dict:
         g = space.inv(f)
         h = space.word_part(g)
         _add_weights(
-            diffs, ((space.act_label(g, lbl), act(h, sl)) for lbl, sl in space.slice_items(s)), iw
+            diffs,
+            ((space.act_label(g, lbl), _moved_bases(h, sl, moved))
+             for lbl, sl in space.slice_items(s)),
+            iw,
         )
-    worst, cell = _extreme(shared[None], diffs, 1, 1)
+    worst, cell = _extreme(shared, diffs, 1, 1)
     return {
         "pass": worst < 0,
         "max_margin": _frac_json(worst),

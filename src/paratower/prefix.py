@@ -200,47 +200,51 @@ def first_by_pattern(
     return first
 
 
-def branch_keys(words: Sequence[str]) -> List[Tuple[str, Optional[str]]]:
-    """The keys of the prefix trie of sorted words, each after its parent
-    key (None for ""): "", the words and the longest common prefix of each
-    pair of neighbours.  Every other node lies on a chain between a key
-    and a child key.  One scan with a stack of the keys above the previous
-    word: a word closes the keys that are not its prefixes, and its common
-    prefix with the last one closed is a key when longer than the top."""
-    out: List[Tuple[str, Optional[str]]] = []
+def branch_sums(weights: Dict[str, int]) -> Tuple[Dict[str, int], Dict[str, List[str]]]:
+    """(key -> the sum of the weights on the path from "" to it, key -> its
+    child keys, for the keys that have some) over the keys of the prefix
+    trie of the weighted words: "", the words and the longest common
+    prefix of each pair of sorted neighbours.  Every other node lies on a
+    chain between a key and a child key.  One scan of the sorted words with
+    a stack of the keys above the previous word: a word closes the keys
+    that are not its prefixes, and its common prefix with the last one
+    closed, when longer than the top, is a new key between the two,
+    weighted 0 (a weighted word there would be on the stack)."""
+    sums = {"": weights.get("", 0)}
+    below: Dict[str, List[str]] = {}
     stack = [""]
-    for w in words:
+    for w in sorted(weights):
+        if w == stack[-1]:
+            # the weighted ""
+            continue
         closed = None
         while not w.startswith(stack[-1]):
-            if closed is not None:
-                out.append((closed, stack[-1]))
             closed = stack.pop()
         if closed is not None:
-            i = len(stack[-1])
-            while closed[i] == w[i]:
-                i += 1
-            if i > len(stack[-1]):
-                stack.append(w[:i])
-            out.append((closed, stack[-1]))
-        if w != stack[-1]:
-            stack.append(w)
-    # the keys left on the stack close, the deepest first
-    out += zip(stack[:0:-1], stack[-2::-1])
-    out.append(("", None))
-    return out[::-1]
-
-
-def branch_sums(weights: Dict[str, int]) -> Dict[str, list]:
-    """key -> [the sum of the weights on the path from "" to it, its child
-    keys], for the keys of ``branch_keys`` over the weighted words."""
-    nodes: Dict[str, list] = {}
-    for x, top in branch_keys(sorted(weights)):
-        node = nodes[x] = [weights.get(x, 0), []]
-        if top is not None:
-            above = nodes[top]
-            node[0] += above[0]
-            above[1].append(x)
-    return nodes
+            top = stack[-1]
+            # most often w branches off just above the closed key, as
+            # the children of a base do
+            i = len(closed) - 1
+            if not w.startswith(closed[:i]):
+                i = len(top)
+                while closed[i] == w[i]:
+                    i += 1
+            if i > len(top):
+                # the closed key was the top's last child
+                p = w[:i]
+                below[top][-1] = p
+                below[p] = [closed]
+                sums[p] = sums[top]
+                stack.append(p)
+        top = stack[-1]
+        sums[w] = sums[top] + weights[w]
+        kids = below.get(top)
+        if kids is None:
+            below[top] = [w]
+        else:
+            kids.append(w)
+        stack.append(w)
+    return sums, below
 
 
 def key_cells(

@@ -311,12 +311,13 @@ class _Translates:
             self._moved[(x, fid)] = out
         return out
 
-    def bases(self, xs: Iterable[str], fid: int) -> Optional[List[str]]:
+    def bases(self, xs: Sequence[str], fid: int) -> Optional[List[str]]:
         """The bases of x·F for every x of ``xs``, F the form with id
         ``fid``, in one list, or None when some x·F holds words.  A form made
-        as y·A is read as A moved by each xy.  Each (x, A) is moved once:
-        base by base when A has no words and x cancels no base whole (ends
-        with no base's inverse), else interned (``moved``)."""
+        as y·A is read as A moved by each xy.  Each (x, A) is moved once: a
+        cone W(b), b nonempty, all new x at once, any other A base by base
+        when it has no words and x cancels no base whole (ends with no
+        base's inverse), else interned (``moved``)."""
         origin = self._origin.get(fid)
         if origin is not None:
             xs, fid = [multiply(x, origin[0]) for x in xs], origin[1]
@@ -325,6 +326,18 @@ class _Translates:
         cut, known = self._bases.get(fid) or self._bases.setdefault(
             fid, (tuple(map(inverse, bases)), {})
         )
+        if not words and len(bases) == 1 and "" not in bases:
+            # x·W(b) is the cone at x·b, which is x b unless x's last letter
+            # cancels b's first; when x ends with b⁻¹ it holds the words
+            # from "" to x·b
+            fresh = [x for x in xs if x not in known]
+            if any(x.endswith(cut) for x in fresh):
+                return None
+            (b,) = bases
+            back = fw.inverse_letter(b[0])
+            for x in fresh:
+                known[x] = (multiply(x, b) if x.endswith(back) else x + b,)
+            return [known[x][0] for x in xs]
         out: List[str] = []
         for x in xs:
             moved = known.get(x)

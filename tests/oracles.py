@@ -17,6 +17,9 @@ products per candidate word.
 ``under`` and ``canonical`` are the prefix core's containment test and
 canonical form done the long way: every prefix of a word probed in a set
 of bases, and sibling families merged level by level from the deepest.
+``branch_keys`` and ``branch_sums`` are the trie-key sums of
+``prefix.branch_sums`` in two passes: the keys with their parents first,
+then the sums.
 """
 
 import functools
@@ -134,6 +137,49 @@ def canonical(words, bases) -> Tuple[Optional[FrozenSet[str]], FrozenSet[str]]:
             if p:
                 by_depth.setdefault(depth - 1, {}).setdefault(p[:-1], []).append(p)
     return (None if ws is None else frozenset(ws)), frozenset(bs)
+
+
+def branch_keys(words) -> list:
+    """The keys of the prefix trie of sorted words, each after its parent
+    key (None for ""): "", the words and the longest common prefix of each
+    pair of neighbours.  One scan with a stack of the keys above the
+    previous word: a word closes the keys that are not its prefixes, and
+    its common prefix with the last one closed is a key when longer than
+    the top."""
+    out: list = []
+    stack = [""]
+    for w in words:
+        closed = None
+        while not w.startswith(stack[-1]):
+            if closed is not None:
+                out.append((closed, stack[-1]))
+            closed = stack.pop()
+        if closed is not None:
+            i = len(stack[-1])
+            while closed[i] == w[i]:
+                i += 1
+            if i > len(stack[-1]):
+                stack.append(w[:i])
+            out.append((closed, stack[-1]))
+        if w != stack[-1]:
+            stack.append(w)
+    # the keys left on the stack close, the deepest first
+    out += zip(stack[:0:-1], stack[-2::-1])
+    out.append(("", None))
+    return out[::-1]
+
+
+def branch_sums(weights: Dict[str, int]) -> Tuple[Dict[str, int], Dict[str, list]]:
+    """``prefix.branch_sums`` in two passes: the keys of ``branch_keys``
+    with their parents first, then each key's path sum from its parent's
+    and the parents' child keys."""
+    sums: Dict[str, int] = {}
+    below: Dict[str, list] = {}
+    for x, top in branch_keys(sorted(weights)):
+        sums[x] = weights.get(x, 0) + (0 if top is None else sums[top])
+        if top is not None:
+            below.setdefault(top, []).append(x)
+    return sums, below
 
 
 def moved_base(g: str, h: str) -> Optional[str]:

@@ -113,10 +113,9 @@ def test_04_extension_constructors():
 def test_05_cayley_colorings():
     with Budget(2):
         c = greedy_color("Z", [-1, 0, 1])
-        assert c.colors_used() <= 5
         window = range(-10_000, 10_001)
         assert c.is_proper_on(window)
-        assert len({c.color_of(j) for j in window}) <= 5
+        assert {c.color_of(j) for j in window} <= set(range(1, 6))
         k = cyclic_group(2)
         c2 = greedy_color(k, ["0", "1"])
         assert c2.m == 2

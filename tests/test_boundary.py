@@ -25,7 +25,7 @@ from paratower.words import (
     ball, inverse, legal_next_letters, multiply, reduce_word, words_of_length,
 )
 
-from oracles import OracleMap, RationalProbMeasure, moved_base, union
+from oracles import OracleMap, RationalProbMeasure, branch_keys, moved_base, union
 
 letters = st.sampled_from("aAbB")
 reduced_words = st.lists(letters, max_size=6).map(reduce_word)
@@ -232,6 +232,15 @@ def test_subset_and_disjoint():
     assert not ClopenSet.cylinder("a").are_disjoint(ClopenSet.cylinder("ab"))
 
 
+@pytest.mark.parametrize("w", ["aA", "abBa", "Bb", "ax", "a,b"])
+def test_cylinder_rejects_a_word_that_is_not_reduced(w):
+    # an unreduced word, or one with a letter outside a, A, b, B, names no
+    # cylinder; the decoders reject it, and so does the constructor
+    with pytest.raises(ValueError):
+        ClopenSet.cylinder(w)
+    assert ClopenSet.cylinder("aBa").bases == {"aBa"}
+
+
 def test_refine_partitions():
     s = ClopenSet(["ab", "B"])
     pieces = s.refine(3)
@@ -432,7 +441,7 @@ def test_key_scan_cells_match_the_pointwise_measure():
                     w * gm.mu_eval(x, ss.NormalizedSet(nf)) for w, nf in zip(weights, nfs)
                 )
                 assert value == want, (case, c)
-        keys = {x for x, _ in prefix.branch_keys(sorted(
+        keys = {x for x, _ in branch_keys(sorted(
             {x for nf in nfs for x in nf.words | nf.cones}
         ))}
         for theta in sorted({v for _, v in cells}) + [Fraction(-100)]:

@@ -768,9 +768,12 @@ def test_each_witness_is_verified_once(monkeypatch, tmp_path):
 
 
 def test_unreduced_cylinder_base_is_rejected(tmp_path):
-    # [bB] is no cylinder: ba, bb and bB do not make up [b]
-    entries = [(0, "ba", "a", 0), (0, "bb", "a", 1), (0, "bB", "a", 1)]
+    # [bB] is no cylinder: ba, bb and bB do not make up [b]; the program
+    # builds no such set, so the file is written with [bA] and edited
+    entries = [(0, "ba", "a", 0), (0, "bb", "a", 1), (0, "bA", "a", 1)]
     p = _write_witness(tmp_path, "w.json", ["b"], ["a", "a"], entries)
+    assert p.read_text().count('"bA"') == 1
+    p.write_text(p.read_text().replace('"bA"', '"bB"'))
     assert main(["boost", str(p), "--V", "a"]) == 3
     env = certs.wrap("witness", json.loads(p.read_text()))
     p.write_text(json.dumps(env))
@@ -1325,6 +1328,28 @@ def test_verify_works_out_the_scales(tmp_path, request, instance, field, forge):
     payload[field] = forge(payload[field])
     code, report = _verify_payload(tmp_path, "comparison", payload)
     assert code == 2 and report["failed"] == f"recorded {field} is not the recomputed one"
+    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
+
+
+# claim 1 as recorded against the m that verify works out: its bound must
+# be m and its pass flag whether min_count reaches m; each forgery used to
+# verify
+@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
+@pytest.mark.parametrize(
+    "forge, named",
+    [
+        (lambda c: c.update({"min_count": "0", "bound": 99, "pass": True}), "claim1.bound"),
+        (lambda c: c.update({"min_count": "0"}), "claim1.pass"),
+        (lambda c: c.update({"min_count": "many"}), "claim1.pass"),
+    ],
+    ids=["below-a-forged-bound", "below-m", "no-fraction"],
+)
+def test_verify_checks_claim1_against_m(tmp_path, request, instance, forge, named):
+    payload = copy.deepcopy(request.getfixturevalue(instance))
+    assert Fraction(payload["claim1"]["min_count"]) >= payload["claim1"]["bound"] == payload["m"]
+    forge(payload["claim1"])
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"] == f"recorded {named} is not the recomputed one"
     assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
 
 

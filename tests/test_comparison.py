@@ -933,16 +933,13 @@ def test_check_counting_matches_the_set_algebra(space):
 @pytest.mark.parametrize("space", SPACES, ids=["F2", "F2xZ3"])
 def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space):
     # D holds each word with every label, as the builder's does; sources the
-    # same at every label take one item per F2 word of D², and on F2 × Z/3
-    # one more source, on one label only, keeps one item per element
-    added = []
-    real = comparison._add_weights
-
-    def recorded(steps, slices, iw):
-        added.append(iw)
-        return real(steps, slices, iw)
-
-    monkeypatch.setattr(comparison, "_add_weights", recorded)
+    # same at every label move one slice per F2 word of D², and on F2 × Z/3
+    # one more source, on one label only, moves every slice per element
+    moves = []
+    real = comparison._moved_bases
+    monkeypatch.setattr(
+        comparison, "_moved_bases", lambda h, sl, memo: moves.append(sl) or real(h, sl, memo)
+    )
     rng = random.Random(f"counting-words/{space.kind}")
     for _ in range(40):
         words = {""}
@@ -959,15 +956,18 @@ def test_check_counting_per_word_equals_the_per_element_sweep(monkeypatch, space
             d_set, Fraction(1, 8), uniform + other, _random_set(rng, space), squares(space, d_set)
         )
         n = rng.randint(0, 3)
-        added.clear()
+        moves.clear()
         got = check_counting(space, data, n)
-        items = len(added)
         want = _check_counting_sets(space, data, n)
         assert (got["max_margin"], got["witness_cell"]) == (want["max_margin"], want["witness_cell"])
         assert got == want
         d2 = {space.mul(f, g) for f in d_set for g in d_set}
         d2_words = {space.word_part(f) for f in d2}
-        assert items == len(d2_words) * len(uniform) + len(d2) * len(other) + len(d_set)
+        for v in uniform:
+            (slice_id,) = {id(sl) for _, sl in space.slice_items(v)}
+            assert sum(id(m) == slice_id for m in moves) == len(d2_words)
+        per_element = (len(d2) * len(other) + len(d_set)) * len(space.labels)
+        assert len(moves) == len(d2_words) * len(uniform) + per_element
 
 
 def test_check_counting_builds_no_product_set_for_a_uniform_source(monkeypatch):

@@ -502,7 +502,7 @@ def test_branch_keys_are_the_words_and_branch_points_under_their_parents():
     for _ in range(300):
         stems = [random_word(rng, 12) for _ in range(rng.randint(1, 3))]
         words = sorted({grown(rng, stems) for _ in range(rng.randint(0, 8))})
-        got = prefix.branch_keys(words)
+        got = oracles.branch_keys(words)
         assert dict(got) == trie_keys(words) and len(got) == len(dict(got))
         # every key comes after its parent
         seen = set()
@@ -510,7 +510,52 @@ def test_branch_keys_are_the_words_and_branch_points_under_their_parents():
             assert top is None or top in seen
             seen.add(x)
         # a repeated word is one key
-        assert prefix.branch_keys(sorted(words + words[:2])) == got
+        assert oracles.branch_keys(sorted(words + words[:2])) == got
+
+
+def sweep_shape(rng):
+    """Weights shaped like a comparison's counting sweep: about 700 words
+    of 20 to 47 letters that share long runs of one letter, each weighted
+    2, and 20 short words weighted -3 to -18."""
+    weights = {}
+    while len(weights) < 700:
+        w = random_word(rng, 8) + "a" * rng.randint(24, 37) + "b"
+        weights[reduce_word(w + rng.choice("abA"))] = 2
+    for _ in range(20):
+        weights[random_word(rng, rng.randint(1, 6))] = -3 * rng.randint(1, 6)
+    return weights
+
+
+def branch_nodes(nodes):
+    """A branch_sums result with each child list read as a set."""
+    sums, below = nodes
+    return sums, {x: set(kids) for x, kids in below.items()}
+
+
+def test_one_scan_branch_sums_match_the_two_pass_oracle():
+    # the same keys, path sums and child sets as the keys-then-sums oracle:
+    # "" weighted or not, words nested in words, and branch keys between
+    # a word and its child keys
+    rng = random.Random("prefix/branch-sums")
+    cases = [
+        {},
+        {"": 5},
+        {"": -1, "a": 2, "ab": 3, "abA": -4},
+        {"aba": 1, "abb": 1, "abB": 1},
+        {"a": 1, "abab": 2, "abaB": 3, "abB": 4, "b": 0},
+    ]
+    for _ in range(500):
+        stems = [random_word(rng, 12) for _ in range(rng.randint(1, 3))]
+        weights = {grown(rng, stems): rng.randint(-3, 3) for _ in range(rng.randint(0, 10))}
+        if rng.random() < 0.3:
+            weights[""] = rng.randint(-3, 3)
+        cases.append(weights)
+    cases += [sweep_shape(rng) for _ in range(3)]
+    for weights in cases:
+        got = prefix.branch_sums(weights)
+        assert branch_nodes(got) == branch_nodes(oracles.branch_sums(weights)), weights
+        assert all(len(set(kids)) == len(kids) > 0 for kids in got[1].values())
+    assert len(cases[-1]) >= 700 and max(map(len, cases[-1])) >= 40
 
 
 def test_key_cells_partition_the_boundary():
@@ -518,14 +563,13 @@ def test_key_cells_partition_the_boundary():
     for _ in range(200):
         stems = [random_word(rng, 10) for _ in range(rng.randint(1, 3))]
         weights = {grown(rng, stems): rng.randint(-3, 3) for _ in range(rng.randint(0, 6))}
-        nodes = prefix.branch_sums(weights)
-        cells = [c for x, (_, below) in nodes.items()
-                 for c in prefix.key_cells(x, below, legal_next_letters)]
+        sums, below = prefix.branch_sums(weights)
+        cells = [c for x in sums for c in prefix.key_cells(x, below.get(x, ()), legal_next_letters)]
         assert prefix.first_overlap((c, c) for c in cells) is None
         assert ClopenSet(cells).is_full()
         # a cell's sum is the sum of the weights on its path
-        for x, (total, below) in nodes.items():
-            for c in prefix.key_cells(x, below, legal_next_letters):
+        for x, total in sums.items():
+            for c in prefix.key_cells(x, below.get(x, ()), legal_next_letters):
                 assert total == sum(v for w, v in weights.items() if c.startswith(w))
 
 

@@ -847,8 +847,9 @@ def test_the_factored_check_matches_the_sweep():
 
 def test_a_passing_clash_check_moves_each_word_and_form_once(monkeypatch):
     # the strengthened towers' three cones, moved by the radius-2 ball: one
-    # product per (word, cone), and none when a check of the same block
-    # reads them again
+    # moved base kept per (word, cone), a product only where the word's
+    # last letter cancels the cone's first, and nothing moved again when a
+    # check of the same block reads them
     d_words = list(ball(2))
     strengthened = towers.StrengthenedF2Towers(d_words, 2, ["aaaaba", "aaaabA", "aaaabb"])
     calls = []
@@ -858,10 +859,53 @@ def test_a_passing_clash_check_moves_each_word_and_form_once(monkeypatch):
         memo = towers._translates()
         fam = strengthened.family()
         assert towers._disjoint_by_factors(fam, memo)
-        assert sorted(calls) == sorted((d, b) for d in d_words for b in strengthened.bases)
+        cones = {fid: bases for (_, bases), fid in memo._ids.items()}
+        moved = {bases: dict(memo._bases[fid][1]) for fid, bases in cones.items()}
+        assert moved == {
+            frozenset([b]): {d: (real(d, b),) for d in d_words} for b in strengthened.bases
+        }
+        assert sorted(calls) == sorted(
+            (d, b) for d in d_words if d.endswith("A") for b in strengthened.bases
+        )
         calls.clear()
         assert verify_towers(TowerFamily("F2", d_words, fam.items[:2]), "exact").passed
         assert [c for c in calls if c[1] in strengthened.bases] == []
+        for fid, bases in cones.items():
+            again = memo._bases[fid][1]
+            assert again.keys() == moved[bases].keys()
+            assert all(again[d] is moved[bases][d] for d in d_words)
+
+
+def test_translate_bases_match_the_moved_forms():
+    # the bases the clash scan reads for x·A against the normal forms of the
+    # translates: cones moved by words that cancel none, some or all of the
+    # base, the whole group, forms with several bases or with words, and
+    # forms made as y·A, read again from the memo with fewer and more words
+    rng = random.Random("towers/translate-bases")
+    sets = [
+        ss.cone("ab"), ss.cone("aBa"), ss.cone("A"), ss.cone(""),
+        union(ss.cone("ab"), ss.cone("Ba")), union(ss.cone("ab"), ss.finite(["b"])),
+    ]
+    for a in sets:
+        for _ in range(40):
+            memo = towers._Translates()
+            fid = memo.of(a)
+            y = _random_word(rng, rng.randint(0, 3))
+            if rng.random() < 0.5:
+                fid, a_y = memo.moved(y, fid), a.translate(y)
+            else:
+                a_y = a
+            xs = [_random_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
+            for words in (xs, xs[:1], xs + [_random_word(rng, 3)]):
+                forms = [a_y.translate(x).normal_form() for x in words]
+                got = memo.bases(words, fid)
+                if any(nf.words for nf in forms):
+                    assert got is None, (a, y, words)
+                else:
+                    assert sorted(got) == sorted(b for nf in forms for b in nf.cones), (a, y, words)
+    # a cone moved by a word ending with its base's inverse holds words
+    memo = towers._Translates()
+    assert memo.bases(["ba", "BA"], memo.of(ss.cone("ab"))) is None
 
 
 def test_disjoint_translates_match_the_full_products():
