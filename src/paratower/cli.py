@@ -64,15 +64,15 @@ def emit_report(envelope: dict) -> str:
             f"window={len(payload['window'])} cells"
         )
     elif kind == "comparison":
-        for claim in ("claim1", "claim2", "claim3"):
-            lines.append(f"  {claim}: {'pass' if payload[claim]['pass'] else 'FAIL'}")
-        lines.append(
-            f"  composed: {'pass' if payload['composed']['report']['pass'] else 'FAIL'}"
-        )
-        lines.append(
-            f"  boosted: {'pass' if payload['boosted']['report']['pass'] else 'FAIL'}"
-        )
-        lines.append(f"  delta={payload['delta']} (< {payload['delta_bound']}), N={payload['N']}")
+        from .comparison import ComparisonInstance, cylinder_cell_of
+
+        space = ComparisonInstance.from_json(payload["instance"]).space()
+        cell = cylinder_cell_of(space, space.set_from_json(payload["U"]))
+        lines.append(f"  n={payload['n']} target cell={list(cell)}")
+        for name, w in (("claim2", payload["claim2_witness"]),
+                        ("claim3", payload["claim3_witness"]),
+                        ("final", payload["boosted"]["witness"])):
+            lines.append(f"  {name} witness: {len(w['entries'])} entries")
     elif kind == "isometry":
         for name, ok in payload.get("checks", {}).items():
             lines.append(f"  {name}: {'pass' if ok else 'FAIL'}")

@@ -10,8 +10,11 @@ that takes the whole boundary below a chosen clopen set in one color.
 The counting sweep behind claim 1 and the counting hypothesis sums
 integers over the weights' common denominator, so its extremes are exact
 rationals.  ``compose``, ``boost`` and ``petr_assign`` verify the witness
-they return and keep the passing report as its ``report``; the builder
-reuses those reports instead of checking a witness twice.
+they return and keep the passing report as its ``report``, so the builder
+checks no witness twice.  A comparison certificate keeps only the three
+witnesses that prove its claims, with U, n and the instance: every other
+step raises ``ConstructionFailed`` when its check fails, and leaves no
+record.
 
 The matching pairs cylinder cells with movers and colours one cell at a
 time, but ``petr_assign`` and ``compose`` write one entry per (source,
@@ -179,9 +182,9 @@ class PlainSpace(_BoundarySpace, F2Group):
     def tower_slices(self, c) -> list:
         return [c]
 
-    def coloring(self) -> Tuple[list, list, None]:
-        """No K to colour: (E, the one colour class, no colouring)."""
-        return [], [self.labels], None
+    def coloring(self) -> list:
+        """No K to colour: the one colour class."""
+        return [self.labels]
 
 
 class ProductSpace(_BoundarySpace, F2xKGroup):
@@ -213,10 +216,9 @@ class ProductSpace(_BoundarySpace, F2xKGroup):
     def tower_slices(self, c: ProductSubset) -> list:
         return [c.slices[lbl] for lbl in self.labels]
 
-    def coloring(self) -> Tuple[list, list, dict]:
-        """(E = K, the colour classes of a proper colouring of K's Cayley
-        graph for E², one per copy, the colouring's JSON); the copies number
-        m = |E⁴|."""
+    def coloring(self) -> list:
+        """The colour classes of a proper colouring of K's Cayley graph for
+        E², E = K, one per copy; the copies number m = |E⁴|."""
         k = self.k_group
         e2 = sorted({k.mul(a, b) for a in k.elements for b in k.elements})
         m = len({k.mul(a, b) for a in e2 for b in e2})
@@ -224,7 +226,7 @@ class ProductSpace(_BoundarySpace, F2xKGroup):
         if coloring.m != m:
             raise ConstructionFailed("color budget disagrees with |E^4|")
         classes = [coloring.color_class(j + 1) for j in range(m)]
-        return list(k.elements), classes, coloring.to_json()
+        return classes
 
 
 def space_from_json(data: dict):
@@ -991,7 +993,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     letter_movers = _translator_set(u0_cell[1])
     d0 = sorted({""} | set(letter_movers.values()), key=lambda w: (len(w), w))
     f0 = [space.elem(h, e) for h in d0 for e in space.labels]
-    e_set, classes, coloring_json = space.coloring()
+    classes = space.coloring()
     m = len(classes)
 
     covered = space.union_all(space.act(space.inv(f), u_target) for f in f0)
@@ -1013,13 +1015,7 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
         (space.act(space.inv(f), u_target), Fraction(1)) for f in f_elems
     ]
     c1_val, c1_cell = extreme_weighted_count(space, claim1_items, "min")
-    claim1 = {
-        "bound": m,
-        "min_count": _frac_json(c1_val),
-        "witness_cell": list(c1_cell),
-        "pass": c1_val >= m,
-    }
-    if not claim1["pass"]:
+    if c1_val < m:
         raise ConstructionFailed(
             f"claim 1 counting bound failed: {c1_val} < {m} on cell {list(c1_cell)}"
         )
@@ -1055,9 +1051,8 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
             k_group=space.k_group,
             cover_groups=[list(range(nm))],
         )
-        tower_cert = verify_towers(fam_check, "exact")
-    if not tower_cert.passed:
-        raise ConstructionFailed("product tower conditions failed")
+        if not verify_towers(fam_check, "exact").passed:
+            raise ConstructionFailed("product tower conditions failed")
 
     # approximation scale: defect bound strictly below delta
     delta = Fraction(1, 4 * nm * (nm + 1))
@@ -1084,95 +1079,31 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
 
     # claim 2: the W's cover, and each pulls back into its V; the witness
     # has one source, the full space, and one entry per colour
-    claim2_witness = SubeqWitness(
-        space,
-        [space.full()],
-        v_list,
-        [
-            (0, w_set, space.inv(g), idx)
-            for idx, (w_set, g) in enumerate(zip(w_list, g_elems))
-        ],
+    claim2_witness = _verified(
+        SubeqWitness(
+            space,
+            [space.full()],
+            v_list,
+            [(0, w_set, space.inv(g), idx) for idx, (w_set, g) in enumerate(zip(w_list, g_elems))],
+        ),
+        "claim 2",
     )
-    claim2_report = verify_witness(claim2_witness)
-    cover_ok = all(c["pass"] for c in claim2_report["coverage"])
-    inclusions_ok = all(c["contained"] for c in claim2_report["colors"])
-    claim2 = {
-        "cover": cover_ok,
-        "inclusions": inclusions_ok,
-        "report": claim2_report,
-        "pass": cover_ok and inclusions_ok and claim2_report["pass"],
-    }
-    if not claim2["pass"]:
-        raise ConstructionFailed(
-            f"claim 2 failed: cover {cover_ok}, inclusions {inclusions_ok},"
-            f" witness failure {claim2_report['failure']}"
-        )
 
-    # claim 3: counting hypothesis plus the matching assignment
+    # claim 3: counting hypothesis plus the matching assignment, which
+    # hands back a witness it has verified
     data = CountingData(f_elems, eps, v_list, u_target, f_squares, u_eff)
-    counting = check_counting(space, data, n)
-    # petr_assign hands back a witness it has verified, with the report
-    claim3_witness = petr_assign(space, data, n, counting)
-    claim3_report = claim3_witness.report
-    claim3 = {
-        "counting": counting,
-        "report": claim3_report,
-        "pass": counting["pass"] and claim3_report["pass"],
-    }
-    if not claim3["pass"]:
-        raise ConstructionFailed("claim 3 failed")
+    claim3_witness = petr_assign(space, data, n, check_counting(space, data, n))
 
-    # compose and boost verify their witnesses and keep the reports
-    composed = compose(claim2_witness, claim3_witness)
-    boosted = boost(composed, u_set)
-
-    # the product check's record without its family: its D is F·F and its
-    # towers are the pairs (C, g), both read off F, C and g below
-    towers_json = dict(fam_check.group.to_json(), cover_groups=fam_check.cover_groups,
-                       mode=tower_cert.mode, checks=tower_cert.checks)
-    towers_json["group"] = towers_json.pop("kind")
-
-    data_json = {
+    # compose and boost verify their witnesses; every guard above raises
+    # on a failed check, so the certificate passes
+    boosted = boost(compose(claim2_witness, claim3_witness), u_set)
+    return ComparisonCertificate({
         "instance": inst.to_json(),
         "U": u_set.to_json(),
-        "target_cell": list(u0_cell),
-        "epsilon": _frac_json(eps),
-        "F0": [space.elem_json(f) for f in f0],
-        "D0": d0,
-        "E": e_set,
-        "translates": t_words,
-        "D": d_words,
-        "F": [space.elem_json(f) for f in f_elems],
         "n": n,
-        "m": m,
-        "claim1": claim1,
-        "towers": towers_json,
-        "coloring": coloring_json,
-        "C": [c.to_json() for c in c_sets],
-        "g": [space.elem_json(g) for g in g_elems],
-        "delta": _frac_json(delta),
-        "delta_bound": _frac_json(Fraction(1, 2 * nm * (nm + 1))),
-        "N": n_depth,
-        "V": [v.to_json() for v in v_list],
-        "W": [w_set.to_json() for w_set in w_list],
-        "claim2": {k: v for k, v in claim2.items()},
-        "claim3": {k: v for k, v in claim3.items()},
         "claim2_witness": claim2_witness.to_json(),
         "claim3_witness": claim3_witness.to_json(),
-        "composed": {"report": composed.report},
-        "boosted": {
-            "witness": boosted.to_json(),
-            "report": boosted.report,
-        },
-        "pass": all(
-            [
-                claim1["pass"],
-                tower_cert.passed,
-                claim2["pass"],
-                claim3["pass"],
-                composed.report["pass"],
-                boosted.report["pass"],
-            ]
-        ),
-    }
-    return ComparisonCertificate(data_json)
+        "composed": {},
+        "boosted": {"witness": boosted.to_json()},
+        "pass": True,
+    })

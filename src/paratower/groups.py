@@ -90,11 +90,19 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(f"Z/{n}", elems, table)
 
 
-def finite_group_from_json(data: dict) -> FiniteGroup:
-    name = data["name"]
+def _named_group(name) -> FiniteGroup:
     if isinstance(name, str) and name.startswith("Z/") and name[2:].isdigit():
         return cyclic_group(int(name[2:]))
     raise ValueError(f"unknown finite group: {name!r}")
+
+
+def finite_group_from_json(data: dict) -> FiniteGroup:
+    """The group a record ``to_json`` wrote names; a ValueError unless the
+    record is the named group's own, its elements listed in their order."""
+    group = _named_group(data["name"])
+    if data != group.to_json():
+        raise ValueError(f"the record of {group.name} does not list its own elements")
+    return group
 
 
 # a greedy colouring of Z colours the 2|k| integers before k, so the integers
@@ -140,7 +148,7 @@ def factor_from_json(data):
     bare name "Z/n"."""
     if data == "Z":
         return IntegerGroup()
-    return finite_group_from_json(data if isinstance(data, dict) else {"name": data})
+    return finite_group_from_json(data) if isinstance(data, dict) else _named_group(data)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -315,135 +314,162 @@ def test_compare_command(tmp_path):
     kind, payload = certs.parse_envelope(env)
     assert kind == "comparison"
     assert main(["verify", str(tmp_path / "out.json")]) == 0
+    # the summary names n, the target cell and each witness's entry count
+    lines = emit_report(env).splitlines()
+    assert lines[1] == f"  n={payload['n']} target cell=[None, 'ab']"
+    assert lines[2:5] == [
+        f"  {name} witness: {len(w['entries'])} entries"
+        for name, w in (("claim2", payload["claim2_witness"]), ("claim3", payload["claim3_witness"]),
+                        ("final", payload["boosted"]["witness"]))
+    ]
+    assert lines[-1] == "overall: pass"
+
+
+# SHA-256 of the canonical JSON of [claim2_witness, claim3_witness,
+# boosted.witness] of every comparison the CLI tests pin, recorded at
+# schema 2: the witnesses stayed byte-identical when the construction
+# records left the payload.  The F2 × Z/2 witnesses have one entry per
+# (source, mover, colour); their claim-3 cells and movers are pinned by
+# CLAIM3_CELLS.
+COMPARISON_WITNESSES = {
+    ("F2", "ab"): "513699d19bfc64eaec4b879b7e18146477b652eaf84980c7cbf0604d96c95825",
+    ("F2xZ2", "a:0"): "ab4cf23225978e7cb2331206776fbfaa4feb4e4c57ce4dec333eca1e31b0db09",
+    ("F2xZ2", "ab:0,ab:1"): "7ae2c2eff7c539756c44fade4f948247f755d52a5fa37057458168c2a14ab51b",
+    ("F2", "Ba"): "d85436795ca26762f4950951640fb9808bbe45031fce455fae791e614c2d9d30",
+    ("F2", "aaB"): "fb9ceaa564cbacf89aede068e0c95a7364b467e92a876f7df31ddd4ca92e8a23",
+    ("F2", "abab"): "b2da02665bbfbfed325eec37ecb30a125f69ec0bf728b4cae9852850f3f7c609",
+    ("F2", "bbA"): "4b3b62f3882e8363147793a9e84adf86c874bbb1a8805370cf156fda6ea359fa",
+    ("F2", "A"): "d73e87a4ed2fb9bfd88d0a3c161426e2bbc162d18a727f985ad0f9b10aab5095",
+    ("F2xZ2", "b:1"): "8f6dd24be0ac1819da641905882699481edd4e0d2518ee7f6cee703912fad767",
+    ("F2xZ2", "abA:1"): "7229a5c09ecd4e2d47c11befe5b3c4f61d3ca6625d5d286d8da3acf46de3ddf7",
+    ("F2xZ2", "Ba:1,b:0"): "a0986d43c3fd7b92f88b3fb5f8f81e97db988ee6469350981b0ffdd44e794029",
+}
+
+
+def _witnesses_digest(payload: dict) -> str:
+    three = [payload["claim2_witness"], payload["claim3_witness"], payload["boosted"]["witness"]]
+    return hashlib.sha256(certs.canonical_json(three).encode()).hexdigest()
+
+
+def _pinned_comparison(argv, path) -> bytes:
+    """The comparison certificate `compare argv` wrote to ``path``, after
+    checking that its witnesses are the pinned ones and that it holds
+    nothing else."""
+    raw = path.read_bytes()
+    env = json.loads(raw)
+    assert raw == (certs.canonical_json(env) + "\n").encode()
+    assert env["schema_version"] == 3
+    payload = env["payload"]
+    assert sorted(payload) == COMPARISON_FIELDS
+    assert payload["composed"] == {} and list(payload["boosted"]) == ["witness"]
+    assert _witnesses_digest(payload) == COMPARISON_WITNESSES[argv[argv.index("--instance") + 1],
+                                                              argv[argv.index("--U") + 1]]
+    return raw
 
 
 # SHA-256 of the `--json` output, the envelope's canonical JSON and a
-# newline, and the payload's content hash.  The F2 pin is the content hash
-# of the schema-1 payload with its composed witness removed: every other
-# payload field stayed byte-identical, and a faster build must keep it.
-# The F2xZ2 pins were recorded when the witnesses got one entry per
-# (source, mover, colour) instead of one per matched cell; the cells and
-# their movers stayed the same (test_claim3_cells_are_the_per_cell_matching).
+# newline, re-recorded at schema 3, when every construction record left the
+# payload; the witnesses are pinned by COMPARISON_WITNESSES since schema 2
 PINNED_COMPARISONS = [
     (["--instance", "F2", "--U", "ab"],
-     "801f3e723f26531f178c9d36f959aeda784e26ebccaafad0d953f6766015dad6",
-     "1fd0215da26532cd29f07cbbcf140abf5136cb8e2682d4af52fca4499cc96870"),
+     "745dc2585f0c09d877470579d846d4ea85e5d53d4e134f496ea7e37700692c47"),
     (["--instance", "F2xZ2", "--U", "a:0"],
-     "16c10e0ed4e8e4c38192fde17fd0afca54d24b8496c456a3779756cefc67aacd",
-     "734093ce8ef29b02cf14b9a86a722f7e28502e6d7ab5537414a0cf6c0b00d39a"),
+     "579c758a6a32963639bfc494d353663a5808e2492c418823a7c8136e181edfe3"),
 ]
 
 
 PINNED_IDS = ["F2-ab", "F2xZ2-a0"]
 
 
-def _with_product_family(payload: dict) -> dict:
-    """The comparison payload with the product tower check's D and towers
-    put back as the builder wrote them before they left the payload: D is
-    F·F as element JSON, and the towers are the pairs (C[i], g[i])."""
-    from oracles import squares
-    from paratower.comparison import space_from_json
-
-    rec = payload["towers"]
-    assert "D" not in rec and "towers" not in rec
-    space = space_from_json({"kind": rec["group"], "k": rec.get("k")})
-    f_elems = [space.elem_from_json(f) for f in payload["F"]]
-    rec["D"] = [space.elem_json(g) for g in squares(space, f_elems)]
-    rec["towers"] = [{"A": a, "g": g} for a, g in zip(payload["C"], payload["g"])]
-    return payload
-
-
-def _written_with_product_family(path) -> bytes:
-    """The comparison certificate the CLI wrote to ``path``, written as the
-    CLI does with ``_with_product_family``'s payload and its hash."""
-    raw = path.read_bytes()
-    env = json.loads(raw)
-    assert raw == (certs.canonical_json(env) + "\n").encode()
-    env["content_hash"] = certs.content_hash(_with_product_family(env["payload"]))
-    return (certs.canonical_json(env) + "\n").encode()
-
-
-@pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
-def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest, payload_digest):
-    # pinned with the product check's D and towers, which the payload no
-    # longer holds; every other byte is as pinned
+@pytest.mark.parametrize("argv, digest", PINNED_COMPARISONS, ids=PINNED_IDS)
+def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, ["compare"] + argv)
     assert code == 0
-    assert hashlib.sha256(_written_with_product_family(tmp_path / "out.json")).hexdigest() == digest
+    assert hashlib.sha256(_pinned_comparison(argv, tmp_path / "out.json")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest, payload_digest", PINNED_COMPARISONS, ids=PINNED_IDS)
-def test_compare_payload_is_schema_1_without_the_composed_witness(
-    tmp_path, argv, digest, payload_digest
-):
-    code, env = run_json(tmp_path, ["compare"] + argv)
-    assert code == 0
-    assert env["schema_version"] == 2
-    assert list(env["payload"]["composed"]) == ["report"]
-    assert certs.content_hash(_with_product_family(env["payload"])) == payload_digest
-
-
-# every field of a comparison payload and of its product tower record: a
-# field enters or leaves the certificate only with an edit here
+# every field of a comparison payload: a field enters or leaves the
+# certificate only with an edit here
 COMPARISON_FIELDS = [
-    "C", "D", "D0", "E", "F", "F0", "N", "U", "V", "W", "boosted", "claim1", "claim2",
-    "claim2_witness", "claim3", "claim3_witness", "coloring", "composed", "delta",
-    "delta_bound", "epsilon", "g", "instance", "m", "n", "pass", "target_cell", "towers",
-    "translates",
+    "U", "boosted", "claim2_witness", "claim3_witness", "composed", "instance", "n", "pass",
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, tower_fields",
-    [
-        (["--instance", "F2", "--U", "ab"], ["checks", "cover_groups", "group", "mode"]),
-        (["--instance", "F2xZ2", "--U", "a:0"], ["checks", "cover_groups", "group", "k", "mode"]),
-    ],
-    ids=PINNED_IDS,
-)
-def test_the_comparison_payload_holds_exactly_these_fields(tmp_path, argv, tower_fields):
+@pytest.mark.parametrize("argv", [argv for argv, _ in PINNED_COMPARISONS], ids=PINNED_IDS)
+def test_the_comparison_payload_holds_exactly_these_fields(tmp_path, argv):
     code, env = run_json(tmp_path, ["compare"] + argv)
     assert code == 0
-    assert sorted(env["payload"]) == COMPARISON_FIELDS
-    assert sorted(env["payload"]["towers"]) == tower_fields
+    assert sorted(env["payload"]) == COMPARISON_FIELDS == sorted(certs.COMPARISON_KEYS)
+    assert env["payload"]["composed"] == {} and sorted(env["payload"]["boosted"]) == ["witness"]
 
 
-# SHA-256 of the canonical JSON of the F2 × Z/n certificates for
-# U = [ab]×{0}, built through the one comparison path (the CLI names only
-# F2 and F2 × Z/2); Z/3 and Z/4 recorded before the counting and threshold
-# sweeps read their trie's keys alone, Z/6 before the product tower check
-# was decided on its factors, Z/5 and Z/8 before the sweep spelt its words
-# in letters.  Their sweeps run over hundreds of bases (Z/8: tens of
-# thousands of shared keys), and the Z/6 tower check over six labels.
+# SHA-256 of the canonical JSON of the F2 × Z/n payloads for U = [ab]×{0},
+# built through the one comparison path (the CLI names only F2 and F2 × Z/2)
+# and re-recorded at schema 3; of their three witnesses; and of the sweeps
+# that left the payload at schema 3, {"counting": check_counting's report,
+# "claim1": [claim 1's minimum, its cell]}.  The witness and sweep digests
+# were recorded at schema 2, where Z/3 and Z/4 had been pinned before the
+# counting and threshold sweeps read their trie's keys alone, Z/6 before
+# the product tower check was decided on its factors, Z/5 and Z/8 before
+# the sweep spelt its words in letters.  Their sweeps run over hundreds of
+# bases (Z/8: tens of thousands of shared keys), and the Z/6 tower check
+# over six labels.
 PINNED_ZN_COMPARISONS = [
-    (3, "edacfd4cbe761917ebdc2207acdae47024c8842864f01d75b6c1ef00f5027763"),
-    (4, "d5293cca57d8e652a2a41de1b0a90c85eed38ddd7f2861dfe595d917211640c2"),
-    (5, "b121293c8c7e15f51ff81168b73e64af76eb0745174d0075e5f31c37602880e7"),
-    (6, "680b34f9080012b03b73ee7ed45bfb7df8178589af38da59e65dd4f456be0653"),
-    (8, "4f29fa46ea4730a068e93b94daf4dce408d37138cc2d6f14756ef11ce7c9a230"),
+    (3, "a3e0e746b76b7121109c9d151205a3a9434580e9e58e274fc2e7cf2ef25ce9a4",
+     "12a9a1a628b16fb04b53c612ff377a0e540a22cea9500efdc823512d02b8d892",
+     "5dfe3c05971d2accfbce58803f24eaf198bf1e4ddc70eb7cd7c3a90c5bbb2e4b"),
+    (4, "d38bfe09f2d4f4f65450337f0c760acd4c78357cd9d49fe07d235638c5241270",
+     "0cfe6bbd1c0ca6fb663138bda096820a9fa7c77dc8c3a008ee97aaf378fd7b87",
+     "58b1f2c6d5face47524ce8127374b563f0e2db87c86b0f0fda05031f8e2cdfcf"),
+    (5, "2ed30d1314b2c071aedee35f398746ad6646bb4fac350a1706e03a89ca966387",
+     "1c225045a31857aa6a396c9ac90cc8f55976fae368bbb1f31e4d8786f64cd730",
+     "a974f7c59b7343dfe2ae6ffcb4212d2892ff37620ccbb359a29f6e8ba6c43a95"),
+    (6, "0f5549bb23002c7dcde87903d4fc4d759a64ceb16e50f0cd7469f6273d44dbdf",
+     "65fa4cd804e3ed7b9804562c9fa64cc439eb606769b56502d7b260931734c95e",
+     "ae50b1c927d77db660eb9637c273fb822555d2cc6dc4c7871b24df9319a2db9c"),
+    (8, "edfbbcfc193363f11b288db8d4222035214d0f3c8e03b7012aefa5b181273984",
+     "b2552ce2b8fdbc64fc804bd9cf705e761342712a64b840a3ed2f06f5eafefedc",
+     "07cc18cf6398452682fb9db27f9bb5ade49571de47b3b67ac2ae1114fe19bde6"),
 ]
 
 
 @pytest.mark.parametrize(
-    "k, digest", PINNED_ZN_COMPARISONS, ids=[f"F2xZ{k}-ab0" for k, _ in PINNED_ZN_COMPARISONS]
+    "k, digest, witnesses, sweeps",
+    PINNED_ZN_COMPARISONS,
+    ids=[f"F2xZ{k}-ab0" for k, *_ in PINNED_ZN_COMPARISONS],
 )
-def test_zn_comparison_bytes_are_pinned(k, digest):
+def test_zn_comparison_bytes_are_pinned(monkeypatch, k, digest, witnesses, sweeps):
     from test_comparison import _zn_instance
 
+    import paratower.comparison as comparison
     from paratower.boundary import ClopenSet, ProductClopen
-    from paratower.comparison import build_comparison
     from paratower.groups import cyclic_group
 
+    seen = {}
+    counting, extreme = comparison.check_counting, comparison.extreme_weighted_count
+
+    def claim1(*args):
+        value, cell = extreme(*args)
+        seen["claim1"] = [str(value), list(cell)]
+        return value, cell
+
+    monkeypatch.setattr(comparison, "check_counting",
+                        lambda *args: seen.setdefault("counting", counting(*args)))
+    monkeypatch.setattr(comparison, "extreme_weighted_count", claim1)
     u_set = ProductClopen(cyclic_group(k), {"0": ClopenSet.cylinder("ab")})
-    payload = _with_product_family(build_comparison(_zn_instance(k), u_set).to_json())
+    payload = comparison.build_comparison(_zn_instance(k), u_set).to_json()
+    assert sorted(payload) == COMPARISON_FIELDS
     assert hashlib.sha256(certs.canonical_json(payload).encode()).hexdigest() == digest
+    assert _witnesses_digest(payload) == witnesses
+    assert hashlib.sha256(certs.canonical_json(seen).encode()).hexdigest() == sweeps
 
 
 # SHA-256 of the `--json` output of each tower builder, in exact and ball
 # mode, and of comparisons; deciding product towers by their factors must
-# keep them as they are.  The F2 × Z/2 comparisons were re-pinned when the
-# witnesses got one entry per (source, mover, colour); their claim-3 cells
-# and movers are pinned by CLAIM3_CELLS.
+# keep them as they are.  The tower and colouring pins are of the file at
+# schema 2.  The comparison pins were re-recorded at schema 3, when the
+# construction records left the payload; their witnesses are pinned by
+# COMPARISON_WITNESSES.
 PINNED_TOWERS = [
     (["f2-towers", "--D", "e,a,A,b,B"],
      "a9ef0b669482174ae5da5c134cddab80d98322bbc0a82fb2497b6ebb12db9f56"),
@@ -459,25 +485,26 @@ PINNED_TOWERS = [
     (["union-towers", "--D", "e,a,A,b,B"],
      "359f13ea0d899455d38f1f4afa0dd3f19ee43843cf7e1e89121147f89ba1da77"),
     (["compare", "--instance", "F2xZ2", "--U", "ab:0,ab:1"],
-     "6668b433a4f716bb924a2e41eabbe019bbe2c4564021a68c5e2c21a6334e4e32"),
-    # comparisons recorded before F2 became the one-label case of
-    # boundary x K; building both through one path must keep them
+     "759074968dd2e6ecc72561395db541eaadf8b169ead54c18c7a735c517bba122"),
+    # comparisons whose witnesses were recorded before F2 became the
+    # one-label case of boundary x K; building both through one path must
+    # keep them
     (["compare", "--instance", "F2", "--U", "Ba"],
-     "f5b56b01e246d957b6e44dc14b0b866ded0bf7f199b0f43d33339fb9fdb132c8"),
+     "4c68e19ae6a9e5f01554ccab3d9d7a516898f7b1fa280314c9a16e3e34780f00"),
     (["compare", "--instance", "F2", "--U", "aaB"],
-     "d6a39646dab81e0df35f7d47d1eeee9f3fde3f563519d281c742e0fce92e6186"),
+     "102b301221755b4a5be5ae5e8cd446b6a118883ee945ec636ff4efba87720b01"),
     (["compare", "--instance", "F2", "--U", "abab"],
-     "ae859c1a740f8c0d08a4371f692cbab45945f36012776ab200a3afe88876e23e"),
+     "8e0291ddc1fd41d6beed93f7bc875918c05cb9f0b944a064316f0a9684a0ae01"),
     (["compare", "--instance", "F2", "--U", "bbA"],
-     "87e0ffcfa2185455543a6f62dcb632d6f043a70424f06704b2c6a90e22c110bb"),
+     "fe4523d6a6c07b4c7b5f2e5eaea8035166ace0374e1c381736497f32203e8fa7"),
     (["compare", "--instance", "F2", "--U", "A"],
-     "94c691515a5c9981777f1a04c4657538f3eb40da37cf67005d13c77d393c730b"),
+     "6b0511a53f462696c00b7da6d9d7a1838f0569bb0a09d3ad4eeefe10488bf500"),
     (["compare", "--instance", "F2xZ2", "--U", "b:1"],
-     "32a1b01056618bc16e9dd050be04736b70d00fbd8b231bb09a5d34ef3dfe1136"),
+     "77418af45787f54d3b38a0f16be555304515d069d3dcbcf8162a9eac3a998273"),
     (["compare", "--instance", "F2xZ2", "--U", "abA:1"],
-     "6b6bec329c6f83a974822aceba0562db5e755407e4fc4f57aeefedac7346bc1b"),
+     "a6bca55d91e1ab57a628dca17ee578bd66cb07c9db2d10fcd654e2811c104de8"),
     (["compare", "--instance", "F2xZ2", "--U", "Ba:1,b:0"],
-     "2f01af3842d2b684dc5c8d9432b38f33e697db18eeee30ad19a6191e3336ea64"),
+     "626ecf0129ca205cf7618554d8a3abc3c5a8b55af7c6d2418c10f9f47eb698c4"),
     # colourings recorded while finite K and Z had a greedy each; one greedy
     # along K's enumeration must keep them
     (["color", "--K", "Z", "--E=-1,0,1", "--window", "50"],
@@ -508,8 +535,14 @@ def test_tower_stage_bytes_are_pinned(tmp_path, argv, digest):
     code, _ = run_json(tmp_path, argv)
     assert code == 0
     path = tmp_path / "out.json"
-    # comparisons were pinned with the product check's D and towers
-    raw = _written_with_product_family(path) if argv[0] == "compare" else path.read_bytes()
+    if argv[0] == "compare":
+        raw = _pinned_comparison(argv, path)
+    else:
+        # pinned at schema 2: only the envelope's version has changed since
+        raw = path.read_bytes()
+        env = json.loads(raw)
+        assert raw == (certs.canonical_json(env) + "\n").encode() and env["schema_version"] == 3
+        raw = (certs.canonical_json(dict(env, schema_version=2)) + "\n").encode()
     assert hashlib.sha256(raw).hexdigest() == digest
 
 
@@ -555,9 +588,16 @@ def test_a_per_cell_certificate_still_verifies(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == (
         "872442ea3b745cddd296a9e777aa778d87b0c9f5406845a6fe6b66c12d448610"
     )
-    assert len(json.loads(raw)["payload"]["claim3_witness"]["entries"]) == 112
+    old = json.loads(raw)["payload"]
+    assert len(old["claim3_witness"]["entries"]) == 112
     path = tmp_path / "per_cell.json"
+    # a schema-2 file is malformed, as a schema-1 file is
     path.write_bytes(raw)
+    assert main(["verify", str(path)]) == 3
+    # its three witnesses, instance, U and n still prove the theorem
+    payload = {key: old[key] for key in ("instance", "U", "n", "claim2_witness", "claim3_witness")}
+    payload.update({"boosted": {"witness": old["boosted"]["witness"]}, "composed": {}, "pass": True})
+    path.write_text(json.dumps(certs.wrap("comparison", payload)))
     assert main(["verify", str(path)]) == 0
 
 
@@ -1249,30 +1289,6 @@ def test_verify_rejects_forged_comparison(tmp_path, f2_comparison, forge, claim)
     assert not report["witnesses"][name]["proves_claim"]
 
 
-# recorded fields that verify recomputes; each forgery used to verify
-@pytest.mark.parametrize(
-    "path, value, named",
-    [
-        (["claim3", "report", "colors", 0, "disjoint"], False, "claim3.report"),
-        (["claim2", "report", "failure"], {"kind": "made-up"}, "claim2.report"),
-        (["boosted", "report", "coverage"], [], "boosted.report"),
-        (["claim2", "cover"], False, "claim2.cover"),
-        (["claim2", "inclusions"], 1, "claim2.inclusions"),
-        (["claim3", "counting", "witness_cell"], [None, "zzz"], "counting witness cell"),
-        (["claim3", "counting", "witness_cell"], ["0", "ab"], "counting witness cell"),
-    ],
-    ids=["claim3-disjoint", "claim2-failure", "boosted-coverage", "claim2-cover",
-         "claim2-inclusions", "counting-cell-word", "counting-cell-label"],
-)
-def test_verify_recomputes_the_recorded_reports(tmp_path, f2_comparison, path, value, named):
-    payload = _with(copy.deepcopy(f2_comparison), path, value)
-    code, report = _verify_payload(tmp_path, "comparison", payload)
-    assert code == 2 and not report["pass"]
-    assert named in report["failed"]
-    # the witnesses themselves still prove their claims
-    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
-
-
 @pytest.fixture(scope="module")
 def f2xz2_comparison():
     from paratower.boundary import ClopenSet, ProductClopen
@@ -1283,80 +1299,87 @@ def f2xz2_comparison():
     return build_comparison(ComparisonInstance("F2xZ2"), u_set).to_json()
 
 
-# recorded flags that must be true; each forgery used to verify, since no
-# witness reads them
-@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
-@pytest.mark.parametrize(
-    "forge, named",
-    [
-        (lambda p: _with(p, ["towers", "checks", "disjoint", "pass"], False),
-         "towers.checks.disjoint.pass"),
-        (lambda p: _with(p, ["composed", "report", "pass"], False), "composed.report.pass"),
-        (lambda p: p["towers"]["checks"].pop("cover"), "towers.checks.cover.pass"),
-    ],
-    ids=["towers-disjoint-false", "composed-report-false", "towers-cover-missing"],
-)
-def test_verify_reads_every_recorded_flag(tmp_path, request, instance, forge, named):
-    payload = copy.deepcopy(request.getfixturevalue(instance))
-    assert _verify_payload(tmp_path, "comparison", payload)[0] == 0
-    forge(payload)
-    code, report = _verify_payload(tmp_path, "comparison", payload)
-    assert code == 2 and report["failed"] == f"recorded {named} is not pass"
-    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
-
-
-def _halved(value):
-    return str(Fraction(value) / 2)
-
-
-# fields that verify works out from U, n and the space; each forgery used
-# to verify
-@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
-@pytest.mark.parametrize(
-    "field, forge",
-    [
-        ("target_cell", lambda cell: [cell[0], cell[1] + "a"]),
-        ("epsilon", _halved),
-        ("delta", _halved),
-        ("delta_bound", _halved),
-        ("m", lambda m: m + 1),
-    ],
-    ids=["target-cell", "epsilon", "delta", "delta-bound", "m"],
-)
-def test_verify_works_out_the_scales(tmp_path, request, instance, field, forge):
-    payload = copy.deepcopy(request.getfixturevalue(instance))
-    payload[field] = forge(payload[field])
-    code, report = _verify_payload(tmp_path, "comparison", payload)
-    assert code == 2 and report["failed"] == f"recorded {field} is not the recomputed one"
-    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
-
-
-# claim 1 as recorded against the m that verify works out: its bound must
-# be m and its pass flag whether min_count reaches m; each forgery used to
-# verify
-@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
-@pytest.mark.parametrize(
-    "forge, named",
-    [
-        (lambda c: c.update({"min_count": "0", "bound": 99, "pass": True}), "claim1.bound"),
-        (lambda c: c.update({"min_count": "0"}), "claim1.pass"),
-        (lambda c: c.update({"min_count": "many"}), "claim1.pass"),
-    ],
-    ids=["below-a-forged-bound", "below-m", "no-fraction"],
-)
-def test_verify_checks_claim1_against_m(tmp_path, request, instance, forge, named):
-    payload = copy.deepcopy(request.getfixturevalue(instance))
-    assert Fraction(payload["claim1"]["min_count"]) >= payload["claim1"]["bound"] == payload["m"]
-    forge(payload["claim1"])
-    code, report = _verify_payload(tmp_path, "comparison", payload)
-    assert code == 2 and report["failed"] == f"recorded {named} is not the recomputed one"
-    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
-
-
 def test_verify_accepts_the_comparison_and_rejects_schema_1(tmp_path, f2_comparison):
     code, report = _verify_payload(tmp_path, "comparison", copy.deepcopy(f2_comparison))
     assert code == 0 and report["failed"] is None
-    assert _verify_payload(tmp_path, "comparison", f2_comparison, schema_version=1)[0] == 3
+    # one reader: a schema-1 or schema-2 file is malformed
+    for version in (1, 2):
+        code, report = _verify_payload(tmp_path, "comparison", f2_comparison,
+                                       schema_version=version)
+        assert code == 3 and report["error"] == f"unsupported schema: {version}"
+
+
+@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
+@pytest.mark.parametrize("recorded", [False, None, "true", 1])
+def test_verify_compares_the_recorded_pass_with_its_verdict(tmp_path, request, instance, recorded):
+    payload = copy.deepcopy(request.getfixturevalue(instance))
+    payload["pass"] = recorded
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"] == "recorded pass is not the verdict"
+    assert all(r["verified"] and r["proves_claim"] for r in report["witnesses"].values())
+
+
+# a record that verify does not check is refused: a key the payload does
+# not hold, among them every record of schema 2, or a missing key
+@pytest.mark.parametrize("instance", ["f2_comparison", "f2xz2_comparison"], ids=["F2", "F2xZ2"])
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda p: p.update(m=2),
+        lambda p: p.update(claim1={"bound": 2, "min_count": "3", "pass": True}),
+        lambda p: p.update(towers={"checks": {}}),
+        lambda p: p.update(V=p["claim2_witness"]["targets"]),
+        lambda p: p.pop("n"),
+        lambda p: p.pop("composed"),
+        lambda p: p["boosted"].update(report={"pass": True}),
+        lambda p: p.update(boosted=[p["boosted"]["witness"]]),
+    ],
+    ids=["m", "claim1", "towers", "V", "no-n", "no-composed", "boosted-report", "boosted-list"],
+)
+def test_verify_refuses_a_record_it_does_not_check(tmp_path, request, instance, forge):
+    payload = copy.deepcopy(request.getfixturevalue(instance))
+    forge(payload)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 3 and "does not parse" in report["error"]
+
+
+@pytest.mark.parametrize("n", [0, -1, True, "2", 2.0, None])
+def test_verify_refuses_an_n_that_is_no_positive_int(tmp_path, f2_comparison, n):
+    payload = dict(f2_comparison, n=n)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 3 and "n must be a positive int" in report["error"]
+
+
+@pytest.mark.parametrize("shift", [1, -1, 10**18])
+def test_verify_reads_the_copies_of_the_target_cell_off_n(tmp_path, f2_comparison, shift):
+    payload = dict(f2_comparison, n=f2_comparison["n"] + shift)
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"].startswith("claim 3")
+    assert not report["witnesses"]["claim3_witness"]["proves_claim"]
+
+
+def test_verify_rejects_the_witnesses_of_another_k(tmp_path, f2xz2_comparison):
+    # the F2 × Z/1 build for [a]×{0}: its sets equal the F2 × Z/2 sets on
+    # the one label they have, so only the witnesses' space tells them apart
+    from test_comparison import _zn_instance
+
+    from paratower.boundary import ClopenSet, ProductClopen
+    from paratower.comparison import build_comparison
+    from paratower.groups import cyclic_group
+
+    u_set = ProductClopen(cyclic_group(1), {"0": ClopenSet.cylinder("a")})
+    z1 = build_comparison(_zn_instance(1), u_set).to_json()
+    payload = dict(z1, instance=f2xz2_comparison["instance"], U=f2xz2_comparison["U"])
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"].startswith("claim 2")
+    assert all(r["verified"] and not r["proves_claim"] for r in report["witnesses"].values())
+
+
+def test_verify_requires_composed_to_be_empty(tmp_path, f2_comparison):
+    payload = copy.deepcopy(f2_comparison)
+    payload["composed"]["report"] = {"pass": True}
+    code, report = _verify_payload(tmp_path, "comparison", payload)
+    assert code == 2 and report["failed"] == "composed is not empty"
 
 
 def _product_witness():
@@ -1443,6 +1466,60 @@ def _f2_towers_with_d(word):
 )
 def test_verify_rejects_an_unreduced_group_element(tmp_path, kind, forge):
     assert _verify_payload(tmp_path, kind, forge())[0] == 3
+
+
+# a K record whose elements are not the named group's own; each forgery
+# used to verify, since only the name was read
+@pytest.mark.parametrize(
+    "kind, forge",
+    [
+        ("witness", lambda: _with(_product_witness(), ["space", "k", "elements", 0], "01")),
+        ("comparison", lambda p: _with(p, ["claim3_witness", "space", "k", "elements"], ["1", "0"])),
+        ("comparison", lambda p: _with(p, ["boosted", "witness", "space", "k", "elements"], ["0"])),
+        ("coloring", lambda: _with(_coloring_payload("Z/5", ["0", "1", "4"]), ["K", "elements", 4], "5")),
+        ("coloring", lambda: _with(_coloring_payload("Z/5", ["0", "1", "4"]), ["K", "elements"],
+                                   ["0", "1", "2", "4", "3"])),
+        ("coloring", lambda: _with(_coloring_payload("Z/5", ["0", "1", "4"]), ["K"], {"name": "Z/5"})),
+        ("towers", lambda: _with(_f2xk_towers(), ["k", "elements", 1], "2")),
+        ("towers", lambda: _with(_f2xk_towers(), ["k", "elements"], ["0", "1", "2"])),
+    ],
+    ids=["witness-space-k", "claim3-space-k-reordered", "final-space-k-short",
+         "coloring-K-renamed", "coloring-K-reordered", "coloring-K-no-elements",
+         "ext-towers-k-renamed", "ext-towers-k-extra"],
+)
+def test_verify_rejects_a_k_record_that_is_not_the_groups_own(
+    tmp_path, f2xz2_comparison, kind, forge
+):
+    payload = forge(copy.deepcopy(f2xz2_comparison)) if kind == "comparison" else forge()
+    code, report = _verify_payload(tmp_path, kind, payload)
+    assert code == 3 and "does not list its own elements" in report["error"]
+
+
+# an unreduced base reaches no ClopenSet or NormalForm: each decoder refuses
+# it, since the sets themselves trust their bases
+@pytest.mark.parametrize(
+    "kind, path, word",
+    [
+        # the target cell [ab] is reduced, so only the decoder sees bAab
+        ("comparison", ["U", "words"], ["ab", "bAab"]),
+        ("comparison", ["claim3_witness", "entries", 0, "piece", "words", 0], "aaaaaaaaaabBa"),
+        ("towers", ["towers", 0, "A", "base"], "aabaA"),
+        ("towers", ["towers", 1, "A"], {"kind": "finite", "words": ["Bb"]}),
+        ("witness", ["sources", 0, "slices", "0", "words", 0], "aBb"),
+        ("witness", ["entries", 0, "piece", "slices", "0", "words", 0], "abAa"),
+    ],
+    ids=["boundary-U", "witness-piece", "tower-cone-base", "tower-finite-word",
+         "product-K-slice", "product-piece-slice"],
+)
+def test_an_unreduced_base_is_refused_at_every_decoder(tmp_path, f2_comparison, kind, path, word):
+    made = {
+        "comparison": lambda: copy.deepcopy(f2_comparison),
+        "towers": lambda: _f2_towers_with_d("a"),
+        "witness": _product_witness,
+    }[kind]
+    assert _verify_payload(tmp_path, kind, made())[0] == 0
+    code, report = _verify_payload(tmp_path, kind, _with(made(), path, word))
+    assert code == 3 and "does not parse" in report["error"]
 
 
 def _f2xk_towers():
@@ -1543,16 +1620,18 @@ def _built_coloring(tmp_path) -> dict:
 
 
 # `color --K Z/5 --E 0,1,4` with one recorded field forged and the hash
-# recomputed: verify works out each of them, so each exits 2
+# recomputed: verify works out each of them, so each exits 2 (K recorded by
+# its bare name is a K, but not the record colour writes; a K record whose
+# elements are renamed or reordered is malformed, see
+# test_verify_rejects_a_k_record_that_is_not_the_groups_own)
 @pytest.mark.parametrize(
     "path, value, failed",
     [
         (["pass"], False, ["pass_matches"]),
         (["m"], 6, ["m_matches", "pass_matches"]),
-        (["K", "elements"], ["0", "1", "2", "3", "5"], ["K_matches", "pass_matches"]),
-        (["K", "elements"], ["0", "1", "2", "4", "3"], ["K_matches", "pass_matches"]),
+        (["K"], "Z/5", ["K_matches", "pass_matches"]),
     ],
-    ids=["pass-false", "m-plus-one", "K-element-renamed", "K-elements-reordered"],
+    ids=["pass-false", "m-plus-one", "K-bare-name"],
 )
 def test_verify_works_out_each_recorded_coloring_field(tmp_path, path, value, failed):
     payload = _built_coloring(tmp_path)

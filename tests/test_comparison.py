@@ -450,9 +450,9 @@ def test_build_comparison_plain():
     cert = build_comparison(ComparisonInstance("F2"), cyl("ab"))
     assert cert.passed
     data = cert.data
-    nm = data["n"] * data["m"]
-    assert Fraction(data["delta"]) < Fraction(1, 2 * nm * (nm + 1))
-    assert data["boosted"]["report"]["pass"]
+    assert data["n"] >= 1 and data["composed"] == {}
+    final = SubeqWitness.from_json(data["boosted"]["witness"])
+    assert verify_witness(final)["pass"] and final.targets[0].equals(cyl("ab"))
 
 
 def test_build_comparison_rejects_empty_target():
@@ -469,20 +469,23 @@ def test_build_comparison_rejects_empty_target():
 )
 def test_the_product_check_runs_over_f_times_f(monkeypatch, inst, u_set):
     # the builder reads F·F off D² × K; it is every product of two elements
-    # of F, in the same order, and the product check's towers are (C, g)
-    families = []
-    real = comparison.verify_towers
+    # of F, in the same order, and the counting's D², and the product
+    # check's movers are the g whose inverses carry claim 2's W into V
+    families, counted = [], []
+    real, counting = comparison.verify_towers, comparison.check_counting
     monkeypatch.setattr(
         comparison, "verify_towers", lambda fam, *a: families.append(fam) or real(fam, *a)
+    )
+    monkeypatch.setattr(
+        comparison, "check_counting", lambda sp, d, n: counted.append(d) or counting(sp, d, n)
     )
     instance = ComparisonInstance(inst)
     space = instance.space()
     data = build_comparison(instance, u_set).data
-    (fam,) = families
-    f_elems = [space.elem_from_json(f) for f in data["F"]]
-    assert fam.d_set == squares(space, f_elems)
-    towers = [(a.to_json(), space.elem_json(g)) for a, g in fam.items]
-    assert towers == list(zip(data["C"], data["g"]))
+    (fam,), (f,) = families, counted
+    assert fam.d_set == squares(space, f.d_set) == f.d2
+    claim2 = SubeqWitness.from_json(data["claim2_witness"])
+    assert [g for _, g in fam.items] == [space.inv(g) for _, _, g, _ in claim2.entries]
 
 
 @pytest.mark.parametrize(
