@@ -173,7 +173,6 @@ def _verify_comparison(payload: dict) -> dict:
         )
         reports[name] = {
             "claim": claim,
-            "entries": len(w.entries),
             "verified": check["pass"],
             "proves_claim": proves,
             "failure": check["failure"],
