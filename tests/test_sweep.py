@@ -1,11 +1,11 @@
 """A mutation sweep of two comparison certificates: every scalar leaf is
 edited in turn, the hash recomputed and the certificate verified again.
 
-An int gets +1, a bool is flipped, a string of digits gets a digit
-appended, and any other string gets a letter appended and its last letter
-dropped.  Every edit must make `verify` exit 2 or 3, or be one of the
-neutral edits listed below: an edit under which the edited witness still
-proves its claim.  The list is exact, so an edit that stops being
+An int gets +1 and a bool is flipped.  A string gets a letter appended
+and its last letter dropped, and a string of digits, such as a K label,
+also gets a digit appended.  Every edit must make `verify` exit 2 or 3,
+or be one of the neutral edits listed below: an edit under which the
+edited witness still proves its claim.  The list is exact, so an edit that stops being
 accepted fails here too, and its entry goes.
 """
 
@@ -37,12 +37,12 @@ def _edits(value):
         yield "flip", not value
     elif isinstance(value, int):
         yield "+1", value + 1
-    elif isinstance(value, str) and value.isdigit():
-        yield "+digit", value + "1"
     elif isinstance(value, str):
         yield "+a", value + "a"
         if value:
             yield "drop", value[:-1]
+        if value.isdigit():
+            yield "+digit", value + "1"
 
 
 def _accepted(payload):
@@ -138,7 +138,7 @@ NEUTRAL_EDITS = {
     "name, instance, u_set, made",
     [
         ("F2-ab", "F2", ClopenSet.cylinder("ab"), 148),
-        ("F2xZ2-a0", "F2xZ2", ProductClopen(cyclic_group(2), {"0": ClopenSet.cylinder("a")}), 762),
+        ("F2xZ2-a0", "F2xZ2", ProductClopen(cyclic_group(2), {"0": ClopenSet.cylinder("a")}), 958),
     ],
     ids=["F2-ab", "F2xZ2-a0"],
 )
