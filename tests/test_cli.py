@@ -388,6 +388,25 @@ def test_compare_certificate_bytes_are_pinned(tmp_path, argv, digest):
     assert hashlib.sha256(_pinned_comparison(argv, tmp_path / "out.json")).hexdigest() == digest
 
 
+# the payload's content hash, re-recorded at schema 3; the composed witness
+# left the payload at schema 1 and the composed report at schema 3
+PINNED_PAYLOADS = [
+    (["--instance", "F2", "--U", "ab"],
+     "4cf90127335f9a019029da20ef0e344832cc9fa74833e77b895b15703f36a3ff"),
+    (["--instance", "F2xZ2", "--U", "a:0"],
+     "5e35f55f909c9995de6dc3d85c18fa587fd56d04ac8d1e66ea0274806d9e33f0"),
+]
+
+
+@pytest.mark.parametrize("argv, payload_digest", PINNED_PAYLOADS, ids=PINNED_IDS)
+def test_compare_payload_is_schema_1_without_the_composed_witness(tmp_path, argv, payload_digest):
+    code, env = run_json(tmp_path, ["compare"] + argv)
+    assert code == 0
+    assert env["schema_version"] == 3
+    assert env["payload"]["composed"] == {}
+    assert env["content_hash"] == certs.content_hash(env["payload"]) == payload_digest
+
+
 # every field of a comparison payload: a field enters or leaves the
 # certificate only with an edit here
 COMPARISON_FIELDS = [
