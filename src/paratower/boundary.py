@@ -360,14 +360,22 @@ class ProductClopen:
     def depth(self) -> int:
         return max(s.depth() for s in self.slices.values())
 
+    def _pairs(self, other: "ProductClopen"):
+        """(own slice, other's slice) at each label; a ValueError when the
+        two sets lie over different groups K."""
+        k, o = self.k, other.k
+        if o is not k and (o.elements, o.table) != (k.elements, k.table):
+            raise ValueError(f"a set over {k.name} cannot be compared with one over {o.name}")
+        return ((self.slices[e], other.slices[e]) for e in k.elements)
+
     def equals(self, other: "ProductClopen") -> bool:
-        return all(self.slices[e].equals(other.slices[e]) for e in self.k.elements)
+        return all(a.equals(b) for a, b in self._pairs(other))
 
     def is_subset(self, other: "ProductClopen") -> bool:
-        return all(self.slices[e].is_subset(other.slices[e]) for e in self.k.elements)
+        return all(a.is_subset(b) for a, b in self._pairs(other))
 
     def are_disjoint(self, other: "ProductClopen") -> bool:
-        return all(self.slices[e].are_disjoint(other.slices[e]) for e in self.k.elements)
+        return all(a.are_disjoint(b) for a, b in self._pairs(other))
 
     def union(self, other: "ProductClopen") -> "ProductClopen":
         return ProductClopen(

@@ -102,9 +102,9 @@ def _f2_towers(args):
 
 
 def _more_towers(args):
-    from .towers import more_towers
+    from .towers import _verified, more_towers
 
-    return more_towers(_parse_words(args.D), args.copies)
+    return _verified(more_towers(_parse_words(args.D), args.copies), "indexed")
 
 
 def _ext_towers(args):

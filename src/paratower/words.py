@@ -15,6 +15,8 @@ LETTERS = ("a", "A", "b", "B")
 
 _INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
+_INVERT = str.maketrans(_INVERSE)
+
 _WALK_ORDER = str.maketrans("aAbB", "0123")
 
 DEFAULT_MAX_RADIUS = 14
@@ -73,13 +75,11 @@ def reduce_words(ws: Iterable[str]) -> List[str]:
 
 def multiply(u: str, v: str) -> str:
     """Group product of two reduced words."""
-    if not u:
-        return v
-    if not v:
-        return u
     # only the boundary between u and v can cancel
-    i = len(u)
-    j = 0
+    if not u or not v or u[-1] != _INVERSE[v[0]]:
+        return u + v
+    i = len(u) - 1
+    j = 1
     while i > 0 and j < len(v) and u[i - 1] == _INVERSE[v[j]]:
         i -= 1
         j += 1
@@ -87,7 +87,7 @@ def multiply(u: str, v: str) -> str:
 
 
 def inverse(u: str) -> str:
-    return "".join(_INVERSE[x] for x in reversed(u))
+    return u[::-1].translate(_INVERT)
 
 
 # the letters that may follow each last letter ("" at the identity), in

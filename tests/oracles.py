@@ -20,6 +20,9 @@ of bases, and sibling families merged level by level from the deepest.
 ``branch_keys`` and ``branch_sums`` are the trie-key sums of
 ``prefix.branch_sums`` in two passes: the keys with their parents first,
 then the sums.
+``multiply`` and ``inverse`` are the word kernel letter by letter: the
+product walks the cancelling boundary from its first letter, and the
+inverse joins the inverse letters one at a time.
 """
 
 import functools
@@ -30,7 +33,7 @@ from paratower import prefix
 from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap, TranslatedPoint
 from paratower.subsets import GroupSubset, NormalForm, NormalizedSet
 from paratower.towers import CHECK_PREFIX_LEN, STABILIZER_RADIUS, SearchExhausted
-from paratower.words import ball, enumerate_words, multiply
+from paratower.words import ball, enumerate_words
 
 
 class RationalProbMeasure:
@@ -287,3 +290,25 @@ def disjoint_translates(d_words, count: int) -> list:
             if len(chosen) == count:
                 return chosen
     raise SearchExhausted(f"found only {len(chosen)} of {count} disjoint translates")
+
+
+_INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
+
+
+def multiply(u: str, v: str) -> str:
+    """The product of two reduced words, the boundary walked letter by letter."""
+    if not u:
+        return v
+    if not v:
+        return u
+    i = len(u)
+    j = 0
+    while i > 0 and j < len(v) and u[i - 1] == _INVERSE_LETTER[v[j]]:
+        i -= 1
+        j += 1
+    return u[:i] + v[j:]
+
+
+def inverse(u: str) -> str:
+    """The inverse of a reduced word, one letter at a time."""
+    return "".join(_INVERSE_LETTER[x] for x in reversed(u))

@@ -281,6 +281,20 @@ def test_product_clopen_act_shifts_labels():
     assert back.equals(p)
 
 
+def test_product_clopen_comparisons_need_one_k():
+    # a set over Z/1 agrees with a Z/2 set at "0" and says nothing of "1";
+    # equal groups built apart compare as one
+    a = ClopenSet.cylinder("a")
+    z1 = ProductClopen(cyclic_group(1), {"0": a})
+    z2 = ProductClopen(cyclic_group(2), {"0": a, "1": ClopenSet.cylinder("b")})
+    for x, y in ((z1, z2), (z2, z1)):
+        for compare in (x.equals, x.is_subset, x.are_disjoint):
+            with pytest.raises(ValueError, match="Z/"):
+                compare(y)
+    twin = ProductClopen(cyclic_group(2), dict(z2.slices))
+    assert z2.equals(twin) and twin.is_subset(z2) and not z2.are_disjoint(twin)
+
+
 # -- measures and the averaging map
 
 def test_measure_validation():

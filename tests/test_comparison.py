@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from paratower.towers import TowerCertificate
 from paratower.words import LETTERS, inverse, legal_next_letters, multiply, words_of_length
 
 SPACE = PlainSpace()
+D5 = ["", "a", "A", "b", "B"]
 
 
 def cyl(w):
@@ -1595,6 +1597,86 @@ def test_the_product_tower_check_makes_no_rows(monkeypatch, inst, k):
     assert build_comparison(instance, u_set).passed
     assert decided.count("F2xK") == 1 and "F2" in decided
     assert rows == []
+
+
+def _lifted_check(space, copies, d2) -> bool:
+    """Whether the product check of ``build_comparison`` passes on copy j
+    of the indexed towers lifted onto colour class j, with D = D² × K."""
+    lifted = [
+        space.lift(a, g, labels)
+        for towers_j, labels in zip(copies, space.coloring(), strict=True)
+        for a, g in towers_j
+    ]
+    f_squares = [space.elem(w, e) for w in d2 for e in space.labels]
+    fam = towers.TowerFamily(
+        space.kind, f_squares, lifted,
+        k_group=space.k_group, cover_groups=[list(range(len(lifted)))],
+    )
+    return towers.verify_towers(fam, "exact").passed
+
+
+@pytest.mark.parametrize("k", [None, 2, 3, 4], ids=["F2", "F2xZ2", "F2xZ3", "F2xZ4"])
+def test_the_product_check_implies_the_base_and_indexed_checks(k):
+    # the build runs neither the 2-tower check nor the indexed one: each
+    # seeded family here fails one of them, and so the product check of its
+    # lift.  On F2 there is one copy, so no second copy to shift onto it
+    space = PlainSpace() if k is None else ProductSpace(cyclic_group(k))
+    m = len(space.coloring())
+    d2 = sorted({multiply(u, v) for u in D5 for v in D5}, key=lambda w: (len(w), w))
+    fam = towers.more_towers(d2, m)
+    copies = [[fam.items[i] for i in idxs] for idxs in fam.cover_groups]
+    assert towers.verify_towers(fam, "exact").passed and _lifted_check(space, copies, d2)
+
+    d = d2[-1]
+    defects = {
+        "a duplicated tower": [copies[0] + copies[0][:1]] + copies[1:],
+        "a copy without a cover tower": [copies[0][:1]] + copies[1:],
+    }
+    if m > 1:
+        # copy 1 on the translate d·(copy 0): its shift is d s_0
+        moved = [(subsets.translate(d, a), multiply(g, inverse(d))) for a, g in copies[0]]
+        defects["a shift onto another copy's translate"] = [copies[0], moved] + copies[2:]
+    for name, defect in defects.items():
+        items = [t for towers_j in defect for t in towers_j]
+        bounds = list(itertools.accumulate(map(len, defect), initial=0))
+        groups = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        indexed = towers.TowerFamily("F2", d2, items, cover_groups=groups)
+        assert not towers.verify_towers(indexed, "exact").passed, name
+        assert not _lifted_check(space, defect, d2), name
+
+
+@pytest.mark.parametrize(
+    "inst, u_set",
+    [("F2", cyl("aB")), ("F2xZ2", ProductClopen(cyclic_group(2), {"1": cyl("ba")}))],
+    ids=["F2", "F2xZ2"],
+)
+def test_the_tower_stage_runs_two_exact_checks(monkeypatch, inst, u_set):
+    # the strengthened family's clash check, decided on its factors, and the
+    # product check; the 2-tower and indexed checks are left to the product
+    # check, and the strengthened family's cover is never walked
+    clash_checks, checked, cover_walks = [], [], []
+    clash_walk, verify, first_hit = (
+        towers._first_clash_walk, towers.verify_towers, towers._first_hit
+    )
+
+    def spied_hit(fam, placed, radius, memo, clash):
+        if not clash:
+            cover_walks.append(fam)
+        return first_hit(fam, placed, radius, memo, clash)
+
+    monkeypatch.setattr(
+        towers, "_first_clash_walk",
+        lambda fam, radius, memo: clash_checks.append(fam) or clash_walk(fam, radius, memo),
+    )
+    monkeypatch.setattr(
+        comparison, "verify_towers", lambda fam, *a: checked.append(fam) or verify(fam, *a)
+    )
+    monkeypatch.setattr(towers, "_first_hit", spied_hit)
+    assert build_comparison(ComparisonInstance(inst), u_set).passed
+    (product,) = checked
+    strengthened, last = clash_checks
+    assert last is product and strengthened.n == 3 and "padding" in strengthened.notes
+    assert cover_walks and all(fam is product for fam in cover_walks)
 
 
 def test_f2xz7_builds_under_the_gate(monkeypatch):

@@ -1,3 +1,6 @@
+import random
+
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +65,36 @@ def test_inverse_cancels(u):
     assert multiply(u, inverse(u)) == ""
     assert multiply(inverse(u), u) == ""
     assert inverse(inverse(u)) == u
+
+
+def _random_reduced(rng, n: int) -> str:
+    w = ""
+    for _ in range(n):
+        w += rng.choice(legal_next_letters(w))
+    return w
+
+
+def test_kernel_matches_the_letter_by_letter_oracle():
+    # seeded pairs (u, v) where v cancels nothing, part of u, all of u, or
+    # all of u and then more; "" on either side
+    rng = random.Random("words/kernel")
+    pairs = [("", ""), ("a", ""), ("", "B")]
+    for _ in range(400):
+        u = _random_reduced(rng, rng.randint(0, 12))
+        cut = rng.randint(0, len(u))
+        rest = _random_reduced(rng, rng.randint(0, 6))
+        pairs += [
+            (u, _random_reduced(rng, rng.randint(0, 12))),
+            (u, reduce_word(oracles.inverse(u[cut:]) + rest)),
+            (u, oracles.inverse(u)),
+            (u, reduce_word(oracles.inverse(u) + rest)),
+        ]
+    kept = [len(multiply(u, v)) - len(u) - len(v) for u, v in pairs]
+    assert 0 in kept and min(kept) < 0
+    assert any(k == -2 * len(u) < 0 for k, (u, _) in zip(kept, pairs))
+    for u, v in pairs:
+        assert multiply(u, v) == oracles.multiply(u, v), (u, v)
+        assert inverse(u) == oracles.inverse(u), u
 
 
 @given(reduced_words)
