@@ -96,15 +96,15 @@ def _emit_towers(args, family) -> int:
 
 
 def _f2_towers(args):
-    from .towers import f2_towers
+    from .towers import _f2_family
 
-    return f2_towers(_parse_words(args.D))
+    return _f2_family(_parse_words(args.D))
 
 
 def _more_towers(args):
-    from .towers import _verified, more_towers
+    from .towers import more_towers
 
-    return _verified(more_towers(_parse_words(args.D), args.copies), "indexed")
+    return more_towers(_parse_words(args.D), args.copies)
 
 
 def _ext_towers(args):

@@ -1022,14 +1022,14 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
 
     # towers indexed by the m copies, jointly D^2-disjoint; F·F is the D
     # of the product check and the D² of the counting hypothesis.  F is
-    # D × K, so F·F is D² × K
+    # D × K, so F·F is D² × K, listed in ``_elem_order``: D² is sorted by
+    # (length, word), and at one word the JSON compares labels as strings
     d2_words = sorted(
         {multiply(u, v) for u in d_words for v in d_words},
         key=lambda w: (len(w), w),
     )
-    f_squares = sorted(
-        (space.elem(w, e) for w in d2_words for e in space.labels), key=_elem_order(space)
-    )
+    label_order = sorted(space.labels, key=str)
+    f_squares = [space.elem(w, e) for w in d2_words for e in label_order]
     # the product check shares more_towers's translates and walks; the memo
     # goes with the block, before the larger stages below
     with shared_translates():

@@ -787,15 +787,19 @@ class StrengthenedF2Towers:
         return TowerFamily("F2", self.d_set, self.items, notes={"padding": self.m})
 
 
-@shared_translates()
-def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
+def _strengthened(d_set: Iterable[str]) -> StrengthenedF2Towers:
+    """The three cone towers for D, padded with a^{2m}, unchecked."""
     d_list = fw.reduce_words(d_set)
     if not d_list:
         raise ValueError("D must be nonempty")
     m = max(len(d) for d in d_list)
     pad = "a" * (2 * m)
-    bases = [pad + "ba", pad + "bA", pad + "bb"]
-    t = StrengthenedF2Towers(d_list, m, bases)
+    return StrengthenedF2Towers(d_list, m, [pad + "ba", pad + "bA", pad + "bb"])
+
+
+@shared_translates()
+def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
+    t = _strengthened(d_set)
     # only disjointness is asked: the complements decide the covering
     if _first_clash_walk(t.family(), None, _translates()) is not None:
         raise RuntimeError("tower disjointness failed")
@@ -805,12 +809,17 @@ def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
     return t
 
 
-@shared_translates()
+def _f2_family(d_set: Iterable[str]) -> TowerFamily:
+    """The first two strengthened towers, unchecked."""
+    t = _strengthened(d_set)
+    return TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m})
+
+
 def f2_towers(d_set: Iterable[str]) -> TowerFamily:
-    """2-tower family: first two strengthened towers; their covering is
-    forced by the complements being disjoint."""
-    t = f2_strengthened_towers(d_set)
-    return _verified(TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m}), "base")
+    """2-tower family: the first two strengthened towers, once one exact
+    check of their disjointness and cover passes; the strengthened check
+    would only imply both through the complements."""
+    return _verified(_f2_family(d_set), "base")
 
 
 def _verified(fam: TowerFamily, what: str) -> TowerFamily:
@@ -875,16 +884,17 @@ _NO_ENDS: FrozenSet[str] = frozenset()
 @shared_translates()
 def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     """copies × n indexed towers that are jointly D-disjoint (one covering
-    family per copy index).  The family is not checked here.  Copy j is
-    the 2-tower family on D·shifts moved by shift j, so an exact check of
-    this family decides that one too; ``comparison.build_comparison``
-    leaves both to the product check of its lift, whose pass implies them."""
+    family per copy index).  Neither the family nor the strengthened
+    towers it is cut from are checked here.  Copy j is the 2-tower family
+    on D·shifts moved by shift j, so an exact check of this family decides
+    that one too; ``comparison.build_comparison`` leaves both to the
+    product check of its lift, whose pass implies them."""
     d_list = fw.reduce_words(d_set)
     if copies < 1:
         raise ValueError("copies must be positive")
     shifts = disjoint_translates(d_list, copies)
-    d_big = sorted({multiply(d, s) for d in d_list for s in shifts}, key=lambda w: (len(w), w))
-    base = f2_strengthened_towers(d_big).items[:2]
+    # D·shifts sets only the padding, so it needs no order
+    base = _f2_family({multiply(d, s) for d in d_list for s in shifts}).items
     memo = _translates()
     k = len(base)
     items = [(memo.translate(s, a), multiply(g, inverse(s))) for s in shifts for a, g in base]

@@ -46,6 +46,50 @@ def test_more_towers_command(tmp_path):
     assert len(env["payload"]["cover_groups"]) == 2
 
 
+TOWER_COMMANDS = [
+    ["f2-towers", "--D", "e,a,A,b,B"],
+    ["more-towers", "--D", "e,a,A,b,B", "--copies", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", TOWER_COMMANDS, ids=["f2", "more-3"])
+def test_a_tower_command_checks_its_family_once(monkeypatch, tmp_path, argv):
+    # the builder leaves the check to the command, which runs it in its mode
+    import paratower.towers as towers
+
+    checks, walks = [], []
+    verify, clash_walk = towers.verify_towers, towers._first_clash_walk
+    monkeypatch.setattr(
+        towers, "verify_towers", lambda fam, *a: checks.append(fam) or verify(fam, *a)
+    )
+    monkeypatch.setattr(
+        towers, "_first_clash_walk", lambda fam, *a: walks.append(fam) or clash_walk(fam, *a)
+    )
+    code, _ = run_json(tmp_path, argv)
+    assert code == 0 and len(checks) == 1 and walks == checks
+
+
+@pytest.mark.parametrize("argv", TOWER_COMMANDS, ids=["f2", "more-3"])
+def test_a_failing_tower_family_exits_2_with_its_counterexample(monkeypatch, tmp_path, argv):
+    # cones padded with a^m, not a^{2m}: two translates meet, and the
+    # command writes the failing certificate instead of raising
+    import paratower.towers as towers
+
+    real = towers._strengthened
+
+    def half_padded(d_set):
+        t = real(d_set)
+        bases = ["a" * t.m + x for x in ("ba", "bA", "bb")]
+        return towers.StrengthenedF2Towers(t.d_set, t.m, bases)
+
+    monkeypatch.setattr(towers, "_strengthened", half_padded)
+    code, env = run_json(tmp_path, argv)
+    assert code == 2 and certs.hash_matches(env)
+    disjoint = env["payload"]["checks"]["disjoint"]
+    assert not disjoint["pass"]
+    assert set(disjoint["counterexample"]) == {"word", "d", "i", "d2", "i2"}
+
+
 def test_ext_towers_commands(tmp_path):
     code, env = run_json(
         tmp_path,

@@ -490,6 +490,29 @@ def test_the_product_check_runs_over_f_times_f(monkeypatch, inst, u_set):
     assert [g for _, g in fam.items] == [space.inv(g) for _, _, g, _ in claim2.entries]
 
 
+class _AtTheProductCheck(Exception):
+    """Stops a build at its product tower check, holding that check's D."""
+
+
+def test_f_times_f_is_listed_in_elem_order(monkeypatch):
+    # F·F is listed word by word of D², each word's labels sorted as
+    # strings; that is the order of sorting it by ``_elem_order``, in which
+    # the label "10" of Z/12 comes before "2".  On F2 and F2 × Z/2,
+    # test_the_product_check_runs_over_f_times_f compares it with that sort
+    def stop(fam, *a):
+        raise _AtTheProductCheck(fam.d_set)
+
+    monkeypatch.setattr(comparison, "verify_towers", stop)
+    instance = _zn_instance(12)
+    with pytest.raises(_AtTheProductCheck) as stopped:
+        build_comparison(instance, ProductClopen(cyclic_group(12), {"0": cyl("ab")}))
+    (listed,) = stopped.value.args
+    assert len(set(listed)) == len(listed)
+    assert listed == sorted(listed, key=comparison._elem_order(instance.space()))
+    labels = ["0", "1", "10", "11"] + [str(e) for e in range(2, 10)]
+    assert listed[:12] == [("", e) for e in labels]
+
+
 @pytest.mark.parametrize(
     "inst, u_set",
     [("F2", cyl("ab")), ("F2xZ2", ProductClopen(cyclic_group(2), {"0": cyl("a")}))],
@@ -559,17 +582,19 @@ def test_tower_stage_translates_each_set_once(monkeypatch):
     assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
     assert not stage[0] and inputs
     assert len(set(inputs)) == len(inputs)
-    # every set of the stage is a translate of one of the three base cones,
-    # and only those are ever translated
-    assert len({(words, bases) for _, words, bases in inputs}) == 3
+    # every set of the stage is a translate of one of the two base cones
+    # the build reads, and only those are ever translated: the third
+    # strengthened cone is made but never checked
+    assert len({(words, bases) for _, words, bases in inputs}) == 2
 
 
 def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
     # from the entry into more_towers to the end of the product check, the
     # walks read translates as (words, bases) pairs: a NormalForm of one
-    # cone is made only for a base cone, a set handed to a builder or a
-    # complement or intersection of forms, never by translating a form.
-    # Forms are built through __init__ or, when already in form, _in_form
+    # cone is made only for a base cone or a set handed to a builder, never
+    # by translating a form, and no complement is taken, since the
+    # strengthened towers are not checked.  Forms are built through
+    # __init__ or, when already in form, _in_form
     made = []
     stage = [False]
     init = subsets.NormalForm.__init__
@@ -607,12 +632,8 @@ def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
     assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
     assert not stage[0]
     one_cone = [code for code, nf in made if len(nf.cones) == 1 and not nf.words]
-    # each maker occurs: complement builds its forms through _in_form only
-    assert set(one_cone) == {
-        towers._Translates.translate.__code__,
-        subsets.cone.__code__,
-        subsets.NormalForm.complement.__code__,
-    }
+    # each maker occurs
+    assert set(one_cone) == {towers._Translates.translate.__code__, subsets.cone.__code__}
     assert subsets.NormalForm.translate.__code__ not in {code for code, _ in made}
 
 
@@ -1579,8 +1600,8 @@ def test_the_translates_of_d_squared_match_the_full_products(monkeypatch, k):
 @pytest.mark.parametrize("inst, k", [("F2xZ2", 2), (None, 3)])
 def test_the_product_tower_check_makes_no_rows(monkeypatch, inst, k):
     # the F2 × Z/k check is decided on D = D² × K and the lifted sets'
-    # factors, as are the F2 checks of more_towers: no clash check lists
-    # its translates as rows
+    # factors, and more_towers makes no check: no clash check lists its
+    # translates as rows
     decided, rows = [], []
     factors, first_hit = towers._disjoint_by_factors, towers._first_hit
     monkeypatch.setattr(
@@ -1595,7 +1616,7 @@ def test_the_product_tower_check_makes_no_rows(monkeypatch, inst, k):
     u_set = ProductClopen(cyclic_group(k), {"0": cyl("ab")})
     instance = ComparisonInstance(inst) if inst else _zn_instance(k)
     assert build_comparison(instance, u_set).passed
-    assert decided.count("F2xK") == 1 and "F2" in decided
+    assert decided == ["F2xK"]
     assert rows == []
 
 
@@ -1617,9 +1638,10 @@ def _lifted_check(space, copies, d2) -> bool:
 
 @pytest.mark.parametrize("k", [None, 2, 3, 4], ids=["F2", "F2xZ2", "F2xZ3", "F2xZ4"])
 def test_the_product_check_implies_the_base_and_indexed_checks(k):
-    # the build runs neither the 2-tower check nor the indexed one: each
-    # seeded family here fails one of them, and so the product check of its
-    # lift.  On F2 there is one copy, so no second copy to shift onto it
+    # the build runs neither the strengthened check nor the 2-tower check
+    # nor the indexed one: each seeded family here fails one of them, and
+    # so the product check of its lift.  On F2 there is one copy, so no
+    # second copy to shift onto it
     space = PlainSpace() if k is None else ProductSpace(cyclic_group(k))
     m = len(space.coloring())
     d2 = sorted({multiply(u, v) for u in D5 for v in D5}, key=lambda w: (len(w), w))
@@ -1636,6 +1658,23 @@ def test_the_product_check_implies_the_base_and_indexed_checks(k):
         # copy 1 on the translate d·(copy 0): its shift is d s_0
         moved = [(subsets.translate(d, a), multiply(g, inverse(d))) for a, g in copies[0]]
         defects["a shift onto another copy's translate"] = [copies[0], moved] + copies[2:]
+
+    # the strengthened cones on D_big = D²·shifts, cut wrong; copy j is
+    # the base moved by shift j, as more_towers moves it
+    shifts = fam.notes["shifts"]
+    d_big = sorted({multiply(w, s) for w in d2 for s in shifts}, key=lambda w: (len(w), w))
+    pad = "a" * max(map(len, d2))
+    cones = towers._strengthened(d_big).items
+    for name, base in {
+        "a padding a^m, m the longest word of D², too short for D_big": [
+            (subsets.cone(pad + x), inverse(pad + x)) for x in ("ba", "bA")
+        ],
+        "two equal base cones": [cones[0], cones[0]],
+    }.items():
+        assert not towers.verify_towers(towers.TowerFamily("F2", d_big, base)).passed, name
+        defects[name] = [
+            [(subsets.translate(s, a), multiply(g, inverse(s))) for a, g in base] for s in shifts
+        ]
     for name, defect in defects.items():
         items = [t for towers_j in defect for t in towers_j]
         bounds = list(itertools.accumulate(map(len, defect), initial=0))
@@ -1650,10 +1689,9 @@ def test_the_product_check_implies_the_base_and_indexed_checks(k):
     [("F2", cyl("aB")), ("F2xZ2", ProductClopen(cyclic_group(2), {"1": cyl("ba")}))],
     ids=["F2", "F2xZ2"],
 )
-def test_the_tower_stage_runs_two_exact_checks(monkeypatch, inst, u_set):
-    # the strengthened family's clash check, decided on its factors, and the
-    # product check; the 2-tower and indexed checks are left to the product
-    # check, and the strengthened family's cover is never walked
+def test_the_tower_stage_runs_one_exact_check(monkeypatch, inst, u_set):
+    # the product check alone: the strengthened, 2-tower and indexed checks
+    # are left to it, and only its cover is walked
     clash_checks, checked, cover_walks = [], [], []
     clash_walk, verify, first_hit = (
         towers._first_clash_walk, towers.verify_towers, towers._first_hit
@@ -1674,8 +1712,7 @@ def test_the_tower_stage_runs_two_exact_checks(monkeypatch, inst, u_set):
     monkeypatch.setattr(towers, "_first_hit", spied_hit)
     assert build_comparison(ComparisonInstance(inst), u_set).passed
     (product,) = checked
-    strengthened, last = clash_checks
-    assert last is product and strengthened.n == 3 and "padding" in strengthened.notes
+    assert clash_checks == [product]
     assert cover_walks and all(fam is product for fam in cover_walks)
 
 

@@ -63,6 +63,26 @@ def test_f2_towers_exact_and_ball():
     assert cert.radius == 8
 
 
+def test_f2_towers_raises_on_a_short_padding_through_its_one_check(monkeypatch):
+    # cones padded with a^m, not a^{2m}, are caught by the one exact check
+    # of the 2-tower family
+    real, verify = towers._strengthened, towers.verify_towers
+    checks = []
+
+    def half_padded(d_set):
+        t = real(d_set)
+        bases = ["a" * t.m + x for x in ("ba", "bA", "bb")]
+        return towers.StrengthenedF2Towers(t.d_set, t.m, bases)
+
+    monkeypatch.setattr(towers, "_strengthened", half_padded)
+    monkeypatch.setattr(
+        towers, "verify_towers", lambda fam, *a: checks.append(fam) or verify(fam, *a)
+    )
+    with pytest.raises(RuntimeError, match="base family failed exact verification"):
+        f2_towers(D5)
+    assert len(checks) == 1 and checks[0].n == 2
+
+
 def test_f2_towers_brute_force_cross_check():
     # independent membership sweep, no cone algebra involved
     fam = f2_towers(D5)
