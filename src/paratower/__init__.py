@@ -40,7 +40,6 @@ from .towers import (
     TowerCertificate,
     TowerFamily,
     extension_towers,
-    f2_strengthened_towers,
     f2_towers,
     finite_normal_ext_towers,
     more_towers,

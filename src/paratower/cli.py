@@ -96,9 +96,9 @@ def _emit_towers(args, family) -> int:
 
 
 def _f2_towers(args):
-    from .towers import _f2_family
+    from .towers import f2_towers
 
-    return _f2_family(_parse_words(args.D))
+    return f2_towers(_parse_words(args.D))
 
 
 def _more_towers(args):

@@ -3,8 +3,10 @@
 A tower family over a group G is a finite set D together with pairs
 (A_i, g_i) such that the translates d·A_i, for d in D and all i, are
 pairwise disjoint while the g_i·A_i cover G.  The free-group construction
-uses cones at the padded words a^{2m}ba, a^{2m}bA, a^{2m}b^2; families on
-F2 × K, F2 × F2 and the rank-3 free group are built from it.  Every family
+uses cones at the padded words a^{2m}ba and a^{2m}bA; families on F2 × K,
+F2 × F2 and the rank-3 free group are built from it.  A builder only
+builds: the code that reads a family checks it, once, with
+``verify_towers``.  Every family
 whose sets have cone normal forms is certified exactly, on the whole group,
 by the same prefix-trie walk that certifies it on a metric ball.  A
 family on F2 × K or F2 × F2 is read by its factors: its sets split into
@@ -16,10 +18,10 @@ in bulk per form, and needs one sorted scan of them and, for each h and
 A, pairwise disjoint label sets eC over the labels e that D pairs with h
 (F2 and F3: the one label); otherwise it scans the translates label by
 label.  It walks only when two may meet, to name the first
-counterexample.  Within one builder call,
-or one ``shared_translates`` block, the checks share their translates,
-scans and walks.  Orbit-preimage families from the boundary action are
-certified exactly by clopen-set algebra on the boundary.
+counterexample.  Within one ``shared_translates`` block the checks and
+builders share their translates, scans and walks.  Orbit-preimage
+families from the boundary action are certified exactly by clopen-set
+algebra on the boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import collections
 import contextlib
 import contextvars
 import itertools
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import prefix
 from . import subsets as ss
@@ -769,64 +771,19 @@ def verify_towers(
 # free-group constructions
 
 
-class StrengthenedF2Towers:
-    """Three cone towers whose covering complements are pairwise disjoint."""
-
-    def __init__(self, d_set: Sequence[str], m: int, bases: List[str]):
-        self.d_set = list(d_set)
-        self.m = m
-        self.bases = bases
-        self.items = [(ss.cone(h), inverse(h)) for h in bases]
-
-    def complements(self) -> List[NormalForm]:
-        """Normal forms of G ∖ g_j·A_j; single cones at the inverse last letters."""
-        memo = _translates()
-        return [memo.translate(g, a).normal_form().complement() for a, g in self.items]
-
-    def family(self) -> TowerFamily:
-        return TowerFamily("F2", self.d_set, self.items, notes={"padding": self.m})
-
-
-def _strengthened(d_set: Iterable[str]) -> StrengthenedF2Towers:
-    """The three cone towers for D, padded with a^{2m}, unchecked."""
+def f2_towers(d_set: Iterable[str]) -> TowerFamily:
+    """The 2-tower family for D, unchecked: D reduced, m its longest word,
+    and the cones at a^{2m}ba and a^{2m}bA, each with its base's inverse as
+    covering element.  The inverses move the cones onto the complements of
+    the cones at A and at a, so the two cover F2; ``verify_towers`` decides
+    that the D-translates are disjoint."""
     d_list = fw.reduce_words(d_set)
     if not d_list:
         raise ValueError("D must be nonempty")
     m = max(len(d) for d in d_list)
     pad = "a" * (2 * m)
-    return StrengthenedF2Towers(d_list, m, [pad + "ba", pad + "bA", pad + "bb"])
-
-
-@shared_translates()
-def f2_strengthened_towers(d_set: Iterable[str]) -> StrengthenedF2Towers:
-    t = _strengthened(d_set)
-    # only disjointness is asked: the complements decide the covering
-    if _first_clash_walk(t.family(), None, _translates()) is not None:
-        raise RuntimeError("tower disjointness failed")
-    for x, y in itertools.combinations(t.complements(), 2):
-        if not x.inter(y).is_empty():
-            raise RuntimeError("complement disjointness failed")
-    return t
-
-
-def _f2_family(d_set: Iterable[str]) -> TowerFamily:
-    """The first two strengthened towers, unchecked."""
-    t = _strengthened(d_set)
-    return TowerFamily("F2", t.d_set, t.items[:2], notes={"padding": t.m})
-
-
-def f2_towers(d_set: Iterable[str]) -> TowerFamily:
-    """2-tower family: the first two strengthened towers, once one exact
-    check of their disjointness and cover passes; the strengthened check
-    would only imply both through the complements."""
-    return _verified(_f2_family(d_set), "base")
-
-
-def _verified(fam: TowerFamily, what: str) -> TowerFamily:
-    """The family, once it passes exact verification."""
-    if not verify_towers(fam, "exact").passed:
-        raise RuntimeError(f"{what} family failed exact verification")
-    return fam
+    items = [(ss.cone(h), inverse(h)) for h in (pad + "ba", pad + "bA")]
+    return TowerFamily("F2", d_list, items, notes={"padding": m})
 
 
 def disjoint_translates(d_words: Sequence[str], count: int) -> List[str]:
@@ -881,12 +838,10 @@ def _splits_in(x: str, ends: Dict[str, set], longest: int) -> bool:
 _NO_ENDS: FrozenSet[str] = frozenset()
 
 
-@shared_translates()
 def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     """copies × n indexed towers that are jointly D-disjoint (one covering
-    family per copy index).  Neither the family nor the strengthened
-    towers it is cut from are checked here.  Copy j is the 2-tower family
-    on D·shifts moved by shift j, so an exact check of this family decides
+    family per copy index), unchecked.  Copy j is the 2-tower family on
+    D·shifts moved by shift j, so an exact check of this family decides
     that one too; ``comparison.build_comparison`` leaves both to the
     product check of its lift, whose pass implies them."""
     d_list = fw.reduce_words(d_set)
@@ -894,7 +849,7 @@ def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
         raise ValueError("copies must be positive")
     shifts = disjoint_translates(d_list, copies)
     # D·shifts sets only the padding, so it needs no order
-    base = _f2_family({multiply(d, s) for d in d_list for s in shifts}).items
+    base = f2_towers({multiply(d, s) for d in d_list for s in shifts}).items
     memo = _translates()
     k = len(base)
     items = [(memo.translate(s, a), multiply(g, inverse(s))) for s in shifts for a, g in base]
@@ -906,15 +861,17 @@ def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
 # product and ambient-group constructions
 
 
-@shared_translates()
 def finite_normal_ext_towers(f_set: Sequence[ProductElem], k_group: FiniteGroup) -> TowerFamily:
-    """Towers on F2 × K from quotient towers, |K|·n of them.
+    """Towers on F2 × K from quotient towers, |K|·n of them, unchecked.
 
     The quotient family is built for the union of disjoint translates
     D0·t_j of the projected set, then each tower is shifted into its own
     translate slot with a distinct K coordinate."""
+    for _, lbl in f_set:
+        k_group.index(lbl)  # a ValueError that names a label outside K
+    f_list = [(fw.reduce_word(h), lbl) for h, lbl in f_set]
     m = len(k_group)
-    d0 = sorted({f[0] for f in f_set} | {""}, key=lambda w: (len(w), w))
+    d0 = sorted({h for h, _ in f_list} | {""}, key=lambda w: (len(w), w))
     shifts = disjoint_translates(d0, m)
     d_big = sorted({multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w))
     quot = f2_towers(d_big)
@@ -924,16 +881,11 @@ def finite_normal_ext_towers(f_set: Sequence[ProductElem], k_group: FiniteGroup)
         for a, g in quot.items:
             c = ProductSubset(k_group, {k_group.identity: memo.translate(t, a)})
             items.append((c, (multiply(g, inverse(t)), k_elem)))
-    fam = TowerFamily("F2xK", list(f_set), items, k_group=k_group, notes={"shifts": shifts})
-    return _verified(fam, "product")
+    return TowerFamily("F2xK", f_list, items, k_group=k_group, notes={"shifts": shifts})
 
 
-@shared_translates()
-def extension_towers(
-    f_set: Sequence[Tuple[str, str]],
-    base: Callable[[Iterable[str]], TowerFamily] = f2_towers,
-) -> TowerFamily:
-    """Towers on F2 × F2 as rectangles A_i × B_j of factor towers."""
+def extension_towers(f_set: Sequence[Tuple[str, str]]) -> TowerFamily:
+    """Towers on F2 × F2 as rectangles A_i × B_j of factor towers, unchecked."""
     f_list = [(fw.reduce_word(u), fw.reduce_word(v)) for u, v in f_set]
     sym = set(f_list) | {(inverse(u), inverse(v)) for u, v in f_list} | {("", "")}
     d1 = sorted({u for u, _ in sym}, key=lambda w: (len(w), w))
@@ -943,23 +895,20 @@ def extension_towers(
         {multiply(v1, v2) for u1, v1 in sym for u2, v2 in sym if multiply(u1, u2) == ""},
         key=lambda w: (len(w), w),
     )
-    firsts, seconds = base(d1).items, base(e2).items
+    firsts, seconds = f2_towers(d1).items, f2_towers(e2).items
     items = [(ProductF2Subset(a, b), (g, k)) for a, g in firsts for b, k in seconds]
-    fam = TowerFamily("F2xF2", sorted(sym), items, notes={"first_D": d1, "second_D": e2})
-    return _verified(fam, "rectangle")
+    return TowerFamily("F2xF2", sorted(sym), items, notes={"first_D": d1, "second_D": e2})
 
 
-@shared_translates()
 def union_towers(d_set: Iterable[str]) -> TowerFamily:
-    """Towers on the rank-3 free group from coset-sliced rank-2 towers."""
-    d_list = fw.reduce_words(d_set)
-    sub_fam = f2_towers(d_list)
+    """Towers on the rank-3 free group from coset-sliced rank-2 towers, unchecked."""
+    sub_fam = f2_towers(d_set)
     items = [(CosetSliceSubset(a), g) for a, g in sub_fam.items]
     notes = {
         "transversal": "identity plus reduced words starting with c or C",
         "transversal_radius": 5,
     }
-    return _verified(TowerFamily("F3", d_list, items, notes=notes), "coset-sliced")
+    return TowerFamily("F3", sub_fam.d_set, items, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ then the sums.
 ``multiply`` and ``inverse`` are the word kernel letter by letter: the
 product walks the cancelling boundary from its first letter, and the
 inverse joins the inverse letters one at a time.
+``cone_towers`` is an F2 family of cones at padded words, each covered by
+its base's inverse: with the padding a^{2m} and the tails ba, bA, bb, the
+three strengthened cone towers of the construction, whose covering
+complements are the cones at A, a and B.
 """
 
 import functools
@@ -31,8 +35,8 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from paratower import prefix
 from paratower.boundary import BoundaryPoint, DepthInsufficient, GeodesicMap, TranslatedPoint
-from paratower.subsets import GroupSubset, NormalForm, NormalizedSet
-from paratower.towers import CHECK_PREFIX_LEN, STABILIZER_RADIUS, SearchExhausted
+from paratower.subsets import GroupSubset, NormalForm, NormalizedSet, cone
+from paratower.towers import CHECK_PREFIX_LEN, STABILIZER_RADIUS, SearchExhausted, TowerFamily
 from paratower.words import ball, enumerate_words
 
 
@@ -106,6 +110,13 @@ class OracleMap(GeodesicMap):
 def union(*sets: NormalizedSet) -> NormalizedSet:
     """The union of tower sets in normal form."""
     return NormalizedSet(functools.reduce(NormalForm.union, (s.nf for s in sets), NormalForm()))
+
+
+def cone_towers(d_set, pad: str, tails=("ba", "bA", "bb")) -> TowerFamily:
+    """The F2 family on D of the cones at pad + x, for x in ``tails``, each
+    with its base's inverse as covering element."""
+    items = [(cone(pad + x), inverse(pad + x)) for x in tails]
+    return TowerFamily("F2", d_set, items)
 
 
 def under(w: str, bases) -> bool:

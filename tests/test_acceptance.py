@@ -1,7 +1,6 @@
 """End-to-end suite: every headline guarantee with its time budget."""
 
 import copy
-import itertools
 import random
 import time
 from fractions import Fraction
@@ -24,7 +23,6 @@ from paratower.groups import cyclic_group
 from paratower.towers import (
     TowerFamily,
     extension_towers,
-    f2_strengthened_towers,
     f2_towers,
     finite_normal_ext_towers,
     more_towers,
@@ -34,7 +32,7 @@ from paratower.towers import (
 )
 from paratower.words import inverse, legal_next_letters, reduce_word
 
-from oracles import OracleMap, union
+from oracles import OracleMap, cone_towers, union
 
 D5 = ["", "a", "A", "b", "B"]
 
@@ -62,18 +60,12 @@ def _random_reduced(rng: random.Random, length: int) -> str:
 
 def test_01_cone_towers_exact_and_ball_crosscheck():
     with Budget(10):
-        strong = f2_strengthened_towers(D5)
-        # the three covering complements are exactly the cones at A, a, B
-        comps = strong.complements()
-        assert [sorted(nf.cones) for nf in comps] == [["A"], ["a"], ["B"]]
-        assert all(not nf.words for nf in comps)
-        for x, y in itertools.combinations(comps, 2):
-            assert x.inter(y).is_empty()
         fam = f2_towers(D5)
         assert verify_towers(fam, "exact").passed
-        # cross-check on the radius-12 ball, read off the prefix trie
+        # cross-check on the radius-12 ball, read off the prefix trie, and
+        # of the three strengthened cones the 2-tower family is cut from
         assert verify_towers(fam, "ball", 12).passed
-        assert verify_towers(strong.family(), "ball", 12).passed
+        assert verify_towers(cone_towers(D5, "aa"), "ball", 12).passed
 
 
 def test_02_shifted_cone_complement_is_a_cone():

@@ -13,6 +13,8 @@ import paratower
 import paratower.certificates as certs
 from paratower.cli import emit_report, main
 
+import oracles
+
 
 def run_json(tmp_path, argv, name="out.json"):
     path = tmp_path / name
@@ -46,48 +48,107 @@ def test_more_towers_command(tmp_path):
     assert len(env["payload"]["cover_groups"]) == 2
 
 
+# every builder behind a tower command; each F and D is chosen so that
+# cones padded with a^m, not a^{2m}, clash
 TOWER_COMMANDS = [
     ["f2-towers", "--D", "e,a,A,b,B"],
     ["more-towers", "--D", "e,a,A,b,B", "--copies", "3"],
+    ["ext-towers", "--kind", "f2xk", "--k-order", "3", "--F", "e:0,a:1,A:1,b:2,B:2"],
+    ["ext-towers", "--kind", "f2xf2", "--F", "a:b,b:a"],
+    ["union-towers", "--D", "e,a,A,b,B"],
 ]
+TOWER_IDS = ["f2", "more-3", "f2xk", "f2xf2", "union"]
 
 
-@pytest.mark.parametrize("argv", TOWER_COMMANDS, ids=["f2", "more-3"])
+@pytest.mark.parametrize(
+    "argv",
+    TOWER_COMMANDS + [["filling-towers", "--D", "e,a,A"]],
+    ids=TOWER_IDS + ["filling"],
+)
 def test_a_tower_command_checks_its_family_once(monkeypatch, tmp_path, argv):
-    # the builder leaves the check to the command, which runs it in its mode
+    # the builder leaves the check to the command, which runs it in its
+    # mode; a filling family is checked on the boundary, with no clash walk
     import paratower.towers as towers
 
     checks, walks = [], []
     verify, clash_walk = towers.verify_towers, towers._first_clash_walk
     monkeypatch.setattr(
-        towers, "verify_towers", lambda fam, *a: checks.append(fam) or verify(fam, *a)
+        towers, "verify_towers", lambda fam, *a: checks.append((fam, *a)) or verify(fam, *a)
     )
     monkeypatch.setattr(
         towers, "_first_clash_walk", lambda fam, *a: walks.append(fam) or clash_walk(fam, *a)
     )
     code, _ = run_json(tmp_path, argv)
-    assert code == 0 and len(checks) == 1 and walks == checks
+    assert code == 0 and len(checks) == 1
+    fam, mode, radius = checks[0]
+    filling = argv[0] == "filling-towers"
+    assert (mode, radius) == (("ball", 8) if filling else ("exact", None))
+    assert walks == ([] if filling else [fam])
 
 
-@pytest.mark.parametrize("argv", TOWER_COMMANDS, ids=["f2", "more-3"])
+@pytest.mark.parametrize("argv", TOWER_COMMANDS, ids=TOWER_IDS)
 def test_a_failing_tower_family_exits_2_with_its_counterexample(monkeypatch, tmp_path, argv):
     # cones padded with a^m, not a^{2m}: two translates meet, and the
     # command writes the failing certificate instead of raising
     import paratower.towers as towers
 
-    real = towers._strengthened
+    real = towers.f2_towers
 
     def half_padded(d_set):
-        t = real(d_set)
-        bases = ["a" * t.m + x for x in ("ba", "bA", "bb")]
-        return towers.StrengthenedF2Towers(t.d_set, t.m, bases)
+        fam = real(d_set)
+        return oracles.cone_towers(fam.d_set, "a" * fam.notes["padding"], ("ba", "bA"))
 
-    monkeypatch.setattr(towers, "_strengthened", half_padded)
+    monkeypatch.setattr(towers, "f2_towers", half_padded)
     code, env = run_json(tmp_path, argv)
     assert code == 2 and certs.hash_matches(env)
     disjoint = env["payload"]["checks"]["disjoint"]
     assert not disjoint["pass"]
     assert set(disjoint["counterexample"]) == {"word", "d", "i", "d2", "i2"}
+
+
+# SHA-256 of the `--json` output of each tower command, at schema 3, in its
+# default mode and at one more mode, recorded while each builder still
+# checked its own family: building them unchecked must keep them
+PINNED_TOWER_CERTIFICATES = {
+    "f2": (["f2-towers", "--D", "e,a,A,b,B"],
+           "1f8c84fa652d518de324c7b16bea8cc54a057880fa0b4c22e582b2f5417ddeaf"),
+    "f2-ball-6": (["f2-towers", "--D", "e,a,A,b,B", "--mode", "ball", "--radius", "6"],
+                  "eaec5cce76f9fcfd8cfb21cc8c45785d53ba90d8ce35ea6605dfe338a2e38557"),
+    "more-3": (["more-towers", "--D", "e,a,A,b,B", "--copies", "3"],
+               "11fc49b81b3eaa1bf5638b82732f9c8c97c4efcb64b3e701325cf0b421aba5c0"),
+    "more-3-ball-5": (["more-towers", "--D", "e,a,A,b,B", "--copies", "3",
+                       "--mode", "ball", "--radius", "5"],
+                      "a5419022c2f6cf0f293d2b42127f18576727e737ff041a17d01a1e6d6d29de73"),
+    "f2xk": (["ext-towers", "--kind", "f2xk", "--k-order", "3", "--F", "e:0,a:1,B:2"],
+             "5847fe9cd31b727bad7f6aee64ed4d5cea6ad42d46cbfc66db7fa8c46b693999"),
+    "f2xk-ball-4": (["ext-towers", "--kind", "f2xk", "--k-order", "3", "--F", "e:0,a:1,B:2",
+                     "--mode", "ball", "--radius", "4"],
+                    "4a2fff68519e59f483ee3ecd40a648bee1ce4dfa7bc7ae7cd6e335dd72ec64ec"),
+    "f2xf2": (["ext-towers", "--kind", "f2xf2", "--F", "a:b,A:B"],
+              "989ffd33c59133847f88d98511211c2c9aea592b183753bea30e8a05b99d440b"),
+    "f2xf2-ball-3": (["ext-towers", "--kind", "f2xf2", "--F", "a:b,A:B",
+                      "--mode", "ball", "--radius", "3"],
+                     "1017616f68065ed6d758183570115f08e598c261809661e743284b4a505d94c9"),
+    "union": (["union-towers", "--D", "e,a,A,b,B"],
+              "9058a80e9ee735379f6ee8b4547f378f1dc3e973eff6277e283138ac3bda248b"),
+    "union-ball-4": (["union-towers", "--D", "e,a,A,b,B", "--mode", "ball", "--radius", "4"],
+                     "2855bc196cf28262e75278bf334aae960af48a04ff290c8cbf507cfb3d37f3e1"),
+    "filling-ball-8": (["filling-towers", "--D", "e,a,A"],
+                       "084dbccf8cfdaf8a1beeaba00fa8ff4a02255ad024ae41913dda43dab66977c1"),
+    "filling-ball-6": (["filling-towers", "--D", "e,a,A", "--radius", "6"],
+                       "15633bd44a87ea9844c17d4b930ac7e00cef78876ef82c3d513380420af87b0a"),
+    "filling-exact": (["filling-towers", "--D", "e,a,A", "--mode", "exact"],
+                      "9921f8a162e1696c1dfcc6dda7c6657c67707c6f79a86f5f36a292809a5aed09"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_TOWER_CERTIFICATES.values(), ids=PINNED_TOWER_CERTIFICATES
+)
+def test_tower_certificate_bytes_are_pinned(tmp_path, argv, digest):
+    code, _ = run_json(tmp_path, argv)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
 
 
 def test_ext_towers_commands(tmp_path):
@@ -1232,6 +1293,19 @@ def test_verify_refuses_a_huge_cyclic_group_at_once(tmp_path):
 def test_ext_towers_refuses_k_order_above_the_cap(capsys):
     assert main(["ext-towers", "--kind", "f2xk", "--k-order", "65", "--F", "e:0"]) == 64
     assert "above the cap of 64" in capsys.readouterr().err
+
+
+def test_ext_towers_refuses_a_label_outside_k(capsys):
+    assert main(["ext-towers", "--kind", "f2xk", "--k-order", "2", "--F", "a:5"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'5' is not an element of Z/2" in err
+
+
+def test_ext_towers_writes_the_words_of_f_reduced(tmp_path):
+    # an unreduced word of F is no element that verify reads
+    code, env = run_json(tmp_path, ["ext-towers", "--kind", "f2xk", "--F", "aA:1,bBa:0"])
+    assert code == 0 and env["payload"]["D"] == [["", "1"], ["a", "0"]]
+    assert main(["verify", str(tmp_path / "out.json")]) == 0
 
 
 @pytest.mark.parametrize(

@@ -583,8 +583,7 @@ def test_tower_stage_translates_each_set_once(monkeypatch):
     assert not stage[0] and inputs
     assert len(set(inputs)) == len(inputs)
     # every set of the stage is a translate of one of the two base cones
-    # the build reads, and only those are ever translated: the third
-    # strengthened cone is made but never checked
+    # the build reads, and only those are ever translated
     assert len({(words, bases) for _, words, bases in inputs}) == 2
 
 
@@ -592,9 +591,8 @@ def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
     # from the entry into more_towers to the end of the product check, the
     # walks read translates as (words, bases) pairs: a NormalForm of one
     # cone is made only for a base cone or a set handed to a builder, never
-    # by translating a form, and no complement is taken, since the
-    # strengthened towers are not checked.  Forms are built through
-    # __init__ or, when already in form, _in_form
+    # by translating a form, and no complement is taken.  Forms are built
+    # through __init__ or, when already in form, _in_form
     made = []
     stage = [False]
     init = subsets.NormalForm.__init__
@@ -1638,10 +1636,9 @@ def _lifted_check(space, copies, d2) -> bool:
 
 @pytest.mark.parametrize("k", [None, 2, 3, 4], ids=["F2", "F2xZ2", "F2xZ3", "F2xZ4"])
 def test_the_product_check_implies_the_base_and_indexed_checks(k):
-    # the build runs neither the strengthened check nor the 2-tower check
-    # nor the indexed one: each seeded family here fails one of them, and
-    # so the product check of its lift.  On F2 there is one copy, so no
-    # second copy to shift onto it
+    # the build runs neither the 2-tower check nor the indexed one: each
+    # seeded family here fails one of them, and so the product check of its
+    # lift.  On F2 there is one copy, so no second copy to shift onto it
     space = PlainSpace() if k is None else ProductSpace(cyclic_group(k))
     m = len(space.coloring())
     d2 = sorted({multiply(u, v) for u in D5 for v in D5}, key=lambda w: (len(w), w))
@@ -1659,12 +1656,12 @@ def test_the_product_check_implies_the_base_and_indexed_checks(k):
         moved = [(subsets.translate(d, a), multiply(g, inverse(d))) for a, g in copies[0]]
         defects["a shift onto another copy's translate"] = [copies[0], moved] + copies[2:]
 
-    # the strengthened cones on D_big = D²·shifts, cut wrong; copy j is
+    # the 2-tower cones on D_big = D²·shifts, cut wrong; copy j is
     # the base moved by shift j, as more_towers moves it
     shifts = fam.notes["shifts"]
     d_big = sorted({multiply(w, s) for w in d2 for s in shifts}, key=lambda w: (len(w), w))
     pad = "a" * max(map(len, d2))
-    cones = towers._strengthened(d_big).items
+    cones = towers.f2_towers(d_big).items
     for name, base in {
         "a padding a^m, m the longest word of D², too short for D_big": [
             (subsets.cone(pad + x), inverse(pad + x)) for x in ("ba", "bA")
@@ -1690,8 +1687,8 @@ def test_the_product_check_implies_the_base_and_indexed_checks(k):
     ids=["F2", "F2xZ2"],
 )
 def test_the_tower_stage_runs_one_exact_check(monkeypatch, inst, u_set):
-    # the product check alone: the strengthened, 2-tower and indexed checks
-    # are left to it, and only its cover is walked
+    # the product check alone: the 2-tower and indexed checks are left to
+    # it, and only its cover is walked
     clash_checks, checked, cover_walks = [], [], []
     clash_walk, verify, first_hit = (
         towers._first_clash_walk, towers.verify_towers, towers._first_hit

@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 import time
@@ -23,11 +22,9 @@ from paratower.towers import (
     CosetSliceSubset,
     ProductF2Subset,
     ProductSubset,
-    TowerCertificate,
     TowerFamily,
     _sweep_ball,
     extension_towers,
-    f2_strengthened_towers,
     f2_towers,
     finite_normal_ext_towers,
     more_towers,
@@ -44,43 +41,12 @@ from oracles import union
 D5 = ["", "a", "A", "b", "B"]
 
 
-def test_strengthened_towers_structure():
-    t = f2_strengthened_towers(D5)
-    assert t.m == 1
-    assert t.bases == ["aaba", "aabA", "aabb"]
-    comps = t.complements()
-    # each covering misses exactly one depth-1 cone, pairwise disjoint
-    assert [sorted(nf.cones) for nf in comps] == [["A"], ["a"], ["B"]]
-    for x, y in itertools.combinations(comps, 2):
-        assert x.inter(y).is_empty()
-
-
 def test_f2_towers_exact_and_ball():
     fam = f2_towers(D5)
     assert verify_towers(fam, "exact").passed
     cert = verify_towers(fam, "ball", 8)
     assert cert.passed
     assert cert.radius == 8
-
-
-def test_f2_towers_raises_on_a_short_padding_through_its_one_check(monkeypatch):
-    # cones padded with a^m, not a^{2m}, are caught by the one exact check
-    # of the 2-tower family
-    real, verify = towers._strengthened, towers.verify_towers
-    checks = []
-
-    def half_padded(d_set):
-        t = real(d_set)
-        bases = ["a" * t.m + x for x in ("ba", "bA", "bb")]
-        return towers.StrengthenedF2Towers(t.d_set, t.m, bases)
-
-    monkeypatch.setattr(towers, "_strengthened", half_padded)
-    monkeypatch.setattr(
-        towers, "verify_towers", lambda fam, *a: checks.append(fam) or verify(fam, *a)
-    )
-    with pytest.raises(RuntimeError, match="base family failed exact verification"):
-        f2_towers(D5)
-    assert len(checks) == 1 and checks[0].n == 2
 
 
 def test_f2_towers_brute_force_cross_check():
@@ -101,9 +67,9 @@ def test_f2_towers_brute_force_cross_check():
 
 
 @pytest.mark.parametrize("build", [
-    lambda d: towers.f2_strengthened_towers(d).family(), lambda d: towers.more_towers(d, 2),
+    towers.f2_towers, lambda d: towers.more_towers(d, 2),
     towers.union_towers, towers.towers_from_filling,
-], ids=["strengthened", "more", "union", "filling"])
+], ids=["f2", "more", "union", "filling"])
 def test_tower_builders_reduce_d_and_reject_a_non_letter(build):
     # reduced words pass through unchanged after one scan, others are reduced
     assert build(["aAb", "bB", "Ba"]).to_json() == build(["b", "", "Ba"]).to_json()
@@ -359,8 +325,11 @@ def test_exact_f2xf2_matches_the_sweep_at_its_counterexample():
 
 
 def test_exact_mode_takes_many_rectangles():
-    # 6 × 6 rectangles from three copies of the factor towers
-    fam = extension_towers([("a", "b"), ("A", "B")], base=lambda d: more_towers(d, 3))
+    # 6 × 6 rectangles from three copies of the factor towers of F = {(a, b)}:
+    # D1 = {e, a, A} and D2 = {e}
+    firsts, seconds = more_towers(["", "A", "a"], 3).items, more_towers([""], 3).items
+    items = [(ProductF2Subset(a, b), (g, k)) for a, g in firsts for b, k in seconds]
+    fam = TowerFamily("F2xF2", [("", ""), ("A", "B"), ("a", "b")], items)
     assert fam.n == 36
     assert verify_towers(fam, "exact").passed
     cert = verify_towers(_mutate(fam, items=fam.items + [fam.items[5]]), "exact")
@@ -370,30 +339,6 @@ def test_exact_mode_takes_many_rectangles():
     moved = fam.items[5][0].translate(tuple(cex["d"]))
     assert moved.contains(tuple(cex["word"]))
     assert cert.checks["cover"]["pass"]
-
-
-@pytest.mark.parametrize(
-    "kind, builder",
-    [
-        ("F2", lambda: f2_towers(D5)),
-        ("F2xK", lambda: finite_normal_ext_towers([("", "0"), ("a", "1")], cyclic_group(2))),
-        ("F2xF2", lambda: extension_towers([("a", "b")])),
-        ("F3", lambda: union_towers(D5)),
-    ],
-)
-def test_builders_raise_when_their_check_fails(monkeypatch, kind, builder):
-    # the check fails only for the builder's own family, past its base
-    real = towers.verify_towers
-
-    def failing(family, mode="exact", radius=None):
-        if family.kind != kind:
-            return real(family, mode, radius)
-        checks = {c: {"pass": False, "counterexample": None} for c in ("disjoint", "cover")}
-        return TowerCertificate(family, mode, radius, checks)
-
-    monkeypatch.setattr(towers, "verify_towers", failing)
-    with pytest.raises(RuntimeError, match="failed"):
-        builder()
 
 
 # -- F2 x K families: decided by their factors
@@ -564,7 +509,7 @@ def test_shared_checks_match_fresh_ones(monkeypatch, radius):
     real = prefix.first_by_pattern
     monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
     s = "bA"
-    for name, fam in _seeded_defects(f2_strengthened_towers(D5).family(), "AA").items():
+    for name, fam in _seeded_defects(oracles.cone_towers(D5, "aa"), "AA").items():
         first_two = TowerFamily("F2", fam.d_set, fam.items[:2])
         with towers.shared_translates():
             memo = towers._translates()
@@ -871,25 +816,25 @@ def test_a_passing_clash_check_moves_each_word_and_form_once(monkeypatch):
     # last letter cancels the cone's first, and nothing moved again when a
     # check of the same block reads them
     d_words = list(ball(2))
-    strengthened = towers.StrengthenedF2Towers(d_words, 2, ["aaaaba", "aaaabA", "aaaabb"])
+    fam = oracles.cone_towers(d_words, "aaaa")
+    cone_bases = ["aaaaba", "aaaabA", "aaaabb"]
     calls = []
     real = towers.multiply
     monkeypatch.setattr(towers, "multiply", lambda u, v: calls.append((u, v)) or real(u, v))
     with towers.shared_translates():
         memo = towers._translates()
-        fam = strengthened.family()
         assert towers._disjoint_by_factors(fam, memo)
         cones = {fid: bases for (_, bases), fid in memo._ids.items()}
         moved = {bases: dict(memo._bases[fid][1]) for fid, bases in cones.items()}
         assert moved == {
-            frozenset([b]): {d: (real(d, b),) for d in d_words} for b in strengthened.bases
+            frozenset([b]): {d: (real(d, b),) for d in d_words} for b in cone_bases
         }
         assert sorted(calls) == sorted(
-            (d, b) for d in d_words if d.endswith("A") for b in strengthened.bases
+            (d, b) for d in d_words if d.endswith("A") for b in cone_bases
         )
         calls.clear()
         assert verify_towers(TowerFamily("F2", d_words, fam.items[:2]), "exact").passed
-        assert [c for c in calls if c[1] in strengthened.bases] == []
+        assert [c for c in calls if c[1] in cone_bases] == []
         for fid, bases in cones.items():
             again = memo._bases[fid][1]
             assert again.keys() == moved[bases].keys()
