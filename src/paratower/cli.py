@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import certificates as certs
 from .comparison import DepthCapExceeded
@@ -24,13 +24,25 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
+def _word(tok: str) -> str:
+    """A word token; e or 1 is the identity."""
+    return "" if tok in ("e", "1") else tok
+
+
 def _parse_words(text: str) -> List[str]:
+    return [_word(tok.strip()) for tok in text.split(",")]
+
+
+def _parse_pairs(text: str, form: str) -> List[Tuple[str, str]]:
+    """The comma-separated pairs of ``--F``, a word and a second part each;
+    a token that is not two parts joined by ':' is refused, naming
+    ``form``."""
     out = []
     for tok in text.split(","):
-        tok = tok.strip()
-        if tok in ("e", "1"):
-            tok = ""
-        out.append(tok)
+        first, *rest = tok.strip().split(":")
+        if len(rest) != 1:
+            raise ValueError(f"--F token {tok.strip()!r} is not of the form {form}")
+        out.append((_word(first), rest[0]))
     return out
 
 
@@ -112,17 +124,11 @@ def _ext_towers(args):
     from .towers import extension_towers, finite_normal_ext_towers
 
     if args.kind == "f2xk":
-        k = cyclic_group(args.k_order)
-        f_set = []
-        for tok in args.F.split(","):
-            w, lbl = tok.strip().split(":")
-            f_set.append(("" if w in ("e", "1") else w, lbl))
-        return finite_normal_ext_towers(f_set, k)
-    f_set = []
-    for tok in args.F.split(","):
-        u, v = tok.strip().split(":")
-        f_set.append(("" if u in ("e", "1") else u, "" if v in ("e", "1") else v))
-    return extension_towers(f_set)
+        return finite_normal_ext_towers(
+            _parse_pairs(args.F, "word:label"), cyclic_group(args.k_order)
+        )
+    f_set = _parse_pairs(args.F, "word:word")
+    return extension_towers([(u, _word(v)) for u, v in f_set])
 
 
 def _union_towers(args):

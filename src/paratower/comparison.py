@@ -60,7 +60,6 @@ from .towers import (
     TowerFamily,
     disjoint_translates,
     more_towers,
-    shared_translates,
     verify_towers,
 )
 from .words import inverse, legal_next_letters, multiply, walk_key
@@ -1030,29 +1029,26 @@ def build_comparison(inst: ComparisonInstance, u_set) -> ComparisonCertificate:
     )
     label_order = sorted(space.labels, key=str)
     f_squares = [space.elem(w, e) for w in d2_words for e in label_order]
-    # the product check shares more_towers's translates and walks; the memo
-    # goes with the block, before the larger stages below
-    with shared_translates():
-        tower_fam = more_towers(d2_words, m)
-        n = len(tower_fam.cover_groups[0])
-        nm = n * m
+    tower_fam = more_towers(d2_words, m)
+    n = len(tower_fam.cover_groups[0])
+    nm = n * m
 
-        # pair each copy with a color class of K and lift its towers
-        lifted = [
-            space.lift(*tower_fam.items[i], labels)
-            for idxs, labels in zip(tower_fam.cover_groups, classes, strict=True)
-            for i in idxs
-        ]
-        c_sets, g_elems = zip(*lifted)
-        fam_check = TowerFamily(
-            space.kind,
-            f_squares,
-            lifted,
-            k_group=space.k_group,
-            cover_groups=[list(range(nm))],
-        )
-        if not verify_towers(fam_check, "exact").passed:
-            raise ConstructionFailed("product tower conditions failed")
+    # pair each copy with a color class of K and lift its towers
+    lifted = [
+        space.lift(*tower_fam.items[i], labels)
+        for idxs, labels in zip(tower_fam.cover_groups, classes, strict=True)
+        for i in idxs
+    ]
+    c_sets, g_elems = zip(*lifted)
+    fam_check = TowerFamily(
+        space.kind,
+        f_squares,
+        lifted,
+        k_group=space.k_group,
+        cover_groups=[list(range(nm))],
+    )
+    if not verify_towers(fam_check, "exact").passed:
+        raise ConstructionFailed("product tower conditions failed")
 
     # approximation scale: defect bound strictly below delta
     delta = Fraction(1, 4 * nm * (nm + 1))

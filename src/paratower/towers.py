@@ -18,17 +18,14 @@ in bulk per form, and needs one sorted scan of them and, for each h and
 A, pairwise disjoint label sets eC over the labels e that D pairs with h
 (F2 and F3: the one label); otherwise it scans the translates label by
 label.  It walks only when two may meet, to name the first
-counterexample.  Within one ``shared_translates`` block the checks and
-builders share their translates, scans and walks.  Orbit-preimage
+counterexample.  Each ``verify_towers`` call keeps its own memo of
+translates and walks; no builder uses one.  Orbit-preimage
 families from the boundary action are certified exactly by clopen-set
 algebra on the boundary.
 """
 
 from __future__ import annotations
 
-import collections
-import contextlib
-import contextvars
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,7 +42,7 @@ from .groups import (
     group_from_json,
     make_group,
 )
-from .subsets import GroupSubset, NormalForm, NotNormalizable
+from .subsets import GroupSubset, NotNormalizable
 from .words import inverse, multiply
 
 
@@ -254,17 +251,12 @@ _Form = Tuple[FrozenSet[str], FrozenSet[str]]
 
 class _Translates:
     """Translates x·A of tower sets, and prefix-trie walks over them, each
-    computed once.
+    computed once within one ``verify_towers`` call.
 
-    A clash scan reads only the bases of x·A, kept per (x, A) (``bases``).
-    A form, a (words, bases) pair in the form of ``prefix.canonical``, gets
-    an integer id only when it goes to a walk or a builder (``moved``), and
-    a ``NormalForm`` only for a builder (``translate``).  A form made as
-    x·A remembers (x, A), so y·(x·A) is moved as (yx)·A.  Bases a scan found
-    pairwise prefix-free clear later scans (``meet``).  A walk over some
-    forms is kept, and a walk over fewer of them at the same radius is read
-    off it: the first word of a pattern over the fewer forms is the
-    ball-order minimum of the first words of the patterns restricting to it."""
+    A clash scan reads only the bases of x·A (``bases``).  A form, a
+    (words, bases) pair in the form of ``prefix.canonical``, gets an integer
+    id only when it goes to a walk (``moved``).  A walk over some forms at
+    one radius is kept for a later check of the same call."""
 
     def __init__(self) -> None:
         self.forms: List[_Form] = []
@@ -272,10 +264,7 @@ class _Translates:
         # id(set) -> (set, form id); the set is kept so its id stays its own
         self._of_set: Dict[int, Tuple[object, int]] = {}
         self._moved: Dict[Tuple[str, int], int] = {}
-        self._bases: Dict[int, Tuple[Tuple[str, ...], Dict[str, object]]] = {}
-        self._origin: Dict[int, Tuple[str, int]] = {}
         self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
-        self._clear: List[FrozenSet[str]] = []
 
     def _id(self, form: _Form) -> int:
         fid = self._ids.get(form)
@@ -296,134 +285,51 @@ class _Translates:
         """The id of x·F, F the form with id ``fid``."""
         out = self._moved.get((x, fid))
         if out is None:
-            origin = self._origin.get(fid)
-            if origin is not None:
-                out = self.moved(multiply(x, origin[0]), origin[1])
-            elif x == "":
-                out = fid
-            else:
-                # moved bases with no words are in form already
-                bases = self._bases.get(fid, ((), {}))[1].get(x)
-                out = self._id(
-                    (frozenset(), frozenset(bases)) if bases
-                    else prefix.canonical(*prefix.translate(x, *self.forms[fid]))
-                )
-                if out != fid:
-                    self._origin.setdefault(out, (x, fid))
+            form = self.forms[fid]
+            out = fid if x == "" else self._id(prefix.canonical(*prefix.translate(x, *form)))
             self._moved[(x, fid)] = out
         return out
 
     def bases(self, xs: Sequence[str], fid: int) -> Optional[List[str]]:
         """The bases of x·F for every x of ``xs``, F the form with id
-        ``fid``, in one list, or None when some x·F holds words.  A form made
-        as y·A is read as A moved by each xy.  Each (x, A) is moved once: a
-        cone W(b), b nonempty, all new x at once, any other A base by base
-        when it has no words and x cancels no base whole (ends with no
-        base's inverse), else interned (``moved``)."""
-        origin = self._origin.get(fid)
-        if origin is not None:
-            xs, fid = [multiply(x, origin[0]) for x in xs], origin[1]
+        ``fid``, in one list, or None when some x·F holds words.  A form
+        with no words is moved base by base when x cancels no base whole
+        (ends with no base's inverse); any other goes through ``moved``."""
         words, bases = self.forms[fid]
-        # the bases' inverses, and x -> the bases of x·F, or False when it holds words
-        cut, known = self._bases.get(fid) or self._bases.setdefault(
-            fid, (tuple(map(inverse, bases)), {})
-        )
-        if not words and len(bases) == 1 and "" not in bases:
-            # x·W(b) is the cone at x·b, which is x b unless x's last letter
-            # cancels b's first; when x ends with b⁻¹ it holds the words
-            # from "" to x·b
-            fresh = [x for x in xs if x not in known]
-            if any(x.endswith(cut) for x in fresh):
-                return None
-            (b,) = bases
-            back = fw.inverse_letter(b[0])
-            for x in fresh:
-                known[x] = (multiply(x, b) if x.endswith(back) else x + b,)
-            return [known[x][0] for x in xs]
+        cut = tuple(map(inverse, bases))
         out: List[str] = []
         for x in xs:
-            moved = known.get(x)
-            if moved is None:
-                if words or x.endswith(cut):
-                    words_x, moved = self.forms[self.moved(x, fid)]
-                    moved = not words_x and list(moved)
-                else:
-                    moved = [multiply(x, b) for b in bases]
-                known[x] = moved
-            if moved is False:
-                return None
-            out += moved
+            if words or x.endswith(cut):
+                words_x, moved = self.forms[self.moved(x, fid)]
+                if words_x:
+                    return None
+                out += moved
+            else:
+                out += [multiply(x, b) for b in bases]
         return out
-
-    def translate(self, x: str, subset: ss.NormalizedSet) -> ss.NormalizedSet:
-        """x·A as ``subsets.translate`` makes it."""
-        return ss.NormalizedSet(NormalForm(*self.forms[self.moved(x, self.of(subset))]))
 
     def meet(self, buckets: Iterable[List[str]]) -> bool:
         """Whether two cones of a bucket meet, each bucket the bases of some
-        owners, each owner's an antichain.  A bucket inside bases found
-        pairwise prefix-free before meets only at equal bases; any other
-        takes one sorted scan (``prefix.first_overlap``), kept if it passes."""
-        for bucket in buckets:
-            if any(known.issuperset(bucket) for known in self._clear):
-                if len(set(bucket)) < len(bucket):
-                    return True
-            elif prefix.first_overlap((b, None) for b in bucket) is not None:
-                return True
-            else:
-                self._clear.append(frozenset(bucket))
-        return False
+        owners, each owner's an antichain: one sorted scan per bucket
+        (``prefix.first_overlap``)."""
+        return any(
+            prefix.first_overlap((b, None) for b in bucket) is not None for bucket in buckets
+        )
 
     def walk(self, fids: FrozenSet[int], radius: Optional[int]) -> dict:
         """For each pattern of form ids met in the radius-r ball, or in the
         whole group when ``radius`` is None, (ball-order key, first word), in
         ball order of the first words."""
         out = self._walks.get((radius, fids))
-        if out is not None:
-            return out
-        wider = [ids for r, ids in self._walks if r == radius and fids < ids]
-        if wider:
-            out = {}
-            for pattern, first in self._walks[(radius, min(wider, key=len))].items():
-                restricted = pattern & fids
-                if restricted not in out or first < out[restricted]:
-                    out[restricted] = first
-        else:
+        if out is None:
             order = sorted(fids)
-            out = {
+            out = self._walks[(radius, fids)] = {
                 frozenset(order[k] for k in pattern): (fw.ball_key(w), w)
                 for pattern, w in prefix.first_by_pattern(
                     [self.forms[i] for i in order], radius
                 ).items()
             }
-        self._walks[(radius, fids)] = out
         return out
-
-
-# the memo of the enclosing `shared_translates` block; set only inside one
-_SHARED: contextvars.ContextVar[Optional[_Translates]] = contextvars.ContextVar(
-    "shared_translates", default=None
-)
-
-
-@contextlib.contextmanager
-def shared_translates():
-    """Let every tower check and builder inside the block share one memo of
-    translates and walks.  Blocks nest: an inner one joins the outer memo,
-    which goes when the outer block ends."""
-    if _SHARED.get() is not None:
-        yield
-        return
-    token = _SHARED.set(_Translates())
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _translates() -> _Translates:
-    """The memo of the enclosing ``shared_translates`` block, or a new one."""
-    return _SHARED.get() or _Translates()
 
 
 def _first_hit(
@@ -434,7 +340,8 @@ def _first_hit(
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None.  A clash on F2 × K or F2 × F2 is first decided
+    holding it), or None, read through ``memo``, the memo of the one
+    ``verify_towers`` call.  A clash on F2 × K or F2 × F2 is first decided
     on the translates' bases alone (``_Translates.meet``): if no two cones
     meet at a label, no element of the group, and so of no ball, lies in
     two translates.  Only when two meet, which may be outside the ball, or
@@ -603,7 +510,7 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
 def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     """Checks on the radius-r ball, or on the whole group when ``radius`` is
     None, read off the prefix trie of the translates' normal forms."""
-    memo = _translates()
+    memo = _Translates()
     clash = _first_clash_walk(family, radius, memo)
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
@@ -771,13 +678,25 @@ def verify_towers(
 # free-group constructions
 
 
+def _distinct(elems: list, what: str = "D") -> list:
+    """``elems``, reduced already, when none occurs twice; else a
+    ValueError naming the first repeat, since a repeated element never
+    separates from itself."""
+    seen = set()
+    for x in elems:
+        if x in seen:
+            raise ValueError(f"{what} repeats the reduced element {x!r}")
+        seen.add(x)
+    return elems
+
+
 def f2_towers(d_set: Iterable[str]) -> TowerFamily:
     """The 2-tower family for D, unchecked: D reduced, m its longest word,
     and the cones at a^{2m}ba and a^{2m}bA, each with its base's inverse as
     covering element.  The inverses move the cones onto the complements of
     the cones at A and at a, so the two cover F2; ``verify_towers`` decides
     that the D-translates are disjoint."""
-    d_list = fw.reduce_words(d_set)
+    d_list = _distinct(fw.reduce_words(d_set))
     if not d_list:
         raise ValueError("D must be nonempty")
     m = max(len(d) for d in d_list)
@@ -844,15 +763,14 @@ def more_towers(d_set: Iterable[str], copies: int) -> TowerFamily:
     D·shifts moved by shift j, so an exact check of this family decides
     that one too; ``comparison.build_comparison`` leaves both to the
     product check of its lift, whose pass implies them."""
-    d_list = fw.reduce_words(d_set)
+    d_list = _distinct(fw.reduce_words(d_set))
     if copies < 1:
         raise ValueError("copies must be positive")
     shifts = disjoint_translates(d_list, copies)
     # D·shifts sets only the padding, so it needs no order
     base = f2_towers({multiply(d, s) for d in d_list for s in shifts}).items
-    memo = _translates()
     k = len(base)
-    items = [(memo.translate(s, a), multiply(g, inverse(s))) for s in shifts for a, g in base]
+    items = [(a.translate(s), multiply(g, inverse(s))) for s in shifts for a, g in base]
     cover_groups = [list(range(j * k, j * k + k)) for j in range(copies)]
     return TowerFamily("F2", d_list, items, cover_groups=cover_groups, notes={"shifts": shifts})
 
@@ -869,24 +787,23 @@ def finite_normal_ext_towers(f_set: Sequence[ProductElem], k_group: FiniteGroup)
     translate slot with a distinct K coordinate."""
     for _, lbl in f_set:
         k_group.index(lbl)  # a ValueError that names a label outside K
-    f_list = [(fw.reduce_word(h), lbl) for h, lbl in f_set]
+    f_list = _distinct([(fw.reduce_word(h), lbl) for h, lbl in f_set], "F")
     m = len(k_group)
     d0 = sorted({h for h, _ in f_list} | {""}, key=lambda w: (len(w), w))
     shifts = disjoint_translates(d0, m)
     d_big = sorted({multiply(d, t) for d in d0 for t in shifts}, key=lambda w: (len(w), w))
     quot = f2_towers(d_big)
-    memo = _translates()
     items = []
     for t, k_elem in zip(shifts, k_group.elements):
         for a, g in quot.items:
-            c = ProductSubset(k_group, {k_group.identity: memo.translate(t, a)})
+            c = ProductSubset(k_group, {k_group.identity: a.translate(t)})
             items.append((c, (multiply(g, inverse(t)), k_elem)))
     return TowerFamily("F2xK", f_list, items, k_group=k_group, notes={"shifts": shifts})
 
 
 def extension_towers(f_set: Sequence[Tuple[str, str]]) -> TowerFamily:
     """Towers on F2 × F2 as rectangles A_i × B_j of factor towers, unchecked."""
-    f_list = [(fw.reduce_word(u), fw.reduce_word(v)) for u, v in f_set]
+    f_list = _distinct([(fw.reduce_word(u), fw.reduce_word(v)) for u, v in f_set], "F")
     sym = set(f_list) | {(inverse(u), inverse(v)) for u, v in f_list} | {("", "")}
     d1 = sorted({u for u, _ in sym}, key=lambda w: (len(w), w))
     # second-factor translates arising from products of F elements whose
@@ -901,7 +818,8 @@ def extension_towers(f_set: Sequence[Tuple[str, str]]) -> TowerFamily:
 
 
 def union_towers(d_set: Iterable[str]) -> TowerFamily:
-    """Towers on the rank-3 free group from coset-sliced rank-2 towers, unchecked."""
+    """Towers on the rank-3 free group from coset-sliced rank-2 towers,
+    unchecked; ``f2_towers`` refuses a repeated element of D."""
     sub_fam = f2_towers(d_set)
     items = [(CosetSliceSubset(a), g) for a, g in sub_fam.items]
     notes = {
@@ -976,11 +894,7 @@ def towers_from_filling(d_set: Iterable[str], n: int = 2) -> TowerFamily:
     """
     if n < 2:
         raise ValueError("need at least two towers")
-    d_list = fw.reduce_words(d_set)
-    # a repeated element never separates from itself
-    repeated = [d for d, k in collections.Counter(d_list).items() if k > 1]
-    if repeated:
-        raise ValueError(f"D repeats the reduced element {min(repeated, key=fw.ball_key)!r}")
+    d_list = _distinct(fw.reduce_words(d_set))
     z = AperiodicPoint()
     # no short word fixes a long prefix of z; full triviality is assumed
     g = fixing_word(z)

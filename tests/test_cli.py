@@ -193,6 +193,38 @@ def test_filling_towers_refuses_a_repeated_element(capsys, d_set, named):
     assert f"D repeats the reduced element {named}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["f2-towers", "--D", "a,a"], "D repeats the reduced element 'a'"),
+        (["more-towers", "--D", "a,a", "--copies", "2"], "D repeats the reduced element 'a'"),
+        (["union-towers", "--D", "a,a,e"], "D repeats the reduced element 'a'"),
+        (["ext-towers", "--kind", "f2xk", "--F", "a:0,a:0"],
+         "F repeats the reduced element ('a', '0')"),
+        (["ext-towers", "--kind", "f2xf2", "--F", "a:b,a:b"],
+         "F repeats the reduced element ('a', 'b')"),
+        (["filling-towers", "--D", "a,a"], "D repeats the reduced element 'a'"),
+    ],
+    ids=["f2", "more", "union", "f2xk", "f2xf2", "filling"],
+)
+def test_every_tower_command_refuses_a_repeated_element(capsys, argv, named):
+    # a repeated element never separates from itself, so no family is built
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("token", ["a", "a:b:c"])
+def test_ext_towers_refuses_a_token_that_is_not_a_pair(capsys, token):
+    assert main(["ext-towers", "--kind", "f2xk", "--F", f"e:0,{token}"]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"--F token {token!r} is not of the form word:label" in err
+    assert main(["ext-towers", "--kind", "f2xf2", "--F", token]) == 64
+    assert "is not of the form word:word" in capsys.readouterr().err
+
+
 def test_an_exhausted_search_is_a_usage_error(monkeypatch, capsys):
     import paratower.towers as towers
 

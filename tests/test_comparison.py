@@ -553,88 +553,6 @@ def test_build_comparison_raises_when_a_step_fails(monkeypatch, attr, fake, mess
         build_comparison(ComparisonInstance("F2"), cyl("ab"))
 
 
-def test_tower_stage_translates_each_set_once(monkeypatch):
-    # from the entry into more_towers to the end of the product check, every
-    # (word, words, bases) input of prefix.translate is new
-    inputs = []
-    stage = [False]
-    translate, more, verify = prefix.translate, comparison.more_towers, comparison.verify_towers
-
-    def counted(g, words, bases):
-        if stage[0]:
-            inputs.append((g, None if words is None else frozenset(words), frozenset(bases)))
-        return translate(g, words, bases)
-
-    def entered(*a, **k):
-        stage[0] = True
-        return more(*a, **k)
-
-    def left(*a, **k):
-        try:
-            return verify(*a, **k)
-        finally:
-            stage[0] = False
-
-    monkeypatch.setattr(prefix, "translate", counted)
-    monkeypatch.setattr(comparison, "more_towers", entered)
-    monkeypatch.setattr(comparison, "verify_towers", left)
-    u_set = ProductClopen(cyclic_group(2), {"1": cyl("abABa")})
-    assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
-    assert not stage[0] and inputs
-    assert len(set(inputs)) == len(inputs)
-    # every set of the stage is a translate of one of the two base cones
-    # the build reads, and only those are ever translated
-    assert len({(words, bases) for _, words, bases in inputs}) == 2
-
-
-def test_tower_stage_builds_no_normal_form_for_a_translate(monkeypatch):
-    # from the entry into more_towers to the end of the product check, the
-    # walks read translates as (words, bases) pairs: a NormalForm of one
-    # cone is made only for a base cone or a set handed to a builder, never
-    # by translating a form, and no complement is taken.  Forms are built
-    # through __init__ or, when already in form, _in_form
-    made = []
-    stage = [False]
-    init = subsets.NormalForm.__init__
-    in_form = subsets.NormalForm._in_form.__func__
-    more, verify = comparison.more_towers, comparison.verify_towers
-
-    def record(nf):
-        if stage[0]:
-            made.append((sys._getframe(2).f_code, nf))
-
-    def spied(self, words=(), cones=()):
-        init(self, words, cones)
-        record(self)
-
-    def spied_in_form(cls, words, cones):
-        nf = in_form(cls, words, cones)
-        record(nf)
-        return nf
-
-    def entered(*a, **k):
-        stage[0] = True
-        return more(*a, **k)
-
-    def left(*a, **k):
-        try:
-            return verify(*a, **k)
-        finally:
-            stage[0] = False
-
-    monkeypatch.setattr(subsets.NormalForm, "__init__", spied)
-    monkeypatch.setattr(subsets.NormalForm, "_in_form", classmethod(spied_in_form))
-    monkeypatch.setattr(comparison, "more_towers", entered)
-    monkeypatch.setattr(comparison, "verify_towers", left)
-    u_set = ProductClopen(cyclic_group(2), {"1": cyl("abABa")})
-    assert build_comparison(ComparisonInstance("F2xZ2"), u_set).passed
-    assert not stage[0]
-    one_cone = [code for code, nf in made if len(nf.cones) == 1 and not nf.words]
-    # each maker occurs
-    assert set(one_cone) == {towers._Translates.translate.__code__, subsets.cone.__code__}
-    assert subsets.NormalForm.translate.__code__ not in {code for code, _ in made}
-
-
 @pytest.mark.parametrize(
     "inst, u_set",
     [("F2", cyl("ab")), ("F2xZ2", ProductClopen(cyclic_group(2), {"0": cyl("a")}))],

@@ -19,6 +19,41 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+TOWER_BUILDERS = {
+    "f2_towers", "more_towers", "finite_normal_ext_towers", "extension_towers",
+    "union_towers", "towers_from_filling",
+}
+
+
+def test_no_tower_builder_touches_the_checker_memo():
+    # one memo per tower check: a builder moves its sets by their own
+    # translate, and no module holds a memo across calls in a context var
+    path = Path(paratower.__file__).parent / "towers.py"
+    builders = {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in TOWER_BUILDERS
+    }
+    assert builders.keys() == TOWER_BUILDERS
+    touching = [
+        name
+        for name, fn in builders.items()
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and node.id == "_Translates"
+        or isinstance(node, ast.Attribute) and node.attr == "_Translates"
+    ]
+    assert touching == []
+    modules = sorted(Path(paratower.__file__).parent.rglob("*.py"))
+    imported = [
+        path.name
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "contextvars" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "contextvars"
+    ]
+    assert imported == []
+
+
 def test_the_benchmark_tracer_finds_every_function_it_wraps():
     # the benchmark's per-layer trace wraps package functions by name, so a
     # renamed or deleted one fails here, not first in a traced benchmark run

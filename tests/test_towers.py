@@ -501,31 +501,6 @@ def _checks(fam: TowerFamily, radius) -> dict:
     return verify_towers(fam, mode, radius).checks
 
 
-@pytest.mark.parametrize("radius", [None, 2, 5])
-def test_shared_checks_match_fresh_ones(monkeypatch, radius):
-    # in one shared block a check reads its walk off a wider one, and a
-    # translate d·(s·A) off (ds)·A; its checks must be the fresh ones
-    walks = []
-    real = prefix.first_by_pattern
-    monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
-    s = "bA"
-    for name, fam in _seeded_defects(oracles.cone_towers(D5, "aa"), "AA").items():
-        first_two = TowerFamily("F2", fam.d_set, fam.items[:2])
-        with towers.shared_translates():
-            memo = towers._translates()
-            shifted = TowerFamily(
-                "F2",
-                [multiply(d, inverse(s)) for d in fam.d_set],
-                [(memo.translate(s, a), multiply(g, inverse(s))) for a, g in fam.items[:2]],
-            )
-            shared = [_checks(fam, radius)]
-            walks.clear()
-            shared += [_checks(first_two, radius), _checks(shifted, radius)]
-            assert walks == [], name
-        fresh = [_checks(f, radius) for f in (fam, first_two, shifted)]
-        assert shared == fresh, name
-
-
 # -- the clash scan: a passing clash check takes no walk, a failing one the
 # walk that names the first element in two translates
 
@@ -619,16 +594,18 @@ def _scan_families() -> dict:
     return out
 
 
-def test_a_shared_memo_still_catches_a_tower_placed_twice():
-    # pairwise disjoint forms found by one check clear their distinct
-    # subsets in later checks, but not a form placed twice
+def test_a_tower_placed_twice_fails_the_exact_check():
+    # a copy's translates meet the original's, and the counterexample lies
+    # in the two translates it names
     fam = more_towers(D5, 2)
     twice = _mutate(fam, items=fam.items + [fam.items[1]])
-    with towers.shared_translates():
-        assert verify_towers(fam, "exact").passed
-        shared = verify_towers(twice, "exact").checks
-    assert not shared["disjoint"]["pass"]
-    assert shared == verify_towers(twice, "exact").checks
+    assert verify_towers(fam, "exact").passed
+    disjoint = verify_towers(twice, "exact").checks["disjoint"]
+    assert not disjoint["pass"]
+    c = disjoint["counterexample"]
+    assert (c["d"], c["i"]) != (c["d2"], c["i2"])
+    for d, i in ((c["d"], c["i"]), (c["d2"], c["i2"])):
+        assert twice.items[i][0].contains(multiply(inverse(d), c["word"]))
 
 
 @pytest.mark.parametrize("radius", [None, 2, 4])
@@ -660,7 +637,7 @@ def test_a_walk_after_a_scan_matches_the_sweep(radius):
         assert verify_towers(fam, "ball", radius).checks == _sweep_ball(fam, radius), name
 
 
-# -- bases a scan found prefix-free clear later scans of the same memo
+# -- the clash scan of an F2 family lifted to F2 x Z/2, label by label
 
 
 def _lifted(fam: TowerFamily, placements) -> TowerFamily:
@@ -685,46 +662,31 @@ def _sorts(monkeypatch) -> list:
     return calls
 
 
-def test_a_tower_placed_twice_at_overlapping_labels_fails_on_cleared_bases(monkeypatch):
+def test_a_tower_placed_twice_at_overlapping_labels_fails_the_clash_scan(monkeypatch):
     fam = more_towers(D5, 2)
     twice = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["0", "1"])])
-    with towers.shared_translates():
-        assert verify_towers(fam, "exact").passed
-        sorts = _sorts(monkeypatch)
-        shared = verify_towers(twice, "exact").checks
-    # the bases all lie in the F2 check's, so the clash shows as an equal
-    # base at label 0, with no sort, and the walk names it
-    assert sorts == []
-    assert not shared["disjoint"]["pass"]
+    sorts = _sorts(monkeypatch)
+    checks = verify_towers(twice, "exact").checks
+    # the equal bases at label 0 fail the sorted scan, and the walk names
+    # an element there
+    assert sorts and not checks["disjoint"]["pass"]
+    assert checks["disjoint"]["counterexample"]["word"][1] == "0"
     monkeypatch.setattr(towers._Translates, "meet", lambda self, buckets: True)
-    assert shared == verify_towers(twice, "exact").checks
+    assert checks == verify_towers(twice, "exact").checks
 
 
-def test_one_form_at_two_disjoint_labels_passes_on_cleared_bases(monkeypatch):
+def test_one_form_at_two_disjoint_labels_passes_the_clash_scan(monkeypatch):
     fam = more_towers(D5, 2)
     apart = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["1"]), (1, ["1"])])
-    with towers.shared_translates():
-        assert verify_towers(fam, "exact").passed
-        sorts = _sorts(monkeypatch)
-        walks = []
-        real = prefix.first_by_pattern
-        monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
-        placed = [(apart.d_set[di], i) for di, i in towers._owners(apart)]
-        hit = towers._first_hit(apart, placed, None, towers._translates(), clash=True)
-    assert (hit, sorts, walks) == (None, [], [])
-    assert verify_towers(apart, "exact").passed
-
-
-def test_a_product_family_on_bases_not_cleared_takes_the_sorted_scan(monkeypatch):
-    fam = _lifted(more_towers(D5, 2), [(0, ["0"]), (1, ["0"]), (0, ["1"]), (1, ["1"])])
     sorts = _sorts(monkeypatch)
-    with towers.shared_translates():
-        assert verify_towers(fam, "exact").passed
-        # one sort the first time, at label 0, whose bases then clear those
-        # of label 1; none for the same family again
-        assert len(sorts) == 1
-        assert verify_towers(fam, "exact").passed
-        assert len(sorts) == 1
+    walks = []
+    real = prefix.first_by_pattern
+    monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
+    placed = [(apart.d_set[di], i) for di, i in towers._owners(apart)]
+    hit = towers._first_hit(apart, placed, None, towers._Translates(), clash=True)
+    # one sorted scan per label, and no walk
+    assert (hit, len(sorts), walks) == (None, 2, [])
+    assert verify_towers(apart, "exact").passed
 
 
 # -- the clash check decided on D's factors: D = H × E, sets A × C
@@ -810,42 +772,11 @@ def test_the_factored_check_matches_the_sweep():
         assert verify_towers(fam, "ball", 3).checks == _sweep_ball(fam, 3), name
 
 
-def test_a_passing_clash_check_moves_each_word_and_form_once(monkeypatch):
-    # the strengthened towers' three cones, moved by the radius-2 ball: one
-    # moved base kept per (word, cone), a product only where the word's
-    # last letter cancels the cone's first, and nothing moved again when a
-    # check of the same block reads them
-    d_words = list(ball(2))
-    fam = oracles.cone_towers(d_words, "aaaa")
-    cone_bases = ["aaaaba", "aaaabA", "aaaabb"]
-    calls = []
-    real = towers.multiply
-    monkeypatch.setattr(towers, "multiply", lambda u, v: calls.append((u, v)) or real(u, v))
-    with towers.shared_translates():
-        memo = towers._translates()
-        assert towers._disjoint_by_factors(fam, memo)
-        cones = {fid: bases for (_, bases), fid in memo._ids.items()}
-        moved = {bases: dict(memo._bases[fid][1]) for fid, bases in cones.items()}
-        assert moved == {
-            frozenset([b]): {d: (real(d, b),) for d in d_words} for b in cone_bases
-        }
-        assert sorted(calls) == sorted(
-            (d, b) for d in d_words if d.endswith("A") for b in cone_bases
-        )
-        calls.clear()
-        assert verify_towers(TowerFamily("F2", d_words, fam.items[:2]), "exact").passed
-        assert [c for c in calls if c[1] in cone_bases] == []
-        for fid, bases in cones.items():
-            again = memo._bases[fid][1]
-            assert again.keys() == moved[bases].keys()
-            assert all(again[d] is moved[bases][d] for d in d_words)
-
-
 def test_translate_bases_match_the_moved_forms():
     # the bases the clash scan reads for x·A against the normal forms of the
     # translates: cones moved by words that cancel none, some or all of the
     # base, the whole group, forms with several bases or with words, and
-    # forms made as y·A, read again from the memo with fewer and more words
+    # moved forms y·A, each read with fewer and more words
     rng = random.Random("towers/translate-bases")
     sets = [
         ss.cone("ab"), ss.cone("aBa"), ss.cone("A"), ss.cone(""),
