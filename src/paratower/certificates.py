@@ -69,6 +69,7 @@ def hash_matches(data: dict) -> bool:
 def _verify_towers(payload: dict) -> dict:
     from .towers import TowerFamily, verify_towers
 
+    _list(payload["D"], "D")
     family = TowerFamily.from_json(payload)
     mode = payload.get("mode", "exact")
     radius = payload.get("radius")
@@ -88,8 +89,8 @@ def _verify_coloring(payload: dict) -> dict:
     from .groups import factor_from_json
 
     group = factor_from_json(payload["K"])
-    coloring = greedy_color(group, payload["E"])
-    window = payload["window"]
+    coloring = greedy_color(group, _list(payload["E"], "E"))
+    window = _list(payload["window"], "window")
     checks = {
         "proper": coloring.is_proper_on(window),
         "assignment_matches": [coloring.color_of(k) for k in window] == payload["assignment"],
@@ -114,6 +115,14 @@ def _object(value, name: str) -> dict:
     """value if it is a JSON object, else a ValueError naming the field."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, not {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    """value if it is a JSON list, else a ValueError naming the field: a
+    string or an object would be read item by item."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, not {value!r}")
     return value
 
 

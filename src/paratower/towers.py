@@ -12,21 +12,18 @@ by the same prefix-trie walk that certifies it on a metric ball.  A
 family on F2 × K or F2 × F2 is read by its factors: its sets split into
 rectangles A × C, and since (h, e)·(A × C) = hA × eC, the F2 sets hA are
 read at each label: an element of K, or on F2 × F2 a membership pattern
-of the second factors eC.  A disjointness check first asks on bases alone
-whether two translates meet.  Off F2 × F2 it moves each distinct hA once,
-in bulk per form, and needs one sorted scan of them and, for each h and
-A, pairwise disjoint label sets eC over the labels e that D pairs with h
-(F2 and F3: the one label); otherwise it scans the translates label by
-label.  It walks only when two may meet, to name the first
-counterexample.  Each ``verify_towers`` call keeps its own memo of
-translates and walks; no builder uses one.  Orbit-preimage
+of the second factors eC.  A disjointness check on F2, F3 or F2 × K first
+asks on bases alone whether two translates may meet: it moves each
+distinct hA once and needs one sorted scan of their bases and, for each h
+and A, pairwise disjoint label sets eC over the labels e that D pairs
+with h (F2 and F3: the one label).  Otherwise one walk over the distinct
+hA decides the check and names the first counterexample.  Orbit-preimage
 families from the boundary action are certified exactly by clopen-set
 algebra on the boundary.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import prefix
@@ -249,110 +246,31 @@ class TowerCertificate:
 _Form = Tuple[FrozenSet[str], FrozenSet[str]]
 
 
-class _Translates:
-    """Translates x·A of tower sets, and prefix-trie walks over them, each
-    computed once within one ``verify_towers`` call.
+def _form(subset: GroupSubset) -> _Form:
+    """A set's normal form as (words, bases); NotNormalizable when it has none."""
+    nf = subset.normal_form()
+    return nf.words, nf.cones
 
-    A clash scan reads only the bases of x·A (``bases``).  A form, a
-    (words, bases) pair in the form of ``prefix.canonical``, gets an integer
-    id only when it goes to a walk (``moved``).  A walk over some forms at
-    one radius is kept for a later check of the same call."""
 
-    def __init__(self) -> None:
-        self.forms: List[_Form] = []
-        self._ids: Dict[_Form, int] = {}
-        # id(set) -> (set, form id); the set is kept so its id stays its own
-        self._of_set: Dict[int, Tuple[object, int]] = {}
-        self._moved: Dict[Tuple[str, int], int] = {}
-        self._walks: Dict[Tuple[Optional[int], FrozenSet[int]], dict] = {}
-
-    def _id(self, form: _Form) -> int:
-        fid = self._ids.get(form)
-        if fid is None:
-            fid = self._ids[form] = len(self.forms)
-            self.forms.append(form)
-        return fid
-
-    def of(self, subset: GroupSubset) -> int:
-        """The id of a set's normal form; NotNormalizable when it has none."""
-        hit = self._of_set.get(id(subset))
-        if hit is None:
-            nf = subset.normal_form()
-            hit = self._of_set[id(subset)] = (subset, self._id((nf.words, nf.cones)))
-        return hit[1]
-
-    def moved(self, x: str, fid: int) -> int:
-        """The id of x·F, F the form with id ``fid``."""
-        out = self._moved.get((x, fid))
-        if out is None:
-            form = self.forms[fid]
-            out = fid if x == "" else self._id(prefix.canonical(*prefix.translate(x, *form)))
-            self._moved[(x, fid)] = out
-        return out
-
-    def bases(self, xs: Sequence[str], fid: int) -> Optional[List[str]]:
-        """The bases of x·F for every x of ``xs``, F the form with id
-        ``fid``, in one list, or None when some x·F holds words.  A form
-        with no words is moved base by base when x cancels no base whole
-        (ends with no base's inverse); any other goes through ``moved``."""
-        words, bases = self.forms[fid]
-        cut = tuple(map(inverse, bases))
-        out: List[str] = []
-        for x in xs:
-            if words or x.endswith(cut):
-                words_x, moved = self.forms[self.moved(x, fid)]
-                if words_x:
-                    return None
-                out += moved
-            else:
-                out += [multiply(x, b) for b in bases]
-        return out
-
-    def meet(self, buckets: Iterable[List[str]]) -> bool:
-        """Whether two cones of a bucket meet, each bucket the bases of some
-        owners, each owner's an antichain: one sorted scan per bucket
-        (``prefix.first_overlap``)."""
-        return any(
-            prefix.first_overlap((b, None) for b in bucket) is not None for bucket in buckets
-        )
-
-    def walk(self, fids: FrozenSet[int], radius: Optional[int]) -> dict:
-        """For each pattern of form ids met in the radius-r ball, or in the
-        whole group when ``radius`` is None, (ball-order key, first word), in
-        ball order of the first words."""
-        out = self._walks.get((radius, fids))
-        if out is None:
-            order = sorted(fids)
-            out = self._walks[(radius, fids)] = {
-                frozenset(order[k] for k in pattern): (fw.ball_key(w), w)
-                for pattern, w in prefix.first_by_pattern(
-                    [self.forms[i] for i in order], radius
-                ).items()
-            }
-        return out
+def _moved(x: str, form: _Form) -> _Form:
+    """The canonical form of x·F, for F a canonical form."""
+    return form if x == "" else prefix.canonical(*prefix.translate(x, *form))
 
 
 def _first_hit(
-    family: TowerFamily, placed: Sequence[Tuple[object, int]], radius: Optional[int],
-    memo: _Translates, clash: bool,
+    family: TowerFamily, placed: Sequence[Tuple[object, int]], radius: Optional[int], clash: bool
 ) -> Optional[Tuple[object, List[int]]]:
     """The first element, in ball order, of the radius-r ball, or of the
     whole group when ``radius`` is None, that lies in two of the translates
     x·A_i, for (x, i) in ``placed``, when ``clash``, or in none of them
     otherwise: (element, sorted positions in ``placed`` of the translates
-    holding it), or None, read through ``memo``, the memo of the one
-    ``verify_towers`` call.  A clash on F2 × K or F2 × F2 is first decided
-    on the translates' bases alone (``_Translates.meet``): if no two cones
-    meet at a label, no element of the group, and so of no ball, lies in
-    two translates.  Only when two meet, which may be outside the ball, or
-    a translate holds words does the walk run, to name the first element
-    in ball order; on F2 and F3 ``_disjoint_by_factors`` has scanned the
-    same bases already, and the walk runs at once.  Every membership
-    pattern of the walk is asked only how many translates hold its first
-    element; the positions are read for the element found.  Raises
-    NotNormalizable when a set has no normal form."""
+    holding it), or None.  One prefix-trie walk over the distinct moved
+    forms hA decides it at every label.  Every membership pattern of the
+    walk is asked only how many translates hold its first element; the
+    positions are read for the element found.  Raises NotNormalizable when
+    a set has no normal form."""
     sets = family.items
-    # rows (position, F2 word h, form id of A, label indices C): the
+    # rows (position, F2 word h, form of A, label indices C): the
     # translate at the position holds hA × C, and ``labels`` names the
     # element of each label.  On F2 and F3 it is one row at the one label
     # (in F3 a word p·s has the membership of its a,b-part p, which comes
@@ -362,71 +280,62 @@ def _first_hit(
     if family.kind == "F2xK":
         labels = family.k_group.elements
         index = {lbl: li for li, lbl in enumerate(labels)}
-        # the pieces A × C of A_i, as (form id of A, label indices of eC),
-        # for each distinct nonempty slice A
-        pieces: Dict[Tuple[str, int], Dict[int, set]] = {}
+        # the pieces A × C of A_i, as (form of A, label indices of eC), for
+        # each distinct nonempty slice A
+        pieces: Dict[Tuple[str, int], Dict[_Form, set]] = {}
         for j, ((h, e), i) in enumerate(placed):
             if (e, i) not in pieces:
                 at_e = pieces[e, i] = {}
                 for lbl, t in sets[i][0].slices.items():
-                    fid = memo.of(t)
-                    if any(memo.forms[fid]):
-                        at_e.setdefault(fid, set()).add(index[family.k_group.mul(e, lbl)])
-            rows += [(j, h, fid, c) for fid, c in pieces[e, i].items()]
+                    form = _form(t)
+                    if any(form):
+                        at_e.setdefault(form, set()).add(index[family.k_group.mul(e, lbl)])
+            rows += [(j, h, form, c) for form, c in pieces[e, i].items()]
     elif family.kind == "F2xF2":
-        # the labels are the patterns of one walk over the second factors
-        # vB, named by their first words; the translate (u, v)·(A × B) is
-        # the row uA at every label holding vB.  The ball order of F2 × F2
-        # is lexicographic in (u, v), and a check's verdict at (u, v) is
-        # fixed by the two patterns, so reading the labels in order at each
-        # first-factor pattern finds the first element in ball order
-        seconds = [memo.moved(v, memo.of(sets[i][0].second)) for (_, v), i in placed]
-        patterns = memo.walk(frozenset(seconds), radius)
-        labels = [v for _, v in patterns.values()]
+        # the labels are the patterns of one walk over the distinct second
+        # factors vB, named by their first words; the translate
+        # (u, v)·(A × B) is the row uA at every label holding vB.  The ball
+        # order of F2 × F2 is lexicographic in (u, v), and a check's verdict
+        # at (u, v) is fixed by the two patterns, so reading the labels in
+        # order at each first-factor pattern finds the first element in
+        # ball order
+        seconds = [_moved(v, _form(sets[i][0].second)) for (_, v), i in placed]
+        slot = {form: k for k, form in enumerate(dict.fromkeys(seconds))}
+        patterns = prefix.first_by_pattern(list(slot), radius)
+        labels = list(patterns.values())
         rows = [
-            (j, u, memo.of(sets[i][0].first), [li for li, p in enumerate(patterns) if fid in p])
-            for j, (((u, _), i), fid) in enumerate(zip(placed, seconds))
+            (j, u, _form(sets[i][0].first), [li for li, p in enumerate(patterns) if slot[f] in p])
+            for j, (((u, _), i), f) in enumerate(zip(placed, seconds))
         ]
     else:
-        labels, fids = [None], {}
+        labels = [None]
         for j, (x, i) in enumerate(placed):
             if family.kind == "F3":
                 _check_ab(x)
-            if i not in fids:
-                fids[i] = memo.of(sets[i][0].base if family.kind == "F3" else sets[i][0])
-            rows.append((j, x, fids[i], (0,)))
-    if clash and family.kind in ("F2xK", "F2xF2"):
-        buckets: List[List[str]] = [[] for _ in labels]
-        for _, h, fid, c in rows:
-            bases = memo.bases((h,), fid)
-            if bases is None:
-                break
-            for li in c:
-                buckets[li].extend(bases)
-        else:
-            if not memo.meet(buckets):
-                return None
-    # one walk over the forms hA, read at each label in ball order: the
-    # translates holding (w, l) number the rows at l of the forms holding
-    # w, and a cover misses (w, l) when no form holding w has one
-    ids = [memo.moved(h, fid) for _, h, fid, _ in rows]
-    at: Dict[int, List[int]] = {}
-    for k, fid in enumerate(ids):
-        at.setdefault(fid, []).append(k)
-    walk = memo.walk(frozenset(at), radius)
+            a = sets[i][0]
+            rows.append((j, x, _form(a.base if family.kind == "F3" else a), (0,)))
+    # one walk over the distinct forms hA, read at each label in ball
+    # order: the translates holding (w, l) number the rows at l of the
+    # forms holding w, and a cover misses (w, l) when no form holding w
+    # has one
+    at: Dict[_Form, List[int]] = {}
+    for k, (_, h, form, _) in enumerate(rows):
+        at.setdefault(_moved(h, form), []).append(k)
+    owned = list(at.values())
     counts: List[Dict[int, int]] = [{} for _ in labels]
-    for fid, row in zip(ids, rows):
-        for li in row[3]:
-            counts[li][fid] = counts[li].get(fid, 0) + 1
-    for pattern, (_, w) in walk.items():
+    for f, ks in enumerate(owned):
+        for k in ks:
+            for li in rows[k][3]:
+                counts[li][f] = counts[li].get(f, 0) + 1
+    for pattern, w in prefix.first_by_pattern(list(at), radius).items():
         for li, held in enumerate(counts):
-            if sum(held.get(fid, 0) for fid in pattern) > 1 if clash else held.keys().isdisjoint(pattern):
-                hits = sorted(rows[p][0] for fid in pattern for p in at[fid] if li in rows[p][3])
+            if sum(held.get(f, 0) for f in pattern) > 1 if clash else held.keys().isdisjoint(pattern):
+                hits = sorted(rows[k][0] for f in pattern for k in owned[f] if li in rows[k][3])
                 return (w if labels[li] is None else (w, labels[li])), hits
     return None
 
 
-def _disjoint_by_factors(family: TowerFamily, memo: _Translates) -> bool:
+def _disjoint_by_factors(family: TowerFamily) -> bool:
     """True when no two translates d·A_i meet, read off one scan of bases;
     False when two may.  Write D's elements (h, e), with E_h the labels e
     that come with h, and split A_i into pieces A × C, one per distinct
@@ -434,7 +343,10 @@ def _disjoint_by_factors(family: TowerFamily, memo: _Translates) -> bool:
     hA × eC, so when the distinct hA meet nowhere and, for each h and A,
     the label sets eC for e in E_h are pairwise disjoint, no two
     translates meet.  On D = H × E with no element twice, the label sets
-    are those of E for every h."""
+    are those of E for every h.  Each h moves the bases of all the
+    distinct A at once: ``prefix.translate``'s pieces of one A are disjoint
+    cones, so one sorted scan of all pieces finds two hA that meet.  An hA
+    that holds a word is left to the walk."""
     if family.kind not in ("F2xK", "F2", "F3"):
         return False
     by_word: Dict[str, list] = {}
@@ -444,27 +356,36 @@ def _disjoint_by_factors(family: TowerFamily, memo: _Translates) -> bool:
     try:
         if family.kind == "F2xK":
             act = family.k_group.mul
-            pieces = [(memo.of(t), lbl) for a, _ in family.items for lbl, t in a.slices.items()]
+            pieces = [(_form(t), lbl) for a, _ in family.items for lbl, t in a.slices.items()]
         else:
             act = lambda e, lbl: lbl
             for h in by_word if family.kind == "F3" else ():
                 _check_ab(h)
             sets = (a.base if family.kind == "F3" else a for a, _ in family.items)
-            pieces = [(memo.of(a), None) for a in sets]
+            pieces = [(_form(a), None) for a in sets]
     except NotNormalizable:
-        # the row path raises it with its own message
+        # the walk raises it with its own message
         return False
-    pieces = [(fid, lbl) for fid, lbl in pieces if any(memo.forms[fid])]
+    pieces = [(form, lbl) for form, lbl in pieces if any(form)]
     for es in {tuple(es) for es in by_word.values()}:
-        labels: Dict[int, set] = {}
-        for fid, lbl in pieces:
-            taken = labels.setdefault(fid, set())
+        labels: Dict[_Form, set] = {}
+        for form, lbl in pieces:
+            taken = labels.setdefault(form, set())
             size = len(taken)
             taken.update(act(e, lbl) for e in es)
             if len(taken) < size + len(es):
                 return False
-    moved = [memo.bases(list(by_word), fid) for fid in dict.fromkeys(f for f, _ in pieces)]
-    return None not in moved and not memo.meet([list(itertools.chain(*moved))])
+    forms = dict.fromkeys(form for form, _ in pieces)
+    if any(words for words, _ in forms):
+        return False
+    bases = [b for _, form_bases in forms for b in form_bases]
+    moved: List[str] = []
+    for h in by_word:
+        words, at_h = prefix.translate(h, (), bases)
+        if words:
+            return False
+        moved += at_h
+    return prefix.first_overlap((b, None) for b in moved) is None
 
 
 def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
@@ -473,15 +394,15 @@ def _owners(family: TowerFamily) -> List[Tuple[int, int]]:
     return [(di, i) for i in range(family.n) for di in range(len(family.d_set))]
 
 
-def _first_clash_walk(family: TowerFamily, radius: Optional[int], memo: _Translates):
+def _first_clash_walk(family: TowerFamily, radius: Optional[int]):
     """(element, owner, owner) of the first element, in ball order, of the
     radius-r ball or of the whole group in two translates d·A_i, or None;
     the walk runs only when ``_disjoint_by_factors`` does not decide it."""
-    if _disjoint_by_factors(family, memo):
+    if _disjoint_by_factors(family):
         return None
     owners = _owners(family)
     placed = [(family.d_set[di], i) for di, i in owners]
-    clash = _first_hit(family, placed, radius, memo, clash=True)
+    clash = _first_hit(family, placed, radius, clash=True)
     return clash and (clash[0], owners[clash[1][0]], owners[clash[1][1]])
 
 
@@ -510,12 +431,11 @@ def _ball_checks(family: TowerFamily, clash, bare) -> dict:
 def _walk_ball(family: TowerFamily, radius: Optional[int]) -> dict:
     """Checks on the radius-r ball, or on the whole group when ``radius`` is
     None, read off the prefix trie of the translates' normal forms."""
-    memo = _Translates()
-    clash = _first_clash_walk(family, radius, memo)
+    clash = _first_clash_walk(family, radius)
     bare = None
     for group_no, idxs in enumerate(family.cover_groups):
         covers = [(family.items[i][1], i) for i in idxs]
-        first = _first_hit(family, covers, radius, memo, clash=False)
+        first = _first_hit(family, covers, radius, clash=False)
         if first is not None:
             bare = (first[0], group_no)
             break

@@ -1812,6 +1812,30 @@ def test_verify_works_out_each_recorded_coloring_field(tmp_path, path, value, fa
     assert [key for key, ok in report.items() if ok is False] == ["pass"] + failed
 
 
+# a list field given as a string or an object that, read item by item, is
+# the built list: (command that builds the payload, field, forged value)
+LIST_FIELDS_FORGED = [
+    (["f2-towers", "--D", "a,b"], "D", "ab"),
+    (["f2-towers", "--D", "a,A,b"], "D", "aAb"),
+    (["f2-towers", "--D", "a,b"], "D", {"a": 0, "b": 1}),
+    (["color", "--K", "Z/5", "--E", "0,1,4"], "E", "014"),
+    (["color", "--K", "Z/5", "--E", "0,1,4"], "window", "01234"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, field, value", LIST_FIELDS_FORGED,
+    ids=["D-string", "D-string-of-three", "D-object", "E-string", "window-string"],
+)
+def test_verify_refuses_a_list_field_that_is_not_a_list(tmp_path, argv, field, value):
+    code, env = run_json(tmp_path, argv)
+    assert code == 0
+    payload = env["payload"]
+    assert list(value) == payload[field]
+    code, report = _verify_payload(tmp_path, env["kind"], _with(payload, [field], value))
+    assert code == 3 and f"{field} must be a list" in report["error"]
+
+
 @pytest.mark.parametrize("command", ["compose", "boost"])
 def test_compose_and_boost_refuse_a_witness_whose_hash_does_not_match(tmp_path, capsys, command):
     from paratower.boundary import ClopenSet

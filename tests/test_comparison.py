@@ -1522,12 +1522,12 @@ def test_the_product_tower_check_makes_no_rows(monkeypatch, inst, k):
     factors, first_hit = towers._disjoint_by_factors, towers._first_hit
     monkeypatch.setattr(
         towers, "_disjoint_by_factors",
-        lambda fam, memo: decided.append(fam.kind) or factors(fam, memo),
+        lambda fam: decided.append(fam.kind) or factors(fam),
     )
     monkeypatch.setattr(
         towers, "_first_hit",
-        lambda fam, placed, r, memo, clash: (clash and rows.append(fam.kind))
-        or first_hit(fam, placed, r, memo, clash),
+        lambda fam, placed, r, clash: (clash and rows.append(fam.kind))
+        or first_hit(fam, placed, r, clash),
     )
     u_set = ProductClopen(cyclic_group(k), {"0": cyl("ab")})
     instance = ComparisonInstance(inst) if inst else _zn_instance(k)
@@ -1612,14 +1612,14 @@ def test_the_tower_stage_runs_one_exact_check(monkeypatch, inst, u_set):
         towers._first_clash_walk, towers.verify_towers, towers._first_hit
     )
 
-    def spied_hit(fam, placed, radius, memo, clash):
+    def spied_hit(fam, placed, radius, clash):
         if not clash:
             cover_walks.append(fam)
-        return first_hit(fam, placed, radius, memo, clash)
+        return first_hit(fam, placed, radius, clash)
 
     monkeypatch.setattr(
         towers, "_first_clash_walk",
-        lambda fam, radius, memo: clash_checks.append(fam) or clash_walk(fam, radius, memo),
+        lambda fam, radius: clash_checks.append(fam) or clash_walk(fam, radius),
     )
     monkeypatch.setattr(
         comparison, "verify_towers", lambda fam, *a: checked.append(fam) or verify(fam, *a)

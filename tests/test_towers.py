@@ -506,17 +506,16 @@ def _checks(fam: TowerFamily, radius) -> dict:
 
 
 def _clash_check(monkeypatch, fam: TowerFamily, radius):
-    """The clash check's (element, positions) or None, with a fresh memo, and
-    the number of walks it took: the scan on D's factors, then the rows."""
+    """The clash check's (element, positions) or None, and the number of
+    walks it took: the scan on D's factors, then the rows."""
     walks = []
     real = prefix.first_by_pattern
     with monkeypatch.context() as m:
         m.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
-        memo = towers._Translates()
         placed = [(fam.d_set[di], i) for di, i in towers._owners(fam)]
         hit = None
-        if not towers._disjoint_by_factors(fam, memo):
-            hit = towers._first_hit(fam, placed, radius, memo, clash=True)
+        if not towers._disjoint_by_factors(fam):
+            hit = towers._first_hit(fam, placed, radius, clash=True)
     return hit, len(walks)
 
 
@@ -530,8 +529,9 @@ def test_a_passing_clash_check_takes_no_walk(monkeypatch, radius):
     families["F2xF2"] = extension_towers([("a", "b"), ("A", "B")])
     for name, fam in families.items():
         assert verify_towers(fam, "exact").passed, name
-        # F2 x F2 walks its second factors once, for its labels
-        walks = 1 if fam.kind == "F2xF2" else 0
+        # the factors decide every passing check but F2 x F2's, which walks
+        # its second factors for its labels and then its first factors
+        walks = 2 if fam.kind == "F2xF2" else 0
         assert _clash_check(monkeypatch, fam, radius) == (None, walks), name
 
 
@@ -611,14 +611,20 @@ def test_a_tower_placed_twice_fails_the_exact_check():
 @pytest.mark.parametrize("radius", [None, 2, 4])
 def test_the_clash_scan_agrees_with_the_walk(monkeypatch, radius):
     families = _scan_families()
+    decided = {name: towers._disjoint_by_factors(fam) for name, fam in families.items()}
     scanned = {name: _clash_check(monkeypatch, fam, radius) for name, fam in families.items()}
-    # every scan finds an overlap, so every clash check walks
-    monkeypatch.setattr(towers._Translates, "meet", lambda self, buckets: True)
+    # a family the scan decides takes no walk and passes the sweep; a
+    # translate holding words is always left to the walk
     for name, fam in families.items():
-        hit, walks = scanned[name]
-        assert _clash_check(monkeypatch, fam, radius) == (hit, 1), name
-        if "words" in name:
-            assert walks == 1, name
+        assert scanned[name][1] == (0 if decided[name] else 1), name
+        if decided[name] and radius is not None:
+            assert _sweep_ball(fam, radius)["disjoint"]["pass"], name
+        assert not (decided[name] and "words" in name), name
+    assert any(decided.values()) and not all(decided.values())
+    # with no scan every clash check walks, to the same verdict
+    monkeypatch.setattr(towers, "_disjoint_by_factors", lambda family: False)
+    for name, fam in families.items():
+        assert _clash_check(monkeypatch, fam, radius) == (scanned[name][0], 1), name
     verdicts = [hit is None for hit, _ in scanned.values()]
     assert any(verdicts) and not all(verdicts)
     assert scanned["F2xZ3 one form twice at a label"][0] is not None
@@ -631,13 +637,13 @@ def test_the_clash_scan_agrees_with_the_walk(monkeypatch, radius):
 
 @pytest.mark.parametrize("radius", [3, 5])
 def test_a_walk_after_a_scan_matches_the_sweep(radius):
-    # a walk after a scan that found meeting cones takes the forms interned
-    # from the moved bases of the scan
+    # a walk after a scan that found meeting cones moves the forms again,
+    # to their canonical forms
     for name, fam in _scan_families().items():
         assert verify_towers(fam, "ball", radius).checks == _sweep_ball(fam, radius), name
 
 
-# -- the clash scan of an F2 family lifted to F2 x Z/2, label by label
+# -- the clash scan of an F2 family lifted to F2 x Z/2
 
 
 def _lifted(fam: TowerFamily, placements) -> TowerFamily:
@@ -666,27 +672,29 @@ def test_a_tower_placed_twice_at_overlapping_labels_fails_the_clash_scan(monkeyp
     fam = more_towers(D5, 2)
     twice = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["0", "1"])])
     sorts = _sorts(monkeypatch)
+    # tower 0's form comes twice at label 0, so the scan leaves the check to
+    # the walk before it sorts any base
+    assert not towers._disjoint_by_factors(twice) and not sorts
     checks = verify_towers(twice, "exact").checks
-    # the equal bases at label 0 fail the sorted scan, and the walk names
-    # an element there
-    assert sorts and not checks["disjoint"]["pass"]
-    assert checks["disjoint"]["counterexample"]["word"][1] == "0"
-    monkeypatch.setattr(towers._Translates, "meet", lambda self, buckets: True)
-    assert checks == verify_towers(twice, "exact").checks
+    # the walk names an element at label 0, in both translates it names, and
+    # the sweep of the ball out to that element finds it first
+    c = checks["disjoint"]["counterexample"]
+    assert not checks["disjoint"]["pass"] and c["word"][1] == "0"
+    group, w = twice.group, tuple(c["word"])
+    for d, i in ((c["d"], c["i"]), (c["d2"], c["i2"])):
+        assert twice.items[i][0].contains(group.mul(group.inv(tuple(d)), w))
+    assert checks["disjoint"] == _sweep_ball(twice, len(c["word"][0]))["disjoint"]
 
 
 def test_one_form_at_two_disjoint_labels_passes_the_clash_scan(monkeypatch):
     fam = more_towers(D5, 2)
     apart = _lifted(fam, [(0, ["0"]), (1, ["0"]), (0, ["1"]), (1, ["1"])])
     sorts = _sorts(monkeypatch)
-    walks = []
-    real = prefix.first_by_pattern
-    monkeypatch.setattr(prefix, "first_by_pattern", lambda *a: walks.append(1) or real(*a))
-    placed = [(apart.d_set[di], i) for di, i in towers._owners(apart)]
-    hit = towers._first_hit(apart, placed, None, towers._Translates(), clash=True)
-    # one sorted scan per label, and no walk
-    assert (hit, len(sorts), walks) == (None, 2, [])
+    hit, walks = _clash_check(monkeypatch, apart, None)
+    # one sorted scan of the moved bases, and no walk
+    assert (hit, len(sorts), walks) == (None, 1, 0)
     assert verify_towers(apart, "exact").passed
+    assert _sweep_ball(apart, 3)["disjoint"]["pass"]
 
 
 # -- the clash check decided on D's factors: D = H × E, sets A × C
@@ -757,11 +765,11 @@ def test_the_factored_check_matches_the_row_path(monkeypatch, order, seed):
         for name, fam in families.items()
     }
     for (decided, name), fam in families.items():
-        assert towers._disjoint_by_factors(fam, towers._Translates()) == decided, name
+        assert towers._disjoint_by_factors(fam) == decided, name
     # the built family passes, and some of the changed ones clash
     assert factored[True, "as built"][0]["disjoint"]["pass"]
     assert not all(c[0]["disjoint"]["pass"] for c in factored.values())
-    monkeypatch.setattr(towers, "_disjoint_by_factors", lambda family, memo: False)
+    monkeypatch.setattr(towers, "_disjoint_by_factors", lambda family: False)
     for key, fam in families.items():
         rows = [verify_towers(fam, mode, r).checks for mode, r in (("exact", None), ("ball", 4))]
         assert factored[key] == rows, key
@@ -773,10 +781,12 @@ def test_the_factored_check_matches_the_sweep():
 
 
 def test_translate_bases_match_the_moved_forms():
-    # the bases the clash scan reads for x·A against the normal forms of the
-    # translates: cones moved by words that cancel none, some or all of the
-    # base, the whole group, forms with several bases or with words, and
-    # moved forms y·A, each read with fewer and more words
+    # the pieces the clash scan reads for x·A against the normal forms of
+    # the translates: cones moved by words that cancel none, some or all of
+    # the base, the whole group, forms with several bases or with words, and
+    # moved forms y·A.  The pieces are disjoint cones, so an antichain; they
+    # need not be canonical, but as cylinders they are the form's, and they
+    # are its bases when x·A holds no word
     rng = random.Random("towers/translate-bases")
     sets = [
         ss.cone("ab"), ss.cone("aBa"), ss.cone("A"), ss.cone(""),
@@ -784,24 +794,23 @@ def test_translate_bases_match_the_moved_forms():
     ]
     for a in sets:
         for _ in range(40):
-            memo = towers._Translates()
-            fid = memo.of(a)
             y = _random_word(rng, rng.randint(0, 3))
-            if rng.random() < 0.5:
-                fid, a_y = memo.moved(y, fid), a.translate(y)
-            else:
-                a_y = a
-            xs = [_random_word(rng, rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
-            for words in (xs, xs[:1], xs + [_random_word(rng, 3)]):
-                forms = [a_y.translate(x).normal_form() for x in words]
-                got = memo.bases(words, fid)
-                if any(nf.words for nf in forms):
-                    assert got is None, (a, y, words)
-                else:
-                    assert sorted(got) == sorted(b for nf in forms for b in nf.cones), (a, y, words)
-    # a cone moved by a word ending with its base's inverse holds words
-    memo = towers._Translates()
-    assert memo.bases(["ba", "BA"], memo.of(ss.cone("ab"))) is None
+            a_y = a.translate(y) if rng.random() < 0.5 else a
+            form = towers._form(a_y)
+            for x in [_random_word(rng, rng.randint(0, 4)) for _ in range(4)]:
+                nf = a_y.translate(x).normal_form()
+                assert towers._moved(x, form) == (nf.words, nf.cones), (a, y, x)
+                words, pieces = prefix.translate(x, *form)
+                assert prefix.first_overlap((b, k) for k, b in enumerate(pieces)) is None
+                assert prefix.canonical(None, pieces) == prefix.canonical(None, nf.cones)
+                if not words:
+                    assert not nf.words and frozenset(pieces) == nf.cones, (a, y, x)
+    # a cone moved by a word ending with its base's inverse holds words, and
+    # the scan leaves it to the walk
+    assert prefix.translate("BA", *towers._form(ss.cone("ab")))[0]
+    alone = TowerFamily("F2", ["BA"], [(ss.cone("ab"), "")])
+    assert not towers._disjoint_by_factors(alone)
+    assert verify_towers(alone, "exact").checks["disjoint"]["pass"]
 
 
 def test_disjoint_translates_match_the_full_products():
